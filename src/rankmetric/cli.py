@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -523,6 +524,14 @@ def cmd_table(args) -> int:
 # parser
 # ----------------------------------------------------------------------
 
+def _budget(text: str) -> int:
+    """--budget: a positive finite number of steps; 1e9 is accepted."""
+    value = float(text)
+    if not math.isfinite(value) or value < 1:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 1, got {text!r}")
+    return int(value)
+
+
 def _add_common(p: argparse.ArgumentParser, n_takes_range: bool = False) -> None:
     p.add_argument("--q", type=int)
     if n_takes_range:
@@ -544,7 +553,7 @@ def _add_common(p: argparse.ArgumentParser, n_takes_range: bool = False) -> None
     p.add_argument("--regime", choices=("q_large", "m_large"))
     p.add_argument("--eps", type=float, default=1e-9)
     p.add_argument("--terms", type=int, default=40)
-    p.add_argument("--budget", type=lambda x: int(float(x)), default=None,
+    p.add_argument("--budget", type=_budget, default=None,
                    help=f"enumeration budget (default {default_budget()})")
     p.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")

@@ -7,14 +7,20 @@ lexicographic order, free entries counting in base q), which gives exact
 chunked splitting for parallel sweeps: chunk [lo, hi) always yields the
 same subspaces in the same order.
 
-GF(2) sweeps run on bit-packed rows with a precomputed rank table; packing
-never appears in any public signature.
+Every codeword sweep -- the minimum distance of one code, the density
+sweeps here and in `restricted` -- asks one question of a span: the
+minimum rank over its nonzero words, stopping at the first word of rank
+< d.  One kernel, `_SpanMinRank`, answers it, on one of two paths chosen
+from the input: bit-packed rows with a precomputed rank table when the
+entries are in GF(2) and nm <= 16, the generic field arithmetic and
+`linalg.rank` otherwise.  Packing never appears in any public signature.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -23,25 +29,17 @@ from typing import Iterable, Iterator, Sequence
 
 from . import linalg
 from .errors import charge, resolve_budget
-from .fields import FiniteField, make_field
+from .fields import FiniteField, factorize, make_field
 from .qcomb import AsymptoticEstimate, gl_order, pi_q_limit, qbinom
 
 
 @lru_cache(maxsize=None)
 def field_for_order(q: int) -> FiniteField:
     """GF(q) for a prime power q given as a plain integer."""
-    n, p = q, None
-    for f in range(2, q + 1):
-        if n % f == 0:
-            p = f
-            break
-    h = 0
-    while n % p == 0:
-        n //= p
-        h += 1
-    if n != 1:
+    factors = factorize(q) if q >= 1 else ()
+    if len(factors) != 1:
         raise ValueError(f"q = {q} is not a prime power")
-    return make_field(p, h)
+    return make_field(*factors[0])
 
 
 # ----------------------------------------------------------------------
@@ -73,7 +71,8 @@ class Grassmannian:
             offset += count
         self._patterns = patterns
         self.total = offset
-        assert self.total == qbinom(N, k, q)
+        if self.total != qbinom(N, k, q):
+            raise AssertionError("pivot patterns must cover the Grassmannian")
 
     def _locate(self, index: int) -> int:
         lo, hi = 0, len(self._patterns) - 1
@@ -218,7 +217,12 @@ class MatrixCode:
     def min_distance(self, budget: int | None = None) -> int:
         """Minimum rank over all nonzero codewords, by full enumeration
         of one representative per projective point of the code."""
-        return _min_rank(self.field, self.n, self.m, self.basis, budget=budget)
+        k, q = self.dim, self.q
+        reps = (q**k - 1) // (q - 1)
+        charge(reps, resolve_budget(budget), f"min-distance sweep over {reps} codewords")
+        kernel = _SpanMinRank(self.field, q, self.n, self.m, k)
+        # Nonzero words have rank >= 1, so d = 2 stops at the first rank-1 word.
+        return next(kernel.min_ranks([kernel.rows(self.basis)], 2))
 
     def is_mrd(self) -> bool:
         """dim == m*(n - d + 1) for d = min_distance (Singleton-like bound
@@ -242,42 +246,72 @@ class MatrixCode:
         return f"MatrixCode(GF({self.q}), {self.n}x{self.m}, dim={self.dim})"
 
 
-def _min_rank(
-    fld: FiniteField,
-    n: int,
-    m: int,
-    basis: Sequence[Sequence[int]],
-    budget: int | None = None,
-) -> int:
-    k = len(basis)
-    q = fld.order
-    reps = (q**k - 1) // (q - 1)
-    charge(reps, resolve_budget(budget), f"min-distance sweep over {reps} codewords")
-    best = min(n, m)
-    if q == 2 and n * m <= 16:
-        table = linalg.gf2_rank_table(n, m)
-        rows = [linalg.pack_row(v) for v in basis]
-        word = 0
-        for s in range(1, 1 << k):
-            word ^= rows[(s & -s).bit_length() - 1]
-            r = table[word]
-            if r < best:
-                best = r
-                if best == 1:
-                    break
-        return best
-    for coeffs in linalg.projective_reps(k, q):
-        vec = [0] * (n * m)
-        for c, b in zip(coeffs, basis):
-            if c:
-                vec = [fld.add(x, fld.mul(c, y)) for x, y in zip(vec, b)]
-        mat = [vec[r * m : (r + 1) * m] for r in range(n)]
-        r = linalg.rank(mat, fld)
-        if r < best:
-            best = r
-            if best == 1:
-                break
-    return best
+class _SpanMinRank:
+    """The codeword-sweep kernel for k-dimensional spans.
+
+    min_ranks(spans, d) yields, for each span's k rows in turn, the
+    minimum rank over the nonzero words of span(rows), where each row is a
+    flattened n x m matrix with entries in fld and the coefficients range
+    over GF(q).  A span's sweep stops at its first word of rank < d and
+    yields that rank.  The rank table and Gray-code steps, or the
+    projective coefficient vectors, are built once per kernel, not once
+    per span.
+
+    Packed path (entries in GF(2), nm <= 16): rows are bit-packed as by
+    linalg.pack_row, which is also the format of
+    Grassmannian.iter_packed_range; each word costs one XOR and one
+    rank-table probe.  Generic path otherwise: one word per projective
+    point, ranked by linalg.rank.  rows(basis) converts flattened
+    matrices into the format min_ranks takes.
+    """
+
+    __slots__ = ("packed", "fld", "n", "m", "steps", "table", "reps")
+
+    def __init__(self, fld, q: int, n: int, m: int, k: int):
+        self.packed = fld.order == 2 and n * m <= 16
+        self.fld, self.n, self.m = fld, n, m
+        if self.packed:
+            self.table = linalg.gf2_rank_table(n, m)
+            # word s of the Gray code is word s-1 XOR row ctz(s)
+            self.steps = tuple((s & -s).bit_length() - 1 for s in range(1, 1 << k))
+        else:
+            self.reps = tuple(linalg.projective_reps(k, q))
+
+    def rows(self, basis: Sequence[Sequence[int]]) -> Sequence:
+        if self.packed:
+            return tuple(linalg.pack_row(v) for v in basis)
+        return basis
+
+    def min_ranks(self, spans: Iterable[Sequence], d: int) -> Iterator[int]:
+        full = min(self.n, self.m)
+        if self.packed:
+            table, steps = self.table, self.steps
+            for rows in spans:
+                best = full
+                word = 0
+                for i in steps:
+                    word ^= rows[i]
+                    if table[word] < best:
+                        best = table[word]
+                        if best < d:
+                            break
+                yield best
+            return
+        fld, n, m, reps = self.fld, self.n, self.m, self.reps
+        zero = [0] * (n * m)
+        for rows in spans:
+            best = full
+            for coeffs in reps:
+                vec = zero
+                for c, b in zip(coeffs, rows):
+                    if c:
+                        vec = [fld.add(x, fld.mul(c, y)) for x, y in zip(vec, b)]
+                r = linalg.rank([vec[i * m : (i + 1) * m] for i in range(n)], fld)
+                if r < best:
+                    best = r
+                    if r < d:
+                        break
+            yield best
 
 
 def min_distance(code: MatrixCode, budget: int | None = None) -> int:
@@ -334,50 +368,17 @@ class DensityResult:
         return out
 
 
-def _count_chunk_packed(n: int, m: int, k: int, d: int, lo: int, hi: int) -> int:
-    """GF(2) kernel: subspaces in [lo, hi) whose nonzero words all have
-    rank >= d.  Gray-code traversal, one XOR and one table probe per word."""
-    g = Grassmannian(n * m, k, 2)
-    table = linalg.gf2_rank_table(n, m)
-    ctz = [(s & -s).bit_length() - 1 for s in range(1 << k)]
-    count = 0
-    nwords = 1 << k
-    for rows in g.iter_packed_range(lo, hi):
-        word = 0
-        for s in range(1, nwords):
-            word ^= rows[ctz[s]]
-            if table[word] < d:
-                break
-        else:
-            count += 1
-    return count
-
-
-def _count_chunk_generic(n: int, m: int, k: int, d: int, q: int, lo: int, hi: int) -> int:
-    g = Grassmannian(n * m, k, q)
-    fld = g.field
-    count = 0
-    for basis in g.iter_range(lo, hi):
-        ok = True
-        for coeffs in linalg.projective_reps(k, q):
-            vec = [0] * (n * m)
-            for c, b in zip(coeffs, basis):
-                if c:
-                    vec = [fld.add(x, fld.mul(c, y)) for x, y in zip(vec, b)]
-            mat = [vec[r * m : (r + 1) * m] for r in range(n)]
-            if linalg.rank(mat, fld) < d:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
-
-
 def _density_worker(args: tuple) -> int:
+    """Subspaces [lo, hi) of the sweep whose nonzero words all have rank >= d."""
     n, m, k, d, q, lo, hi = args
-    if q == 2 and n * m <= 16:
-        return _count_chunk_packed(n, m, k, d, lo, hi)
-    return _count_chunk_generic(n, m, k, d, q, lo, hi)
+    g = Grassmannian(n * m, k, q)
+    kernel = _SpanMinRank(g.field, q, n, m, k)
+    subspaces = g.iter_packed_range(lo, hi) if kernel.packed else g.iter_range(lo, hi)
+    count = 0
+    for r in kernel.min_ranks(subspaces, d):
+        if r >= d:
+            count += 1
+    return count
 
 
 def density_bruteforce(
@@ -410,7 +411,8 @@ def density_bruteforce(
             for i in range(jobs)
             if bounds[i] < bounds[i + 1]
         ]
-        with multiprocessing.Pool(processes=jobs) as pool:
+        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        with multiprocessing.Pool(processes=workers) as pool:
             count = sum(pool.map(_density_worker, tasks))
     elapsed = (time.perf_counter() - t0) * 1000.0
     return DensityResult(q, n, m, k, d, count, total, "brute_force", elapsed)
@@ -493,23 +495,15 @@ def mrd_lowerbound_formula(n: int, q) -> tuple[int, Fraction]:
     glsq = Fraction(gl_order(n, q) ** 2)
     bracket = 1 + Fraction(math.comb(n - 1, 2) * (q**n - 1) * (q - 2), q - 1)
     count = glsq / (n * (q**n - 1) ** 2) * bracket
-    assert count.denominator == 1, "lower-bound formula must be integral"
+    if count.denominator != 1:
+        raise AssertionError("lower-bound formula must be integral")
     count_int = count.numerator
     return count_int, Fraction(count_int, qbinom(n * n, n, q))
 
 
 def prime_factor_count(n: int) -> int:
     """Number of prime factors of n, counted with multiplicity."""
-    out = 0
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            out += 1
-            n //= f
-        f += 1
-    if n > 1:
-        out += 1
-    return out
+    return sum(e for _, e in factorize(n))
 
 
 def kantor_lowerbound(n: int) -> int:
@@ -525,7 +519,8 @@ def kantor_lowerbound(n: int) -> int:
     if k == 1:
         raise ValueError(f"n = {n} is a power of 3; the bound does not apply")
     value = Fraction(gl_order(n, 2) ** 2 * 2**n * (2**n - 1) ** (gamma - 2), 2 * n)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise AssertionError("Kantor's bound must be integral")
     return value.numerator
 
 

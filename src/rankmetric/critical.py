@@ -338,14 +338,6 @@ def hyperplane_density_independent(N: int, i: int, q) -> Fraction:
     return Fraction((q - 1) ** i * q ** (N - i), q**N - 1)
 
 
-def structured_hyperplane_density(N: int, i: int, q, family: str) -> Fraction:
-    if family == "collinear":
-        return hyperplane_density_collinear(N, i, q)
-    if family == "independent":
-        return hyperplane_density_independent(N, i, q)
-    raise ValueError(f"unknown family {family!r}")
-
-
 def collinear_pointset(N: int, i: int, q) -> PointSet:
     """i points inside the plane <e_0, e_1>: e_0, e_1, e_0 + c e_1, ..."""
     q = getattr(q, "q", q)
@@ -405,15 +397,9 @@ def code_from_pointset(P: PointSet) -> BlockCode:
 def weight_distribution(C: BlockCode, budget: int | None = None) -> tuple[int, ...]:
     """(W_0, ..., W_ell) by enumerating all q^N codewords x . G."""
     fld = field_for_order(C.q)
-    N = C.dim
-    charge(C.q**N, resolve_budget(budget), "codeword enumeration")
+    charge(C.q**C.dim, resolve_budget(budget), "codeword enumeration")
     out = [0] * (C.length + 1)
-    gen = C.generator
-    for msg in itertools.product(range(C.q), repeat=N):
-        word = [0] * C.length
-        for x, row in zip(msg, gen):
-            if x:
-                word = [fld.add(w, fld.mul(x, r)) for w, r in zip(word, row)]
+    for word in linalg.span_elements(C.generator, fld):
         out[sum(1 for w in word if w)] += 1
     return tuple(out)
 

@@ -26,7 +26,7 @@ module.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import FIELD_SIZE_CAP, FieldSizeError
 
@@ -48,6 +48,26 @@ def is_prime(p: int) -> bool:
             return False
         f += 2
     return True
+
+
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorisation of n >= 1 as ((p, e), ...), p ascending, by
+    trial division; () for n = 1."""
+    if n < 1:
+        raise ValueError(f"can only factor n >= 1, got {n}")
+    out = []
+    f = 2
+    while f * f <= n:
+        e = 0
+        while n % f == 0:
+            n //= f
+            e += 1
+        if e:
+            out.append((f, e))
+        f += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------
@@ -253,25 +273,11 @@ class FiniteField:
         return hash((self.p, self.h, self.modulus))
 
 
-def _small_prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _find_generator(fld) -> int:
     order = fld.order - 1
     if order == 1:
         return 1
-    factors = _small_prime_factors(order)
+    factors = [p for p, _ in factorize(order)]
     for g in range(2, fld.order):
         if all(fld.pow(g, order // f) != 1 for f in factors):
             return g
@@ -472,7 +478,8 @@ class ExtField:
         for i in range(self.n):
             s = self.add(s, self.frobenius(a, i))
         coords = self.coords(s)
-        assert all(c == 0 for c in coords[1:]), "trace left the base field"
+        if any(coords[1:]):
+            raise AssertionError("trace left the base field")
         return coords[0]
 
     def rel_norm(self, a: int, ell: int | None = None) -> int:
@@ -567,10 +574,3 @@ def nth_irreducible(base: FiniteField, n: int, index: int) -> tuple[int, ...]:
             return cand
         found += 1
     raise ValueError(f"fewer than {index + 1} irreducibles of degree {n}")
-
-
-def field_iter_pairs(fld) -> Iterator[tuple[int, int]]:
-    """All ordered pairs of elements; helper for exhaustive axiom checks."""
-    for a in fld.elements():
-        for b in fld.elements():
-            yield a, b

@@ -155,30 +155,6 @@ class LinearizedPoly:
         return LinearizedPoly(E, tuple(E.pow(c, e) for c in self.coeffs))
 
 
-def evaluate(f: LinearizedPoly, a: int) -> int:
-    return f.evaluate(a)
-
-
-def compose(f: LinearizedPoly, g: LinearizedPoly) -> LinearizedPoly:
-    return f.compose(g)
-
-
-def to_matrix(f: LinearizedPoly) -> linalg.Matrix:
-    return f.to_matrix()
-
-
-def poly_rank(f: LinearizedPoly) -> int:
-    return f.rank()
-
-
-def adjoint(f: LinearizedPoly) -> LinearizedPoly:
-    return f.adjoint()
-
-
-def rho_twist(f: LinearizedPoly, rho: int) -> LinearizedPoly:
-    return f.rho_twist(rho)
-
-
 def from_matrix(field: ExtField, mat: Sequence[Sequence[int]]) -> LinearizedPoly:
     """Inverse of to_matrix: the unique q-polynomial inducing the given
     GF(q)-linear map.  Solves the Moore system sum_j c_j b^(q^j) = image(b)

@@ -38,7 +38,7 @@ def qbinom(i: int, j: int, q) -> int:
 
     Computed by the exact telescoping recurrence r <- r*(q^(i-j+l)-1)/(q^l-1),
     whose intermediate values are themselves q-binomials; integrality at each
-    step is asserted, never left to rational arithmetic.  Returns 0 when
+    step is checked, never left to rational arithmetic.  Returns 0 when
     j < 0 or j > i.
     """
     q = _as_int_q(q)
@@ -49,7 +49,8 @@ def qbinom(i: int, j: int, q) -> int:
     for l in range(1, j + 1):
         r *= q ** (i - j + l) - 1
         den = q**l - 1
-        assert r % den == 0, "q-binomial telescoping lost integrality"
+        if r % den:
+            raise AssertionError("q-binomial telescoping lost integrality")
         r //= den
     return r
 
@@ -85,7 +86,8 @@ def pointset_size(n: int, m: int, r: int, q) -> int:
     if r < 1:
         raise ValueError("r = 0 leaves no nonzero matrices")
     size = ball_size(n, m, r, q) - 1
-    assert size % (q - 1) == 0
+    if size % (q - 1):
+        raise AssertionError("nonzero ball elements must split into projective points")
     return size // (q - 1)
 
 
@@ -204,18 +206,6 @@ def comparison_inequality_check(q, terms: int = 40) -> ComparisonCertificate:
 
 def prime_powers_up_to(bound: int) -> list[int]:
     """All prime powers q with 2 <= q <= bound, ascending."""
-    from .fields import is_prime
+    from .fields import factorize
 
-    out = []
-    for q in range(2, bound + 1):
-        n = q
-        p = None
-        for f in range(2, q + 1):
-            if n % f == 0:
-                p = f
-                break
-        while n % p == 0:
-            n //= p
-        if n == 1 and is_prime(p):
-            out.append(q)
-    return out
+    return [q for q in range(2, bound + 1) if len(factorize(q)) == 1]

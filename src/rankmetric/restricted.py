@@ -20,7 +20,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .codes import DensityResult, Grassmannian, field_for_order, spectrum_free_count
+from .codes import (
+    DensityResult,
+    Grassmannian,
+    _SpanMinRank,
+    field_for_order,
+    spectrum_free_count,
+)
 from .errors import charge, resolve_budget
 from .fields import ExtField, make_ext_field
 from .qcomb import AsymptoticEstimate, binom, gl_order, qbinom
@@ -167,7 +173,8 @@ def rank_count(kind: str, n: int, i: int, q, variant: str = "validated") -> int:
             out *= Fraction(q ** (2 * s), q ** (2 * s) - 1)
         for s in range(i):
             out *= q ** (n - s) - 1
-        assert out.denominator == 1
+        if out.denominator != 1:
+            raise AssertionError("symmetric rank count must be integral")
         return out.numerator
     if kind == "alternating":
         acc = 0
@@ -223,7 +230,8 @@ def dim_bound(kind: str, n: int, d: int) -> int:
         e = d // 2
         t = n // 2
         value = n * (n - 1) * (t - e + 1)
-        assert value % (2 * t) == 0
+        if value % (2 * t):
+            raise AssertionError("alternating dimension bound must be integral")
         return value // (2 * t)
     if kind == "hermitian":
         return n * (n - d + 1)
@@ -247,26 +255,18 @@ def restricted_density_bruteforce(
     total = qbinom(dim, k, q)
     charge(total, resolve_budget(budget), f"{kind} Grassmannian sweep")
     g = Grassmannian(dim, k, q)
+    # coord_map[c][i] is entry c of basis matrix i, so mat_vec(coord_map, r)
+    # is the flattened matrix sum_i r[i] * basis[i]
+    coord_map = tuple(zip(*(tuple(x for row in bm for x in row) for bm in basis)))
+    kernel = _SpanMinRank(fld, q, n, n, k)
     t0 = time.perf_counter()
     count = 0
-    for rows in g.iter_range():
-        ok = True
-        for coeffs in linalg.projective_reps(k, q):
-            vec = [0] * dim
-            for c, b in zip(coeffs, rows):
-                if c:
-                    vec = [g.field.add(x, g.field.mul(c, y)) for x, y in zip(vec, b)]
-            mat = [[0] * n for _ in range(n)]
-            for c, bm in zip(vec, basis):
-                if c:
-                    for r in range(n):
-                        for s in range(n):
-                            if bm[r][s]:
-                                mat[r][s] = fld.add(mat[r][s], fld.mul(c, bm[r][s]))
-            if linalg.rank(mat, fld) < d:
-                ok = False
-                break
-        if ok:
+    spans = (
+        kernel.rows([linalg.mat_vec(coord_map, r, fld) for r in rows])
+        for rows in g.iter_range()
+    )
+    for r in kernel.min_ranks(spans, d):
+        if r >= d:
             count += 1
     elapsed = (time.perf_counter() - t0) * 1000.0
     return DensityResult(q, n, n, k, d, count, total, "brute_force", elapsed, kind=kind)

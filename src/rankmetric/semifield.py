@@ -342,7 +342,8 @@ def normalize_contains_x(C: LinPolyCode) -> LinPolyCode:
         inv = linalg.mat_inv(mat, fld)
         if inv is not None:
             out = C.compose_right(inv)
-            assert out.contains_x()
+            if not out.contains_x():
+                raise AssertionError("C o g^-1 must contain x")
             return out
     raise ValueError("code has no invertible element")
 
@@ -364,7 +365,8 @@ def code_to_semifield(C: LinPolyCode, budget: int | None = None) -> Semifield:
         tuple(E.coords(p.evaluate(1))[r] for p in C.basis) for r in range(n)
     )
     inv = linalg.mat_inv(eval1, fld)
-    assert inv is not None, "evaluation at 1 must be bijective on an MRD code"
+    if inv is None:
+        raise AssertionError("evaluation at 1 must be bijective on an MRD code")
 
     def L(y: int) -> LinearizedPoly:
         lam = linalg.mat_vec(inv, E.coords(y), fld)
@@ -379,16 +381,16 @@ def code_to_semifield(C: LinPolyCode, budget: int | None = None) -> Semifield:
     basis = E.basis()
     moore = tuple(tuple(E.frobenius(b, j) for j in range(n)) for b in basis)
     moore_inv = linalg.mat_inv(moore, E)
-    assert moore_inv is not None
+    if moore_inv is None:
+        raise AssertionError("Moore matrix of the power basis must be invertible")
     images = [L(b) for b in basis]
     coeffs = []
     for i in range(n):
         values = tuple(img.coeffs[i] for img in images)
         coeffs.append(linalg.mat_vec(moore_inv, values, E))
     S = Semifield(E, coeffs)
-    assert all(
-        S.star(1, y) == y and S.star(y, 1) == y for y in E.elements()
-    ), "1 must be a two-sided identity of the recovered multiplication"
+    if not all(S.star(1, y) == y and S.star(y, 1) == y for y in E.elements()):
+        raise AssertionError("1 must be a two-sided identity of the recovered product")
     return S
 
 
@@ -413,7 +415,8 @@ def _invertible_matrices(fld, n: int) -> tuple[linalg.Matrix, ...]:
         mat = tuple(rows)
         if linalg.is_invertible(mat, fld):
             out.append(mat)
-    assert len(out) == gl_order(n, fld)
+    if len(out) != gl_order(n, fld):
+        raise AssertionError("GL_n(q) enumeration must match |GL_n(q)|")
     return tuple(out)
 
 

@@ -10,7 +10,10 @@ from rankmetric.cli import main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects a bad option value itself
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -72,8 +75,14 @@ def test_formula_missing_parameter_exits_2(capsys):
 
 
 def test_formula_invalid_parameter_exits_2(capsys):
-    code, _, err = run(capsys, "formula", "kantor-lower", "--n", "9")
-    assert code == 2
+    for argv in [
+        ("formula", "kantor-lower", "--n", "9"),
+        ("formula", "spectrum-free", "--m", "2", "--q", "1"),
+        ("formula", "spectrum-free", "--m", "2", "--q", "3", "--budget", "inf"),
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, (argv, err)
+        assert "Traceback" not in err
 
 
 def test_formula_more_registry_entries(capsys):

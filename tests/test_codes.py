@@ -150,6 +150,39 @@ def test_density_parallel_chunking_identical():
         assert density_bruteforce(2, 3, 3, 2, 2, jobs=jobs).count == 48
 
 
+@pytest.mark.parametrize(
+    "shape,cpus,workers",
+    [((1, 2, 1, 1), 4, 3), ((2, 2, 2, 2), 4, 4), ((2, 2, 2, 2), None, 1)],
+)
+def test_density_pool_is_clamped(monkeypatch, shape, cpus, workers):
+    # jobs=64 still sets the chunk bounds; the pool gets at most one
+    # worker per task and per CPU.  The fake pool maps in-process.
+    import multiprocessing
+    import os
+
+    seen = []
+
+    class FakePool:
+        def __init__(self, processes):
+            seen.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    n, m, k, d = shape
+    r = density_bruteforce(n, m, k, d, 2, jobs=64)
+    assert seen == [workers]
+    assert r.count == density_bruteforce(n, m, k, d, 2).count
+
+
 def test_density_generic_path_q3():
     r = density_bruteforce(2, 2, 2, 2, 3)
     assert r.count == spectrum_free_count(2, 3)

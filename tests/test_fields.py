@@ -7,6 +7,8 @@ from rankmetric.errors import FieldSizeError
 from rankmetric.fields import (
     ExtField,
     FiniteField,
+    factorize,
+    is_prime,
     make_ext_field,
     make_field,
     nth_irreducible,
@@ -207,3 +209,18 @@ def test_explicit_modulus_and_second_irreducible():
         assert E.mul(a, E.inv(a)) == 1
     with pytest.raises(ValueError):
         ExtField(F2, 3, modulus=(0, 1, 0, 1))  # reducible x^3+x = wrong
+
+
+def test_factorize():
+    assert factorize(1) == ()
+    assert factorize(360) == ((2, 3), (3, 2), (5, 1))
+    for n in range(1, 300):
+        f = factorize(n)
+        assert [p for p, _ in f] == sorted({p for p, _ in f})
+        assert all(is_prime(p) and e >= 1 for p, e in f)
+        prod = 1
+        for p, e in f:
+            prod *= p**e
+        assert prod == n
+    with pytest.raises(ValueError):
+        factorize(0)
