@@ -9,7 +9,7 @@ and the acceptance suite.
 """
 
 from .errors import BudgetExceededError, FieldSizeError
-from .fields import ExtField, FiniteField, make_ext_field, make_field
+from .fields import FiniteField, make_ext_field, make_field
 from .linpoly import LinearizedPoly
 from .qcomb import (
     AsymptoticEstimate,

@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import codes, critical, qcomb, restricted, semifield
+from . import codes, critical, fields, qcomb, restricted, semifield
 from .errors import BudgetExceededError, default_budget
 
 
@@ -532,8 +532,24 @@ def _budget(text: str) -> int:
     return int(value)
 
 
+def _prime_power(text: str) -> int:
+    """--q: the order of a finite field, a prime power >= 2."""
+    q = int(text)
+    if q < 2 or len(fields.factorize(q)) != 1:
+        raise argparse.ArgumentTypeError(f"must be a prime power >= 2, got {text!r}")
+    return q
+
+
+def _jobs(text: str) -> int:
+    """--jobs: a number of worker processes >= 1."""
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return jobs
+
+
 def _add_common(p: argparse.ArgumentParser, n_takes_range: bool = False) -> None:
-    p.add_argument("--q", type=int)
+    p.add_argument("--q", type=_prime_power)
     if n_takes_range:
         p.add_argument("--n", help="an integer or a range like 3..7")
     else:
@@ -555,7 +571,7 @@ def _add_common(p: argparse.ArgumentParser, n_takes_range: bool = False) -> None
     p.add_argument("--terms", type=int, default=40)
     p.add_argument("--budget", type=_budget, default=None,
                    help=f"enumeration budget (default {default_budget()})")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
+    p.add_argument("--jobs", type=_jobs, default=1, help="worker processes for sweeps")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.add_argument("--precision", type=int, default=6,

@@ -158,7 +158,7 @@ def enumerate_subspaces(
     Yields each subspace exactly once; the count equals qbinom(N, k, q).
     [start, stop) selects a chunk of the stream for parallel traversal.
     """
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     g = Grassmannian(N, k, q)
     stop = g.total if stop is None else stop
     charge(stop - start, resolve_budget(budget), f"enumerating G_{q}({N},{k})")
@@ -394,7 +394,7 @@ def density_bruteforce(
     over the full Grassmannian.  jobs > 1 splits the sweep into
     deterministic chunks; the reduction is an integer sum, so the result
     is identical for any chunking."""
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     if not (1 <= k <= n * m and 1 <= d <= min(n, m)):
         raise ValueError(f"bad parameters n={n}, m={m}, k={k}, d={d}")
     total = qbinom(n * m, k, q)
@@ -425,7 +425,7 @@ def density_bruteforce(
 def spectrum_free_count(m: int, q, budget: int | None = None) -> int:
     """Number of m x m matrices over GF(q) with no eigenvalue in GF(q),
     i.e. det(M - lambda*I) != 0 for every lambda, by full enumeration."""
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     fld = field_for_order(q)
     cells = m * m
     charge(q**cells, resolve_budget(budget), f"enumerating GF({q})^({m}x{m})")
@@ -470,7 +470,7 @@ def spectrum_free_identity_check(m: int, q, budget: int | None = None) -> bool:
 
 def density_3x3_formula(q) -> Fraction:
     """Exact density of 3-dim codes in GF(q)^(3x3) with min distance 3."""
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     num = (
         (q - 1)
         * (q**3 - 1)
@@ -489,7 +489,7 @@ def mrd_lowerbound_formula(n: int, q) -> tuple[int, Fraction]:
         |GL_n(q)|^2/(n (q^n-1)^2) * (1 + C(n-1,2) (q^n-1)(q-2)/(q-1))
 
     Returns (count, count / qbinom(n^2, n, q))."""
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     if n < 2:
         raise ValueError("need n >= 2")
     glsq = Fraction(gl_order(n, q) ** 2)

@@ -46,7 +46,7 @@ class PointSet:
     __slots__ = ("N", "q", "field", "points", "_span_dim")
 
     def __init__(self, N: int, q, points: Iterable[Sequence[int]]):
-        q = getattr(q, "q", q)
+        q = getattr(q, "order", q)
         fld = field_for_order(q)
         canon = {canonical_point(p, fld) for p in points}
         if not canon:
@@ -125,7 +125,7 @@ def delta_bruteforce(P: PointSet, k: int, budget: int | None = None) -> Fraction
 def rank_ball_pointset(n: int, m: int, r: int, q, budget: int | None = None) -> PointSet:
     """The point set spanned by the nonzero matrices of rank <= r in
     GF(q)^(n x m), flattened row-major into GF(q)^(nm)."""
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     if not 1 <= r <= min(n, m):
         raise ValueError("need 1 <= r <= min(n, m)")
     fld = field_for_order(q)
@@ -147,7 +147,7 @@ def rank_ball_pointset(n: int, m: int, r: int, q, budget: int | None = None) -> 
 def avg_density_formula(N: int, k: int, ell: int, q) -> Fraction:
     """Average of delta over all point sets of size ell:
     C((q^N-q^k)/(q-1), ell) / C((q^N-1)/(q-1), ell)."""
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     npoints = (q**N - 1) // (q - 1)
     if not 1 <= ell <= npoints:
         raise ValueError(f"need 1 <= ell <= {npoints}, got {ell}")
@@ -160,7 +160,7 @@ def avg_density_exhaustive(
 ) -> Fraction:
     """Oracle for avg_density_formula: the exact mean of delta over every
     point set of size ell, by full enumeration."""
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     points = all_points(N, q)
     nsets = binom(len(points), ell)
     charge(nsets, resolve_budget(budget), f"enumerating {nsets} point sets")
@@ -177,7 +177,7 @@ def avg_density_exhaustive(
 
 def avg_density_limit_qlarge(N: int, k: int, s: int, q) -> float:
     """Limit expression exp(-q^(k+s-N)) for point sets of size ~ q^s."""
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     if not 1 <= s < N - 1:
         raise ValueError("need 1 <= s < N-1")
     return exp(-float(q) ** (k + s - N))
@@ -187,7 +187,7 @@ def avg_density_limit_mlarge(
 ) -> float:
     """Limit expression exp(-ell' q^(m(k'+r-n))) for the column-scaling
     regime."""
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     if not (1 <= k_prime < n and 1 <= r < n):
         raise ValueError("need 1 <= k', r < n")
     return exp(-ell_prime * float(q) ** (m * (k_prime + r - n)))
@@ -197,7 +197,7 @@ def ball_avg_limit(n: int, d: int, q, regime: str) -> float:
     """The two limit values of the average density at the rank-ball's
     cardinality: exp(-q^(d(n-d+2)-n-2)) as q grows, and
     exp(-qbinom(n,d-1,q)/(q-1)) as the column length grows."""
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     if regime == "q_large":
         return exp(-float(q) ** (d * (n - d + 2) - n - 2))
     if regime == "m_large":
@@ -242,7 +242,7 @@ def lambda_count(N: int, s: int, ell: int, rho: int, q) -> int:
     vanishing q-binomial C(N-s, i-t) before the ordinary binomial of a
     negative integer could contribute.
     """
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     if not 2 <= rho <= N:
         raise ValueError("need 2 <= rho <= N")
     if not rho <= ell <= (q**rho - 1) // (q - 1):
@@ -295,7 +295,7 @@ def lambda_exhaustive(
     size ell, counting those of rank rho avoided by the coordinate
     subspace <e_0, ..., e_(s-1)>.  (The count is the same for every
     s-dimensional subspace; the test suite cross-checks this.)"""
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     npoints = (q**N - 1) // (q - 1)
     charge(binom(npoints, ell), resolve_budget(budget), "point-set enumeration")
     hist = _pointset_histogram(N, ell, q)
@@ -307,7 +307,7 @@ def lambda_exhaustive(
 def avg_density_rank_formula(N: int, k: int, ell: int, rho: int, q) -> Fraction:
     """Average density of k-dim distinguishing subspaces over all point
     sets of size ell and rank rho: lambda(N,k,ell,rho)/lambda(N,0,ell,rho)."""
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     den = lambda_count(N, 0, ell, rho, q)
     if den == 0:
         raise ValueError(
@@ -323,7 +323,7 @@ def avg_density_rank_formula(N: int, k: int, ell: int, rho: int, q) -> Fraction:
 def hyperplane_density_collinear(N: int, i: int, q) -> Fraction:
     """Density of hyperplanes avoiding i points spanning a fixed plane
     (all on one projective line): (q+1-i)(q-1) q^(N-2) / (q^N - 1)."""
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     if not 2 <= i <= q + 1:
         raise ValueError("need 2 <= i <= q+1 collinear points")
     return Fraction((q + 1 - i) * (q - 1) * q ** (N - 2), q**N - 1)
@@ -332,7 +332,7 @@ def hyperplane_density_collinear(N: int, i: int, q) -> Fraction:
 def hyperplane_density_independent(N: int, i: int, q) -> Fraction:
     """Density of hyperplanes avoiding i linearly independent points:
     (q-1)^i q^(N-i) / (q^N - 1)."""
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     if not 2 <= i <= N - 1:
         raise ValueError("need 2 <= i <= N-1 independent points")
     return Fraction((q - 1) ** i * q ** (N - i), q**N - 1)
@@ -340,7 +340,7 @@ def hyperplane_density_independent(N: int, i: int, q) -> Fraction:
 
 def collinear_pointset(N: int, i: int, q) -> PointSet:
     """i points inside the plane <e_0, e_1>: e_0, e_1, e_0 + c e_1, ..."""
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     pts = [
         (1,) + (0,) * (N - 1),
         (0, 1) + (0,) * (N - 2),
@@ -419,7 +419,7 @@ def hyperplane_density_via_weights(P: PointSet, budget: int | None = None) -> Fr
 def mds_arc_density(N: int, ell: int, q) -> Fraction:
     """Density of hyperplanes avoiding an arc of ell points:
     (q-1)/(q^N-1) * sum_j (-1)^j C(ell-1, j) q^(N-1-j)."""
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     if ell < 2 or ell < N:
         raise ValueError("need ell >= max(2, N) for an arc spanning the space")
     acc = 0
@@ -432,7 +432,7 @@ def moment_curve_arc(N: int, ell: int, q) -> PointSet:
     """An arc of size ell <= q+1: points (1, t, t^2, ..., t^(N-1)) for the
     first field elements t, plus (0, ..., 0, 1) when ell = q+1.  Any N of
     these columns form a Vandermonde block, hence span."""
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     if not N <= ell <= q + 1:
         raise ValueError(f"moment-curve arc needs N <= ell <= q+1 = {q + 1}")
     fld = field_for_order(q)
@@ -448,7 +448,7 @@ def arc_plus_point_density(N: int, ell: int, q) -> Fraction:
     """Closed form for the point set 'arc of ell-1 points in a coordinate
     hyperplane, plus the last basis vector':
     (q-1)^2/(q^N-1) * sum_j (-1)^j C(ell-2, j) q^(N-2-j)."""
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     if N < 2 or not 2 <= ell <= q - 1:
         raise ValueError("construction needs N >= 2 and 2 <= ell <= q-1")
     acc = 0
@@ -461,13 +461,13 @@ def arc_plus_point_gap(N: int, ell: int, q) -> Fraction:
     """arc_plus_point_density - mds_arc_density in closed form:
     (q-1)/(q^N-1) * (-1)^N * C(ell-2, N-1); positive iff N is even and
     ell >= N+1."""
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     return Fraction((q - 1) * (-1) ** N * binom(ell - 2, N - 1), q**N - 1)
 
 
 def arc_plus_point_pointset(N: int, ell: int, q) -> PointSet:
     """The concrete construction behind arc_plus_point_density."""
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     if not (N >= 2 and N <= ell <= q - 1):
         raise ValueError("need N <= ell <= q-1 for the concrete construction")
     inner = moment_curve_arc(N - 1, ell - 1, q)

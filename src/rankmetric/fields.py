@@ -1,23 +1,43 @@
-"""Exact arithmetic in GF(q), q = p^h, and in extension fields GF(q^n).
+"""Exact arithmetic in finite fields and their extensions.
+
+One class, `FiniteField`, models every field of the package:
+
+- `FiniteField(p)` is the prime field GF(p);
+- `FiniteField(p, h)` is GF(p^h) as a degree-h extension of GF(p);
+- `FiniteField(F, n)` is GF(q^n) as a degree-n extension of the field F
+  of order q, e.g. GF(16) over GF(4), which the towers of the semifield
+  and Hermitian code families need.
 
 Element encoding
 ----------------
-Field elements are plain ints.  For a prime field the int is the residue
-mod p.  For GF(p^h) with h > 1 the base-p digits of the int are the
-coefficients of a polynomial in the generator, constant term in the least
-significant digit: e = sum(c_i * p**i) represents sum(c_i * t**i).
-Extension fields GF(q^n) over a base GF(q) use the same scheme with base-q
-digits.  Enumeration order is therefore range(order), which is canonical
-and platform-independent.
+Field elements are plain ints.  An element of a prime field is its
+residue mod p.  In an extension of degree n over a base field of order q,
+the base-q digits of the int are the coordinates of the element in the
+power basis 1, t, ..., t^(n-1) of a root t of the modulus, constant term
+in the least significant digit: e = sum(c_i * q**i) represents
+sum(c_i * t**i).  Each digit c_i is a base-field element, encoded the
+same way.  Enumeration order is therefore range(order), which is
+canonical and platform-independent.
+
+Addition
+--------
+q is a power of p, so every base-q digit is itself a block of base-p
+digits, and the int read in base p lists the h = [F : GF(p)] coordinates
+of the element over GF(p) (in the product of the power bases down the
+tower).  Addition is coordinatewise in any basis, so `add` and `neg` work
+digitwise mod p on those h digits for every field, towers included, with
+no call into the base field; over GF(2) this is XOR.  Products reduce
+modulo the defining polynomial over the base field (prime fields: % p).
 
 Modulus choice
 --------------
 The defining polynomial of every extension is the monic irreducible of the
 requested degree whose non-leading coefficients, read as the digits of an
-integer (constant term least significant), are smallest.  Over GF(2) this
-reproduces the familiar table entries (x^2+x+1 = 0b111, x^3+x+1 = 0b1011).
-An explicit modulus may be passed instead, which the test suite uses to
-check that derived counts are independent of the field model.
+integer (constant term least significant), are smallest, i.e.
+`nth_irreducible(base, n, 0)`.  Over GF(2) this reproduces the familiar
+table entries (x^2+x+1 = 0b111, x^3+x+1 = 0b1011).  An explicit modulus
+may be passed instead, which the test suite uses to check that derived
+counts are independent of the field model.
 
 All arithmetic is exact; there is no floating point anywhere in this
 module.
@@ -26,7 +46,7 @@ module.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import FIELD_SIZE_CAP, FieldSizeError
 
@@ -105,55 +125,113 @@ def _poly_mod(a: Sequence[int], m: Sequence[int], fld: "FiniteField") -> list[in
     return r
 
 
-def _poly_divides(d: Sequence[int], a: Sequence[int], fld: "FiniteField") -> bool:
-    return not _poly_mod(a, _monicize(d, fld), fld)
+def _monics(q: int, deg: int) -> Iterator[list[int]]:
+    """The monic polynomials of degree deg over a field of order q, as
+    coefficient lists (constant first), in the canonical order: their
+    non-leading coefficients, read as base-q digits, count up from 0."""
+    for enc in range(q**deg):
+        coeffs = []
+        for _ in range(deg):
+            coeffs.append(enc % q)
+            enc //= q
+        yield coeffs + [1]
 
 
-def _monicize(a: Sequence[int], fld: "FiniteField") -> list[int]:
-    inv = fld.inv(a[-1])
-    return [fld.mul(inv, c) for c in a]
+def _is_irreducible(base: "FiniteField", coeffs: Sequence[int]) -> bool:
+    """Trial division of a monic polynomial by every monic of degree
+    1..n//2; exact and fast for the degrees (<= 16) this package uses."""
+    n = len(coeffs) - 1
+    if n == 1:
+        return True
+    if coeffs[0] == 0:
+        return False  # divisible by x
+    for deg in range(1, n // 2 + 1):
+        for d in _monics(base.order, deg):
+            if not _poly_mod(coeffs, d, base):
+                return False
+    return True
+
+
+def _irreducibles(base: "FiniteField", n: int) -> Iterator[tuple[int, ...]]:
+    """The monic irreducibles of degree n over base, in canonical order."""
+    for cand in _monics(base.order, n):
+        if _is_irreducible(base, cand):
+            yield tuple(cand)
 
 
 class FiniteField:
-    """The field GF(p^h) with int-encoded elements (see module docstring).
+    """A finite field with int-encoded elements (see module docstring).
 
-    Immutable after construction; safe to share between workers.
+    - p: the characteristic;
+    - h: the degree over GF(p);
+    - base: the base field, None for a prime field;
+    - n: the degree over base (1 for a prime field);
+    - q: the order of base (p for a prime field);
+    - order: the number of elements, q**n;
+    - modulus: the defining polynomial over base (None for a prime field).
+
+    FiniteField(p, h) and FiniteField(FiniteField(p), h) are equal: same
+    base, degree, modulus and encoding.  Immutable after construction;
+    safe to share between workers.
     """
 
-    def __init__(self, p: int, h: int = 1, cap: int = FIELD_SIZE_CAP):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if h < 1:
-            raise ValueError(f"h must be >= 1, got {h}")
-        order = p**h
+    def __init__(
+        self,
+        base: "int | FiniteField",
+        n: int = 1,
+        modulus: Sequence[int] | None = None,
+        cap: int = FIELD_SIZE_CAP,
+    ):
+        if n < 1:
+            raise ValueError(f"degree must be >= 1, got {n}")
+        if isinstance(base, FiniteField):
+            p, q, h = base.p, base.order, base.h * n
+        elif is_prime(base):
+            p, q, h = base, base, n
+            base = FiniteField(p) if n > 1 else None
+        else:
+            raise ValueError(f"p = {base} is not prime")
+        order = q**n
         if order > cap:
-            raise FieldSizeError(f"|GF({p}^{h})| = {order} exceeds cap {cap}")
+            raise FieldSizeError(f"|GF({q}^{n})| = {order} exceeds cap {cap}")
+        if base is None:
+            if modulus is not None:
+                raise ValueError("a prime field takes no modulus")
+        elif modulus is None:
+            modulus = next(_irreducibles(base, n))
+        else:
+            modulus = tuple(modulus)
+            if len(modulus) != n + 1 or modulus[-1] != 1:
+                raise ValueError("modulus must be monic of degree n")
+            if not _is_irreducible(base, modulus):
+                raise ValueError("modulus is not irreducible over the base field")
         self.p = p
         self.h = h
-        self.q = order
+        self.base = base
+        self.n = n
+        self.q = q
         self.order = order
-        self.modulus: tuple[int, ...] | None = None
-        self._prime: FiniteField | None = None
+        self.modulus: tuple[int, ...] | None = modulus
+        self._key = (p, base, n, modulus)
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
-        if h > 1:
-            self._prime = FiniteField(p, 1)
-            self.modulus = _first_irreducible(self._prime, h)
+        if h > 1 and order <= _TABLE_LIMIT:
             self._build_tables()
 
-    # representation helpers -------------------------------------------
+    # representation -----------------------------------------------------
     def coords(self, a: int) -> tuple[int, ...]:
-        """Base-p digit vector of a (constant term first), length h."""
+        """Coordinates over the base field in the power basis: the n
+        base-q digits of a, constant term first."""
         out = []
-        for _ in range(self.h):
-            out.append(a % self.p)
-            a //= self.p
+        for _ in range(self.n):
+            out.append(a % self.q)
+            a //= self.q
         return tuple(out)
 
     def from_coords(self, coords: Sequence[int]) -> int:
         a = 0
         for c in reversed(coords):
-            a = a * self.p + c % self.p
+            a = a * self.q + c % self.q
         return a
 
     def elements(self) -> range:
@@ -161,6 +239,10 @@ class FiniteField:
 
     def units(self) -> range:
         return range(1, self.order)
+
+    def basis(self) -> list[int]:
+        """Power-basis elements 1, t, ..., t^(n-1)."""
+        return [self.q**i for i in range(self.n)]
 
     # arithmetic ---------------------------------------------------------
     def add(self, a: int, b: int) -> int:
@@ -194,11 +276,8 @@ class FiniteField:
         return self.add(a, self.neg(b))
 
     def _mul_poly(self, a: int, b: int) -> int:
-        prime = self._prime
-        pa = list(self.coords(a))
-        pb = list(self.coords(b))
-        prod = _poly_mod(_poly_mul(pa, pb, prime), self.modulus, prime)
-        prod += [0] * (self.h - len(prod))
+        base = self.base
+        prod = _poly_mod(_poly_mul(self.coords(a), self.coords(b), base), self.modulus, base)
         return self.from_coords(prod)
 
     def mul(self, a: int, b: int) -> int:
@@ -240,240 +319,21 @@ class FiniteField:
             e >>= 1
         return result
 
-    def _build_tables(self) -> None:
-        if self.order > _TABLE_LIMIT:
-            return
-        g = _find_generator(self)
-        exp = [0] * (2 * self.order)
-        log = [0] * self.order
-        v = 1
-        for i in range(self.order - 1):
-            exp[i] = v
-            log[v] = i
-            v = self._mul_poly(g, v)
-        for i in range(self.order - 1, 2 * self.order):
-            exp[i] = exp[i - (self.order - 1)]
-        self._exp = exp
-        self._log = log
-
-    def __repr__(self) -> str:
-        if self.h == 1:
-            return f"GF({self.p})"
-        return f"GF({self.p}^{self.h})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FiniteField)
-            and self.p == other.p
-            and self.h == other.h
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.h, self.modulus))
-
-
-def _find_generator(fld) -> int:
-    order = fld.order - 1
-    if order == 1:
-        return 1
-    factors = [p for p, _ in factorize(order)]
-    for g in range(2, fld.order):
-        if all(fld.pow(g, order // f) != 1 for f in factors):
-            return g
-    raise AssertionError("no multiplicative generator found")
-
-
-def _first_irreducible(base: FiniteField, n: int) -> tuple[int, ...]:
-    """Monic irreducible of degree n over `base` with the smallest integer
-    encoding of its non-leading coefficients (constant digit least
-    significant).  Irreducibility by trial division against every monic
-    polynomial of degree 1..n//2; exact and fast for the degrees (<= 16)
-    this package supports."""
-    q = base.order
-    divisor_coeffs: list[list[int]] = []
-    for deg in range(1, n // 2 + 1):
-        for enc in range(q**deg):
-            c = []
-            e = enc
-            for _ in range(deg):
-                c.append(e % q)
-                e //= q
-            divisor_coeffs.append(c + [1])
-    for enc in range(q**n):
-        coeffs = []
-        e = enc
-        for _ in range(n):
-            coeffs.append(e % q)
-            e //= q
-        cand = coeffs + [1]
-        if cand[0] == 0:
-            continue  # divisible by x
-        if all(not _poly_divides(d, cand, base) for d in divisor_coeffs):
-            return tuple(cand)
-    raise AssertionError(f"no irreducible of degree {n} over {base}")
-
-
-@lru_cache(maxsize=None)
-def make_field(p: int, h: int = 1) -> FiniteField:
-    """Field handle for GF(p^h).  Cached; handles are immutable."""
-    return FiniteField(p, h)
-
-
-class ExtField:
-    """GF(q^n) over a base GF(q), elements int-encoded in base q.
-
-    The power basis {1, t, ..., t^(n-1)} of the modulus root t is the fixed
-    basis used by every matrix representation in this package.
-    """
-
-    def __init__(
-        self,
-        base: FiniteField,
-        n: int,
-        modulus: tuple[int, ...] | None = None,
-        cap: int = FIELD_SIZE_CAP,
-    ):
-        if n < 1:
-            raise ValueError(f"extension degree must be >= 1, got {n}")
-        order = base.order**n
-        if order > cap:
-            raise FieldSizeError(f"|GF({base.order}^{n})| = {order} exceeds cap {cap}")
-        self.base = base
-        self.n = n
-        self.q = base.order
-        self.order = order
-        if modulus is None:
-            modulus = (
-                _first_irreducible(base, n) if n > 1 else (base.neg(1), 1)
-            )
-        else:
-            modulus = tuple(modulus)
-            if len(modulus) != n + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree n")
-            if n > 1 and not _is_irreducible(base, modulus):
-                raise ValueError("modulus is not irreducible over the base field")
-        self.modulus = modulus
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        self._frob1: list[int] | None = None
-        if order <= _TABLE_LIMIT:
-            self._build_tables()
-
-    # representation ---------------------------------------------------
-    def coords(self, a: int) -> tuple[int, ...]:
-        """Coordinates over GF(q) w.r.t. the power basis, length n."""
-        out = []
-        for _ in range(self.n):
-            out.append(a % self.q)
-            a //= self.q
-        return tuple(out)
-
-    def from_coords(self, coords: Sequence[int]) -> int:
-        a = 0
-        for c in reversed(coords):
-            a = a * self.q + c % self.q
-        return a
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def units(self) -> range:
-        return range(1, self.order)
-
-    def basis(self) -> list[int]:
-        """Power-basis elements 1, t, ..., t^(n-1)."""
-        return [self.q**i for i in range(self.n)] if self.n > 1 else [1]
-
-    # arithmetic ---------------------------------------------------------
-    def add(self, a: int, b: int) -> int:
-        if self.q == 2:
-            return a ^ b
-        base = self.base
-        out = 0
-        mult = 1
-        for _ in range(self.n):
-            out += base.add(a % self.q, b % self.q) * mult
-            a //= self.q
-            b //= self.q
-            mult *= self.q
-        return out
-
-    def neg(self, a: int) -> int:
-        if self.q == 2:
-            return a
-        base = self.base
-        out = 0
-        mult = 1
-        for _ in range(self.n):
-            out += base.neg(a % self.q) * mult
-            a //= self.q
-            mult *= self.q
-        return out
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def _mul_poly(self, a: int, b: int) -> int:
-        pa = list(self.coords(a))
-        pb = list(self.coords(b))
-        prod = _poly_mod(_poly_mul(pa, pb, self.base), self.modulus, self.base)
-        prod += [0] * (self.n - len(prod))
-        return self.from_coords(prod)
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._mul_poly(a, b)
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        if self._exp is not None:
-            return self._exp[(self.order - 1) - self._log[a]]
-        return self.pow(a, self.order - 2)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        if a == 0:
-            return 1 if e == 0 else 0
-        if self._exp is not None:
-            return self._exp[(self._log[a] * e) % (self.order - 1)]
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def scalar_mul(self, c: int, a: int) -> int:
-        """Multiply by c in GF(q) (embedded as the constant element c)."""
-        return self.mul(c, a)
-
-    # field-theoretic maps ---------------------------------------------
+    # field-theoretic maps over the base field ---------------------------
     def frobenius(self, a: int, i: int = 1) -> int:
         """a^(q^i).  frobenius(a, n) == a for all a."""
         if i < 0:
             raise ValueError("frobenius power must be >= 0")
-        i %= self.n
-        if i == 0:
+        e = self.q ** (i % self.n)
+        if e == 1 or a == 0:
             return a
-        if self._frob1 is not None:
-            for _ in range(i):
-                a = self._frob1[a]
-            return a
-        return self.pow(a, self.q**i)
+        if self._exp is not None:
+            return self._exp[(self._log[a] * e) % (self.order - 1)]
+        return self.pow(a, e)
 
     def trace(self, a: int) -> int:
-        """Tr to GF(q): sum of a^(q^i) for i = 0..n-1, as a base-field int."""
+        """Tr to the base field: sum of a^(q^i) for i = 0..n-1, as a
+        base-field int."""
         s = 0
         for i in range(self.n):
             s = self.add(s, self.frobenius(a, i))
@@ -482,10 +342,8 @@ class ExtField:
             raise AssertionError("trace left the base field")
         return coords[0]
 
-    def rel_norm(self, a: int, ell: int | None = None) -> int:
+    def rel_norm(self, a: int, ell: int = 1) -> int:
         """Norm to the subfield GF(q^ell); ell defaults to 1 (norm to GF(q))."""
-        if ell is None:
-            ell = 1
         if ell < 1 or self.n % ell != 0:
             raise ValueError(f"ell = {ell} does not divide n = {self.n}")
         if a == 0:
@@ -512,65 +370,55 @@ class ExtField:
             exp[i] = exp[i - (self.order - 1)]
         self._exp = exp
         self._log = log
-        self._frob1 = [self.pow(a, self.q) for a in range(self.order)]
 
     def __repr__(self) -> str:
+        if self.base is None:
+            return f"GF({self.p})"
         return f"GF({self.q}^{self.n})"
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ExtField)
-            and self.base == other.base
-            and self.n == other.n
-            and self.modulus == other.modulus
-        )
+        return isinstance(other, FiniteField) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash((self.base, self.n, self.modulus))
+        return hash(self._key)
 
 
-def _is_irreducible(base: FiniteField, coeffs: Sequence[int]) -> bool:
-    n = len(coeffs) - 1
-    if n == 1:
-        return True
-    if coeffs[0] == 0:
-        return False
-    q = base.order
-    for deg in range(1, n // 2 + 1):
-        for enc in range(q**deg):
-            c = []
-            e = enc
-            for _ in range(deg):
-                c.append(e % q)
-                e //= q
-            if _poly_divides(c + [1], coeffs, base):
-                return False
-    return True
+def _find_generator(fld: FiniteField) -> int:
+    order = fld.order - 1
+    if order == 1:
+        return 1
+    factors = [p for p, _ in factorize(order)]
+    for g in range(2, fld.order):
+        if all(fld.pow(g, order // f) != 1 for f in factors):
+            return g
+    raise AssertionError("no multiplicative generator found")
+
+
+def __getattr__(name: str):
+    # The package's former name for FiniteField(base, n), resolved on
+    # lookup only, so that the class is bound once in this module.
+    if name == "ExtField":
+        return FiniteField
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @lru_cache(maxsize=None)
-def make_ext_field(p_or_field, h_or_n=None, n=None) -> ExtField:
-    """GF(q^n) handle.  Accepts (base_field, n) or (p, h, n)."""
-    if isinstance(p_or_field, FiniteField):
-        return ExtField(p_or_field, h_or_n)
-    return ExtField(make_field(p_or_field, h_or_n), n)
+def make_field(p: int, h: int = 1) -> FiniteField:
+    """Field handle for GF(p^h) over GF(p).  Cached; handles are immutable."""
+    return FiniteField(p, h)
+
+
+@lru_cache(maxsize=None)
+def make_ext_field(base: FiniteField, n: int) -> FiniteField:
+    """Field handle for GF(|base|^n) over base.  Cached."""
+    return FiniteField(base, n)
 
 
 def nth_irreducible(base: FiniteField, n: int, index: int) -> tuple[int, ...]:
     """The index-th (0-based) monic irreducible of degree n in the canonical
-    order.  Used by tests to rebuild a field under a second modulus."""
-    q = base.order
-    found = 0
-    for enc in range(q**n):
-        coeffs = []
-        e = enc
-        for _ in range(n):
-            coeffs.append(e % q)
-            e //= q
-        cand = tuple(coeffs + [1])
-        if n > 1 and not _is_irreducible(base, cand):
-            continue
-        if found == index:
+    order; index 0 is the default modulus.  Used by tests to rebuild a
+    field under a second modulus."""
+    for i, cand in enumerate(_irreducibles(base, n)):
+        if i == index:
             return cand
-        found += 1
     raise ValueError(f"fewer than {index + 1} irreducibles of degree {n}")

@@ -2,7 +2,7 @@
 
 Vectors are tuples of int-encoded field elements; matrices are tuples of
 row vectors.  The generic routines work over anything exposing
-add/sub/neg/mul/inv on ints (both FiniteField and ExtField do).  A
+add/sub/neg/mul/inv on ints, as every `fields.FiniteField` does.  A
 bit-packed GF(2) kernel backs the hot enumeration paths; it never leaks
 into public interfaces.
 """

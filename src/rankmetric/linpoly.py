@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import linalg
-from .fields import ExtField
+from .fields import FiniteField
 
 
 class LinearizedPoly:
@@ -22,7 +22,7 @@ class LinearizedPoly:
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: ExtField, coeffs: Sequence[int]):
+    def __init__(self, field: FiniteField, coeffs: Sequence[int]):
         coeffs = tuple(coeffs)
         if len(coeffs) != field.n:
             raise ValueError(
@@ -33,22 +33,22 @@ class LinearizedPoly:
 
     # constructors -------------------------------------------------------
     @classmethod
-    def zero(cls, field: ExtField) -> "LinearizedPoly":
+    def zero(cls, field: FiniteField) -> "LinearizedPoly":
         return cls(field, (0,) * field.n)
 
     @classmethod
-    def x(cls, field: ExtField) -> "LinearizedPoly":
+    def x(cls, field: FiniteField) -> "LinearizedPoly":
         return cls(field, (1,) + (0,) * (field.n - 1))
 
     @classmethod
-    def monomial(cls, field: ExtField, c: int, i: int) -> "LinearizedPoly":
+    def monomial(cls, field: FiniteField, c: int, i: int) -> "LinearizedPoly":
         """c * x^(q^i)."""
         coeffs = [0] * field.n
         coeffs[i % field.n] = c
         return cls(field, coeffs)
 
     @classmethod
-    def scalar(cls, field: ExtField, c: int) -> "LinearizedPoly":
+    def scalar(cls, field: FiniteField, c: int) -> "LinearizedPoly":
         """The multiplication map x -> c*x."""
         return cls.monomial(field, c, 0)
 
@@ -155,7 +155,7 @@ class LinearizedPoly:
         return LinearizedPoly(E, tuple(E.pow(c, e) for c in self.coeffs))
 
 
-def from_matrix(field: ExtField, mat: Sequence[Sequence[int]]) -> LinearizedPoly:
+def from_matrix(field: FiniteField, mat: Sequence[Sequence[int]]) -> LinearizedPoly:
     """Inverse of to_matrix: the unique q-polynomial inducing the given
     GF(q)-linear map.  Solves the Moore system sum_j c_j b^(q^j) = image(b)
     over the power basis, exactly."""

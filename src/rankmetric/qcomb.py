@@ -14,8 +14,8 @@ from fractions import Fraction
 
 
 def _as_int_q(q) -> int:
-    """Accept an int or a field handle with a .q attribute."""
-    qq = getattr(q, "q", q)
+    """Accept an int or a field handle, read as its order."""
+    qq = getattr(q, "order", q)
     if not isinstance(qq, int) or qq < 2:
         raise ValueError(f"q must be an integer >= 2, got {q!r}")
     return qq

@@ -28,7 +28,7 @@ from .codes import (
     spectrum_free_count,
 )
 from .errors import charge, resolve_budget
-from .fields import ExtField, make_ext_field
+from .fields import FiniteField, make_ext_field
 from .qcomb import AsymptoticEstimate, binom, gl_order, qbinom
 
 KINDS = ("symmetric", "alternating", "hermitian", "full")
@@ -48,7 +48,7 @@ def ambient_dim(kind: str, n: int, m: int | None = None) -> int:
 
 
 @lru_cache(maxsize=None)
-def hermitian_field(q: int) -> ExtField:
+def hermitian_field(q: int) -> FiniteField:
     """GF(q^2) as a degree-2 extension of GF(q); conjugation is x -> x^q."""
     return make_ext_field(field_for_order(q), 2)
 
@@ -164,7 +164,7 @@ def rank_count(kind: str, n: int, i: int, q, variant: str = "validated") -> int:
                  '+' for the enumeration-validated variant (default),
                  '-' for the printed classical form.
     """
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}")
     if kind == "symmetric":
@@ -204,7 +204,7 @@ def rank_count_exhaustive(
     kind: str, n: int, i: int, q, budget: int | None = None
 ) -> int:
     """Oracle: count rank-i ambient matrices by direct enumeration."""
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     fld = _entry_field(kind, q)
     return sum(
         1 for m in enumerate_ambient(kind, n, q, budget=budget) if linalg.rank(m, fld) == i
@@ -246,7 +246,7 @@ def restricted_density_bruteforce(
     """Exact density of k-dim GF(q)-subspaces of the ambient whose nonzero
     elements all have rank >= d, over the coordinate Grassmannian of the
     fixed ambient basis."""
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     basis = ambient_basis(kind, n, q)
     fld = _entry_field(kind, q)
     dim = len(basis)
@@ -355,7 +355,7 @@ def density_2dim_formula(
 
     s_value may supply a precomputed spectrum-free count; otherwise it is
     obtained by enumeration (budgeted)."""
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     if s_value is None:
         s_value = spectrum_free_count(n, q, budget=budget)
     num = s_value
@@ -367,7 +367,7 @@ def density_2dim_formula(
 def tensor_ratio(r: int, n: int, q) -> Fraction:
     """|GL_r(q)|/|GL_n(q)| * C(n^2, r)_q / C(rn, n)_q: the exact ratio
     delta(r x n, n, r) / delta(n x n, r, n)."""
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
     return Fraction(gl_order(r, q), gl_order(n, q)) * Fraction(

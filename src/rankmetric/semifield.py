@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 from . import linalg
 from .errors import charge, resolve_budget
-from .fields import ExtField
+from .fields import FiniteField
 from .linpoly import LinearizedPoly, from_matrix
 from .qcomb import gl_order
 
@@ -42,7 +42,7 @@ class Semifield:
 
     __slots__ = ("field", "coeffs", "_table")
 
-    def __init__(self, field: ExtField, coeffs: Sequence[Sequence[int]]):
+    def __init__(self, field: FiniteField, coeffs: Sequence[Sequence[int]]):
         n = field.n
         coeffs = tuple(tuple(row) for row in coeffs)
         if len(coeffs) != n or any(len(row) != n for row in coeffs):
@@ -52,7 +52,7 @@ class Semifield:
         self._table: list[list[int]] | None = None
 
     @classmethod
-    def field_multiplication(cls, field: ExtField) -> "Semifield":
+    def field_multiplication(cls, field: FiniteField) -> "Semifield":
         coeffs = [[0] * field.n for _ in range(field.n)]
         coeffs[0][0] = 1
         return cls(field, coeffs)
@@ -164,7 +164,7 @@ class TwistedFieldSpec:
     no zero divisors.
     """
 
-    field: ExtField
+    field: FiniteField
     c: int
     i: int
     j: int
@@ -217,13 +217,13 @@ def equiv_to_c0_predicate(spec: TwistedFieldSpec) -> bool:
 def class_count_formula(n: int, q) -> int:
     """Number of equivalence classes among the twisted-field-type codes:
     1 + (q-2)*C(n-1,2)."""
-    q = getattr(q, "q", q)
+    q = getattr(q, "order", q)
     if n < 2:
         raise ValueError("need n >= 2")
     return 1 + (q - 2) * math.comb(n - 1, 2)
 
 
-def valid_twisted_specs(field: ExtField) -> Iterator[TwistedFieldSpec]:
+def valid_twisted_specs(field: FiniteField) -> Iterator[TwistedFieldSpec]:
     """All TwistedFieldSpec over the field with c nonzero, deterministic
     order."""
     n = field.n
@@ -245,7 +245,7 @@ class LinPolyCode:
 
     __slots__ = ("field", "basis", "_canon")
 
-    def __init__(self, field: ExtField, polys: Sequence[LinearizedPoly]):
+    def __init__(self, field: FiniteField, polys: Sequence[LinearizedPoly]):
         from .codes import MatrixCode
 
         flat = [tuple(x for row in p.to_matrix() for x in row) for p in polys]
@@ -300,7 +300,7 @@ class LinPolyCode:
         return f"LinPolyCode(GF({self.field.q}^{self.field.n}), dim={self.dim})"
 
 
-def c0_code(field: ExtField) -> LinPolyCode:
+def c0_code(field: FiniteField) -> LinPolyCode:
     """The field-multiplication code {x*y | y}, basis {b*x : b power basis}."""
     return LinPolyCode(field, [LinearizedPoly.scalar(field, b) for b in field.basis()])
 
@@ -649,7 +649,7 @@ def idealizers(C: LinPolyCode) -> IdealizerResult:
 # ----------------------------------------------------------------------
 
 def twisted_class_census(
-    field: ExtField, budget: int | None = None, aut_sizes: bool = True
+    field: FiniteField, budget: int | None = None, aut_sizes: bool = True
 ) -> list[dict]:
     """Equivalence classes among all twisted-type codes over the field,
     as JSON-able dicts: representative spec, number of distinct codes in

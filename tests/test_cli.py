@@ -79,6 +79,11 @@ def test_formula_invalid_parameter_exits_2(capsys):
         ("formula", "kantor-lower", "--n", "9"),
         ("formula", "spectrum-free", "--m", "2", "--q", "1"),
         ("formula", "spectrum-free", "--m", "2", "--q", "3", "--budget", "inf"),
+        ("formula", "density3x3", "--q", "1"),
+        ("table", "mrd-bounds", "--q", "0", "--n", "3..3"),
+        ("formula", "density3x3", "--q", "6"),
+        ("verify", "mrd192", "--jobs", "0"),
+        ("verify", "mrd192", "--jobs", "-3"),
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 2, (argv, err)

@@ -2,10 +2,12 @@
 deterministic moduli, Frobenius/norm/trace contracts."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rankmetric import fields
 from rankmetric.errors import FieldSizeError
 from rankmetric.fields import (
-    ExtField,
     FiniteField,
     factorize,
     is_prime,
@@ -16,7 +18,7 @@ from rankmetric.fields import (
 
 
 def all_small_ext_fields(max_order=64):
-    """Every ExtField with base q^h <= 8 and total order <= max_order."""
+    """Every extension with base q^h <= 8 and total order <= max_order."""
     out = []
     for p, h in ((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3)):
         base = make_field(p, h)
@@ -45,7 +47,7 @@ def test_field_size_cap():
     with pytest.raises(FieldSizeError):
         FiniteField(2, 30)
     with pytest.raises(FieldSizeError):
-        ExtField(make_field(2), 25)
+        FiniteField(make_field(2), 25)
 
 
 def test_f4_multiplicative_group_cyclic_order3():
@@ -203,12 +205,12 @@ def test_explicit_modulus_and_second_irreducible():
     F2 = make_field(2)
     second = nth_irreducible(F2, 3, 1)
     assert second == (1, 0, 1, 1)  # x^3 + x^2 + 1
-    E = ExtField(F2, 3, modulus=second)
+    E = FiniteField(F2, 3, modulus=second)
     assert E.order == 8
     for a in E.units():
         assert E.mul(a, E.inv(a)) == 1
     with pytest.raises(ValueError):
-        ExtField(F2, 3, modulus=(0, 1, 0, 1))  # reducible x^3+x = wrong
+        FiniteField(F2, 3, modulus=(0, 1, 0, 1))  # reducible x^3+x = wrong
 
 
 def test_factorize():
@@ -224,3 +226,95 @@ def test_factorize():
         assert prod == n
     with pytest.raises(ValueError):
         factorize(0)
+
+
+# ----------------------------------------------------------------------
+# differential test of the single field type against rules written here
+# ----------------------------------------------------------------------
+
+F2, F3 = make_field(2), make_field(3)
+DIFF_FIELDS = (
+    [make_field(p) for p in (2, 3, 5)]
+    + [make_field(p, h) for p, h in ((2, 2), (3, 2), (2, 3), (3, 3), (5, 2))]
+    + all_small_ext_fields()
+    + [
+        make_ext_field(make_field(3, 2), 2),  # GF(81) over GF(9)
+        FiniteField(F2, 3, modulus=nth_irreducible(F2, 3, 1)),
+        FiniteField(F3, 2, modulus=nth_irreducible(F3, 2, 1)),
+    ]
+)
+
+
+def digitwise_add(E, a, b):
+    """Add the base-q digits in the base field, down to the primes."""
+    if E.base is None:
+        return (a + b) % E.p
+    out, mult = 0, 1
+    for _ in range(E.n):
+        out += digitwise_add(E.base, a % E.q, b % E.q) * mult
+        a, b, mult = a // E.q, b // E.q, mult * E.q
+    return out
+
+
+def poly_mul_mod(E, a, b):
+    """Schoolbook product of the coordinate polynomials over the base
+    field, reduced modulo the monic E.modulus."""
+    if E.base is None:
+        return a * b % E.p
+    F, n, m = E.base, E.n, E.modulus
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(E.coords(a)):
+        for j, y in enumerate(E.coords(b)):
+            prod[i + j] = F.add(prod[i + j], F.mul(x, y))
+    for k in range(2 * n - 2, n - 1, -1):
+        for i in range(n + 1):
+            prod[k - n + i] = F.sub(prod[k - n + i], F.mul(prod[k], m[i]))
+    return E.from_coords(prod[:n])
+
+
+@given(st.sampled_from(DIFF_FIELDS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_single_field_type_matches_reference_rules(E, data):
+    a = data.draw(st.integers(0, E.order - 1), label="a")
+    b = data.draw(st.integers(0, E.order - 1), label="b")
+    i = data.draw(st.integers(0, 2 * E.n), label="i")
+    assert E.add(a, b) == digitwise_add(E, a, b)
+    assert digitwise_add(E, a, E.neg(a)) == 0
+    assert E.mul(a, b) == poly_mul_mod(E, a, b)
+    if a:
+        assert poly_mul_mod(E, a, E.inv(a)) == 1
+    v = a
+    for _ in range(i):
+        w = 1
+        for _ in range(E.q):
+            w = poly_mul_mod(E, w, v)
+        v = w
+    assert E.frobenius(a, i) == v
+    if E.base is not None:
+        assert make_ext_field(E.base, E.n).modulus == nth_irreducible(E.base, E.n, 0)
+
+
+@pytest.mark.parametrize("p, h", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
+def test_prime_power_field_is_extension_of_prime_field(p, h):
+    F = make_field(p, h)
+    E = make_ext_field(make_field(p), h)
+    assert F == E and hash(F) == hash(E)
+    assert (F.p, F.h, F.base, F.n, F.q, F.order) == (p, h, make_field(p), h, p, p**h)
+    assert repr(F) == repr(E) == f"GF({p}^{h})"
+    elems = F.elements()
+    assert [F.mul(a, b) for a in elems for b in elems] == [
+        E.mul(a, b) for a in elems for b in elems
+    ]
+
+
+def test_tower_attributes():
+    E = make_ext_field(make_field(2, 2), 2)  # GF(16) over GF(4)
+    assert (E.p, E.h, E.n, E.q, E.order, repr(E)) == (2, 4, 2, 4, 16, "GF(4^2)")
+    assert E != make_field(2, 4)
+    F5 = make_field(5)
+    assert (F5.base, F5.n, F5.h, F5.q, F5.modulus, repr(F5)) == (None, 1, 1, 5, None, "GF(5)")
+
+
+def test_former_extension_name_resolves_to_the_one_class():
+    assert fields.ExtField is fields.FiniteField
+    assert "ExtField" not in vars(fields)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from rankmetric import linalg
-from rankmetric.fields import ExtField, make_ext_field, make_field, nth_irreducible
+from rankmetric.fields import FiniteField, make_ext_field, make_field, nth_irreducible
 from rankmetric.linpoly import LinearizedPoly, from_matrix
 
 E4 = make_ext_field(make_field(2), 2)
@@ -193,7 +193,7 @@ def test_from_matrix_inverts_to_matrix():
 def test_matrix_representation_under_second_modulus():
     # same abstract algebra, different basis: all structural invariants match
     F2 = make_field(2)
-    E8b = ExtField(F2, 3, modulus=nth_irreducible(F2, 3, 1))
+    E8b = FiniteField(F2, 3, modulus=nth_irreducible(F2, 3, 1))
     polys = [LinearizedPoly(E8b, c) for c in itertools.product(range(8), repeat=3)]
     assert len({p.to_matrix() for p in polys}) == 512
     ranks = sorted(p.rank() for p in polys)

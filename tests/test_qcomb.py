@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmetric import linalg
-from rankmetric.codes import Grassmannian, field_for_order
+from rankmetric.codes import Grassmannian, density_3x3_formula, field_for_order
+from rankmetric.fields import make_field
 from rankmetric.qcomb import (
     alt_exp_sum,
     ball_size,
@@ -167,3 +168,10 @@ def test_comparison_inequality_certified_for_all_prime_powers():
 def test_comparison_inequality_inconclusive_raises():
     with pytest.raises(ValueError):
         comparison_inequality_check(2, terms=1)
+
+
+def test_field_handle_is_read_as_its_order():
+    # a GF(p^h) handle has base GF(p), so its .q is p; counts need p^h
+    assert gl_order(2, make_field(2, 2)) == gl_order(2, 4) == 180
+    assert qbinom(4, 2, make_field(3, 2)) == qbinom(4, 2, 9)
+    assert density_3x3_formula(make_field(2, 2)) == density_3x3_formula(4)

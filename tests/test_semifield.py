@@ -4,7 +4,7 @@ equivalence machinery."""
 import pytest
 
 from rankmetric import linalg
-from rankmetric.fields import ExtField, make_ext_field, make_field, nth_irreducible
+from rankmetric.fields import FiniteField, make_ext_field, make_field, nth_irreducible
 from rankmetric.linpoly import LinearizedPoly
 from rankmetric.qcomb import gl_order
 from rankmetric.semifield import (
@@ -434,7 +434,7 @@ def test_twisted_class_census_json():
 
 def test_count_192_under_second_modulus():
     F2 = make_field(2)
-    E8b = ExtField(F2, 3, modulus=nth_irreducible(F2, 3, 1))
+    E8b = FiniteField(F2, 3, modulus=nth_irreducible(F2, 3, 1))
     aut = aut_group_size_bruteforce(c0_code(E8b))
     assert aut == 147
     assert gl_order(3, 2) ** 2 // aut == 192
