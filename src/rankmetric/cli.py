@@ -12,7 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
@@ -68,10 +71,33 @@ def _emit(payload, args) -> None:
                 parts.append(f"{k}={v}")
             text = "  ".join(parts) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it over
+    path: a failed write leaves no partial file behind.  A symlink is
+    followed, an existing file keeps its mode and a new one gets the mode
+    open() would give it."""
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        try:
+            mode = stat.S_IMODE(os.stat(target).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ----------------------------------------------------------------------
@@ -535,9 +561,21 @@ def _budget(text: str) -> int:
 def _prime_power(text: str) -> int:
     """--q: the order of a finite field, a prime power >= 2."""
     q = int(text)
-    if q < 2 or len(fields.factorize(q)) != 1:
+    try:
+        ph = fields.prime_power(q)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if ph is None:
         raise argparse.ArgumentTypeError(f"must be a prime power >= 2, got {text!r}")
     return q
+
+
+def _eps(text: str) -> float:
+    """--eps: a precision, a finite number > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
 
 
 def _jobs(text: str) -> int:
@@ -567,7 +605,7 @@ def _add_common(p: argparse.ArgumentParser, n_takes_range: bool = False) -> None
     p.add_argument("--kind", choices=restricted.KINDS)
     p.add_argument("--variant", choices=("validated", "printed"), default="validated")
     p.add_argument("--regime", choices=("q_large", "m_large"))
-    p.add_argument("--eps", type=float, default=1e-9)
+    p.add_argument("--eps", type=_eps, default=1e-9)
     p.add_argument("--terms", type=int, default=40)
     p.add_argument("--budget", type=_budget, default=None,
                    help=f"enumeration budget (default {default_budget()})")
@@ -614,7 +652,7 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         sys.stderr.write(f"{exc}\n")
         return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except BudgetExceededError as exc:

@@ -29,17 +29,17 @@ from typing import Iterable, Iterator, Sequence
 
 from . import linalg
 from .errors import charge, resolve_budget
-from .fields import FiniteField, factorize, make_field
+from .fields import FiniteField, factorize, make_field, prime_power
 from .qcomb import AsymptoticEstimate, gl_order, pi_q_limit, qbinom
 
 
 @lru_cache(maxsize=None)
 def field_for_order(q: int) -> FiniteField:
     """GF(q) for a prime power q given as a plain integer."""
-    factors = factorize(q) if q >= 1 else ()
-    if len(factors) != 1:
+    ph = prime_power(q)
+    if ph is None:
         raise ValueError(f"q = {q} is not a prime power")
-    return make_field(*factors[0])
+    return make_field(*ph)
 
 
 # ----------------------------------------------------------------------
@@ -159,10 +159,9 @@ def enumerate_subspaces(
     [start, stop) selects a chunk of the stream for parallel traversal.
     """
     q = getattr(q, "order", q)
-    g = Grassmannian(N, k, q)
-    stop = g.total if stop is None else stop
+    stop = qbinom(N, k, q) if stop is None else stop
     charge(stop - start, resolve_budget(budget), f"enumerating G_{q}({N},{k})")
-    return g.iter_range(start, stop)
+    return Grassmannian(N, k, q).iter_range(start, stop)
 
 
 # ----------------------------------------------------------------------

@@ -55,19 +55,63 @@ from .errors import FIELD_SIZE_CAP, FieldSizeError
 _TABLE_LIMIT = 1 << 13
 
 
+# No odd composite below _MR_LIMIT is a strong pseudoprime to all of the
+# first thirteen prime bases (Sorenson and Webster, 2015), so the
+# Miller-Rabin test with these bases decides primality below it.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin test.  Raises ValueError for p >= 3.3e24
+    with no factor among the bases, where the test is not known to
+    decide."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    if p >= _MR_LIMIT:
+        raise ValueError(f"cannot decide whether {p} is prime (above {_MR_LIMIT})")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, h) with q = p^h and p prime, or None if q is not a prime power.
+
+    The largest h with an exact h-th root r is the one to test: if q is a
+    prime power, r is that prime; otherwise no smaller h gives a prime."""
+    if q < 2:
+        return None
+    for h in range(q.bit_length() - 1, 0, -1):
+        r = _iroot(q, h)
+        if r**h == q:
+            return (r, h) if is_prime(r) else None
+    return None
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
@@ -186,14 +230,15 @@ class FiniteField:
             raise ValueError(f"degree must be >= 1, got {n}")
         if isinstance(base, FiniteField):
             p, q, h = base.p, base.order, base.h * n
-        elif is_prime(base):
-            p, q, h = base, base, n
-            base = FiniteField(p) if n > 1 else None
         else:
-            raise ValueError(f"p = {base} is not prime")
+            p, q, h = base, base, n
         order = q**n
         if order > cap:
             raise FieldSizeError(f"|GF({q}^{n})| = {order} exceeds cap {cap}")
+        if not isinstance(base, FiniteField):
+            if not is_prime(p):
+                raise ValueError(f"p = {p} is not prime")
+            base = FiniteField(p) if n > 1 else None
         if base is None:
             if modulus is not None:
                 raise ValueError("a prime field takes no modulus")

@@ -107,8 +107,8 @@ def pi_q_limit(q, eps: float) -> tuple[float, float]:
     the truncated product P_n satisfies P <= P_n * exp(tail).
     """
     q = _as_int_q(q)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be a finite number > 0, got {eps}")
     n = 1
     while True:
         partial = pi_q(q, n)
@@ -206,6 +206,6 @@ def comparison_inequality_check(q, terms: int = 40) -> ComparisonCertificate:
 
 def prime_powers_up_to(bound: int) -> list[int]:
     """All prime powers q with 2 <= q <= bound, ascending."""
-    from .fields import factorize
+    from .fields import prime_power
 
-    return [q for q in range(2, bound + 1) if len(factorize(q)) == 1]
+    return [q for q in range(2, bound + 1) if prime_power(q) is not None]

@@ -8,16 +8,23 @@ through their matrix representation (RREF of flattened images), so
 equivalence tests reduce to set equality of canonical forms.
 
 The equivalence and automorphism searches are exhaustive over
-(rho in Aut(GF(q)), g in GL_n(q)); for each pair the full space
+(rho in Aut(GF(q)), g in GL_n(q)): for each pair the full space
 {f : f o C^rho o g inside C'} is solved exactly by linear algebra and its
-invertible elements are counted.  No classification result is assumed.
-The monomial search of is_equivalent_monomial is a documented pruning for
-twisted-vs-twisted tests only, never the source of truth.
+invertible elements are counted.  The sweep over g is quotiented by R*,
+the unit group of the right idealizer {A : M . A in C^rho for all M} of
+C^rho: for r in R*, C^rho . r = C^rho, so every g in an orbit
+{r . g : r in R*} has the same space of f.  One solve per orbit, counted
+once for every orbit member, gives exactly the count of the unreduced
+sweep (the tests check this against a per-g loop).  No classification
+result is assumed.  The monomial search of is_equivalent_monomial is a
+documented pruning for twisted-vs-twisted tests only, never the source of
+truth.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -395,14 +402,17 @@ def code_to_semifield(C: LinPolyCode, budget: int | None = None) -> Semifield:
 
 
 # ----------------------------------------------------------------------
-# equivalence and automorphisms (exhaustive)
+# equivalence and automorphisms (exhaustive, quotiented by R*)
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _invertible_matrices(fld, n: int) -> tuple[linalg.Matrix, ...]:
-    """All of GL_n(q), deterministic order.  Cached per (field, n)."""
+def _invertible_matrices(fld, n: int) -> tuple[tuple[linalg.Matrix, ...], tuple[int, ...]]:
+    """All of GL_n(q) in increasing order of their base-q codes, the code
+    of a matrix being sum of mat[r][c] * q^(r*n + c), and those codes.
+    Cached per (field, n)."""
     q = fld.order
-    out = []
+    mats = []
+    codes = []
     for code in range(q ** (n * n)):
         e = code
         rows = []
@@ -414,10 +424,20 @@ def _invertible_matrices(fld, n: int) -> tuple[linalg.Matrix, ...]:
             rows.append(tuple(row))
         mat = tuple(rows)
         if linalg.is_invertible(mat, fld):
-            out.append(mat)
-    if len(out) != gl_order(n, fld):
+            mats.append(mat)
+            codes.append(code)
+    if len(mats) != gl_order(n, fld):
         raise AssertionError("GL_n(q) enumeration must match |GL_n(q)|")
-    return tuple(out)
+    return tuple(mats), tuple(codes)
+
+
+def _matrix_code(mat: linalg.Matrix, q: int) -> int:
+    """The enumeration code of mat: sum of mat[r][c] * q^(r*n + c)."""
+    code = 0
+    for row in reversed(mat):
+        for x in reversed(row):
+            code = code * q + x
+    return code
 
 
 def _pair_budget(C: LinPolyCode) -> int:
@@ -448,15 +468,66 @@ def _left_multiplier_space(
     return linalg.solution_space(rows, n * n, fld)
 
 
-def _count_invertible_in_space(space: linalg.Matrix, n: int, fld) -> int:
-    count = 0
+def _right_idealizer_space(
+    checks: Sequence[Sequence[int]], cmats: Sequence[linalg.Matrix], n: int, fld
+) -> linalg.Matrix:
+    """Basis of {A in GF(q)^(n x n) : M . A in span(C) for all M in cmats},
+    where `checks` spans the orthogonal complement of C (flattened)."""
+    rows = []
+    for h in checks:
+        for M in cmats:
+            row = [0] * (n * n)
+            for s in range(n):
+                for c in range(n):
+                    acc = 0
+                    for r in range(n):
+                        hv = h[r * n + c]
+                        if hv and M[r][s]:
+                            acc = fld.add(acc, fld.mul(hv, M[r][s]))
+                    row[s * n + c] = acc
+            rows.append(tuple(row))
+    return linalg.solution_space(rows, n * n, fld)
+
+
+def _invertible_in_space(space: linalg.Matrix, n: int, fld) -> Iterator[linalg.Matrix]:
+    """The invertible n x n matrices in the span of `space` (flattened)."""
     for vec in linalg.span_elements(space, fld):
         if not any(vec):
             continue
-        mat = [vec[r * n : (r + 1) * n] for r in range(n)]
+        mat = tuple(vec[r * n : (r + 1) * n] for r in range(n))
         if linalg.rank(mat, fld) == n:
-            count += 1
-    return count
+            yield mat
+
+
+def _unit_orbits(
+    units: Sequence[linalg.Matrix],
+    gl: Sequence[linalg.Matrix],
+    codes: Sequence[int],
+    fld,
+    lo: int,
+    hi: int,
+) -> Iterator[tuple[linalg.Matrix, int]]:
+    """(g, k) for each orbit {u . g : u in units} of the unit group on
+    GL_n(q) with k > 0 members in [lo, hi): g is the orbit's first member
+    in GL order.
+
+    Indices below hi are swept in order; an unmarked one is the first
+    member of its orbit, whose members are then located by bisecting on
+    their codes and marked."""
+    q = fld.order
+    marks = bytearray(hi)
+    for i in range(hi):
+        if marks[i]:
+            continue
+        g = gl[i]
+        k = 0
+        for u in units:
+            j = bisect_left(codes, _matrix_code(linalg.mat_mul(u, g, fld), q))
+            if j < hi:
+                marks[j] = 1
+                k += j >= lo
+        if k:
+            yield g, k
 
 
 def _equivalence_scan(
@@ -466,12 +537,17 @@ def _equivalence_scan(
     count_all: bool,
     chunk: tuple[int, int] | None = None,
 ) -> int:
-    """Shared kernel: iterate (rho, g) exhaustively; for each, solve the
-    space of left factors f with f o C2^rho o g inside C1 and count its
-    invertible elements.  Returns the number of valid triples (f, rho, g);
-    with count_all=False, returns 1 early at the first hit.
+    """Shared kernel: for each rho, solve the space of left factors f with
+    f o C2^rho o g inside C1 once per orbit of R*, the unit group of the
+    right idealizer of C2^rho, on GL_n(q), and count its invertible
+    elements once for every member of the orbit.  Returns the number of
+    valid triples (f, rho, g); with count_all=False, returns 1 early at
+    the first hit.
 
-    chunk=(lo, hi) restricts the sweep to a slice of the GL enumeration;
+    The quotient is exact: for r in R*, C2^rho . r = C2^rho, so g and
+    r . g have the same space of left factors.
+
+    chunk=(lo, hi) restricts the count to a slice of the GL enumeration;
     counting over a partition of [0, |GL|) sums to the full count, and hit
     existence is independent of the split, so parallel reductions stay
     deterministic."""
@@ -484,21 +560,29 @@ def _equivalence_scan(
         return 0
     charge(_pair_budget(C1), resolve_budget(budget), "equivalence triple search")
     checks = linalg.solution_space(C1.matrix_code.basis, n * n, fld)
-    gl = _invertible_matrices(fld, n)
+    gl, codes = _invertible_matrices(fld, n)
     lo, hi = chunk if chunk is not None else (0, len(gl))
+    if not 0 <= lo <= hi <= len(gl):
+        raise ValueError(f"chunk {chunk} is not a slice of the {len(gl)} elements of GL")
     total = 0
     for rho in range(fld.h):
         Crho = C2.twist(rho) if rho else C2
         base_mats = [p.to_matrix() for p in Crho.basis]
-        for g in gl[lo:hi]:
+        if Crho == C1:
+            rho_checks = checks
+        else:
+            rho_checks = linalg.solution_space(Crho.matrix_code.basis, n * n, fld)
+        right = _right_idealizer_space(rho_checks, base_mats, n, fld)
+        units = list(_invertible_in_space(right, n, fld))
+        for g, k in _unit_orbits(units, gl, codes, fld, lo, hi):
             dmats = [linalg.mat_mul(M, g, fld) for M in base_mats]
             space = _left_multiplier_space(checks, dmats, n, fld)
             if not space:
                 continue
-            hits = _count_invertible_in_space(space, n, fld)
+            hits = sum(1 for _ in _invertible_in_space(space, n, fld))
             if hits and not count_all:
                 return 1
-            total += hits
+            total += k * hits
     return total
 
 
@@ -600,20 +684,7 @@ def idealizers(C: LinPolyCode) -> IdealizerResult:
     left_space = _left_multiplier_space(checks, cmats, n, fld)
 
     # right idealizer: {A : M . A in C for all basis M}
-    rows = []
-    for h in checks:
-        for M in cmats:
-            row = [0] * (n * n)
-            for s in range(n):
-                for c in range(n):
-                    acc = 0
-                    for r in range(n):
-                        hv = h[r * n + c]
-                        if hv and M[r][s]:
-                            acc = fld.add(acc, fld.mul(hv, M[r][s]))
-                    row[s * n + c] = acc
-            rows.append(tuple(row))
-    right_space = linalg.solution_space(rows, n * n, fld)
+    right_space = _right_idealizer_space(checks, cmats, n, fld)
 
     # centralizer: A M = M A for all basis M
     rows = []

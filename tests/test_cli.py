@@ -84,10 +84,74 @@ def test_formula_invalid_parameter_exits_2(capsys):
         ("formula", "density3x3", "--q", "6"),
         ("verify", "mrd192", "--jobs", "0"),
         ("verify", "mrd192", "--jobs", "-3"),
+        ("formula", "pi-q", "--q", "2", "--eps", "nan"),
+        ("formula", "pi-q", "--q", "2", "--eps", "inf"),
+        ("formula", "pi-q", "--q", "2", "--eps", "0"),
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 2, (argv, err)
         assert "Traceback" not in err
+
+
+def test_large_q_is_checked_quickly(capsys):
+    import time
+
+    for q in (1000000000000037, 2**61 - 1):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "formula", "density3x3", "--q", str(q))
+        assert code == 0, err
+        assert time.perf_counter() - t0 < 1.0
+    code, _, err = run(capsys, "formula", "density3x3", "--q", str(3 * 1000000000000037))
+    assert code == 2
+    assert "prime power" in err
+    # primality above the range the Miller-Rabin bases decide is refused
+    code, _, err = run(capsys, "formula", "density3x3", "--q", str(2**89 - 1))
+    assert code == 2
+    assert "Traceback" not in err
+
+
+def test_out_to_a_bad_path_exits_2(capsys, tmp_path):
+    for target in (tmp_path, tmp_path / "missing" / "report.txt"):
+        code, out, err = run(
+            capsys, "formula", "density3x3", "--q", "2", "--out", str(target)
+        )
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_leaves_no_partial_file(capsys, tmp_path, monkeypatch):
+    target = tmp_path / "report.txt"
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    code, _, err = run(capsys, "formula", "density3x3", "--q", "2", "--out", str(target))
+    assert code == 2
+    assert err == "error: disk full\n"
+    assert list(tmp_path.iterdir()) == []
+    # an existing report is left as it was
+    target.write_text("old\n")
+    code, _, _ = run(capsys, "formula", "density3x3", "--q", "2", "--out", str(target))
+    assert code == 2
+    assert target.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_out_follows_a_symlink_and_keeps_the_mode(capsys, tmp_path):
+    target = tmp_path / "report.txt"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    code, _, err = run(capsys, "formula", "density3x3", "--q", "2", "--out", str(link))
+    assert code == 0, err
+    assert link.is_symlink()
+    assert target.read_text() != "old\n"
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(tmp_path.iterdir()) == [link, target]
 
 
 def test_formula_more_registry_entries(capsys):

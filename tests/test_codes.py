@@ -133,6 +133,19 @@ def test_enumeration_budget():
 
 # ------------------------------------------------------- densities
 
+def test_enumerate_subspaces_charges_before_building(monkeypatch):
+    # G_2(22, 11) has C(22, 11) = 705432 pivot patterns; the budget check
+    # must come first, so the enumerator is never even constructed
+    from rankmetric import codes
+
+    def tripwire(*args):
+        raise AssertionError("Grassmannian built before the budget charge")
+
+    monkeypatch.setattr(codes, "Grassmannian", tripwire)
+    with pytest.raises(BudgetExceededError):
+        enumerate_subspaces(22, 11, 2, budget=10)
+
+
 def test_density_2x2_value_and_monotonicity():
     r = density_bruteforce(2, 2, 2, 2, 2)
     assert (r.count, r.total) == (2, 35)

@@ -14,6 +14,7 @@ from rankmetric.fields import (
     make_ext_field,
     make_field,
     nth_irreducible,
+    prime_power,
 )
 
 
@@ -48,6 +49,9 @@ def test_field_size_cap():
         FiniteField(2, 30)
     with pytest.raises(FieldSizeError):
         FiniteField(make_field(2), 25)
+    # the size is checked before primality, which is not decided this high
+    with pytest.raises(FieldSizeError):
+        FiniteField(2**89 - 1)
 
 
 def test_f4_multiplicative_group_cyclic_order3():
@@ -226,6 +230,42 @@ def test_factorize():
         assert prod == n
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-2, 20000):
+        assert is_prime(n) == trial_division_is_prime(n), n
+    # strong pseudoprimes to the first few prime bases are composite
+    for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(1000000000000037)
+    with pytest.raises(ValueError):
+        is_prime(2**89 - 1)  # beyond the range the bases are proven for
+    assert not is_prime(3 * (2**89 - 1))  # a small factor still decides
+
+
+def test_prime_power_matches_factorization():
+    for q in range(-1, 5000):
+        f = factorize(q) if q >= 1 else ()
+        assert prime_power(q) == (f[0] if len(f) == 1 else None), q
+    for p, h in ((2, 1), (2, 64), (3, 40), (1000000000000037, 1), (2**61 - 1, 3)):
+        assert prime_power(p**h) == (p, h)
+    assert prime_power(2**61 - 1) == (2**61 - 1, 1)
+    assert prime_power(3 * 1000000000000037) is None
+    assert prime_power(6**20) is None
+    assert prime_power(1000000000000037 * 1000003) is None
+    with pytest.raises(ValueError):
+        prime_power((2**61 - 1) * (2**31 - 1))  # no small factor, above 3.3e24
+
+
+@given(st.integers(1, 10**40), st.integers(1, 12))
+def test_integer_root(n, k):
+    r = fields._iroot(n, k)
+    assert r**k <= n < (r + 1) ** k
 
 
 # ----------------------------------------------------------------------

@@ -143,6 +143,12 @@ def test_pi_q_limit_certified():
     assert abs(value - tight) <= bound
 
 
+def test_pi_q_limit_rejects_non_finite_eps():
+    for eps in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError):
+            pi_q_limit(2, eps)
+
+
 def test_alt_exp_sum():
     assert alt_exp_sum(0) == 1
     assert alt_exp_sum(2) == Fraction(1, 2)

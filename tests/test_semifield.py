@@ -1,11 +1,15 @@
 """Semifields, twisted fields, the code correspondence and the exhaustive
 equivalence machinery."""
 
-import pytest
+from functools import lru_cache
 
-from rankmetric import linalg
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from rankmetric import linalg, semifield
 from rankmetric.fields import FiniteField, make_ext_field, make_field, nth_irreducible
-from rankmetric.linpoly import LinearizedPoly
+from rankmetric.linpoly import LinearizedPoly, from_matrix
 from rankmetric.qcomb import gl_order
 from rankmetric.semifield import (
     LinPolyCode,
@@ -183,7 +187,7 @@ def naive_aut_count(C):
     target = C.matrix_code.basis
     mats = [p.to_matrix() for p in C.basis]
     count = 0
-    gl = _invertible_matrices(fld, E.n)
+    gl, _ = _invertible_matrices(fld, E.n)
     for f in gl:
         left = [linalg.mat_mul(f, M, fld) for M in mats]
         for g in gl:
@@ -212,7 +216,7 @@ def test_equivalence_solver_matches_naive_search():
     C1, C2 = c0_code(E9), spec.code()
     target = C1.matrix_code.basis
     mats = [p.to_matrix() for p in C2.basis]
-    gl = _invertible_matrices(fld, 2)
+    gl, _ = _invertible_matrices(fld, 2)
     naive_hit = False
     for f in gl:
         left = [linalg.mat_mul(f, M, fld) for M in mats]
@@ -413,6 +417,9 @@ def test_aut_count_chunked_splitting():
             for lo, hi in zip(bounds, bounds[1:])
         )
         assert split == total == 128
+    for bad in ((-1, 5), (5, 4), (0, gl_size + 1)):
+        with pytest.raises(ValueError):
+            aut_group_size_bruteforce(C0, chunk=bad)
 
 
 def test_twisted_class_census_json():
@@ -438,3 +445,138 @@ def test_count_192_under_second_modulus():
     aut = aut_group_size_bruteforce(c0_code(E8b))
     assert aut == 147
     assert gl_order(3, 2) ** 2 // aut == 192
+
+
+# ------------------- the orbit-quotiented scan against a per-g reference
+
+def reference_scan_hits(C1, C2):
+    """Unreduced reference: for every rho and every g of GL_n(q) in order,
+    the number of invertible f with f o C2^rho o g inside C1, from one
+    left-multiplier solve per (rho, g).  Returns one list per rho."""
+    from rankmetric.semifield import _invertible_matrices, _left_multiplier_space
+
+    E = C1.field
+    fld, n = E.base, E.n
+    gl, _ = _invertible_matrices(fld, n)
+    if C1.dim != C2.dim:
+        return [[0] * len(gl) for _ in range(fld.h)]
+    checks = linalg.solution_space(C1.matrix_code.basis, n * n, fld)
+    out = []
+    for rho in range(fld.h):
+        mats = [p.to_matrix() for p in C2.twist(rho).basis]
+        row = []
+        for g in gl:
+            space = _left_multiplier_space(
+                checks, [linalg.mat_mul(M, g, fld) for M in mats], n, fld
+            )
+            row.append(
+                sum(
+                    1
+                    for vec in linalg.span_elements(space, fld)
+                    if any(vec)
+                    and linalg.rank([vec[r * n : (r + 1) * n] for r in range(n)], fld) == n
+                )
+            )
+        out.append(row)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _specs(E):
+    return tuple(valid_twisted_specs(E))
+
+
+def random_code(E, rnd):
+    """A code over E whose right idealizer ranges from the scalars to a
+    field: the field code, a twisted code, a span of scalar maps or of
+    random q-polynomials, optionally composed on the right with a random
+    element of GL_n(q), which conjugates the right idealizer."""
+    from rankmetric.semifield import _invertible_matrices
+
+    n = E.n
+    kind = rnd.choice(("field", "twisted", "scalars", "random"))
+    if kind == "field":
+        C = c0_code(E)
+    elif kind == "twisted":
+        C = rnd.choice(_specs(E)).code()
+    else:
+        k = rnd.randint(1, n)
+        while True:
+            if kind == "scalars":
+                polys = [LinearizedPoly.scalar(E, rnd.randrange(1, E.order)) for _ in range(k)]
+            else:
+                polys = [
+                    LinearizedPoly(E, [rnd.randrange(E.order) for _ in range(n)])
+                    for _ in range(k)
+                ]
+            try:
+                C = LinPolyCode(E, polys)
+                break
+            except ValueError:  # dependent basis: draw again
+                continue
+    if rnd.random() < 0.5:
+        gl, _ = _invertible_matrices(E.base, n)
+        C = C.compose_right(rnd.choice(gl))
+    return C
+
+
+def equivalent_partner(C, rnd):
+    """f o C^rho o g for random invertible f, g and a random rho."""
+    from rankmetric.semifield import _invertible_matrices
+
+    E = C.field
+    fld = E.base
+    gl, _ = _invertible_matrices(fld, E.n)
+    f, g = rnd.choice(gl), rnd.choice(gl)
+    rho = rnd.randrange(fld.h)
+    mats = [
+        linalg.mat_mul(linalg.mat_mul(f, p.to_matrix(), fld), g, fld)
+        for p in C.twist(rho).basis
+    ]
+    return LinPolyCode(E, [from_matrix(E, m) for m in mats])
+
+
+@given(
+    st.sampled_from((E4, E8, E9, E25, E16)),
+    st.randoms(use_true_random=False),
+)
+# no shrink phase: shrinking a failing draw from st.randoms takes minutes
+# and gives no smaller code
+@settings(max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+def test_quotiented_scan_matches_per_g_reference(E, rnd):
+    C1 = random_code(E, rnd)
+    ref = reference_scan_hits(C1, C1)
+    gl_size = len(ref[0])
+    assert aut_group_size_bruteforce(C1, budget=BIG) == sum(map(sum, ref))
+    # any partition of the GL sweep: every chunk is exact on its own
+    cuts = sorted(rnd.sample(range(1, gl_size), rnd.randint(1, 3)))
+    bounds = [0, *cuts, gl_size]
+    for lo, hi in zip(bounds, bounds[1:]):
+        expected = sum(sum(row[lo:hi]) for row in ref)
+        assert aut_group_size_bruteforce(C1, budget=BIG, chunk=(lo, hi)) == expected
+    # equivalence, against a partner that is or may not be equivalent
+    if rnd.random() < 0.5:
+        C2, known = equivalent_partner(C1, rnd), True
+    else:
+        C2, known = random_code(E, rnd), None
+    triples = sum(map(sum, reference_scan_hits(C1, C2)))
+    # the full triple count: an orbit of C2^rho's idealizer on the wrong
+    # side of g is exact only where C1 and C2^rho share that idealizer
+    assert semifield._equivalence_scan(C1, C2, BIG, count_all=True) == triples
+    assert is_equivalent_bruteforce(C1, C2, budget=BIG) == (triples > 0)
+    assert known is None or triples > 0
+
+
+def test_quotiented_scan_solves_once_per_orbit(monkeypatch):
+    # GF(27): the field code's right idealizer is GF(27), whose 26 units
+    # split GL_3(3) into 11232 / 26 = 432 orbits, one solve each
+    solves = []
+    original = semifield._left_multiplier_space
+
+    def counted(*args):
+        solves.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(semifield, "_left_multiplier_space", counted)
+    assert aut_group_size_bruteforce(c0_code(E27), budget=BIG) == 2028
+    assert len(solves) == gl_order(3, 3) // 26 == 432
