@@ -10,10 +10,22 @@ same subspaces in the same order.
 Every codeword sweep -- the minimum distance of one code, the density
 sweeps here and in `restricted` -- asks one question of a span: the
 minimum rank over its nonzero words, stopping at the first word of rank
-< d.  One kernel, `_SpanMinRank`, answers it, on one of two paths chosen
-from the input: bit-packed rows with a precomputed rank table when the
-entries are in GF(2) and nm <= 16, the generic field arithmetic and
-`linalg.rank` otherwise.  Packing never appears in any public signature.
+< d.  One kernel, `_SpanMinRank`, answers it, growing the span one row at
+a time and ranking only the words each new row adds, on one of two paths
+chosen from the input: bit-packed words with a precomputed rank table
+when the entries are in GF(2) and nm <= 16, the generic field arithmetic
+and `linalg.rank` otherwise.  Packing never appears in any public
+signature.
+
+The density sweeps are pruned.  Inside a pivot pattern the last RREF row
+holds the most significant base-q digits of the index, so a depth-first
+search that fixes row k-1 first and row 0 last meets each partial
+subcode once, as a contiguous index block.  If the rows fixed so far
+already span a word of rank < d, so does every completion, and the whole
+block is skipped without being enumerated.  The count is exact, and a
+chunk [lo, hi) counts exactly the surviving subspaces with index in
+[lo, hi), as the flat sweep of that chunk did, so any chunking sums to
+the same total.
 """
 
 from __future__ import annotations
@@ -219,9 +231,9 @@ class MatrixCode:
         k, q = self.dim, self.q
         reps = (q**k - 1) // (q - 1)
         charge(reps, resolve_budget(budget), f"min-distance sweep over {reps} codewords")
-        kernel = _SpanMinRank(self.field, q, self.n, self.m, k)
+        kernel = _SpanMinRank(self.field, q, self.n, self.m)
         # Nonzero words have rank >= 1, so d = 2 stops at the first rank-1 word.
-        return next(kernel.min_ranks([kernel.rows(self.basis)], 2))
+        return kernel.min_rank([kernel.vec(v) for v in self.basis], 2)
 
     def is_mrd(self) -> bool:
         """dim == m*(n - d + 1) for d = min_distance (Singleton-like bound
@@ -246,71 +258,144 @@ class MatrixCode:
 
 
 class _SpanMinRank:
-    """The codeword-sweep kernel for k-dimensional spans.
+    """The codeword-sweep kernel: spans grown one row at a time.
 
-    min_ranks(spans, d) yields, for each span's k rows in turn, the
-    minimum rank over the nonzero words of span(rows), where each row is a
-    flattened n x m matrix with entries in fld and the coefficients range
-    over GF(q).  A span's sweep stops at its first word of rank < d and
-    yields that rank.  The rank table and Gray-code steps, or the
-    projective coefficient vectors, are built once per kernel, not once
-    per span.
+    A span is held as the list W of all its words, zero included.  Adding
+    a row x outside the span adds the words c*x + w (c != 0, w in W), and
+    c*x + w is c times x + w/c, which has the same rank.  So
+    first_below(x, W, d) ranks only the |W| words x + w and already sees
+    every rank in span(W, x) that span(W) lacks; extend(W, x) lists the
+    words of span(W, x).  A row that completes a span to dimension k is
+    ranked against W but never extended.
 
-    Packed path (entries in GF(2), nm <= 16): rows are bit-packed as by
-    linalg.pack_row, which is also the format of
-    Grassmannian.iter_packed_range; each word costs one XOR and one
-    rank-table probe.  Generic path otherwise: one word per projective
-    point, ranked by linalg.rank.  rows(basis) converts flattened
-    matrices into the format min_ranks takes.
+    Packed path (entries in GF(2), nm <= 16): words are bit-packed as by
+    linalg.pack_row and ranked by one XOR and one rank-table probe.
+    Generic path otherwise: words are tuples over fld, ranked by
+    linalg.rank; the span coefficients range over GF(q), a subfield of
+    fld.  vec(flat) converts a flattened n x m matrix into a word.
     """
 
-    __slots__ = ("packed", "fld", "n", "m", "steps", "table", "reps")
+    __slots__ = ("packed", "fld", "q", "n", "m", "table", "zero")
 
-    def __init__(self, fld, q: int, n: int, m: int, k: int):
+    def __init__(self, fld, q: int, n: int, m: int):
         self.packed = fld.order == 2 and n * m <= 16
-        self.fld, self.n, self.m = fld, n, m
+        self.fld, self.q, self.n, self.m = fld, q, n, m
         if self.packed:
             self.table = linalg.gf2_rank_table(n, m)
-            # word s of the Gray code is word s-1 XOR row ctz(s)
-            self.steps = tuple((s & -s).bit_length() - 1 for s in range(1, 1 << k))
+            self.zero = 0
         else:
-            self.reps = tuple(linalg.projective_reps(k, q))
+            self.zero = (0,) * (n * m)
 
-    def rows(self, basis: Sequence[Sequence[int]]) -> Sequence:
-        if self.packed:
-            return tuple(linalg.pack_row(v) for v in basis)
-        return basis
+    def vec(self, flat: Sequence[int]):
+        return linalg.pack_row(flat) if self.packed else tuple(flat)
 
-    def min_ranks(self, spans: Iterable[Sequence], d: int) -> Iterator[int]:
-        full = min(self.n, self.m)
+    def add(self, x, y):
         if self.packed:
-            table, steps = self.table, self.steps
-            for rows in spans:
-                best = full
-                word = 0
-                for i in steps:
-                    word ^= rows[i]
-                    if table[word] < best:
-                        best = table[word]
-                        if best < d:
-                            break
-                yield best
-            return
-        fld, n, m, reps = self.fld, self.n, self.m, self.reps
-        zero = [0] * (n * m)
-        for rows in spans:
-            best = full
-            for coeffs in reps:
-                vec = zero
-                for c, b in zip(coeffs, rows):
-                    if c:
-                        vec = [fld.add(x, fld.mul(c, y)) for x, y in zip(vec, b)]
-                r = linalg.rank([vec[i * m : (i + 1) * m] for i in range(n)], fld)
+            return x ^ y
+        add = self.fld.add
+        return tuple([add(a, b) for a, b in zip(x, y)])
+
+    def scale(self, c: int, x):
+        if self.packed:
+            return x if c else 0
+        mul = self.fld.mul
+        return tuple([mul(c, a) for a in x])
+
+    def first_below(self, x, W: Sequence, d: int) -> int:
+        """The minimum rank over the words x + w (w in W), stopping at the
+        first word of rank < d."""
+        best = min(self.n, self.m)
+        if self.packed:
+            table = self.table
+            for w in W:
+                r = table[x ^ w]
                 if r < best:
                     best = r
                     if r < d:
                         break
-            yield best
+            return best
+        fld, n, m = self.fld, self.n, self.m
+        add, rank = fld.add, linalg.rank
+        for w in W:
+            vec = [add(a, b) for a, b in zip(x, w)]
+            r = rank([vec[i * m : (i + 1) * m] for i in range(n)], fld)
+            if r < best:
+                best = r
+                if r < d:
+                    break
+        return best
+
+    def extend(self, W: Sequence, x) -> list:
+        """The words of span(W, x), for x outside span(W)."""
+        out = list(W)
+        for c in range(1, self.q):
+            cx = self.scale(c, x)
+            out += [self.add(cx, w) for w in W]
+        return out
+
+    def min_rank(self, rows: Sequence, d: int) -> int:
+        """Minimum rank over the nonzero words of span(rows), for linearly
+        independent rows, stopping at the first word of rank < d."""
+        best = min(self.n, self.m)
+        W = [self.zero]
+        for i, x in enumerate(rows):
+            best = min(best, self.first_below(x, W, d))
+            if best < d:
+                break
+            if i + 1 < len(rows):
+                W = self.extend(W, x)
+        return best
+
+    def count(self, g: Grassmannian, units: Sequence, d: int, lo: int, hi: int) -> int:
+        """Number of subspaces lo..hi-1 of g whose nonzero words all have
+        rank >= d, where units[j] is the word of coordinate vector e_j of
+        GF(q)^g.N (the coordinates are GF(q)-linear, so a subspace's words
+        are the images of its vectors).
+
+        Inside a pivot pattern, row r's free entries are the base-q digits
+        of the index from weight q^(free entries of rows < r) up, so fixing
+        rows k-1 down to r fixes a contiguous block of q^(free entries of
+        rows < r) indices.  The depth-first search fixes row k-1 first and
+        row 0 last; once a fixed row makes a word of rank < d, every
+        completion keeps that word and would fail, so the whole block is
+        skipped.  Only the values of a row whose block meets [lo, hi) are
+        tried, and each surviving row-0 leaf, one subspace, is counted
+        once, so the counts of any chunking add up to the full count.
+        """
+        q, k = g.q, g.k
+        first_below, extend, add, scale = self.first_below, self.extend, self.add, self.scale
+        total = 0
+        for pivots, free, _, a, b in g._pattern_slices(lo, hi):
+            # levels[r] = (the word of every value of row r, indexed by the
+            # value, and the index weight of row r's lowest digit)
+            levels = []
+            weight = 1
+            for r, p in enumerate(pivots):
+                words = [units[p]]
+                for rr, j in free:
+                    if rr == r:
+                        cu = [scale(c, units[j]) for c in range(q)]
+                        words = [add(u, w) for u in cu for w in words]
+                levels.append((words, weight))
+                weight *= len(words)
+
+            def descend(r: int, base: int, W: list) -> int:
+                words, weight = levels[r]
+                vlo = max(0, (a - base) // weight)
+                vhi = min(len(words), -((base - b) // weight))
+                found = 0
+                for v in range(vlo, vhi):
+                    x = words[v]
+                    if first_below(x, W, d) < d:
+                        continue
+                    if r == 0:
+                        found += 1
+                    else:
+                        found += descend(r - 1, base + v * weight, extend(W, x))
+                return found
+
+            total += descend(k - 1, 0, [self.zero])
+        return total
 
 
 def min_distance(code: MatrixCode, budget: int | None = None) -> int:
@@ -371,13 +456,9 @@ def _density_worker(args: tuple) -> int:
     """Subspaces [lo, hi) of the sweep whose nonzero words all have rank >= d."""
     n, m, k, d, q, lo, hi = args
     g = Grassmannian(n * m, k, q)
-    kernel = _SpanMinRank(g.field, q, n, m, k)
-    subspaces = g.iter_packed_range(lo, hi) if kernel.packed else g.iter_range(lo, hi)
-    count = 0
-    for r in kernel.min_ranks(subspaces, d):
-        if r >= d:
-            count += 1
-    return count
+    kernel = _SpanMinRank(g.field, q, n, m)
+    units = [kernel.vec(row) for row in linalg.identity(n * m)]
+    return kernel.count(g, units, d, lo, hi)
 
 
 def density_bruteforce(

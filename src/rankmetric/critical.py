@@ -89,7 +89,7 @@ def distinguishes(V_rows: Sequence[Sequence[int]], P: PointSet) -> bool:
     return True
 
 
-def _subspace_point_masks(N: int, k: int, q: int) -> tuple[list[int], int]:
+def _subspace_point_masks(N: int, k: int, q: int) -> list[int]:
     """For every k-dim subspace V (canonical order), the bitmask over the
     point index of all_points(N, q) of the points inside V."""
     g = Grassmannian(N, k, q)
@@ -103,7 +103,7 @@ def _subspace_point_masks(N: int, k: int, q: int) -> tuple[list[int], int]:
             if linalg.in_rowspan(rows, pivots, p, fld):
                 mask |= 1 << idx
         masks.append(mask)
-    return masks, g.total
+    return masks
 
 
 def delta_bruteforce(P: PointSet, k: int, budget: int | None = None) -> Fraction:
@@ -161,10 +161,18 @@ def avg_density_exhaustive(
     """Oracle for avg_density_formula: the exact mean of delta over every
     point set of size ell, by full enumeration."""
     q = getattr(q, "order", q)
+    npoints = (q**N - 1) // (q - 1)
+    nsets = binom(npoints, ell)
+    total = qbinom(N, k, q)
+    # one membership test per (subspace, point), one mask test per
+    # (point set, subspace)
+    charge(
+        total * (npoints + nsets),
+        resolve_budget(budget),
+        f"{total} subspaces against {npoints} points and {nsets} point sets",
+    )
     points = all_points(N, q)
-    nsets = binom(len(points), ell)
-    charge(nsets, resolve_budget(budget), f"enumerating {nsets} point sets")
-    masks, total = _subspace_point_masks(N, k, q)
+    masks = _subspace_point_masks(N, k, q)
     acc = Fraction(0)
     for combo in itertools.combinations(range(len(points)), ell):
         sub = 0

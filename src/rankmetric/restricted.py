@@ -255,19 +255,11 @@ def restricted_density_bruteforce(
     total = qbinom(dim, k, q)
     charge(total, resolve_budget(budget), f"{kind} Grassmannian sweep")
     g = Grassmannian(dim, k, q)
-    # coord_map[c][i] is entry c of basis matrix i, so mat_vec(coord_map, r)
-    # is the flattened matrix sum_i r[i] * basis[i]
-    coord_map = tuple(zip(*(tuple(x for row in bm for x in row) for bm in basis)))
-    kernel = _SpanMinRank(fld, q, n, n, k)
+    kernel = _SpanMinRank(fld, q, n, n)
+    # coordinate vector e_i stands for basis matrix i
+    units = [kernel.vec([x for row in bm for x in row]) for bm in basis]
     t0 = time.perf_counter()
-    count = 0
-    spans = (
-        kernel.rows([linalg.mat_vec(coord_map, r, fld) for r in rows])
-        for rows in g.iter_range()
-    )
-    for r in kernel.min_ranks(spans, d):
-        if r >= d:
-            count += 1
+    count = kernel.count(g, units, d, 0, total)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return DensityResult(q, n, n, k, d, count, total, "brute_force", elapsed, kind=kind)
 

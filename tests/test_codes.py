@@ -244,7 +244,7 @@ def test_spectrum_free_oracle_q3():
     assert count == spectrum_free_count(2, 3) == 18
 
 
-@pytest.mark.parametrize("m,q", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("m,q", [(2, 2), (2, 3), (3, 2), (4, 2)])
 def test_spectrum_free_identity(m, q):
     assert spectrum_free_identity_check(m, q)
 

@@ -332,3 +332,18 @@ def test_budget_errors():
         delta_bruteforce(P, 1, budget=1)
     with pytest.raises(BudgetExceededError):
         lambda_exhaustive(4, 2, 5, 4, 2, budget=10)
+
+
+def test_avg_density_exhaustive_charges_the_subspace_sweep(monkeypatch):
+    # 255 point sets fit in the budget, but every one is tested against
+    # all 200,787 subspaces of G_2(8, 4), which are first matched against
+    # all 255 points: the charge covers both loops and comes before either
+    from rankmetric import critical
+
+    def tripwire(*args):
+        raise AssertionError("work started before the budget charge")
+
+    monkeypatch.setattr(critical, "all_points", tripwire)
+    monkeypatch.setattr(critical, "_subspace_point_masks", tripwire)
+    with pytest.raises(BudgetExceededError, match="102401370 steps"):
+        avg_density_exhaustive(8, 4, 1, 2, budget=300)

@@ -1,17 +1,27 @@
 """The codeword-sweep kernel against a brute-force reference.
 
-`MatrixCode.min_distance` and `restricted_density_bruteforce` both run on
-the one min-rank kernel in `codes`, which takes a bit-packed path for
-GF(2) entries with nm <= 16 and a generic path otherwise.  The reference
-here enumerates every word of the span with `linalg.span_elements` and
-ranks it with `linalg.rank`, with no early exit and no packing.
+`MatrixCode.min_distance`, `density_bruteforce` and
+`restricted_density_bruteforce` all run on the one min-rank kernel in
+`codes`, which takes a bit-packed path for GF(2) entries with nm <= 16 and
+a generic path otherwise; the two density sweeps skip every subspace
+that contains an already rejected partial subcode.  The references here
+enumerate every subspace with `Grassmannian.iter_range` and every word of
+its span with `linalg.span_elements`, and rank each word with
+`linalg.rank`, with no pruning, no early exit and no packing.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmetric import linalg
-from rankmetric.codes import Grassmannian, MatrixCode, field_for_order
+from rankmetric.codes import (
+    Grassmannian,
+    MatrixCode,
+    _density_worker,
+    density_bruteforce,
+    field_for_order,
+)
+from rankmetric.qcomb import qbinom
 from rankmetric.restricted import (
     ambient_basis,
     hermitian_field,
@@ -65,6 +75,53 @@ def test_min_distance_matches_reference(case):
     assert C.min_distance() == expected
 
 
+def reference_density_counts(n, m, k, d, q, bounds):
+    """For each chunk [bounds[i], bounds[i+1]) of the canonical order, the
+    number of its k-dim subspaces of GF(q)^(n x m) with min distance >= d."""
+    fld = field_for_order(q)
+    g = Grassmannian(n * m, k, q)
+    ranks = {}
+    ok = []
+    for rows in g.iter_range():
+        words = [w for w in linalg.span_elements(rows, fld) if any(w)]
+        for w in words:
+            if w not in ranks:
+                ranks[w] = linalg.rank([w[i * m : (i + 1) * m] for i in range(n)], fld)
+        ok.append(min(ranks[w] for w in words) >= d)
+    return [sum(ok[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+# (q, n, m, k) with at most 20,000 words over the whole reference sweep;
+# q = 2 takes the packed path, q = 3 and 4 the generic one
+SWEEP_SHAPES = [
+    (q, n, m, k)
+    for q in (2, 3, 4)
+    for n in (1, 2, 3)
+    for m in (1, 2, 3)
+    for k in range(1, n * m + 1)
+    if qbinom(n * m, k, q) * q**k <= 20000
+]
+
+
+@st.composite
+def sweep_cases(draw):
+    q, n, m, k = draw(st.sampled_from(SWEEP_SHAPES))
+    d = draw(st.integers(1, min(n, m)))
+    total = qbinom(n * m, k, q)
+    cuts = draw(st.lists(st.integers(0, total), max_size=5))
+    return n, m, k, d, q, [0] + sorted(cuts) + [total]
+
+
+@given(sweep_cases())
+@settings(max_examples=80, deadline=None)
+def test_pruned_sweep_matches_flat_reference(case):
+    n, m, k, d, q, bounds = case
+    expected = reference_density_counts(n, m, k, d, q, bounds)
+    chunks = [_density_worker((n, m, k, d, q, lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    assert chunks == expected
+    assert density_bruteforce(n, m, k, d, q).count == sum(expected)
+
+
 def reference_restricted_count(kind, n, k, d, q):
     """Subspaces of the coordinate Grassmannian whose nonzero words, mapped
     through the ambient basis, all have rank >= d."""
@@ -88,18 +145,20 @@ def reference_restricted_count(kind, n, k, d, q):
 @st.composite
 def restricted_cases(draw):
     # GF(2) symmetric and alternating (n <= 3) take the packed path;
-    # Hermitian over GF(2) has entries in GF(4) and takes the generic one.
+    # Hermitian matrices have entries in GF(q^2), GF(4) to GF(16), and
+    # take the generic one with coefficients in the subfield GF(q).
+    q = draw(st.sampled_from((2, 3, 4)))
     kind = draw(st.sampled_from(("symmetric", "alternating", "hermitian")))
-    n = draw(st.integers(2, 2 if kind == "hermitian" else 3))
-    dim = len(ambient_basis(kind, n, 2))
+    n = draw(st.integers(2, 3 if q == 2 and kind != "hermitian" else 2))
+    dim = len(ambient_basis(kind, n, q))
     k = draw(st.integers(1, dim))
     d = draw(st.integers(1, n))
-    return kind, n, k, d
+    return kind, n, k, d, q
 
 
 @given(restricted_cases())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_restricted_density_matches_reference(case):
-    kind, n, k, d = case
-    res = restricted_density_bruteforce(kind, n, k, d, 2)
-    assert res.count == reference_restricted_count(kind, n, k, d, 2)
+    kind, n, k, d, q = case
+    res = restricted_density_bruteforce(kind, n, k, d, q)
+    assert res.count == reference_restricted_count(kind, n, k, d, q)
