@@ -148,12 +148,12 @@ def _f_pi_q(a):
 
 def _f_alt_exp_sum(a):
     (m,) = _need(a, "m")
-    return qcomb.alt_exp_sum(m)
+    return qcomb.alt_exp_sum(m, budget=a.budget)
 
 
 def _f_ine_margin(a):
     (q,) = _need(a, "q")
-    cert = qcomb.comparison_inequality_check(q, a.terms)
+    cert = qcomb.comparison_inequality_check(q, a.terms, budget=a.budget)
     return {
         "holds": cert.holds,
         "margin_lower": f"{cert.margin_lower.numerator}/{cert.margin_lower.denominator}",
@@ -586,6 +586,14 @@ def _jobs(text: str) -> int:
     return jobs
 
 
+def _terms(text: str) -> int:
+    """--terms: a number of series terms, an integer >= 1."""
+    terms = int(text)
+    if terms < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return terms
+
+
 def _add_common(p: argparse.ArgumentParser, n_takes_range: bool = False) -> None:
     p.add_argument("--q", type=_prime_power)
     if n_takes_range:
@@ -606,7 +614,7 @@ def _add_common(p: argparse.ArgumentParser, n_takes_range: bool = False) -> None
     p.add_argument("--variant", choices=("validated", "printed"), default="validated")
     p.add_argument("--regime", choices=("q_large", "m_large"))
     p.add_argument("--eps", type=_eps, default=1e-9)
-    p.add_argument("--terms", type=int, default=40)
+    p.add_argument("--terms", type=_terms, default=40)
     p.add_argument("--budget", type=_budget, default=None,
                    help=f"enumeration budget (default {default_budget()})")
     p.add_argument("--jobs", type=_jobs, default=1, help="worker processes for sweeps")

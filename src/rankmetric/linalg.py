@@ -211,10 +211,6 @@ def pack_row(row: Sequence[int]) -> int:
     return bits
 
 
-def unpack_row(bits: int, ncols: int) -> Vector:
-    return tuple((bits >> j) & 1 for j in range(ncols))
-
-
 def rank_bits(rows: list[int]) -> int:
     work = [r for r in rows if r]
     rank_ = 0

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import charge, resolve_budget
+
 
 def _as_int_q(q) -> int:
     """Accept an int or a field handle, read as its order."""
@@ -119,10 +121,12 @@ def pi_q_limit(q, eps: float) -> tuple[float, float]:
         n += 1
 
 
-def alt_exp_sum(m: int) -> Fraction:
-    """Exact partial sum sum_{i=0}^m (-1)^i / i!; converges to 1/e."""
+def alt_exp_sum(m: int, budget: int | None = None) -> Fraction:
+    """Exact partial sum sum_{i=0}^m (-1)^i / i!; converges to 1/e.
+    Charges its m + 1 terms."""
     if m < 0:
         raise ValueError("m must be >= 0")
+    charge(m + 1, resolve_budget(budget), "alternating exponential sum")
     out = Fraction(0)
     for i in range(m + 1):
         out += Fraction((-1) ** i, math.factorial(i))
@@ -170,7 +174,9 @@ class ComparisonCertificate:
     terms: int
 
 
-def comparison_inequality_check(q, terms: int = 40) -> ComparisonCertificate:
+def comparison_inequality_check(
+    q, terms: int = 40, budget: int | None = None
+) -> ComparisonCertificate:
     """Certified check of prod_{i>=1}(1-q^-i)^(q+1) < e^-(q+1)/(q-1).
 
     Taking logs, the inequality is  1/(q-1) < sum_i log(q^i/(q^i-1)).
@@ -178,9 +184,13 @@ def comparison_inequality_check(q, terms: int = 40) -> ComparisonCertificate:
     x - x^2/2 <= log(1+x) <= x, and the tail past `terms` terms is at most
     sum_{i>terms} 1/(q^i-1) <= 2 q^-terms/(q-1).  All bounds are exact
     rationals.  Raises ValueError when the sign cannot be certified at the
-    requested truncation (caller must raise `terms`).
+    requested truncation (caller must raise `terms`).  Charges its
+    `terms` terms.
     """
     q = _as_int_q(q)
+    if terms < 1:
+        raise ValueError(f"terms must be >= 1, got {terms}")
+    charge(terms, resolve_budget(budget), "comparison inequality terms")
     lower = Fraction(0)
     upper = Fraction(0)
     estimate = 0.0

@@ -8,13 +8,27 @@ through their matrix representation (RREF of flattened images), so
 equivalence tests reduce to set equality of canonical forms.
 
 The equivalence and automorphism searches are exhaustive over
-(rho in Aut(GF(q)), g in GL_n(q)): for each pair the full space
-{f : f o C^rho o g inside C'} is solved exactly by linear algebra and its
-invertible elements are counted.  The sweep over g is quotiented by R*,
-the unit group of the right idealizer {A : M . A in C^rho for all M} of
-C^rho: for r in R*, C^rho . r = C^rho, so every g in an orbit
-{r . g : r in R*} has the same space of f.  One solve per orbit, counted
-once for every orbit member, gives exactly the count of the unreduced
+(rho in Aut(GF(q)), g in GL_n(q)): hits(g), the number of invertible f
+with f o C2^rho o g = C1, comes from solving the space
+{f : f o C2^rho o g inside C1} exactly by linear algebra.  One solve
+decides a whole double coset L . g . H:
+  - L = R*(C2^rho), the unit group of the right idealizer
+    {A : M . A in C2^rho for all M} of C2^rho, acts on the left:
+    C2^rho . r = C2^rho, so hits(r . g) = hits(g);
+  - H acts on the right and starts as R*(C1): C1 . s = C1, so
+    hits(g . s) = hits(g).
+Three facts make the count exact:
+  (i) hits(g) is 0 or |L*(C1)|, L*(C1) being the unit group of C1's left
+      idealizer: if f0 o C2^rho o g = C1, then f works exactly when
+      f . f0^-1 fixes C1;
+  (ii) hits(g . s) = hits(g) for every s with C1 . s = C1, and more
+      generally for every s with C1 . s = f0 . C1 (f <-> f0^-1 . f);
+  (iii) in an automorphism scan (C1 == C2) the rho = 0 hit set is a group
+      G0 that contains R*(C1), each of whose elements satisfies (ii), and
+      each rho > 0 hit set is a left coset of G0.
+So at rho = 0 of an automorphism scan every hit joins H, and the rho > 0
+passes reuse that H; an equivalence scan keeps H = R*(C1).  The count is
+hits x (the number of g with a hit), which equals the unreduced per-g
 sweep (the tests check this against a per-g loop).  No classification
 result is assumed.  The monomial search of is_equivalent_monomial is a
 documented pruning for twisted-vs-twisted tests only, never the source of
@@ -27,6 +41,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterator, Sequence
 
 from . import linalg
@@ -402,7 +417,7 @@ def code_to_semifield(C: LinPolyCode, budget: int | None = None) -> Semifield:
 
 
 # ----------------------------------------------------------------------
-# equivalence and automorphisms (exhaustive, quotiented by R*)
+# equivalence and automorphisms (exhaustive, one solve per double coset)
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -499,35 +514,117 @@ def _invertible_in_space(space: linalg.Matrix, n: int, fld) -> Iterator[linalg.M
             yield mat
 
 
-def _unit_orbits(
-    units: Sequence[linalg.Matrix],
-    gl: Sequence[linalg.Matrix],
-    codes: Sequence[int],
-    fld,
-    lo: int,
-    hi: int,
-) -> Iterator[tuple[linalg.Matrix, int]]:
-    """(g, k) for each orbit {u . g : u in units} of the unit group on
-    GL_n(q) with k > 0 members in [lo, hi): g is the orbit's first member
-    in GL order.
+class _GLProducts:
+    """Products in GL_n(q) on the indices of its enumeration.
 
-    Indices below hi are swept in order; an unmarked one is the first
-    member of its orbit, whose members are then located by bisecting on
-    their codes and marked."""
+    Row r of a matrix is digit r of its code in base q^n, a row vector v
+    having the code sum of v[c] * q^c.  A product is computed from the row
+    codes through addition and scaling tables on GF(q)^n and located by
+    bisecting on the sorted codes; nothing is tabulated over all of GL."""
+
+    def __init__(self, fld, n: int):
+        self.mats, self.codes = _invertible_matrices(fld, n)
+        self.n = n
+        self.q = fld.order
+        self.Q = fld.order**n
+        self.add, self.scale = _row_arithmetic(fld, n)
+        self.identity = self.index(linalg.identity(n))
+
+    def index(self, mat: linalg.Matrix) -> int:
+        return bisect_left(self.codes, _matrix_code(mat, self.q))
+
+    def _rows(self, code: int) -> list[int]:
+        out = []
+        for _ in range(self.n):
+            code, v = divmod(code, self.Q)
+            out.append(v)
+        return out
+
+    def _combine(self, coeffs: Sequence[int], rows: Sequence[int]) -> int:
+        """The code of sum_k coeffs[k] * rows[k], rows given by their codes."""
+        add, scale, Q = self.add, self.scale, self.Q
+        acc = 0
+        for a, v in zip(coeffs, rows):
+            if a:
+                acc = add[acc * Q + scale[a][v]]
+        return acc
+
+    def right_mul(self, s: int):
+        """x -> the index of mats[x] . mats[s]: one table maps each row v
+        of mats[x] to v . mats[s]."""
+        Q, codes = self.Q, self.codes
+        srows = self._rows(codes[s])
+        q, n = self.q, self.n
+        table = [self._combine([v // q**c % q for c in range(n)], srows) for v in range(Q)]
+        shifted = [[t * Q**r for t in table] for r in range(n)]
+
+        def act(x: int) -> int:
+            code, out = codes[x], 0
+            for tab in shifted:
+                code, v = divmod(code, Q)
+                out += tab[v]
+            return bisect_left(codes, out)
+
+        return act
+
+    def left_mul(self, u: int):
+        """x -> the index of mats[u] . mats[x]: row r of the product
+        combines the rows of mats[x] by the entries of row r of mats[u]."""
+        Q, codes, combine = self.Q, self.codes, self._combine
+        urows = self.mats[u][::-1]
+
+        def act(x: int) -> int:
+            rows, out = self._rows(codes[x]), 0
+            for coeffs in urows:
+                out = out * Q + combine(coeffs, rows)
+            return bisect_left(codes, out)
+
+        return act
+
+    def generators(self, elements: Iterator[int]) -> list[int]:
+        """Generators of the group formed by `elements` (indices): each
+        element outside the group generated by those kept so far is kept."""
+        group, gens, acts = {self.identity}, [], []
+        for x in elements:
+            if x in group:
+                continue
+            gens.append(x)
+            acts.append(self.right_mul(x))
+            frontier = list(group)
+            while frontier:
+                y = frontier.pop()
+                for act in acts:
+                    z = act(y)
+                    if z not in group:
+                        group.add(z)
+                        frontier.append(z)
+        return gens
+
+
+@lru_cache(maxsize=None)
+def _row_arithmetic(fld, n: int) -> tuple[list[int], list[list[int]]]:
+    """Addition and scaling on the codes of GF(q)^n, the code of v being
+    sum of v[c] * q^c: add[v * q^n + w] is the code of v + w and
+    scale[a][v] that of a * v.  Cached per (field, n)."""
     q = fld.order
-    marks = bytearray(hi)
-    for i in range(hi):
-        if marks[i]:
-            continue
-        g = gl[i]
-        k = 0
-        for u in units:
-            j = bisect_left(codes, _matrix_code(linalg.mat_mul(u, g, fld), q))
-            if j < hi:
-                marks[j] = 1
-                k += j >= lo
-        if k:
-            yield g, k
+    vecs = [[(v // q**c) % q for c in range(n)] for v in range(q**n)]
+
+    def code(vec) -> int:
+        return sum(x * q**c for c, x in enumerate(vec))
+
+    add = [code(map(fld.add, v, w)) for v in vecs for w in vecs]
+    scale = [[code(fld.mul(a, x) for x in v) for v in vecs] for a in range(q)]
+    return add, scale
+
+
+def _unit_generators(
+    gl: _GLProducts, checks: Sequence[Sequence[int]], mats: Sequence[linalg.Matrix], n: int, fld
+) -> list[int]:
+    """GL indices of generators of R*, the unit group of the right
+    idealizer of the code with basis matrices `mats` and check rows
+    `checks`."""
+    space = _right_idealizer_space(checks, mats, n, fld)
+    return gl.generators(map(gl.index, _invertible_in_space(space, n, fld)))
 
 
 def _equivalence_scan(
@@ -537,20 +634,36 @@ def _equivalence_scan(
     count_all: bool,
     chunk: tuple[int, int] | None = None,
 ) -> int:
-    """Shared kernel: for each rho, solve the space of left factors f with
-    f o C2^rho o g inside C1 once per orbit of R*, the unit group of the
-    right idealizer of C2^rho, on GL_n(q), and count its invertible
-    elements once for every member of the orbit.  Returns the number of
-    valid triples (f, rho, g); with count_all=False, returns 1 early at
-    the first hit.
+    """Shared kernel: the number of triples (f, rho, g) of invertible f, g
+    and rho in Aut(GF(q)) with f o C2^rho o g = C1; with count_all=False,
+    1 at the first hit.
 
-    The quotient is exact: for r in R*, C2^rho . r = C2^rho, so g and
-    r . g have the same space of left factors.
+    For each rho, one left-multiplier solve gives hits(g), the number of f
+    with f o C2^rho o g = C1, for the whole double coset L . g . H, where
+    L = R*(C2^rho) acts on the left and H, starting as R*(C1), on the
+    right.  It is exact by the facts of the module docstring:
+      (i) hits(g) is 0 or |L*(C1)| (f works iff f . f0^-1 fixes C1), the
+          same for every rho, so the count is hits x (the number of g
+          with a hit);
+      (ii) hits(g . s) = hits(g) whenever C1 . s = f0 . C1;
+      (iii) in an automorphism scan the rho = 0 hit set is a group G0
+          containing R*(C1), each rho > 0 hit set a left coset of G0.
+    So at rho = 0 of an automorphism scan every hit joins H, and the
+    rho > 0 passes reuse that H.  The identity is decided first there: its
+    double coset contains the group H generates, so every later hit lies
+    outside it and is a new generator.  An equivalence scan keeps
+    H = R*(C1), since the hits of C2 say nothing about C1's automorphisms.
+
+    Indices are decided in GL order, the state of each kept in a
+    bytearray over GL: a solve's verdict is spread along the generators of
+    L and H over its double coset, and when H gains a generator every
+    index already decided is spread along it too.
 
     chunk=(lo, hi) restricts the count to a slice of the GL enumeration;
     counting over a partition of [0, |GL|) sums to the full count, and hit
     existence is independent of the split, so parallel reductions stay
-    deterministic."""
+    deterministic.  A pass ends as soon as every index of the slice is
+    decided."""
     E = C1.field
     fld = E.base
     n = E.n
@@ -560,29 +673,63 @@ def _equivalence_scan(
         return 0
     charge(_pair_budget(C1), resolve_budget(budget), "equivalence triple search")
     checks = linalg.solution_space(C1.matrix_code.basis, n * n, fld)
-    gl, codes = _invertible_matrices(fld, n)
-    lo, hi = chunk if chunk is not None else (0, len(gl))
-    if not 0 <= lo <= hi <= len(gl):
-        raise ValueError(f"chunk {chunk} is not a slice of the {len(gl)} elements of GL")
-    total = 0
+    gl = _GLProducts(fld, n)
+    size = len(gl.codes)
+    lo, hi = chunk if chunk is not None else (0, size)
+    if not 0 <= lo <= hi <= size:
+        raise ValueError(f"chunk {chunk} is not a slice of the {size} elements of GL")
+    h_gens = _unit_generators(gl, checks, [p.to_matrix() for p in C1.basis], n, fld)
+    rights = [gl.right_mul(s) for s in h_gens]
+    hits = total = 0
     for rho in range(fld.h):
         Crho = C2.twist(rho) if rho else C2
         base_mats = [p.to_matrix() for p in Crho.basis]
         if Crho == C1:
-            rho_checks = checks
+            l_gens = h_gens
         else:
             rho_checks = linalg.solution_space(Crho.matrix_code.basis, n * n, fld)
-        right = _right_idealizer_space(rho_checks, base_mats, n, fld)
-        units = list(_invertible_in_space(right, n, fld))
-        for g, k in _unit_orbits(units, gl, codes, fld, lo, hi):
-            dmats = [linalg.mat_mul(M, g, fld) for M in base_mats]
-            space = _left_multiplier_space(checks, dmats, n, fld)
-            if not space:
+            l_gens = _unit_generators(gl, rho_checks, base_mats, n, fld)
+        acts = [gl.left_mul(u) for u in l_gens] + rights
+        grow = rho == 0 and C1 == C2
+        state = bytearray(size)  # 0 undecided, 1 no hit, 2 hit
+        remaining, positives = hi - lo, 0
+
+        def mark(x: int, verdict: int) -> None:
+            nonlocal remaining, positives
+            state[x] = verdict
+            if lo <= x < hi:
+                remaining -= 1
+                positives += verdict == 2
+
+        for i in chain((gl.identity,) if grow else (), range(lo, hi)):
+            if not remaining:
+                break
+            if state[i]:
                 continue
-            hits = sum(1 for _ in _invertible_in_space(space, n, fld))
-            if hits and not count_all:
+            dmats = [linalg.mat_mul(M, gl.mats[i], fld) for M in base_mats]
+            space = _left_multiplier_space(checks, dmats, n, fld)
+            count = sum(1 for _ in _invertible_in_space(space, n, fld))
+            if count and not count_all:
                 return 1
-            total += k * hits
+            hits = hits or count
+            mark(i, 2 if count else 1)
+            queue = [i]
+            if count and grow and i != gl.identity:
+                act = gl.right_mul(i)
+                acts.append(act)
+                rights.append(act)
+                for x, verdict in enumerate(bytes(state)):
+                    if verdict and not state[y := act(x)]:
+                        mark(y, verdict)
+                        queue.append(y)
+            while queue and remaining:
+                x = queue.pop()
+                verdict = state[x]
+                for act in acts:
+                    if not state[y := act(x)]:
+                        mark(y, verdict)
+                        queue.append(y)
+        total += hits * positives
     return total
 
 

@@ -87,6 +87,9 @@ def test_formula_invalid_parameter_exits_2(capsys):
         ("formula", "pi-q", "--q", "2", "--eps", "nan"),
         ("formula", "pi-q", "--q", "2", "--eps", "inf"),
         ("formula", "pi-q", "--q", "2", "--eps", "0"),
+        ("formula", "ine-margin", "--q", "3", "--terms", "-3"),
+        ("formula", "ine-margin", "--q", "3", "--terms", "0"),
+        ("formula", "alt-exp-sum", "--m", "100000000"),
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 2, (argv, err)

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankmetric import linalg
+from rankmetric import linalg, qcomb
 from rankmetric.codes import Grassmannian, density_3x3_formula, field_for_order
+from rankmetric.errors import BudgetExceededError
 from rankmetric.fields import make_field
 from rankmetric.qcomb import (
     alt_exp_sum,
@@ -174,6 +175,22 @@ def test_comparison_inequality_certified_for_all_prime_powers():
 def test_comparison_inequality_inconclusive_raises():
     with pytest.raises(ValueError):
         comparison_inequality_check(2, terms=1)
+    for terms in (0, -3):
+        with pytest.raises(ValueError):
+            comparison_inequality_check(3, terms=terms)
+
+
+def test_series_are_charged_before_their_loops(monkeypatch):
+    # a tripwire on Fraction: a regression fails here instead of summing
+    # 10^8 terms
+    def tripwire(*args):
+        raise AssertionError("series loop started before the budget charge")
+
+    monkeypatch.setattr(qcomb, "Fraction", tripwire)
+    with pytest.raises(BudgetExceededError):
+        alt_exp_sum(10**8, budget=10)
+    with pytest.raises(BudgetExceededError):
+        comparison_inequality_check(3, terms=10**8, budget=10)
 
 
 def test_field_handle_is_read_as_its_order():

@@ -447,7 +447,17 @@ def test_count_192_under_second_modulus():
     assert gl_order(3, 2) ** 2 // aut == 192
 
 
-# ------------------- the orbit-quotiented scan against a per-g reference
+# ---------------------- the double-coset scan against a per-g reference
+
+def _unit_count(space, n, fld):
+    """The number of invertible n x n matrices in the span of `space`
+    (flattened rows)."""
+    return sum(
+        1
+        for vec in linalg.span_elements(space, fld)
+        if any(vec) and linalg.rank([vec[r * n : (r + 1) * n] for r in range(n)], fld) == n
+    )
+
 
 def reference_scan_hits(C1, C2):
     """Unreduced reference: for every rho and every g of GL_n(q) in order,
@@ -469,14 +479,7 @@ def reference_scan_hits(C1, C2):
             space = _left_multiplier_space(
                 checks, [linalg.mat_mul(M, g, fld) for M in mats], n, fld
             )
-            row.append(
-                sum(
-                    1
-                    for vec in linalg.span_elements(space, fld)
-                    if any(vec)
-                    and linalg.rank([vec[r * n : (r + 1) * n] for r in range(n)], fld) == n
-                )
-            )
+            row.append(_unit_count(space, n, fld))
         out.append(row)
     return out
 
@@ -567,9 +570,9 @@ def test_quotiented_scan_matches_per_g_reference(E, rnd):
     assert known is None or triples > 0
 
 
-def test_quotiented_scan_solves_once_per_orbit(monkeypatch):
-    # GF(27): the field code's right idealizer is GF(27), whose 26 units
-    # split GL_3(3) into 11232 / 26 = 432 orbits, one solve each
+def test_double_coset_scan_solve_counts(monkeypatch):
+    # one left-multiplier solve per double coset R* . g . H met in GL order,
+    # H growing by every rho = 0 hit; GL_3(3) has 11232 elements
     solves = []
     original = semifield._left_multiplier_space
 
@@ -579,4 +582,64 @@ def test_quotiented_scan_solves_once_per_orbit(monkeypatch):
 
     monkeypatch.setattr(semifield, "_left_multiplier_space", counted)
     assert aut_group_size_bruteforce(c0_code(E27), budget=BIG) == 2028
-    assert len(solves) == gl_order(3, 3) // 26 == 432
+    assert len(solves) == 35
+    solves.clear()
+    spec = next(s for s in valid_twisted_specs(E27) if (s.i, s.j) == (1, 2))
+    assert aut_group_size_bruteforce(spec.code(), budget=BIG) == 156
+    assert len(solves) == 299
+    # a one-element chunk: the identity, then that element at most
+    size = gl_order(3, 3)
+    for chunk in ((0, 1), (size - 1, size)):
+        solves.clear()
+        assert aut_group_size_bruteforce(c0_code(E27), budget=BIG, chunk=chunk) == 0
+        assert len(solves) <= 2
+
+
+def _gl_index(fld, n):
+    from rankmetric.semifield import _invertible_matrices
+
+    gl, _ = _invertible_matrices(fld, n)
+    where = {g: i for i, g in enumerate(gl)}
+    return gl, lambda a, b: where[linalg.mat_mul(a, b, fld)]
+
+
+def _flat(mat):
+    return tuple(x for row in mat for x in row)
+
+
+@given(
+    st.sampled_from((E4, E8, E9, E25, E16)),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+def test_double_coset_facts(E, rnd):
+    """The facts that make one solve per double coset exact, checked on
+    the per-g reference: (i) every hit count is 0 or |L*(C1)|; (ii) g . s
+    has the hits of g for s in G0; (iii) the rho = 0 hit set G0 of an
+    automorphism scan contains R*(C1) and is a group, and each rho > 0
+    hit set is a left coset of G0."""
+    fld, n = E.base, E.n
+    gl, product = _gl_index(fld, n)
+    C1 = random_code(E, rnd)
+    ideal = idealizers(C1)
+    left_units = _unit_count([_flat(m) for m in ideal.left.basis], n, fld)
+    aut = reference_scan_hits(C1, C1)
+    C2 = equivalent_partner(C1, rnd) if rnd.random() < 0.5 else random_code(E, rnd)
+    equiv = reference_scan_hits(C1, C2)
+    assert {h for rows in (aut, equiv) for row in rows for h in row} <= {0, left_units}
+    assert left_units in aut[0]  # the identity is an automorphism
+    g0 = {i for i, h in enumerate(aut[0]) if h}
+    right = set(linalg.span_elements([_flat(m) for m in ideal.right.basis], fld))
+    assert {i for i, g in enumerate(gl) if _flat(g) in right} <= g0
+    members = sorted(g0)
+    for _ in range(300):
+        assert product(gl[rnd.choice(members)], gl[rnd.choice(members)]) in g0
+    for row in aut[1:]:
+        hit_set = {i for i, h in enumerate(row) if h}
+        if hit_set:
+            g1 = gl[min(hit_set)]
+            assert hit_set == {product(g1, gl[s]) for s in g0}
+    for row in equiv:
+        for _ in range(20):
+            g, s = rnd.randrange(len(gl)), rnd.choice(members)
+            assert row[product(gl[g], gl[s])] == row[g]
