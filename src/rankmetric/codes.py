@@ -8,20 +8,21 @@ chunked splitting for parallel sweeps: chunk [lo, hi) always yields the
 same subspaces in the same order.
 
 Every codeword sweep -- the minimum distance of one code, the density
-sweeps here and in `restricted` -- asks one question of a span: the
-minimum rank over its nonzero words, stopping at the first word of rank
-< d.  One kernel, `_SpanMinRank`, answers it, growing the span one row at
-a time and ranking only the words each new row adds, on one of two paths
-chosen from the input: bit-packed words with a precomputed rank table
-when the entries are in GF(2) and nm <= 16, the generic field arithmetic
-and `linalg.rank` otherwise.  Packing never appears in any public
-signature.
+sweeps here and in `restricted`, the distinguishing sweep
+`critical.delta_bruteforce` -- asks one question of a span: does it hold
+a bad word?  A bad word has rank < d, or, in the distinguishing sweep,
+lies on a point of the given point set.  One kernel, `_SpanMinRank`,
+answers it, growing the span one row at a time and testing only the
+words each new row adds, on one of two paths chosen from the input:
+bit-packed words with a precomputed table when the entries are in GF(2)
+and nm <= 16, the generic field arithmetic otherwise.  Packing never
+appears in any public signature.
 
-The density sweeps are pruned.  Inside a pivot pattern the last RREF row
-holds the most significant base-q digits of the index, so a depth-first
-search that fixes row k-1 first and row 0 last meets each partial
-subcode once, as a contiguous index block.  If the rows fixed so far
-already span a word of rank < d, so does every completion, and the whole
+The Grassmannian sweeps are pruned.  Inside a pivot pattern the last
+RREF row holds the most significant base-q digits of the index, so a
+depth-first search that fixes row k-1 first and row 0 last meets each
+partial subcode once, as a contiguous index block.  If the rows fixed so
+far already span a bad word, so does every completion, and the whole
 block is skipped without being enumerated.  The count is exact, and a
 chunk [lo, hi) counts exactly the surviving subspaces with index in
 [lo, hi), as the flat sweep of that chunk did, so any chunking sums to
@@ -37,7 +38,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from . import linalg
 from .errors import charge, resolve_budget
@@ -86,65 +87,21 @@ class Grassmannian:
         if self.total != qbinom(N, k, q):
             raise AssertionError("pivot patterns must cover the Grassmannian")
 
-    def _locate(self, index: int) -> int:
-        lo, hi = 0, len(self._patterns) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._patterns[mid][2] <= index:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
-    def rows_at(self, index: int) -> linalg.Matrix:
-        if not 0 <= index < self.total:
-            raise IndexError(index)
-        pi = self._locate(index)
-        pivots, free, offset = self._patterns[pi]
-        return next(self._emit(pivots, free, index - offset, index - offset + 1))
-
-    def _emit(
-        self, pivots: Sequence[int], free: Sequence[tuple[int, int]], lo: int, hi: int
-    ) -> Iterator[linalg.Matrix]:
-        q, k, N = self.q, self.k, self.N
-        template = [[0] * N for _ in range(k)]
-        for r, c in enumerate(pivots):
-            template[r][c] = 1
-        for fill in range(lo, hi):
-            rows = [row[:] for row in template]
-            e = fill
-            for r, j in free:
-                rows[r][j] = e % q
-                e //= q
-            yield tuple(tuple(row) for row in rows)
-
-    def _emit_packed(
-        self, pivots: Sequence[int], free: Sequence[tuple[int, int]], lo: int, hi: int
-    ) -> Iterator[tuple[int, ...]]:
-        template = [1 << c for c in pivots]
-        masks = [(r, 1 << j) for r, j in free]
-        for fill in range(lo, hi):
-            rows = template[:]
-            e = fill
-            for r, mask in masks:
-                if e & 1:
-                    rows[r] |= mask
-                e >>= 1
-            yield tuple(rows)
-
     def iter_range(self, lo: int = 0, hi: int | None = None) -> Iterator[linalg.Matrix]:
         """Subspaces lo..hi-1 in canonical order, as tuples of row tuples."""
+        q, k, N = self.q, self.k, self.N
         hi = self.total if hi is None else hi
-        for pivots, free, offset, a, b in self._pattern_slices(lo, hi):
-            yield from self._emit(pivots, free, a, b)
-
-    def iter_packed_range(self, lo: int = 0, hi: int | None = None) -> Iterator[tuple[int, ...]]:
-        """q = 2 only: subspaces as tuples of bit-packed rows (bit j = col j)."""
-        if self.q != 2:
-            raise ValueError("packed enumeration is a GF(2) internal")
-        hi = self.total if hi is None else hi
-        for pivots, free, offset, a, b in self._pattern_slices(lo, hi):
-            yield from self._emit_packed(pivots, free, a, b)
+        for pivots, free, a, b in self._pattern_slices(lo, hi):
+            template = [[0] * N for _ in range(k)]
+            for r, c in enumerate(pivots):
+                template[r][c] = 1
+            for fill in range(a, b):
+                rows = [row[:] for row in template]
+                e = fill
+                for r, j in free:
+                    rows[r][j] = e % q
+                    e //= q
+                yield tuple(tuple(row) for row in rows)
 
     def _pattern_slices(self, lo: int, hi: int):
         if not 0 <= lo <= hi <= self.total:
@@ -154,7 +111,7 @@ class Grassmannian:
             a = max(lo, offset) - offset
             b = min(hi, offset + count) - offset
             if a < b:
-                yield pivots, free, offset, a, b
+                yield pivots, free, a, b
 
 
 def enumerate_subspaces(
@@ -273,18 +230,36 @@ class _SpanMinRank:
     Generic path otherwise: words are tuples over fld, ranked by
     linalg.rank; the span coefficients range over GF(q), a subfield of
     fld.  vec(flat) converts a flattened n x m matrix into a word.
+
+    Given a point set `points` of GF(q)^(nm) (canonical vectors, first
+    nonzero entry 1, fld = GF(q)), a word is bad when its projective
+    point lies in the set, not when its rank is low: its "rank" reads 0
+    there and 1 elsewhere, so with n = 1 and d = 1 count() counts the
+    subspaces that distinguish the set.  The packed table then holds
+    these 0/1 values, and the generic path looks each word up in the
+    set.  Every word count() tests is x + w with x the RREF row of least
+    pivot so far and w zero up to that pivot, so its first nonzero entry
+    is 1: it is the canonical vector of its point.  A partial subspace
+    holding a point keeps it in every completion, so the pruning stays
+    exact.
     """
 
-    __slots__ = ("packed", "fld", "q", "n", "m", "table", "zero")
+    __slots__ = ("packed", "fld", "q", "n", "m", "table", "zero", "bad")
 
-    def __init__(self, fld, q: int, n: int, m: int):
+    def __init__(self, fld, q: int, n: int, m: int, points: Collection[Sequence[int]] = ()):
         self.packed = fld.order == 2 and n * m <= 16
         self.fld, self.q, self.n, self.m = fld, q, n, m
-        if self.packed:
+        self.zero = 0 if self.packed else (0,) * (n * m)
+        self.bad = None
+        if points and self.packed:
+            table = bytearray(b"\x01") * (1 << (n * m))
+            for p in points:
+                table[linalg.pack_row(p)] = 0
+            self.table = bytes(table)
+        elif points:
+            self.bad = frozenset(points)
+        elif self.packed:
             self.table = linalg.gf2_rank_table(n, m)
-            self.zero = 0
-        else:
-            self.zero = (0,) * (n * m)
 
     def vec(self, flat: Sequence[int]):
         return linalg.pack_row(flat) if self.packed else tuple(flat)
@@ -316,6 +291,12 @@ class _SpanMinRank:
             return best
         fld, n, m = self.fld, self.n, self.m
         add, rank = fld.add, linalg.rank
+        if self.bad is not None:
+            bad = self.bad
+            for w in W:
+                if tuple([add(a, b) for a, b in zip(x, w)]) in bad:
+                    return 0
+            return 1
         for w in W:
             vec = [add(a, b) for a, b in zip(x, w)]
             r = rank([vec[i * m : (i + 1) * m] for i in range(n)], fld)
@@ -347,25 +328,27 @@ class _SpanMinRank:
         return best
 
     def count(self, g: Grassmannian, units: Sequence, d: int, lo: int, hi: int) -> int:
-        """Number of subspaces lo..hi-1 of g whose nonzero words all have
-        rank >= d, where units[j] is the word of coordinate vector e_j of
-        GF(q)^g.N (the coordinates are GF(q)-linear, so a subspace's words
-        are the images of its vectors).
+        """Number of subspaces lo..hi-1 of g with no bad word: every
+        nonzero word has rank >= d, or, for a point-set kernel at d = 1,
+        no word lies on a point of the set.  units[j] is the word of
+        coordinate vector e_j of GF(q)^g.N (the coordinates are
+        GF(q)-linear, so a subspace's words are the images of its
+        vectors).  At k = 0 the one subspace, {0}, has no nonzero word.
 
         Inside a pivot pattern, row r's free entries are the base-q digits
         of the index from weight q^(free entries of rows < r) up, so fixing
         rows k-1 down to r fixes a contiguous block of q^(free entries of
         rows < r) indices.  The depth-first search fixes row k-1 first and
-        row 0 last; once a fixed row makes a word of rank < d, every
-        completion keeps that word and would fail, so the whole block is
-        skipped.  Only the values of a row whose block meets [lo, hi) are
-        tried, and each surviving row-0 leaf, one subspace, is counted
-        once, so the counts of any chunking add up to the full count.
+        row 0 last; once a fixed row makes a bad word, every completion
+        keeps that word and would fail, so the whole block is skipped.
+        Only the values of a row whose block meets [lo, hi) are tried, and
+        each surviving row-0 leaf, one subspace, is counted once, so the
+        counts of any chunking add up to the full count.
         """
         q, k = g.q, g.k
         first_below, extend, add, scale = self.first_below, self.extend, self.add, self.scale
         total = 0
-        for pivots, free, _, a, b in g._pattern_slices(lo, hi):
+        for pivots, free, a, b in g._pattern_slices(lo, hi):
             # levels[r] = (the word of every value of row r, indexed by the
             # value, and the index weight of row r's lowest digit)
             levels = []
@@ -394,7 +377,7 @@ class _SpanMinRank:
                         found += descend(r - 1, base + v * weight, extend(W, x))
                 return found
 
-            total += descend(k - 1, 0, [self.zero])
+            total += descend(k - 1, 0, [self.zero]) if k else b - a
         return total
 
 

@@ -5,6 +5,12 @@ bridge to block-code weight distributions.
 A point set stores one canonical vector per 1-dimensional subspace (first
 nonzero coordinate normalized to 1).  All averages are exact Fractions;
 asymptotic limit expressions are evaluated as floats.
+
+`delta_bruteforce` is the density sweep of `codes` with another notion
+of a bad word: a word whose projective point lies in P, where the sweep
+asks for a word of rank < d.  That is the paper's bridge as code: a
+code has minimum distance >= d iff it distinguishes the rank-ball point
+set of radius d - 1, and the two counts run on one pruned traversal.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from math import exp
 from typing import Iterable, Sequence
 
 from . import linalg
-from .codes import Grassmannian, field_for_order
+from .codes import Grassmannian, _SpanMinRank, field_for_order
 from .errors import charge, resolve_budget
 from .qcomb import binom, qbinom
 
@@ -77,16 +83,12 @@ class PointSet:
 
 
 def distinguishes(V_rows: Sequence[Sequence[int]], P: PointSet) -> bool:
-    """True iff no point of P lies in the row space of V_rows (an RREF
-    basis of the subspace)."""
+    """True iff no point of P lies in the row space of V_rows (any
+    spanning rows of the subspace)."""
     if not V_rows or len(V_rows[0]) != P.N:
         raise ValueError("subspace and point set live in different spaces")
-    fld = P.field
-    pivots = tuple(next(j for j, x in enumerate(row) if x) for row in V_rows)
-    for p in P.points:
-        if linalg.in_rowspan(tuple(tuple(r) for r in V_rows), pivots, p, fld):
-            return False
-    return True
+    rows, pivots = linalg.rref(V_rows, P.field)
+    return not any(linalg.in_rowspan(rows, pivots, p, P.field) for p in P.points)
 
 
 def _subspace_point_masks(N: int, k: int, q: int) -> list[int]:
@@ -107,19 +109,19 @@ def _subspace_point_masks(N: int, k: int, q: int) -> list[int]:
 
 
 def delta_bruteforce(P: PointSet, k: int, budget: int | None = None) -> Fraction:
-    """Exact fraction of k-dim subspaces of GF(q)^N distinguishing P."""
+    """Exact fraction of k-dim subspaces of GF(q)^N distinguishing P.
+
+    The sweep is the pruned one of the density sweeps in `codes`, with a
+    word bad when its projective point lies in P: a partial subspace
+    that already holds a point of P is skipped with all its
+    completions."""
     N, q = P.N, P.q
     total = qbinom(N, k, q)
     charge(total, resolve_budget(budget), f"G_{q}({N},{k}) distinguishing sweep")
     g = Grassmannian(N, k, q)
-    fld = g.field
-    count = 0
-    pts = P.sorted_points()
-    for rows in g.iter_range():
-        pivots = tuple(next(j for j, x in enumerate(row) if x) for row in rows)
-        if not any(linalg.in_rowspan(rows, pivots, p, fld) for p in pts):
-            count += 1
-    return Fraction(count, total)
+    kernel = _SpanMinRank(g.field, q, 1, N, P.points)
+    units = [kernel.vec(row) for row in linalg.identity(N)]
+    return Fraction(kernel.count(g, units, 1, 0, total), total)
 
 
 def rank_ball_pointset(n: int, m: int, r: int, q, budget: int | None = None) -> PointSet:

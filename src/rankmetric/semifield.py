@@ -456,8 +456,10 @@ def _matrix_code(mat: linalg.Matrix, q: int) -> int:
 
 
 def _pair_budget(C: LinPolyCode) -> int:
-    n = C.field.n
-    return C.field.base.h * gl_order(n, C.field.base) ** 2
+    """The worst case of one scan: the q^(n^2) matrices tried to build
+    GL_n(q), then one left-multiplier solve per (rho, g)."""
+    fld, n = C.field.base, C.field.n
+    return fld.order ** (n * n) + fld.h * gl_order(n, fld)
 
 
 def _left_multiplier_space(
@@ -504,8 +506,12 @@ def _right_idealizer_space(
     return linalg.solution_space(rows, n * n, fld)
 
 
-def _invertible_in_space(space: linalg.Matrix, n: int, fld) -> Iterator[linalg.Matrix]:
+def _invertible_in_space(
+    space: linalg.Matrix, n: int, fld, budget: int
+) -> Iterator[linalg.Matrix]:
     """The invertible n x n matrices in the span of `space` (flattened)."""
+    size = fld.order ** len(space)
+    charge(size, budget, f"{size} matrices of a {len(space)}-dim space")
     for vec in linalg.span_elements(space, fld):
         if not any(vec):
             continue
@@ -618,13 +624,18 @@ def _row_arithmetic(fld, n: int) -> tuple[list[int], list[list[int]]]:
 
 
 def _unit_generators(
-    gl: _GLProducts, checks: Sequence[Sequence[int]], mats: Sequence[linalg.Matrix], n: int, fld
+    gl: _GLProducts,
+    checks: Sequence[Sequence[int]],
+    mats: Sequence[linalg.Matrix],
+    n: int,
+    fld,
+    budget: int,
 ) -> list[int]:
     """GL indices of generators of R*, the unit group of the right
     idealizer of the code with basis matrices `mats` and check rows
     `checks`."""
     space = _right_idealizer_space(checks, mats, n, fld)
-    return gl.generators(map(gl.index, _invertible_in_space(space, n, fld)))
+    return gl.generators(map(gl.index, _invertible_in_space(space, n, fld, budget)))
 
 
 def _equivalence_scan(
@@ -671,14 +682,15 @@ def _equivalence_scan(
         raise ValueError("codes live over different fields")
     if C1.dim != C2.dim:
         return 0
-    charge(_pair_budget(C1), resolve_budget(budget), "equivalence triple search")
+    budget = resolve_budget(budget)
+    charge(_pair_budget(C1), budget, "equivalence triple search")
     checks = linalg.solution_space(C1.matrix_code.basis, n * n, fld)
     gl = _GLProducts(fld, n)
     size = len(gl.codes)
     lo, hi = chunk if chunk is not None else (0, size)
     if not 0 <= lo <= hi <= size:
         raise ValueError(f"chunk {chunk} is not a slice of the {size} elements of GL")
-    h_gens = _unit_generators(gl, checks, [p.to_matrix() for p in C1.basis], n, fld)
+    h_gens = _unit_generators(gl, checks, [p.to_matrix() for p in C1.basis], n, fld, budget)
     rights = [gl.right_mul(s) for s in h_gens]
     hits = total = 0
     for rho in range(fld.h):
@@ -688,7 +700,7 @@ def _equivalence_scan(
             l_gens = h_gens
         else:
             rho_checks = linalg.solution_space(Crho.matrix_code.basis, n * n, fld)
-            l_gens = _unit_generators(gl, rho_checks, base_mats, n, fld)
+            l_gens = _unit_generators(gl, rho_checks, base_mats, n, fld, budget)
         acts = [gl.left_mul(u) for u in l_gens] + rights
         grow = rho == 0 and C1 == C2
         state = bytearray(size)  # 0 undecided, 1 no hit, 2 hit
@@ -708,7 +720,7 @@ def _equivalence_scan(
                 continue
             dmats = [linalg.mat_mul(M, gl.mats[i], fld) for M in base_mats]
             space = _left_multiplier_space(checks, dmats, n, fld)
-            count = sum(1 for _ in _invertible_in_space(space, n, fld))
+            count = sum(1 for _ in _invertible_in_space(space, n, fld, budget))
             if count and not count_all:
                 return 1
             hits = hits or count

@@ -113,19 +113,6 @@ def test_chunked_enumeration_is_a_partition():
         assert glued == whole
 
 
-def test_rows_at_random_access():
-    g = Grassmannian(5, 2, 3)
-    stream = list(g.iter_range())
-    for idx in (0, 1, 7, 100, g.total - 1):
-        assert g.rows_at(idx) == stream[idx]
-
-
-def test_streaming_count_9_3_2():
-    g = Grassmannian(9, 3, 2)
-    assert g.total == 788035
-    assert sum(1 for _ in g.iter_packed_range()) == 788035
-
-
 def test_enumeration_budget():
     with pytest.raises(BudgetExceededError):
         list(enumerate_subspaces(9, 3, 2, budget=1000))

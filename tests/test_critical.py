@@ -7,8 +7,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rankmetric.codes import Grassmannian, density_bruteforce
+from rankmetric import linalg
+from rankmetric.codes import Grassmannian, _SpanMinRank, density_bruteforce, field_for_order
 from rankmetric.critical import (
     PointSet,
     all_points,
@@ -66,8 +69,14 @@ def test_distinguishes_basics():
     assert not distinguishes(((1, 0),), P_inside)
     P_outside = PointSet(2, 2, [(0, 1), (1, 1)])
     assert distinguishes(((1, 0),), P_outside)
+    # rows that span the space without being in RREF, and a zero row
+    assert not distinguishes(((0, 1), (1, 1)), P_inside)
+    assert not distinguishes(((1, 0), (0, 0)), P_inside)
+    assert distinguishes(((0, 0),), P_inside)
     with pytest.raises(ValueError):
         distinguishes(((1, 0, 0),), P_inside)
+    with pytest.raises(ValueError):
+        distinguishes((), P_inside)
 
 
 def test_delta_bruteforce_examples():
@@ -77,6 +86,11 @@ def test_delta_bruteforce_examples():
     # all points: nothing avoids them
     full = PointSet(2, 2, all_points(2, 2))
     assert delta_bruteforce(full, 1) == 0
+
+
+# (n, m, r) -> the number of 3-dim codes of GF(q)^(n x m) with minimum
+# distance >= r + 1, by q
+RANK_BALL_K3 = {2: {(3, 3, 1): 382056, (3, 3, 2): 192}, 3: {(2, 3, 1): 3456}}
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -91,6 +105,58 @@ def test_rank_ball_instance_matches_matrix_density(q):
         lhs = delta_bruteforce(P, k)
         rhs = density_bruteforce(2, 2, k, 2, q).density
         assert lhs == rhs
+    for (n, m, r), count in RANK_BALL_K3[q].items():
+        expected = Fraction(count, qbinom(n * m, 3, q))
+        assert delta_bruteforce(rank_ball_pointset(n, m, r, q), 3) == expected
+        assert density_bruteforce(n, m, 3, r + 1, q).density == expected
+
+
+def reference_distinguishing_counts(P, k, bounds):
+    """For each chunk [bounds[i], bounds[i+1]) of the canonical order, the
+    number of its k-dim subspaces that distinguish P, one membership test
+    per subspace; the zero subspace (k = 0) distinguishes every set."""
+    g = Grassmannian(P.N, k, P.q)
+    return [
+        sum(1 for rows in g.iter_range(lo, hi) if not rows or distinguishes(rows, P))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
+# (q, N, k) with at most 1,000 subspaces; q = 2 takes the packed path,
+# q = 3, 4 and 5 the generic one (q = 4 has a non-prime field)
+DELTA_SHAPES = [
+    (q, N, k)
+    for q in (2, 3, 4, 5)
+    for N in range(1, 7)
+    for k in range(N + 1)
+    if qbinom(N, k, q) <= 1000
+]
+
+
+@st.composite
+def delta_cases(draw):
+    q, N, k = draw(st.sampled_from(DELTA_SHAPES))
+    fld = field_for_order(q)
+    pts = draw(st.lists(st.sampled_from(all_points(N, q)), min_size=1, max_size=12))
+    # scale each point by a random unit, so P is not given canonically
+    units = st.integers(1, q - 1)
+    P = PointSet(N, q, [tuple(fld.mul(draw(units), x) for x in p) for p in pts])
+    total = qbinom(N, k, q)
+    cuts = draw(st.lists(st.integers(0, total), max_size=5))
+    return P, k, [0] + sorted(cuts) + [total]
+
+
+@given(delta_cases())
+@settings(max_examples=120, deadline=None)
+def test_delta_bruteforce_matches_flat_reference(case):
+    P, k, bounds = case
+    expected = reference_distinguishing_counts(P, k, bounds)
+    g = Grassmannian(P.N, k, P.q)
+    kernel = _SpanMinRank(g.field, P.q, 1, P.N, P.points)
+    units = [kernel.vec(row) for row in linalg.identity(P.N)]
+    chunks = [kernel.count(g, units, 1, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    assert chunks == expected
+    assert delta_bruteforce(P, k) == Fraction(sum(expected), g.total)
 
 
 # ------------------------------------------------------- averages

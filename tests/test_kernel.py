@@ -1,10 +1,12 @@
 """The codeword-sweep kernel against a brute-force reference.
 
-`MatrixCode.min_distance`, `density_bruteforce` and
-`restricted_density_bruteforce` all run on the one min-rank kernel in
-`codes`, which takes a bit-packed path for GF(2) entries with nm <= 16 and
-a generic path otherwise; the two density sweeps skip every subspace
-that contains an already rejected partial subcode.  The references here
+`MatrixCode.min_distance`, `density_bruteforce`,
+`restricted_density_bruteforce` and `critical.delta_bruteforce` all run
+on the one kernel in `codes`, which takes a bit-packed path for GF(2)
+entries with nm <= 16 and a generic path otherwise; the Grassmannian
+sweeps skip every subspace that contains an already rejected partial
+subcode.  The point-set predicate of `delta_bruteforce` is checked
+against its flat reference in test_critical.py.  The references here
 enumerate every subspace with `Grassmannian.iter_range` and every word of
 its span with `linalg.span_elements`, and rank each word with
 `linalg.rank`, with no pruning, no early exit and no packing.

@@ -8,6 +8,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from rankmetric import linalg, semifield
+from rankmetric.errors import BudgetExceededError
 from rankmetric.fields import FiniteField, make_ext_field, make_field, nth_irreducible
 from rankmetric.linpoly import LinearizedPoly, from_matrix
 from rankmetric.qcomb import gl_order
@@ -581,7 +582,8 @@ def test_double_coset_scan_solve_counts(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(semifield, "_left_multiplier_space", counted)
-    assert aut_group_size_bruteforce(c0_code(E27), budget=BIG) == 2028
+    # the default budget covers the scan's real worst case
+    assert aut_group_size_bruteforce(c0_code(E27)) == 2028
     assert len(solves) == 35
     solves.clear()
     spec = next(s for s in valid_twisted_specs(E27) if (s.i, s.j) == (1, 2))
@@ -593,6 +595,17 @@ def test_double_coset_scan_solve_counts(monkeypatch):
         solves.clear()
         assert aut_group_size_bruteforce(c0_code(E27), budget=BIG, chunk=chunk) == 0
         assert len(solves) <= 2
+
+
+def test_aut_scan_charges_before_building_gl(monkeypatch):
+    # building GL_3(3) tries 3^9 matrices, then the scan makes at most one
+    # solve per g in GL_3(3): 19683 + 11232 steps, charged before either
+    def tripwire(*args):
+        raise AssertionError("GL built before the budget charge")
+
+    monkeypatch.setattr(semifield, "_invertible_matrices", tripwire)
+    with pytest.raises(BudgetExceededError, match="30915 steps"):
+        aut_group_size_bruteforce(c0_code(E27), budget=30914)
 
 
 def _gl_index(fld, n):
