@@ -49,7 +49,6 @@ from .semifield import (
     equiv_to_c0_predicate,
     idealizers,
     is_equivalent_bruteforce,
-    is_equivalent_monomial,
     normalize_contains_x,
     nuclei,
     semifield_to_code,

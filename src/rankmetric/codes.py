@@ -461,7 +461,8 @@ def density_bruteforce(
     if not (1 <= k <= n * m and 1 <= d <= min(n, m)):
         raise ValueError(f"bad parameters n={n}, m={m}, k={k}, d={d}")
     total = qbinom(n * m, k, q)
-    charge(total, resolve_budget(budget), f"G_{q}({n * m},{k}) sweep")
+    # the sweep holds every word of a (k-1)-dim span: q^(k-1) of them
+    charge(total + q ** (k - 1), resolve_budget(budget), f"G_{q}({n * m},{k}) sweep")
     t0 = time.perf_counter()
     if jobs <= 1:
         count = _density_worker((n, m, k, d, q, 0, total))

@@ -117,7 +117,8 @@ def delta_bruteforce(P: PointSet, k: int, budget: int | None = None) -> Fraction
     completions."""
     N, q = P.N, P.q
     total = qbinom(N, k, q)
-    charge(total, resolve_budget(budget), f"G_{q}({N},{k}) distinguishing sweep")
+    words = q ** max(k - 1, 0)  # every word of the largest span the sweep holds
+    charge(total + words, resolve_budget(budget), f"G_{q}({N},{k}) distinguishing sweep")
     g = Grassmannian(N, k, q)
     kernel = _SpanMinRank(g.field, q, 1, N, P.points)
     units = [kernel.vec(row) for row in linalg.identity(N)]

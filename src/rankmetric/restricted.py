@@ -253,7 +253,8 @@ def restricted_density_bruteforce(
     if not 1 <= k <= dim:
         raise ValueError(f"need 1 <= k <= {dim}")
     total = qbinom(dim, k, q)
-    charge(total, resolve_budget(budget), f"{kind} Grassmannian sweep")
+    # the sweep holds every word of a (k-1)-dim span: q^(k-1) of them
+    charge(total + q ** (k - 1), resolve_budget(budget), f"{kind} Grassmannian sweep")
     g = Grassmannian(dim, k, q)
     kernel = _SpanMinRank(fld, q, n, n)
     # coordinate vector e_i stands for basis matrix i

@@ -30,9 +30,11 @@ So at rho = 0 of an automorphism scan every hit joins H, and the rho > 0
 passes reuse that H; an equivalence scan keeps H = R*(C1).  The count is
 hits x (the number of g with a hit), which equals the unreduced per-g
 sweep (the tests check this against a per-g loop).  No classification
-result is assumed.  The monomial search of is_equivalent_monomial is a
-documented pruning for twisted-vs-twisted tests only, never the source of
-truth.
+result is assumed.
+
+The class census takes the class of the field-multiplication code from
+the closed form equiv_to_c0_predicate and decides every other pair of
+twisted codes by this exact scan; there is no second equivalence test.
 """
 
 from __future__ import annotations
@@ -660,21 +662,24 @@ def _equivalence_scan(
       (iii) in an automorphism scan the rho = 0 hit set is a group G0
           containing R*(C1), each rho > 0 hit set a left coset of G0.
     So at rho = 0 of an automorphism scan every hit joins H, and the
-    rho > 0 passes reuse that H.  The identity is decided first there: its
-    double coset contains the group H generates, so every later hit lies
-    outside it and is a new generator.  An equivalence scan keeps
-    H = R*(C1), since the hits of C2 say nothing about C1's automorphisms.
+    rho > 0 passes reuse that H.  An equivalence scan keeps H = R*(C1),
+    since the hits of C2 say nothing about C1's automorphisms.
 
-    Indices are decided in GL order, the state of each kept in a
-    bytearray over GL: a solve's verdict is spread along the generators of
-    L and H over its double coset, and when H gains a generator every
-    index already decided is spread along it too.
+    Every pass decides the identity first, then the other indices in GL
+    order, the state of each kept in a bytearray over GL: a solve's
+    verdict is spread along the generators of L and H over its double
+    coset, and when H gains a generator every index already decided is
+    spread along it too.  Since verdicts are exact per double coset, the
+    order changes no verdict and no count.  At rho = 0 of an automorphism
+    scan the identity's double coset contains the group H generates, so
+    every later hit lies outside it and is a new generator.
 
     chunk=(lo, hi) restricts the count to a slice of the GL enumeration;
     counting over a partition of [0, |GL|) sums to the full count, and hit
     existence is independent of the split, so parallel reductions stay
-    deterministic.  A pass ends as soon as every index of the slice is
-    decided."""
+    deterministic.  The identity is decided even outside the slice, but
+    only indices inside it are counted.  A pass ends as soon as every
+    index of the slice is decided."""
     E = C1.field
     fld = E.base
     n = E.n
@@ -713,7 +718,7 @@ def _equivalence_scan(
                 remaining -= 1
                 positives += verdict == 2
 
-        for i in chain((gl.identity,) if grow else (), range(lo, hi)):
+        for i in chain((gl.identity,), range(lo, hi)):
             if not remaining:
                 break
             if state[i]:
@@ -760,50 +765,6 @@ def aut_group_size_bruteforce(
     optional chunk=(lo, hi) slice of the GL sweep supports deterministic
     parallel splitting (chunk counts sum to the total)."""
     return _equivalence_scan(C, C, budget, count_all=True, chunk=chunk)
-
-
-def is_equivalent_monomial(
-    C1: LinPolyCode, C2: LinPolyCode, budget: int | None = None
-) -> bool:
-    """Pruned twisted-vs-twisted test: search only monomial factors
-    f = a x^(q^s), g = b x^(q^t).  Complete for pairs of twisted codes not
-    equivalent to the field-multiplication code (and prime fields, h = 1);
-    a miss here is NOT a proof of inequivalence in general."""
-    E = C1.field
-    if E.base.h != 1:
-        raise ValueError("monomial pruning implemented for prime fields only")
-    n = E.n
-    charge(
-        (E.order - 1) ** 2 * n * n,
-        resolve_budget(budget),
-        "monomial equivalence search",
-    )
-    target = C2.matrix_code
-    basis_coeffs = [p.coeffs for p in C1.basis]
-    for s in range(n):
-        # precompute p-th powers of coefficients once per s
-        twisted = [
-            [E.frobenius(ck, s) for ck in coeffs] for coeffs in basis_coeffs
-        ]
-        for t in range(n):
-            for a in E.units():
-                for b in E.units():
-                    polys = []
-                    for coeffs_s in twisted:
-                        out = [0] * n
-                        for k, cks in enumerate(coeffs_s):
-                            if cks:
-                                pos = (k + t + s) % n
-                                val = E.mul(E.mul(a, cks), E.frobenius(b, (k + s) % n))
-                                out[pos] = E.add(out[pos], val)
-                        polys.append(LinearizedPoly(E, out))
-                    try:
-                        cand = LinPolyCode(E, polys)
-                    except ValueError:
-                        continue
-                    if cand.matrix_code == target:
-                        return True
-    return False
 
 
 # ----------------------------------------------------------------------
@@ -886,10 +847,10 @@ def twisted_class_census(
     the class, and (optionally) the brute-forced automorphism group size
     of the representative.
 
-    Classes are separated by the field-code predicate and, among the
-    remaining codes, by monomial equivalence to the accumulated
-    representatives (prime fields) or the unpruned search otherwise.  The
-    test suite cross-validates this split against the unpruned search.
+    The class of the field code is given by equiv_to_c0_predicate; the
+    test suite checks it against the exact scan.  Every other code is
+    tested against the accumulated representatives by
+    is_equivalent_bruteforce, over any base field.
     """
     classes: list[dict] = []
     reps: list[tuple[LinPolyCode, bool]] = []
@@ -899,22 +860,14 @@ def twisted_class_census(
         if code in seen:
             continue  # members counts distinct codes, not spec tuples
         is_c0_class = equiv_to_c0_predicate(spec)
-        placed = False
         for idx, (rep_code, rep_is_c0) in enumerate(reps):
-            if rep_is_c0 != is_c0_class:
-                continue
-            if rep_is_c0:
-                equivalent = True  # both equivalent to the field code
-            elif field.base.h == 1:
-                equivalent = is_equivalent_monomial(code, rep_code, budget=budget)
-            else:
-                equivalent = is_equivalent_bruteforce(code, rep_code, budget=budget)
-            if equivalent:
+            if rep_is_c0 == is_c0_class and (
+                rep_is_c0 or is_equivalent_bruteforce(code, rep_code, budget=budget)
+            ):
                 seen[code] = idx
                 classes[idx]["members"] += 1
-                placed = True
                 break
-        if not placed:
+        else:
             seen[code] = len(reps)
             reps.append((code, is_c0_class))
             classes.append(

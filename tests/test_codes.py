@@ -201,6 +201,19 @@ def test_density_budget_error():
         density_bruteforce(3, 3, 3, 3, 2, budget=10)
 
 
+def test_density_charges_the_words_of_a_span(monkeypatch):
+    # G_4(9, 9) is one subspace, but the sweep holds all 4^8 words of an
+    # 8-dim span: 1 + 65536 steps, charged before the sweep starts
+    from rankmetric import codes
+
+    def tripwire(*args):
+        raise AssertionError("Grassmannian built before the budget charge")
+
+    monkeypatch.setattr(codes, "Grassmannian", tripwire)
+    with pytest.raises(BudgetExceededError, match="65537 steps"):
+        density_bruteforce(3, 3, 9, 1, 4, budget=1)
+
+
 # ------------------------------------------------- spectrum-free counts
 
 def test_spectrum_free_values():

@@ -400,6 +400,19 @@ def test_budget_errors():
         lambda_exhaustive(4, 2, 5, 4, 2, budget=10)
 
 
+def test_delta_charges_the_words_of_a_span(monkeypatch):
+    # G_4(4, 4) is one subspace, but the sweep holds all 4^3 words of a
+    # 3-dim span: 1 + 64 steps, charged before the sweep starts
+    from rankmetric import critical
+
+    def tripwire(*args):
+        raise AssertionError("Grassmannian built before the budget charge")
+
+    monkeypatch.setattr(critical, "Grassmannian", tripwire)
+    with pytest.raises(BudgetExceededError, match="65 steps"):
+        delta_bruteforce(PointSet(4, 4, [(1, 0, 0, 0)]), 4, budget=1)
+
+
 def test_avg_density_exhaustive_charges_the_subspace_sweep(monkeypatch):
     # 255 point sets fit in the budget, but every one is tested against
     # all 200,787 subspaces of G_2(8, 4), which are first matched against

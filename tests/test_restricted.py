@@ -7,6 +7,7 @@ import pytest
 
 from rankmetric import linalg
 from rankmetric.codes import density_bruteforce, field_for_order, spectrum_free_count
+from rankmetric.errors import BudgetExceededError
 from rankmetric.restricted import (
     ambient_basis,
     ambient_dim,
@@ -112,6 +113,19 @@ def test_restricted_densities():
     r = restricted_density_bruteforce("symmetric", 2, 2, 2, 3)
     assert r.kind == "symmetric"
     assert r.to_json()["kind"] == "symmetric"
+
+
+def test_restricted_density_charges_the_words_of_a_span(monkeypatch):
+    # the symmetric 3 x 3 ambient over GF(4) has dimension 6: one 6-dim
+    # subspace, but the sweep holds all 4^5 words of a 5-dim span
+    from rankmetric import restricted
+
+    def tripwire(*args):
+        raise AssertionError("Grassmannian built before the budget charge")
+
+    monkeypatch.setattr(restricted, "Grassmannian", tripwire)
+    with pytest.raises(BudgetExceededError, match="1025 steps"):
+        restricted_density_bruteforce("symmetric", 3, 6, 1, 4, budget=1)
 
 
 def test_restricted_density_against_independent_count():

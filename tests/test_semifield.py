@@ -23,7 +23,6 @@ from rankmetric.semifield import (
     equiv_to_c0_predicate,
     idealizers,
     is_equivalent_bruteforce,
-    is_equivalent_monomial,
     normalize_contains_x,
     nuclei,
     semifield_to_code,
@@ -273,10 +272,8 @@ def test_norm_condition_equivalence():
     cs = [c for c in E27.units() if E27.rel_norm(c, 1) != 1]
     specs = [TwistedFieldSpec(E27, c, 1, 2) for c in cs[:3]]
     codes = [s.code() for s in specs]
-    assert is_equivalent_monomial(codes[0], codes[1])
-    assert is_equivalent_monomial(codes[0], codes[2])
-    # unpruned confirmation on one pair
     assert is_equivalent_bruteforce(codes[0], codes[1], budget=BIG)
+    assert is_equivalent_bruteforce(codes[0], codes[2], budget=BIG)
 
 
 def test_c0_not_equivalent_to_proper_twisted():
@@ -347,10 +344,10 @@ def test_class_census_f27():
     # every member of the field-code bucket is equivalent to it (unpruned)
     for code, spec in buckets[(27, 27)]:
         assert is_equivalent_bruteforce(code, c0, budget=BIG), spec
-    # every member of the twisted bucket is monomially equivalent to its rep
+    # every member of the twisted bucket is equivalent to its rep
     rep_code, _ = buckets[(3, 3)][0]
     for code, spec in buckets[(3, 3)][1:]:
-        assert is_equivalent_monomial(code, rep_code), spec
+        assert is_equivalent_bruteforce(code, rep_code, budget=BIG), spec
     # and the two buckets really are inequivalent (unpruned, full sweep)
     assert not is_equivalent_bruteforce(rep_code, c0, budget=BIG)
     assert len(buckets) == class_count_formula(3, 3) == 2
@@ -436,6 +433,18 @@ def test_twisted_class_census_json():
     # every distinct code is accounted for exactly once
     distinct = {s.code() for s in valid_twisted_specs(E27)}
     assert sum(e["members"] for e in census) == len(distinct)
+
+
+@pytest.mark.parametrize("E, aut", [(E8, 147), (E9, 128), (E16, 900), (E25, 1152)])
+def test_class_census_single_class_fields(E, aut):
+    # one class, the field code's, with |Aut| = h n (q^n - 1)^2; GF(16)
+    # over GF(4) runs the census over a non-prime base field
+    census = twisted_class_census(E)
+    assert len(census) == class_count_formula(E.n, E.base) == 1
+    (entry,) = census
+    assert entry["equivalent_to_field_code"]
+    assert entry["aut_size"] == E.base.h * E.n * (E.order - 1) ** 2 == aut
+    assert entry["members"] == len({s.code() for s in valid_twisted_specs(E)})
 
 
 # ------------------------------- basis independence of derived counts
@@ -572,8 +581,9 @@ def test_quotiented_scan_matches_per_g_reference(E, rnd):
 
 
 def test_double_coset_scan_solve_counts(monkeypatch):
-    # one left-multiplier solve per double coset R* . g . H met in GL order,
-    # H growing by every rho = 0 hit; GL_3(3) has 11232 elements
+    # one left-multiplier solve per double coset R* . g . H met in GL order
+    # after the identity, H growing by every rho = 0 hit; GL_3(3) has 11232
+    # elements
     solves = []
     original = semifield._left_multiplier_space
 
@@ -595,6 +605,11 @@ def test_double_coset_scan_solve_counts(monkeypatch):
         solves.clear()
         assert aut_group_size_bruteforce(c0_code(E27), budget=BIG, chunk=chunk) == 0
         assert len(solves) <= 2
+    # every scan decides the identity first: the census's 25 twisted-vs-
+    # twisted tests over GF(27) each end at that first solve
+    solves.clear()
+    twisted_class_census(E27, aut_sizes=False)
+    assert len(solves) == 25
 
 
 def test_aut_scan_charges_before_building_gl(monkeypatch):
