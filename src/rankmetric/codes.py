@@ -27,6 +27,14 @@ block is skipped without being enumerated.  The count is exact, and a
 chunk [lo, hi) counts exactly the surviving subspaces with index in
 [lo, hi), as the flat sweep of that chunk did, so any chunking sums to
 the same total.
+
+The three Grassmannian sweeps -- `density_bruteforce`,
+`restricted.restricted_density_bruteforce` and
+`critical.delta_bruteforce` -- hand their field, matrix shape and
+coordinate vectors to one driver, `_sweep`.  It checks d, charges the
+budget before it builds the kernel and the Grassmannian, and splits the
+index range into deterministic chunks, run by a multiprocessing Pool
+only when there is more than one chunk and more than one CPU.
 """
 
 from __future__ import annotations
@@ -435,13 +443,41 @@ class DensityResult:
         return out
 
 
-def _density_worker(args: tuple) -> int:
-    """Subspaces [lo, hi) of the sweep whose nonzero words all have rank >= d."""
-    n, m, k, d, q, lo, hi = args
-    g = Grassmannian(n * m, k, q)
-    kernel = _SpanMinRank(g.field, q, n, m)
-    units = [kernel.vec(row) for row in linalg.identity(n * m)]
+def _count_chunk(task: tuple) -> int:
+    """Pool worker: the count of one chunk [lo, hi) of a sweep."""
+    kernel, g, units, d, lo, hi = task
     return kernel.count(g, units, d, lo, hi)
+
+
+def _sweep(
+    fld, q: int, n: int, m: int, vectors: Sequence, k: int, d: int, budget: int | None,
+    what: str, points: Collection = (), jobs: int = 1,
+) -> tuple[int, int]:
+    """(count, total) of the pruned sweep of the k-dim subspaces of
+    GF(q)^N, N = len(vectors), on the kernel _SpanMinRank(fld, q, n, m,
+    points): the subspaces with no bad word, and qbinom(N, k, q).
+    Coordinate j stands for vectors[j], a flattened n x m matrix over fld.
+    The charge covers the subspaces and the q^(k-1) words of the largest
+    span the sweep holds, labelled `what`, and comes before the kernel
+    and the Grassmannian are built."""
+    if not 1 <= d <= min(n, m):
+        raise ValueError(f"bad parameters n={n}, m={m}, k={k}, d={d}")
+    N = len(vectors)
+    total = qbinom(N, k, q)
+    charge(total + q ** max(k - 1, 0), resolve_budget(budget), what)
+    kernel = _SpanMinRank(fld, q, n, m, points)
+    units = [kernel.vec(v) for v in vectors]
+    g = Grassmannian(N, k, q)
+    jobs = max(jobs, 1)
+    bounds = [total * i // jobs for i in range(jobs + 1)]
+    tasks = [(kernel, g, units, d, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    workers = min(len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        return kernel.count(g, units, d, 0, total), total
+    import multiprocessing
+
+    with multiprocessing.Pool(processes=workers) as pool:
+        return sum(pool.map(_count_chunk, tasks)), total
 
 
 def density_bruteforce(
@@ -458,26 +494,13 @@ def density_bruteforce(
     deterministic chunks; the reduction is an integer sum, so the result
     is identical for any chunking."""
     q = getattr(q, "order", q)
-    if not (1 <= k <= n * m and 1 <= d <= min(n, m)):
+    if not 1 <= k <= n * m:
         raise ValueError(f"bad parameters n={n}, m={m}, k={k}, d={d}")
-    total = qbinom(n * m, k, q)
-    # the sweep holds every word of a (k-1)-dim span: q^(k-1) of them
-    charge(total + q ** (k - 1), resolve_budget(budget), f"G_{q}({n * m},{k}) sweep")
     t0 = time.perf_counter()
-    if jobs <= 1:
-        count = _density_worker((n, m, k, d, q, 0, total))
-    else:
-        import multiprocessing
-
-        bounds = [total * i // jobs for i in range(jobs + 1)]
-        tasks = [
-            (n, m, k, d, q, bounds[i], bounds[i + 1])
-            for i in range(jobs)
-            if bounds[i] < bounds[i + 1]
-        ]
-        workers = min(jobs, len(tasks), os.cpu_count() or 1)
-        with multiprocessing.Pool(processes=workers) as pool:
-            count = sum(pool.map(_density_worker, tasks))
+    count, total = _sweep(
+        field_for_order(q), q, n, m, linalg.identity(n * m), k, d, budget,
+        f"G_{q}({n * m},{k}) sweep", jobs=jobs,
+    )
     elapsed = (time.perf_counter() - t0) * 1000.0
     return DensityResult(q, n, m, k, d, count, total, "brute_force", elapsed)
 

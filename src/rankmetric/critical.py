@@ -23,7 +23,7 @@ from math import exp
 from typing import Iterable, Sequence
 
 from . import linalg
-from .codes import Grassmannian, _SpanMinRank, field_for_order
+from .codes import Grassmannian, _sweep, field_for_order
 from .errors import charge, resolve_budget
 from .qcomb import binom, qbinom
 
@@ -116,13 +116,11 @@ def delta_bruteforce(P: PointSet, k: int, budget: int | None = None) -> Fraction
     that already holds a point of P is skipped with all its
     completions."""
     N, q = P.N, P.q
-    total = qbinom(N, k, q)
-    words = q ** max(k - 1, 0)  # every word of the largest span the sweep holds
-    charge(total + words, resolve_budget(budget), f"G_{q}({N},{k}) distinguishing sweep")
-    g = Grassmannian(N, k, q)
-    kernel = _SpanMinRank(g.field, q, 1, N, P.points)
-    units = [kernel.vec(row) for row in linalg.identity(N)]
-    return Fraction(kernel.count(g, units, 1, 0, total), total)
+    count, total = _sweep(
+        P.field, q, 1, N, linalg.identity(N), k, 1, budget,
+        f"G_{q}({N},{k}) distinguishing sweep", points=P.points,
+    )
+    return Fraction(count, total)
 
 
 def rank_ball_pointset(n: int, m: int, r: int, q, budget: int | None = None) -> PointSet:

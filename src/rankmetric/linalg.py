@@ -103,7 +103,7 @@ def solution_space(rows: Sequence[Sequence[int]], ncols: int, fld) -> Matrix:
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], fld) -> Matrix:
-    nb = len(b[0])
+    add, mul = fld.add, fld.mul
     bt = list(zip(*b))
     out = []
     for row in a:
@@ -112,7 +112,7 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], fld) -> Matr
             s = 0
             for x, y in zip(row, col):
                 if x and y:
-                    s = fld.add(s, fld.mul(x, y))
+                    s = add(s, mul(x, y))
             orow.append(s)
         out.append(tuple(orow))
     return tuple(out)
@@ -134,31 +134,13 @@ def identity(n: int) -> Matrix:
 
 
 def mat_inv(a: Sequence[Sequence[int]], fld) -> Matrix | None:
-    """Inverse of a square matrix, or None if singular."""
+    """Inverse of a square matrix, or None if singular: the rref of
+    [A | I] is [I | A^-1] exactly when its pivots are the columns of A."""
     n = len(a)
-    work = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
-    r = 0
-    for c in range(n):
-        pivot = None
-        for i in range(r, n):
-            if work[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            return None
-        work[r], work[pivot] = work[pivot], work[r]
-        lead = work[r][c]
-        if lead != 1:
-            inv = fld.inv(lead)
-            work[r] = [fld.mul(inv, x) for x in work[r]]
-        for i in range(n):
-            if i != r and work[i][c]:
-                factor = work[i][c]
-                work[i] = [
-                    fld.sub(x, fld.mul(factor, y)) for x, y in zip(work[i], work[r])
-                ]
-        r += 1
-    return tuple(tuple(row[n:]) for row in work)
+    rows, pivots = rref([tuple(row) + e for row, e in zip(a, identity(n))], fld)
+    if pivots != tuple(range(n)):
+        return None
+    return tuple(row[n:] for row in rows)
 
 
 def is_invertible(a: Sequence[Sequence[int]], fld) -> bool:

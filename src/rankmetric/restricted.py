@@ -22,8 +22,7 @@ from functools import lru_cache
 from . import linalg
 from .codes import (
     DensityResult,
-    Grassmannian,
-    _SpanMinRank,
+    _sweep,
     field_for_order,
     spectrum_free_count,
 )
@@ -248,19 +247,14 @@ def restricted_density_bruteforce(
     fixed ambient basis."""
     q = getattr(q, "order", q)
     basis = ambient_basis(kind, n, q)
-    fld = _entry_field(kind, q)
-    dim = len(basis)
-    if not 1 <= k <= dim:
-        raise ValueError(f"need 1 <= k <= {dim}")
-    total = qbinom(dim, k, q)
-    # the sweep holds every word of a (k-1)-dim span: q^(k-1) of them
-    charge(total + q ** (k - 1), resolve_budget(budget), f"{kind} Grassmannian sweep")
-    g = Grassmannian(dim, k, q)
-    kernel = _SpanMinRank(fld, q, n, n)
+    if not 1 <= k <= len(basis):
+        raise ValueError(f"need 1 <= k <= {len(basis)}")
     # coordinate vector e_i stands for basis matrix i
-    units = [kernel.vec([x for row in bm for x in row]) for bm in basis]
+    flat = [[x for row in bm for x in row] for bm in basis]
     t0 = time.perf_counter()
-    count = kernel.count(g, units, d, 0, total)
+    count, total = _sweep(
+        _entry_field(kind, q), q, n, n, flat, k, d, budget, f"{kind} Grassmannian sweep"
+    )
     elapsed = (time.perf_counter() - t0) * 1000.0
     return DensityResult(q, n, n, k, d, count, total, "brute_force", elapsed, kind=kind)
 

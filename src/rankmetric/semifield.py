@@ -464,48 +464,39 @@ def _pair_budget(C: LinPolyCode) -> int:
     return fld.order ** (n * n) + fld.h * gl_order(n, fld)
 
 
+def _left_multiplier_rows(
+    checks: Sequence[Sequence[int]], dmats: Sequence[linalg.Matrix], n: int, fld
+) -> list[linalg.Vector]:
+    """The constraint rows of {A : A . D in span(C) for all D in dmats}:
+    <H, A . D> = <H . D^T, A> for each check H, read as an n x n matrix."""
+    dts = [tuple(zip(*D)) for D in dmats]
+    return [
+        sum(linalg.mat_mul(H, Dt, fld), ())
+        for H in ([h[r * n : (r + 1) * n] for r in range(n)] for h in checks)
+        for Dt in dts
+    ]
+
+
+def _right_idealizer_rows(
+    checks: Sequence[Sequence[int]], cmats: Sequence[linalg.Matrix], n: int, fld
+) -> list[linalg.Vector]:
+    """The constraint rows of {A : M . A in span(C) for all M in cmats},
+    `checks` spanning the orthogonal complement of C (flattened):
+    <H, M . A> = <M^T . H, A> for each check H, read as an n x n matrix."""
+    mts = [tuple(zip(*M)) for M in cmats]
+    return [
+        sum(linalg.mat_mul(Mt, H, fld), ())
+        for H in ([h[r * n : (r + 1) * n] for r in range(n)] for h in checks)
+        for Mt in mts
+    ]
+
+
 def _left_multiplier_space(
     checks: Sequence[Sequence[int]], dmats: Sequence[linalg.Matrix], n: int, fld
 ) -> linalg.Matrix:
     """Basis of {A in GF(q)^(n x n) : A . D in span(C) for all D in dmats},
     where `checks` spans the orthogonal complement of C (flattened)."""
-    rows = []
-    for h in checks:
-        hrows = [h[r * n : (r + 1) * n] for r in range(n)]
-        for D in dmats:
-            row = [0] * (n * n)
-            for r in range(n):
-                hr = hrows[r]
-                for s in range(n):
-                    acc = 0
-                    Ds = D[s]
-                    for c in range(n):
-                        if hr[c] and Ds[c]:
-                            acc = fld.add(acc, fld.mul(hr[c], Ds[c]))
-                    row[r * n + s] = acc
-            rows.append(tuple(row))
-    return linalg.solution_space(rows, n * n, fld)
-
-
-def _right_idealizer_space(
-    checks: Sequence[Sequence[int]], cmats: Sequence[linalg.Matrix], n: int, fld
-) -> linalg.Matrix:
-    """Basis of {A in GF(q)^(n x n) : M . A in span(C) for all M in cmats},
-    where `checks` spans the orthogonal complement of C (flattened)."""
-    rows = []
-    for h in checks:
-        for M in cmats:
-            row = [0] * (n * n)
-            for s in range(n):
-                for c in range(n):
-                    acc = 0
-                    for r in range(n):
-                        hv = h[r * n + c]
-                        if hv and M[r][s]:
-                            acc = fld.add(acc, fld.mul(hv, M[r][s]))
-                    row[s * n + c] = acc
-            rows.append(tuple(row))
-    return linalg.solution_space(rows, n * n, fld)
+    return linalg.solution_space(_left_multiplier_rows(checks, dmats, n, fld), n * n, fld)
 
 
 def _invertible_in_space(
@@ -636,7 +627,7 @@ def _unit_generators(
     """GL indices of generators of R*, the unit group of the right
     idealizer of the code with basis matrices `mats` and check rows
     `checks`."""
-    space = _right_idealizer_space(checks, mats, n, fld)
+    space = linalg.solution_space(_right_idealizer_rows(checks, mats, n, fld), n * n, fld)
     return gl.generators(map(gl.index, _invertible_in_space(space, n, fld, budget)))
 
 
@@ -804,18 +795,17 @@ def idealizers(C: LinPolyCode) -> IdealizerResult:
     left_space = _left_multiplier_space(checks, cmats, n, fld)
 
     # right idealizer: {A : M . A in C for all basis M}
-    right_space = _right_idealizer_space(checks, cmats, n, fld)
+    right_space = linalg.solution_space(_right_idealizer_rows(checks, cmats, n, fld), n * n, fld)
 
-    # centralizer: A M = M A for all basis M
-    rows = []
-    for M in cmats:
-        for r in range(n):
-            for c in range(n):
-                row = [0] * (n * n)
-                for s in range(n):
-                    row[r * n + s] = fld.add(row[r * n + s], M[s][c])
-                    row[s * n + c] = fld.sub(row[s * n + c], M[r][s])
-                rows.append(tuple(row))
+    # centralizer: <H, A M - M A> = 0 for every unit check H and basis M
+    units = linalg.identity(n * n)
+    rows = [
+        tuple(map(fld.sub, a, b))
+        for a, b in zip(
+            _left_multiplier_rows(units, cmats, n, fld),
+            _right_idealizer_rows(units, cmats, n, fld),
+        )
+    ]
     cent_space = linalg.solution_space(rows, n * n, fld)
 
     # center = left idealizer meet centralizer: (U cap W)^perp = U^perp + W^perp

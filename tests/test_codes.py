@@ -145,18 +145,27 @@ def test_density_2x2_value_and_monotonicity():
         assert densities[0] >= densities[1]
 
 
-def test_density_parallel_chunking_identical():
+@pytest.mark.parametrize(
+    "shape,q,count",
+    # GF(2) on the packed path; GF(3) and GF(4) on the generic one, whose
+    # kernel and field are pickled into the pool workers
+    [((2, 3, 3, 2), 2, 48), ((2, 2, 2, 2), 3, 18), ((2, 2, 2, 2), 4, 72)],
+    ids=["gf2", "gf3", "gf4"],
+)
+def test_density_parallel_chunking_identical(shape, q, count):
     for jobs in (1, 2, 5):
-        assert density_bruteforce(2, 3, 3, 2, 2, jobs=jobs).count == 48
+        assert density_bruteforce(*shape, q, jobs=jobs).count == count
 
 
 @pytest.mark.parametrize(
     "shape,cpus,workers",
-    [((1, 2, 1, 1), 4, 3), ((2, 2, 2, 2), 4, 4), ((2, 2, 2, 2), None, 1)],
+    [((1, 2, 1, 1), 4, 3), ((2, 2, 2, 2), 4, 4), ((2, 2, 2, 2), None, 1), ((1, 1, 1, 1), 4, 1)],
 )
 def test_density_pool_is_clamped(monkeypatch, shape, cpus, workers):
     # jobs=64 still sets the chunk bounds; the pool gets at most one
-    # worker per task and per CPU.  The fake pool maps in-process.
+    # worker per task and per CPU, and one worker (one CPU, or a single
+    # subspace) runs the sweep in-process with no pool.  The fake pool
+    # maps in-process.
     import multiprocessing
     import os
 
@@ -179,7 +188,7 @@ def test_density_pool_is_clamped(monkeypatch, shape, cpus, workers):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     n, m, k, d = shape
     r = density_bruteforce(n, m, k, d, 2, jobs=64)
-    assert seen == [workers]
+    assert seen == ([workers] if workers > 1 else [])
     assert r.count == density_bruteforce(n, m, k, d, 2).count
 
 
@@ -207,9 +216,10 @@ def test_density_charges_the_words_of_a_span(monkeypatch):
     from rankmetric import codes
 
     def tripwire(*args):
-        raise AssertionError("Grassmannian built before the budget charge")
+        raise AssertionError("sweep built before the budget charge")
 
     monkeypatch.setattr(codes, "Grassmannian", tripwire)
+    monkeypatch.setattr(codes, "_SpanMinRank", tripwire)
     with pytest.raises(BudgetExceededError, match="65537 steps"):
         density_bruteforce(3, 3, 9, 1, 4, budget=1)
 

@@ -403,12 +403,13 @@ def test_budget_errors():
 def test_delta_charges_the_words_of_a_span(monkeypatch):
     # G_4(4, 4) is one subspace, but the sweep holds all 4^3 words of a
     # 3-dim span: 1 + 64 steps, charged before the sweep starts
-    from rankmetric import critical
+    from rankmetric import codes
 
     def tripwire(*args):
-        raise AssertionError("Grassmannian built before the budget charge")
+        raise AssertionError("sweep built before the budget charge")
 
-    monkeypatch.setattr(critical, "Grassmannian", tripwire)
+    monkeypatch.setattr(codes, "Grassmannian", tripwire)
+    monkeypatch.setattr(codes, "_SpanMinRank", tripwire)
     with pytest.raises(BudgetExceededError, match="65 steps"):
         delta_bruteforce(PointSet(4, 4, [(1, 0, 0, 0)]), 4, budget=1)
 

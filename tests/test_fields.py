@@ -1,6 +1,8 @@
 """Field construction and arithmetic: exhaustive axioms at small orders,
 deterministic moduli, Frobenius/norm/trace contracts."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -213,6 +215,10 @@ def test_explicit_modulus_and_second_irreducible():
     assert E.order == 8
     for a in E.units():
         assert E.mul(a, E.inv(a)) == 1
+    # a pickled field, as a sweep's Pool workers receive it, keeps its modulus
+    copy = pickle.loads(pickle.dumps(E))
+    assert copy == E and copy.modulus == second
+    assert all(copy.mul(a, b) == E.mul(a, b) for a in E.elements() for b in E.elements())
     with pytest.raises(ValueError):
         FiniteField(F2, 3, modulus=(0, 1, 0, 1))  # reducible x^3+x = wrong
 

@@ -3,10 +3,13 @@
 `MatrixCode.min_distance`, `density_bruteforce`,
 `restricted_density_bruteforce` and `critical.delta_bruteforce` all run
 on the one kernel in `codes`, which takes a bit-packed path for GF(2)
-entries with nm <= 16 and a generic path otherwise; the Grassmannian
-sweeps skip every subspace that contains an already rejected partial
-subcode.  The point-set predicate of `delta_bruteforce` is checked
-against its flat reference in test_critical.py.  The references here
+entries with nm <= 16 and a generic path otherwise.  The three
+Grassmannian sweeps go through one driver, `codes._sweep`, which checks
+d, charges the budget and splits the sweep into chunks, each one
+`_SpanMinRank.count` call that skips every subspace containing an
+already rejected partial subcode; the chunks are counted here through
+`count` directly.  The point-set predicate of `delta_bruteforce` is
+checked against its flat reference in test_critical.py.  The references here
 enumerate every subspace with `Grassmannian.iter_range` and every word of
 its span with `linalg.span_elements`, and rank each word with
 `linalg.rank`, with no pruning, no early exit and no packing.
@@ -19,7 +22,7 @@ from rankmetric import linalg
 from rankmetric.codes import (
     Grassmannian,
     MatrixCode,
-    _density_worker,
+    _SpanMinRank,
     density_bruteforce,
     field_for_order,
 )
@@ -119,7 +122,10 @@ def sweep_cases(draw):
 def test_pruned_sweep_matches_flat_reference(case):
     n, m, k, d, q, bounds = case
     expected = reference_density_counts(n, m, k, d, q, bounds)
-    chunks = [_density_worker((n, m, k, d, q, lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    g = Grassmannian(n * m, k, q)
+    kernel = _SpanMinRank(g.field, q, n, m)
+    units = [kernel.vec(row) for row in linalg.identity(n * m)]
+    chunks = [kernel.count(g, units, d, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     assert chunks == expected
     assert density_bruteforce(n, m, k, d, q).count == sum(expected)
 

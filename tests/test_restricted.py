@@ -113,17 +113,22 @@ def test_restricted_densities():
     r = restricted_density_bruteforce("symmetric", 2, 2, 2, 3)
     assert r.kind == "symmetric"
     assert r.to_json()["kind"] == "symmetric"
+    # the distance must lie in 1..n, as for the full matrix space
+    for d in (0, 3):
+        with pytest.raises(ValueError):
+            restricted_density_bruteforce("symmetric", 2, 1, d, 2)
 
 
 def test_restricted_density_charges_the_words_of_a_span(monkeypatch):
     # the symmetric 3 x 3 ambient over GF(4) has dimension 6: one 6-dim
     # subspace, but the sweep holds all 4^5 words of a 5-dim span
-    from rankmetric import restricted
+    from rankmetric import codes
 
     def tripwire(*args):
-        raise AssertionError("Grassmannian built before the budget charge")
+        raise AssertionError("sweep built before the budget charge")
 
-    monkeypatch.setattr(restricted, "Grassmannian", tripwire)
+    monkeypatch.setattr(codes, "Grassmannian", tripwire)
+    monkeypatch.setattr(codes, "_SpanMinRank", tripwire)
     with pytest.raises(BudgetExceededError, match="1025 steps"):
         restricted_density_bruteforce("symmetric", 3, 6, 1, 4, budget=1)
 
