@@ -18,6 +18,7 @@ from .qcomb import (
     binom,
     comparison_inequality_check,
     gl_order,
+    matrix_rank_count,
     pi_q,
     pi_q_limit,
     pointset_size,

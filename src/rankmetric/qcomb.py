@@ -68,18 +68,25 @@ def gl_order(a: int, q) -> int:
     return out
 
 
+def matrix_rank_count(n: int, m: int, r: int, q) -> int:
+    """Number of n x m matrices over GF(q) of rank r:
+    C(n, r)_q * prod_{j<r} (q^m - q^j), a column space and a surjection
+    onto it; 0 for r > min(n, m)."""
+    q = _as_int_q(q)
+    if r < 0:
+        raise ValueError(f"need r >= 0, got r={r}")
+    out = qbinom(n, r, q)
+    for j in range(r):
+        out *= q**m - q**j
+    return out
+
+
 def ball_size(n: int, m: int, r: int, q) -> int:
     """Number of n x m matrices over GF(q) of rank <= r."""
     q = _as_int_q(q)
     if not 0 <= r <= n <= m:
         raise ValueError(f"need 0 <= r <= n <= m, got r={r}, n={n}, m={m}")
-    total = 0
-    for i in range(r + 1):
-        term = qbinom(n, i, q)
-        for j in range(i):
-            term *= q**m - q**j
-        total += term
-    return total
+    return sum(matrix_rank_count(n, m, i, q) for i in range(r + 1))
 
 
 def pointset_size(n: int, m: int, r: int, q) -> int:

@@ -10,6 +10,16 @@ arbiter in this package) confirms the validated variant -- already at
 1 -- so the validated variant is the default everywhere, and the printed
 one stays callable for comparison tables.  Both have the same leading
 q-power, so every asymptotic statement is unaffected.
+
+The density sweeps of alternating and Hermitian ambients are seeded by
+rank, as in `codes._sweep`: X -> AXA^T (alternating) and X -> AXA*
+(Hermitian, A invertible over GF(q^2)) preserve the ambient and the rank,
+and each is transitive on the matrices of one rank, so `rank_count`
+gives the weights A_r.  Symmetric forms stay on the flat sweep: under
+X -> AXA^T the symmetric matrices of one rank fall into two orbits (by
+the square class of the discriminant for odd q; alternating or not for
+even q), whose sizes the seeded identity would need separately and which
+are not derived here.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from .codes import (
 )
 from .errors import charge, resolve_budget
 from .fields import FiniteField, make_ext_field
-from .qcomb import AsymptoticEstimate, binom, gl_order, qbinom
+from .qcomb import AsymptoticEstimate, binom, gl_order, matrix_rank_count, qbinom
 
 KINDS = ("symmetric", "alternating", "hermitian", "full")
 
@@ -161,7 +171,8 @@ def rank_count(kind: str, n: int, i: int, q, variant: str = "validated") -> int:
                  (zero for odd i);
     hermitian:   C(n,i)_{q^2} * q^(i(i-1)/2) * prod_{j<=i} (q^j +/- (-1)^j),
                  '+' for the enumeration-validated variant (default),
-                 '-' for the printed classical form.
+                 '-' for the printed classical form;
+    full:        qcomb.matrix_rank_count(n, n, i, q).
     """
     q = getattr(q, "order", q)
     if not 0 <= i <= n:
@@ -192,10 +203,7 @@ def rank_count(kind: str, n: int, i: int, q, variant: str = "validated") -> int:
             prod *= q**j + sign * (-1) ** j
         return qbinom(n, i, q * q) * q ** (i * (i - 1) // 2) * prod
     if kind == "full":
-        prod = qbinom(n, i, q)
-        for j in range(i):
-            prod *= q**n - q**j
-        return prod
+        return matrix_rank_count(n, n, i, q)
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -239,12 +247,36 @@ def dim_bound(kind: str, n: int, d: int) -> int:
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def _rank_strata(kind: str, n: int, d: int, q: int) -> list | None:
+    """(r, A_r, seed) for every rank r >= d held by A_r > 0 alternating or
+    Hermitian n x n matrices, the seed being the coordinates over
+    ambient_basis of one rank-r matrix: E_r = sum_{i<r} E_ii for
+    Hermitian forms, the r/2 blocks E_{2t,2t+1} - E_{2t+1,2t} (t < r/2)
+    for alternating ones.  None for symmetric forms (see the module
+    docstring)."""
+    if kind not in ("alternating", "hermitian"):
+        return None
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    strata = []
+    for r in range(max(d, 1), n + 1):
+        count = rank_count(kind, n, r, q)
+        if not count:
+            continue  # odd alternating ranks
+        if kind == "alternating":
+            seed = [int(i % 2 == 0 and j == i + 1 < r) for i, j in pairs]
+        else:
+            seed = [int(i < r) for i in range(n)] + [0] * (2 * len(pairs))
+        strata.append((r, count, seed))
+    return strata
+
+
 def restricted_density_bruteforce(
     kind: str, n: int, k: int, d: int, q, budget: int | None = None
 ) -> DensityResult:
     """Exact density of k-dim GF(q)-subspaces of the ambient whose nonzero
     elements all have rank >= d, over the coordinate Grassmannian of the
-    fixed ambient basis."""
+    fixed ambient basis.  Alternating and Hermitian sweeps are seeded by
+    rank (see `codes._sweep`), symmetric ones flat."""
     q = getattr(q, "order", q)
     basis = ambient_basis(kind, n, q)
     if not 1 <= k <= len(basis):
@@ -253,7 +285,8 @@ def restricted_density_bruteforce(
     flat = [[x for row in bm for x in row] for bm in basis]
     t0 = time.perf_counter()
     count, total = _sweep(
-        _entry_field(kind, q), q, n, n, flat, k, d, budget, f"{kind} Grassmannian sweep"
+        _entry_field(kind, q), q, n, n, flat, k, d, budget, f"{kind} Grassmannian sweep",
+        strata=_rank_strata(kind, n, d, q),
     )
     elapsed = (time.perf_counter() - t0) * 1000.0
     return DensityResult(q, n, n, k, d, count, total, "brute_force", elapsed, kind=kind)

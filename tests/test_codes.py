@@ -11,6 +11,7 @@ from rankmetric import linalg
 from rankmetric.codes import (
     Grassmannian,
     MatrixCode,
+    _sweep,
     asymptotic_constants,
     density_3x3_formula,
     density_bruteforce,
@@ -157,15 +158,11 @@ def test_density_parallel_chunking_identical(shape, q, count):
         assert density_bruteforce(*shape, q, jobs=jobs).count == count
 
 
-@pytest.mark.parametrize(
-    "shape,cpus,workers",
-    [((1, 2, 1, 1), 4, 3), ((2, 2, 2, 2), 4, 4), ((2, 2, 2, 2), None, 1), ((1, 1, 1, 1), 4, 1)],
-)
-def test_density_pool_is_clamped(monkeypatch, shape, cpus, workers):
-    # jobs=64 still sets the chunk bounds; the pool gets at most one
-    # worker per task and per CPU, and one worker (one CPU, or a single
-    # subspace) runs the sweep in-process with no pool.  The fake pool
-    # maps in-process.
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """A function of the CPU count to report: it replaces
+    multiprocessing.Pool by a pool that maps in-process and returns the
+    list of the worker counts of the pools started."""
     import multiprocessing
     import os
 
@@ -184,12 +181,56 @@ def test_density_pool_is_clamped(monkeypatch, shape, cpus, workers):
         def map(self, fn, tasks):
             return [fn(t) for t in tasks]
 
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    def install(cpus):
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        return seen
+
+    return install
+
+
+@pytest.mark.parametrize(
+    "shape,cpus,workers",
+    [
+        ((3, 3, 1, 1), 4, 3),
+        ((2, 2, 2, 2), 4, 4),
+        ((2, 2, 2, 2), None, 1),
+        ((1, 1, 1, 1), 4, 1),
+        ((1, 2, 1, 1), 4, 1),
+    ],
+)
+def test_density_pool_is_clamped(fake_pool, shape, cpus, workers):
+    # jobs=64 still sets the chunk bounds of every plan entry; the pool
+    # gets at most one worker per task and per CPU, and one worker (one
+    # CPU, or a single subspace) runs the sweep in-process with no pool.
+    # (3, 3, 1, 1) is seeded at ranks 1, 2 and 3, one subspace each: three
+    # tasks.  (1, 2, 1, 1) is one seeded subspace, (1, 1, 1, 1) one flat
+    # one.
+    seen = fake_pool(cpus)
     n, m, k, d = shape
     r = density_bruteforce(n, m, k, d, 2, jobs=64)
     assert seen == ([workers] if workers > 1 else [])
     assert r.count == density_bruteforce(n, m, k, d, 2).count
+
+
+@pytest.mark.parametrize("jobs,workers", [(1, 1), (2, 2), (3, 3), (64, 3)])
+def test_density_pool_is_capped_by_jobs(fake_pool, jobs, workers):
+    # (3, 3, 1, 1) has three seeded entries of one subspace each, so three
+    # tasks at every jobs; the pool never has more than `jobs` workers,
+    # and jobs=1 runs in-process
+    seen = fake_pool(4)
+    assert density_bruteforce(3, 3, 1, 1, 2, jobs=jobs).count == 511
+    assert seen == ([workers] if workers > 1 else [])
+
+
+def test_restricted_sweep_starts_no_pool(fake_pool):
+    # Hermitian 2 x 2 at k = d = 1 is seeded at ranks 1 and 2: two tasks,
+    # run in-process, since the restricted sweeps take no jobs
+    from rankmetric.restricted import restricted_density_bruteforce
+
+    seen = fake_pool(4)
+    assert restricted_density_bruteforce("hermitian", 2, 1, 1, 2).count == 15
+    assert seen == []
 
 
 def test_density_generic_path_q3():
@@ -222,6 +263,56 @@ def test_density_charges_the_words_of_a_span(monkeypatch):
     monkeypatch.setattr(codes, "_SpanMinRank", tripwire)
     with pytest.raises(BudgetExceededError, match="65537 steps"):
         density_bruteforce(3, 3, 9, 1, 4, budget=1)
+
+
+def test_density_charges_the_seeded_plan(monkeypatch):
+    # (3, 3, 3, 3, 3) is seeded at rank 3 alone: qbinom(8, 2, 3) = 896260
+    # subspaces of the hyperplane plus the 3^2 words of a 2-dim span, far
+    # below the flat qbinom(9, 3, 3) = 678468820
+    from rankmetric import codes
+
+    def tripwire(*args):
+        raise AssertionError("sweep built before the budget charge")
+
+    monkeypatch.setattr(codes, "Grassmannian", tripwire)
+    monkeypatch.setattr(codes, "_SpanMinRank", tripwire)
+    with pytest.raises(BudgetExceededError, match="896269 steps"):
+        density_bruteforce(3, 3, 3, 3, 3, budget=896268)
+
+
+def _sweep_2x2(strata, points=()):
+    fld = field_for_order(3)
+    return _sweep(fld, 3, 2, 2, linalg.identity(4), 2, 2, None, "test sweep", points, 1, strata)
+
+
+@pytest.mark.parametrize(
+    "seed,message",
+    [
+        ([1, 0, 0, 0], "does not have rank 2"),
+        ([0, 0, 0, 0], "zero seed"),
+        ([1, 0, 0, 3], r"not a vector of GF\(3\)\^4"),
+        ([1, 0, 0], r"not a vector of GF\(3\)\^4"),
+    ],
+    ids=["rank", "zero", "entry", "length"],
+)
+def test_sweep_checks_its_seeds(seed, message):
+    # every seed must lie in the ambient, be nonzero and have its rank
+    assert _sweep_2x2([(2, 48, [1, 0, 0, 1])]) == (18, 130)
+    with pytest.raises(ValueError, match=message):
+        _sweep_2x2([(2, 48, seed)])
+    # at k = 4 the flat plan (one subspace) wins and the seed goes unused
+    fld = field_for_order(3)
+    strata = [(2, 48, seed)]
+    assert _sweep(fld, 3, 2, 2, linalg.identity(4), 4, 2, None, "k = N", (), 1, strata) == (0, 1)
+
+
+def test_sweep_refuses_seeds_on_a_point_set_and_a_wrong_weight():
+    with pytest.raises(ValueError, match="point-set"):
+        _sweep_2x2([(2, 48, [1, 0, 0, 1])], points=[(1, 0, 0, 0)])
+    # 48 rank-2 words, f_2 = 18 * 8 / 48 = 3: a weight of 47 leaves a
+    # remainder mod 3^2 - 1 and must not be rounded away
+    with pytest.raises(AssertionError, match="not divisible by 8"):
+        _sweep_2x2([(2, 47, [1, 0, 0, 1])])
 
 
 # ------------------------------------------------- spectrum-free counts

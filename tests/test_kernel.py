@@ -13,7 +13,17 @@ checked against its flat reference in test_critical.py.  The references here
 enumerate every subspace with `Grassmannian.iter_range` and every word of
 its span with `linalg.span_elements`, and rank each word with
 `linalg.rank`, with no pruning, no early exit and no packing.
+
+The driver seeds full, alternating and Hermitian sweeps by rank: it
+counts the good codes through one rank-r word E_r (f_r) on the
+hyperplane of a coordinate where E_r is nonzero, and divides
+sum_r A_r * f_r by q^k - 1.  Each f_r is checked here against the
+reference codes that contain E_r, and the driver's count against the
+reference count.
 """
+
+import os
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,12 +32,15 @@ from rankmetric import linalg
 from rankmetric.codes import (
     Grassmannian,
     MatrixCode,
+    _seed_word,
     _SpanMinRank,
+    _sweep,
     density_bruteforce,
     field_for_order,
 )
-from rankmetric.qcomb import qbinom
+from rankmetric.qcomb import matrix_rank_count, qbinom
 from rankmetric.restricted import (
+    _rank_strata,
     ambient_basis,
     hermitian_field,
     restricted_density_bruteforce,
@@ -170,3 +183,107 @@ def test_restricted_density_matches_reference(case):
     kind, n, k, d, q = case
     res = restricted_density_bruteforce(kind, n, k, d, q)
     assert res.count == reference_restricted_count(kind, n, k, d, q)
+
+
+def ambient(kind, n, m, d, q):
+    """(entry field, coordinate vectors, strata at d) of a full n x m or
+    an alternating or Hermitian n x n ambient.  The full strata are built
+    here: E_r, the rank-r partial identity, with A_r words of rank r."""
+    if kind == "full":
+        strata = []
+        for r in range(d, min(n, m) + 1):
+            E_r = [[int(i == j and i < r) for j in range(m)] for i in range(n)]
+            strata.append((r, matrix_rank_count(n, m, r, q), [x for row in E_r for x in row]))
+        return field_for_order(q), linalg.identity(n * m), strata
+    fld = hermitian_field(q) if kind == "hermitian" else field_for_order(q)
+    vectors = [[x for row in mat for x in row] for mat in ambient_basis(kind, n, q)]
+    return fld, vectors, _rank_strata(kind, n, d, q)
+
+
+def reference_good_codes(fld, q, n, m, vectors, k, d):
+    """The RREF bases over GF(q) of the k-dim coordinate subspaces whose
+    nonzero words, mapped through vectors, all have rank >= d."""
+    coord = field_for_order(q)
+    good = []
+    for rows in Grassmannian(len(vectors), k, q).iter_range():
+        words = []
+        for coeffs in linalg.span_elements(rows, coord):
+            word = [0] * (n * m)
+            for c, vec in zip(coeffs, vectors):
+                word = [fld.add(w, fld.mul(c, x)) for w, x in zip(word, vec)]
+            words.append(word)
+        if reference_min_rank(words, n, m, fld) >= d:
+            good.append(rows)
+    return good
+
+
+# (kind, n, m, k, q) with at most 20,000 words over the reference sweep;
+# GF(2) full and alternating shapes with nm <= 16 take the packed path
+SEEDED_SHAPES = [
+    (kind, n, m, k, q)
+    for kind, n, m, q in (
+        [("full", n, m, q) for q in (2, 3, 4) for n in (1, 2, 3) for m in (1, 2, 3)]
+        + [("alternating", n, n, q) for n in (2, 3, 4) for q in (2, 3)]
+        + [("hermitian", n, n, q) for n in (2, 3) for q in (2, 3)]
+    )
+    for k in range(1, len(ambient(kind, n, m, 1, q)[1]) + 1)
+    if qbinom(len(ambient(kind, n, m, 1, q)[1]), k, q) * q**k <= 20000
+]
+
+
+@st.composite
+def seeded_cases(draw):
+    kind, n, m, k, q = draw(st.sampled_from(SEEDED_SHAPES))
+    d = draw(st.integers(1, min(n, m)))
+    return kind, n, m, k, d, q
+
+
+@given(seeded_cases(), st.lists(st.integers(0, 1000), max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_seeded_strata_match_flat_reference(case, cuts):
+    # f_r, counted in chunks at random bounds of G(N-1, k-1) from the
+    # seed's span, is the number of good codes that contain the seed
+    kind, n, m, k, d, q = case
+    fld, vectors, strata = ambient(kind, n, m, d, q)
+    N = len(vectors)
+    coord = field_for_order(q)
+    good = reference_good_codes(fld, q, n, m, vectors, k, d)
+    g = Grassmannian(N - 1, k - 1, q)
+    kernel = _SpanMinRank(fld, q, n, m)
+    units = [kernel.vec(v) for v in vectors]
+    bounds = [0] + sorted(c * g.total // 1000 for c in cuts) + [g.total]
+    pairs = 0
+    for r, a, seed in strata:
+        word, p = _seed_word(fld, q, n, m, vectors, r, seed)
+        rest = units[:p] + units[p + 1 :]
+        f = sum(
+            kernel.count(g, rest, d, lo, hi, kernel.vec(word)) for lo, hi in zip(bounds, bounds[1:])
+        )
+        holding = sum(
+            linalg.in_rowspan(rows, [row.index(1) for row in rows], seed, coord) for rows in good
+        )
+        assert f == holding, (r, seed)
+        pairs += a * f
+    assert pairs == len(good) * (q**k - 1)
+
+
+@given(seeded_cases(), st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_seeded_driver_matches_flat_reference(case, jobs):
+    # the driver's chunks (jobs of them per plan entry) run in-process
+    kind, n, m, k, d, q = case
+    fld, vectors, strata = ambient(kind, n, m, d, q)
+    expected = len(reference_good_codes(fld, q, n, m, vectors, k, d))
+    with mock.patch.object(os, "cpu_count", return_value=1):
+        count, total = _sweep(
+            fld, q, n, m, vectors, k, d, None, "test sweep", jobs=jobs, strata=strata
+        )
+        assert (count, total) == (expected, qbinom(len(vectors), k, q))
+        if kind == "full":
+            assert density_bruteforce(n, m, k, d, q, jobs=jobs).count == expected
+
+
+def test_seeded_restricted_pins():
+    # counts of the flat sweep, before the rank seeding
+    assert restricted_density_bruteforce("alternating", 5, 2, 4, 2).count == 105896
+    assert restricted_density_bruteforce("hermitian", 3, 2, 3, 2).count == 6720

@@ -13,12 +13,14 @@ from rankmetric import linalg, qcomb
 from rankmetric.codes import Grassmannian, density_3x3_formula, field_for_order
 from rankmetric.errors import BudgetExceededError
 from rankmetric.fields import make_field
+from rankmetric.restricted import rank_count
 from rankmetric.qcomb import (
     alt_exp_sum,
     ball_size,
     binom,
     comparison_inequality_check,
     gl_order,
+    matrix_rank_count,
     pi_q,
     pi_q_limit,
     pointset_size,
@@ -110,6 +112,17 @@ def test_ball_size_matches_rank_census(n, m, q):
         assert ball_size(n, m, r, q) == sum(census[: r + 1])
     assert ball_size(n, m, min(n, m), q) == q ** (n * m)
     assert ball_size(n, m, 0, q) == 1
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("q", [2, 3])
+def test_matrix_rank_count_matches_enumeration(n, m, q):
+    census = rank_census(n, m, q) + [0]  # no word has rank min(n, m) + 1
+    for r, expected in enumerate(census):
+        assert matrix_rank_count(n, m, r, q) == expected
+    assert rank_count("full", 3, 2, q) == matrix_rank_count(3, 3, 2, q)
+    with pytest.raises(ValueError):
+        matrix_rank_count(n, m, -1, q)
 
 
 def test_pointset_size_examples():
