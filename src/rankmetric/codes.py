@@ -49,6 +49,14 @@ coordinate where E_r is nonzero.  (2, 3, 3, 2, 3) visits 1,210 subspaces
 in place of 33,880.  The flat sweep, one count over G(nm, k), remains
 the plan whenever it is the smaller one, and the only one for point
 sets, which no such group preserves.
+
+The other side of the 2 x m identity, `spectrum_free_count`, is a
+separate depth-first traversal over the rows of an m x m matrix M.  For
+every lambda in GF(q) it keeps an echelon basis of the rows fixed so far
+of M - lambda*I and drops a prefix, with all its completions, once some
+lambda makes those rows dependent.  It uses only the `linalg` row
+reduction, never the span kernel or the Grassmannian, so the identity
+still compares two independent computations.
 """
 
 from __future__ import annotations
@@ -604,35 +612,51 @@ def density_bruteforce(
 
 def spectrum_free_count(m: int, q, budget: int | None = None) -> int:
     """Number of m x m matrices over GF(q) with no eigenvalue in GF(q),
-    i.e. det(M - lambda*I) != 0 for every lambda, by full enumeration."""
+    i.e. det(M - lambda*I) != 0 for every lambda.
+
+    One depth-first traversal over the rows of M.  For every lambda it
+    keeps an echelon basis of the rows fixed so far of M - lambda*I,
+    whose row i is r_i - lambda*e_i, and reduces each candidate r_i
+    against it.  If some lambda reduces the candidate to zero, those rows
+    are dependent for that lambda in every completion, so the prefix is
+    dropped with its q^(m(m-1-i)) completions; every leaf reached has
+    independent rows for every lambda.  The count is exact: M is
+    spectrum-free iff M - lambda*I has independent rows for every
+    lambda.  It stays independent of the density sweep on the other side
+    of the 2 x m identity: no span kernel, no Grassmannian, no seeding.
+    The budget is charged q^(m^2), the whole matrix space, before
+    anything is built."""
     q = getattr(q, "order", q)
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m = {m}")
     fld = field_for_order(q)
-    cells = m * m
-    charge(q**cells, resolve_budget(budget), f"enumerating GF({q})^({m}x{m})")
-    count = 0
-    if q == 2 and cells <= 16:
-        table = linalg.gf2_rank_table(m, m)
-        diag = sum(1 << (i * m + i) for i in range(m))
-        for code in range(1 << cells):
-            if table[code] == m and table[code ^ diag] == m:
-                count += 1
-        return count
-    for flat in itertools.product(range(q), repeat=cells):
-        ok = True
-        for lam in range(q):
-            mat = [
-                [
-                    fld.sub(flat[i * m + j], lam) if i == j else flat[i * m + j]
-                    for j in range(m)
-                ]
-                for i in range(m)
-            ]
-            if linalg.rank(mat, fld) < m:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    charge(q ** (m * m), resolve_budget(budget), f"enumerating GF({q})^({m}x{m})")
+    # shifted[i][x] = [r_x - lam*e_i for lam in GF(q)], r_x the x-th row
+    rows = list(itertools.product(range(q), repeat=m))
+    shifted = [
+        [[r[:i] + (fld.sub(r[i], lam),) + r[i + 1:] for lam in range(q)] for r in rows]
+        for i in range(m)
+    ]
+
+    def count(i: int, bases: list) -> int:
+        # bases[lam] = (basis, pivots) of the rows < i of M - lam*I
+        last = i == m - 1
+        total = 0
+        for vs in shifted[i]:
+            grown = []
+            for v, (basis, pivots) in zip(vs, bases):
+                w = linalg.reduce(v, basis, pivots, fld)
+                if not any(w):
+                    break
+                if not last:
+                    c = next(j for j, x in enumerate(w) if x)
+                    row = linalg.row_scale(fld.inv(w[c]), w, fld)
+                    grown.append((basis + (row,), pivots + (c,)))
+            else:
+                total += 1 if last else count(i + 1, grown)
+        return total
+
+    return count(0, [((), ())] * q)
 
 
 def spectrum_free_identity_check(m: int, q, budget: int | None = None) -> bool:

@@ -1,10 +1,13 @@
 """Exact linear algebra over the package's field handles.
 
 Vectors are tuples of int-encoded field elements; matrices are tuples of
-row vectors.  The generic routines work over anything exposing
-add/sub/neg/mul/inv on ints, as every `fields.FiniteField` does.  A
-bit-packed GF(2) kernel backs the hot enumeration paths; it never leaks
-into public interfaces.
+row vectors.  The routines work over a `fields.FiniteField`.  Every
+elimination step is one row operation, `row_sub` (x - f*y) or
+`row_scale` (f*x), and every reduction of a vector against an echelon
+basis is one call of `reduce`.  Over a prime field (h == 1) the row
+operations do the arithmetic inline modulo p; an extension field goes
+through its add/mul.  A bit-packed GF(2) rank table backs the hot
+enumeration paths; it never leaks into public interfaces.
 """
 
 from __future__ import annotations
@@ -14,6 +17,40 @@ from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
+
+
+def row_sub(x: Sequence[int], f: int, y: Sequence[int], fld) -> list[int]:
+    """The row x - f*y.  Over a prime field the arithmetic is inline
+    `% p`; an extension field goes through its add/mul."""
+    if fld.h == 1:
+        p = fld.p
+        return [(a - f * b) % p for a, b in zip(x, y)]
+    sub, mul = fld.sub, fld.mul
+    return [sub(a, mul(f, b)) for a, b in zip(x, y)]
+
+
+def row_scale(f: int, x: Sequence[int], fld) -> list[int]:
+    """The row f*x, inline `% p` over a prime field as in `row_sub`."""
+    if fld.h == 1:
+        p = fld.p
+        return [f * a % p for a in x]
+    mul = fld.mul
+    return [mul(f, a) for a in x]
+
+
+def reduce(vec: Sequence[int], rows: Sequence[Sequence[int]], pivots: Sequence[int], fld) -> list[int]:
+    """vec minus the combination of rows that clears every pivot column.
+
+    Row j must be 1 in column pivots[j] and 0 in column pivots[i] for
+    every i < j.  Rref rows are, and so is a basis grown by appending each
+    new vector reduced against it and scaled to 1 at its pivot.  The
+    result is zero iff vec lies in the span of rows."""
+    v = list(vec)
+    for row, c in zip(rows, pivots):
+        f = v[c]
+        if f:
+            v = row_sub(v, f, row, fld)
+    return v
 
 
 def rref(rows: Iterable[Sequence[int]], fld) -> tuple[Matrix, tuple[int, ...]]:
@@ -39,14 +76,11 @@ def rref(rows: Iterable[Sequence[int]], fld) -> tuple[Matrix, tuple[int, ...]]:
         work[r], work[pivot] = work[pivot], work[r]
         lead = work[r][c]
         if lead != 1:
-            inv = fld.inv(lead)
-            work[r] = [fld.mul(inv, x) for x in work[r]]
+            work[r] = row_scale(fld.inv(lead), work[r], fld)
+        prow = work[r]
         for i in range(len(work)):
             if i != r and work[i][c]:
-                factor = work[i][c]
-                work[i] = [
-                    fld.sub(x, fld.mul(factor, y)) for x, y in zip(work[i], work[r])
-                ]
+                work[i] = row_sub(work[i], work[i][c], prow, fld)
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -60,12 +94,7 @@ def rank(rows: Iterable[Sequence[int]], fld) -> int:
 
 def in_rowspan(rref_rows: Matrix, pivots: Sequence[int], vec: Sequence[int], fld) -> bool:
     """Membership test against a precomputed rref basis."""
-    v = list(vec)
-    for row, c in zip(rref_rows, pivots):
-        if v[c]:
-            factor = v[c]
-            v = [fld.sub(x, fld.mul(factor, y)) for x, y in zip(v, row)]
-    return not any(v)
+    return not any(reduce(vec, rref_rows, pivots, fld))
 
 
 def nullspace(rows: Iterable[Sequence[int]], fld) -> Matrix:
@@ -73,7 +102,6 @@ def nullspace(rows: Iterable[Sequence[int]], fld) -> Matrix:
     reduced, pivots = rref(rows, fld)
     if not reduced:
         # zero map: whole space; caller must know ncols, so demand rows
-        rows = list(rows)
         raise ValueError("nullspace of an empty matrix is ambiguous")
     ncols = len(reduced[0])
     pivot_set = set(pivots)
@@ -193,18 +221,6 @@ def pack_row(row: Sequence[int]) -> int:
     return bits
 
 
-def rank_bits(rows: list[int]) -> int:
-    work = [r for r in rows if r]
-    rank_ = 0
-    while work:
-        pivot_row = work.pop()
-        low = pivot_row & -pivot_row
-        rank_ += 1
-        work = [(r ^ pivot_row) if (r & low) else r for r in work]
-        work = [r for r in work if r]
-    return rank_
-
-
 @lru_cache(maxsize=None)
 def gf2_rank_table(n: int, m: int) -> bytes:
     """rank of every n x m GF(2) matrix, indexed by its nm-bit row-major
@@ -215,6 +231,12 @@ def gf2_rank_table(n: int, m: int) -> bytes:
     out = bytearray(1 << cells)
     row_mask = (1 << m) - 1
     for code in range(1 << cells):
-        rows = [(code >> (m * i)) & row_mask for i in range(n)]
-        out[code] = rank_bits(rows)
+        work = [r for r in ((code >> (m * i)) & row_mask for i in range(n)) if r]
+        rk = 0
+        while work:
+            pivot = work.pop()
+            low = pivot & -pivot
+            rk += 1
+            work = [x for x in ((r ^ pivot) if (r & low) else r for r in work) if x]
+        out[code] = rk
     return bytes(out)

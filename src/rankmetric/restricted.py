@@ -376,6 +376,8 @@ def density_2dim_formula(
     s_value may supply a precomputed spectrum-free count; otherwise it is
     obtained by enumeration (budgeted)."""
     q = getattr(q, "order", q)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n = {n}")
     if s_value is None:
         s_value = spectrum_free_count(n, q, budget=budget)
     num = s_value

@@ -79,6 +79,9 @@ def test_formula_invalid_parameter_exits_2(capsys):
         ("formula", "kantor-lower", "--n", "9"),
         ("formula", "spectrum-free", "--m", "2", "--q", "1"),
         ("formula", "spectrum-free", "--m", "2", "--q", "3", "--budget", "inf"),
+        ("formula", "spectrum-free", "--m", "-2", "--q", "5"),
+        ("formula", "density-2dim", "--n", "-2", "--q", "5"),
+        ("formula", "density-2dim", "--n", "0", "--q", "3"),
         ("formula", "density3x3", "--q", "1"),
         ("table", "mrd-bounds", "--q", "0", "--n", "3..3"),
         ("formula", "density3x3", "--q", "6"),

@@ -350,6 +350,77 @@ def test_spectrum_free_identity(m, q):
     assert spectrum_free_identity_check(m, q)
 
 
+def flat_spectrum_free_count(m, q):
+    """Reference: test every matrix of GF(q)^(m x m) and every lambda by
+    the rank of M - lambda*I."""
+    fld = field_for_order(q)
+    count = 0
+    for flat in itertools.product(range(q), repeat=m * m):
+        ok = True
+        for lam in range(q):
+            mat = [
+                [
+                    fld.sub(flat[i * m + j], lam) if i == j else flat[i * m + j]
+                    for j in range(m)
+                ]
+                for i in range(m)
+            ]
+            if linalg.rank(mat, fld) < m:
+                ok = False
+                break
+        if ok:
+            count += 1
+    return count
+
+
+# every (m, q) with q^(m^2) <= 20,000 for m >= 2; m = 1 has count 0 for
+# every q, checked over the same fields
+@pytest.mark.parametrize(
+    "m,q",
+    [(1, q) for q in (2, 3, 4, 5, 7, 8, 9, 11)]
+    + [(2, q) for q in (2, 3, 4, 5, 7, 8, 9, 11)]
+    + [(3, 2), (3, 3)],
+)
+def test_spectrum_free_traversal_matches_flat_loop(m, q):
+    assert spectrum_free_count(m, q) == flat_spectrum_free_count(m, q)
+
+
+@pytest.mark.parametrize(
+    "m,q", [(2, q) for q in (2, 3, 4, 5, 7, 8, 9)] + [(3, q) for q in (2, 3, 4)]
+)
+def test_spectrum_free_closed_form(m, q):
+    # For m in {2, 3} a characteristic polynomial of degree m with no root
+    # in GF(q) is irreducible, so a spectrum-free matrix is regular and its
+    # class has centraliser GF(q^m)*, of size q^m - 1.  There are
+    # (q^m - q)/m monic irreducibles of degree m, one class each.
+    irreducibles = (q**m - q) // m
+    assert spectrum_free_count(m, q, budget=10**6) == irreducibles * gl_order(m, q) // (q**m - 1)
+
+
+def test_spectrum_free_charges_before_traversal(monkeypatch):
+    calls = []
+    real = linalg.reduce
+
+    def tripwire(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "reduce", tripwire)
+    with pytest.raises(BudgetExceededError, match=r"enumerating GF\(3\)\^\(3x3\) needs 19683 steps"):
+        spectrum_free_count(3, 3, budget=19682)
+    with pytest.raises(BudgetExceededError):
+        spectrum_free_count(12, 2)  # 2^144 steps: refused at once
+    assert calls == []
+    assert spectrum_free_count(3, 3, budget=19683) == 3456
+    assert calls
+
+
+def test_spectrum_free_rejects_bad_sizes():
+    for m in (0, -2):
+        with pytest.raises(ValueError, match="m >= 1"):
+            spectrum_free_count(m, 5)
+
+
 # ------------------------------------------------- closed formulas
 
 def test_density_3x3_formula_values():

@@ -3,8 +3,11 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from rankmetric import linalg
 from rankmetric.codes import field_for_order
+from rankmetric.fields import make_ext_field, make_field
 
 
 @st.composite
@@ -46,8 +49,11 @@ def test_rank_agrees_with_bit_kernel_on_gf2(mq):
     q, rows = mq
     if q != 2:
         return
-    packed = [linalg.pack_row(r) for r in rows]
-    assert linalg.rank_bits(packed) == linalg.rank(rows, field_for_order(2))
+    n, m = len(rows), len(rows[0])
+    if n * m > 16:
+        rows, n = rows[: 16 // m], 16 // m
+    code = sum(linalg.pack_row(r) << (m * i) for i, r in enumerate(rows))
+    assert linalg.gf2_rank_table(n, m)[code] == linalg.rank(rows, field_for_order(2))
 
 
 def test_gf2_rank_table_agrees_with_elimination():
@@ -84,3 +90,90 @@ def test_projective_reps_count():
     for r in reps:
         first = next(x for x in r if x)
         assert first == 1
+
+
+# ------------------------------------------- differential test of L1
+
+def reference_rref(rows, fld):
+    """Textbook Gauss-Jordan elimination through the field's add/mul."""
+    work = [list(r) for r in rows]
+    if not work:
+        return (), ()
+    pivots = []
+    r = 0
+    for c in range(len(work[0])):
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = fld.inv(work[r][c])
+        work[r] = [fld.mul(inv, x) for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [fld.sub(x, fld.mul(f, y)) for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+
+
+def reference_in_rowspan(rows, pivots, vec, fld):
+    v = list(vec)
+    for row, c in zip(rows, pivots):
+        f = v[c]
+        v = [fld.sub(x, fld.mul(f, y)) for x, y in zip(v, row)]
+    return not any(v)
+
+
+def reference_nullspace(rows, fld):
+    reduced, pivots = reference_rref(rows, fld)
+    if not reduced:
+        raise ValueError("empty")
+    ncols = len(reduced[0])
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = 1
+        for row, pc in zip(reduced, pivots):
+            v[pc] = fld.neg(row[fc])
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+# GF(2), GF(3), GF(5), GF(7), GF(4), GF(8), GF(9), and GF(16) over GF(4)
+L1_FIELDS = [make_field(p, h) for p, h in ((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2))]
+L1_FIELDS.append(make_ext_field(make_field(2, 2), 2))
+
+
+@st.composite
+def field_matrix(draw):
+    fld = draw(st.sampled_from(L1_FIELDS))
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 5))  # more rows than columns is drawn too
+    entry = st.integers(0, fld.order - 1)
+    row = st.one_of(st.just((0,) * ncols), st.tuples(*[entry] * ncols))
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    vec = draw(st.one_of(st.just((0,) * ncols), st.tuples(*[entry] * ncols)))
+    return fld, rows, vec
+
+
+@given(field_matrix())
+@settings(max_examples=400, deadline=None)
+def test_l1_matches_generic_reference(case):
+    fld, rows, vec = case
+    reduced, pivots = linalg.rref(rows, fld)
+    assert (reduced, pivots) == reference_rref(rows, fld)
+    for v in list(rows) + [vec]:
+        assert linalg.in_rowspan(reduced, pivots, v, fld) == reference_in_rowspan(
+            reduced, pivots, v, fld
+        )
+    if reduced:
+        assert linalg.nullspace(rows, fld) == reference_nullspace(rows, fld)
+    else:
+        with pytest.raises(ValueError):
+            linalg.nullspace(rows, fld)
+
+
+def test_l1_fields_cover_prime_and_extension_paths():
+    assert sorted(f.order for f in L1_FIELDS) == [2, 3, 4, 5, 7, 8, 9, 16]
+    assert [f.base.order for f in L1_FIELDS if f.order == 16] == [4]
