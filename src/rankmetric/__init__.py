@@ -82,7 +82,7 @@ from .restricted import (
     density_2dim_formula,
     dim_bound,
     rank_count,
-    rank_count_exhaustive,
+    rank_distribution_exhaustive,
     restricted_density_bruteforce,
     sparseness_exponent,
     tensor_ratio,

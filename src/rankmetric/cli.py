@@ -277,6 +277,8 @@ def _f_avg_limit(a):
     if a.d is not None:
         n, d, q = _need(a, "n", "d", "q")
         return critical.ball_avg_limit(n, d, q, regime)
+    if regime == "m_large":
+        raise SystemExit2("avg-limit --regime m_large needs --d (no option passes k', l', m)")
     N, k, s, q = _need(a, "N", "k", "s", "q")
     return critical.avg_density_limit_qlarge(N, k, s, q)
 
@@ -379,9 +381,9 @@ def _check_carlitz(budget, jobs):
     ):
         for n, q in grid:
             strata = []
-            for i in range(n + 1):
+            enumerated = restricted.rank_distribution_exhaustive(kind, n, q, budget=budget)
+            for i, e in enumerate(enumerated):
                 f = restricted.rank_count(kind, n, i, q)
-                e = restricted.rank_count_exhaustive(kind, n, i, q, budget=budget)
                 if f != e:
                     return False, f"{kind} (n={n},i={i},q={q}): {f} != {e}"
                 strata.append(f)
@@ -516,14 +518,11 @@ def _table_rank_strata(args):
     n = int(args.n) if args.n else 2
     q = args.q or 2
     rows = []
-    for i in range(n + 1):
-        if kind == "hermitian":
-            printed = restricted.rank_count(kind, n, i, q, variant="printed")
-        else:
-            printed = restricted.rank_count(kind, n, i, q)
+    enumerated = restricted.rank_distribution_exhaustive(kind, n, q, budget=args.budget)
+    for i, e in enumerate(enumerated):
+        printed = restricted.rank_count(kind, n, i, q, variant="printed")
         validated = restricted.rank_count(kind, n, i, q)
-        enumerated = restricted.rank_count_exhaustive(kind, n, i, q, budget=args.budget)
-        rows.append((i, printed, validated, enumerated))
+        rows.append((i, printed, validated, e))
     return ("i", "printed_formula", "validated_formula", "enumerated"), rows
 
 

@@ -297,14 +297,12 @@ class _SpanMinRank:
     def add(self, x, y):
         if self.packed:
             return x ^ y
-        add = self.fld.add
-        return tuple([add(a, b) for a, b in zip(x, y)])
+        return tuple(linalg.row_sub(x, self.fld.neg(1), y, self.fld))
 
     def scale(self, c: int, x):
         if self.packed:
             return x if c else 0
-        mul = self.fld.mul
-        return tuple([mul(c, a) for a in x])
+        return tuple(linalg.row_scale(c, x, self.fld))
 
     def first_below(self, x, W: Sequence, d: int) -> int:
         """The minimum rank over the words x + w (w in W), stopping at the
@@ -496,7 +494,7 @@ def _seed_word(fld, q: int, n: int, m: int, vectors: Sequence, r: int, seed: Seq
         raise ValueError("the zero seed has no nonzero coordinate")
     word = [0] * (n * m)
     for c, vec in zip(seed, vectors):
-        word = [fld.add(w, fld.mul(c, x)) for w, x in zip(word, vec)]
+        word = linalg.row_sub(word, fld.neg(c), vec, fld)
     if linalg.rank([word[i * m : (i + 1) * m] for i in range(n)], fld) != r:
         raise ValueError(f"seed {tuple(seed)} does not have rank {r}")
     return word, p
@@ -632,7 +630,7 @@ def spectrum_free_count(m: int, q, budget: int | None = None) -> int:
     fld = field_for_order(q)
     charge(q ** (m * m), resolve_budget(budget), f"enumerating GF({q})^({m}x{m})")
     # shifted[i][x] = [r_x - lam*e_i for lam in GF(q)], r_x the x-th row
-    rows = list(itertools.product(range(q), repeat=m))
+    rows = list(linalg.span_elements(linalg.identity(m), fld))
     shifted = [
         [[r[:i] + (fld.sub(r[i], lam),) + r[i + 1:] for lam in range(q)] for r in rows]
         for i in range(m)
@@ -712,8 +710,12 @@ def prime_factor_count(n: int) -> int:
 
 def kantor_lowerbound(n: int) -> int:
     """q = 2 only: lower bound |GL_n(2)|^2 2^n (2^n-1)^(gamma(n)-2) / (2n)
-    on the number of full-rank MRD codes in GF(2)^(n x n); requires n
-    composite and not a power of 3."""
+    on the number of full-rank MRD codes in GF(2)^(n x n), from Kantor's
+    commutative semifields (chains of fields of odd degree); requires n
+    odd, composite and not a power of 3.  At n = 4 it would exceed the
+    exact count, 26,793,984."""
+    if n % 2 == 0:
+        raise ValueError(f"n = {n} is even; the bound needs n odd")
     gamma = prime_factor_count(n)
     if gamma < 2:
         raise ValueError(f"n = {n} is prime (or 1); the bound does not apply")

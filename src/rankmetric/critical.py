@@ -41,9 +41,11 @@ def canonical_point(vec: Sequence[int], fld) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def all_points(N: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """Every projective point of GF(q)^N as a canonical vector, in the
-    deterministic order of linalg.projective_reps."""
-    return tuple(linalg.projective_reps(N, q))
+    """Every projective point of GF(q)^N as a canonical vector: the
+    vectors of GF(q)^N, in the order linalg.span_elements walks them,
+    whose first nonzero entry is 1."""
+    walk = linalg.span_elements(linalg.identity(N), field_for_order(q))
+    return tuple(v for v in walk if next((x for x in v if x), 0) == 1)
 
 
 class PointSet:
@@ -132,11 +134,8 @@ def rank_ball_pointset(n: int, m: int, r: int, q, budget: int | None = None) -> 
     fld = field_for_order(q)
     charge(q ** (n * m), resolve_budget(budget), "rank-ball point scan")
     pts = []
-    for flat in itertools.product(range(q), repeat=n * m):
-        if not any(flat):
-            continue
-        mat = [flat[i * m : (i + 1) * m] for i in range(n)]
-        if linalg.rank(mat, fld) <= r:
+    for flat in linalg.span_elements(linalg.identity(n * m), fld):
+        if any(flat) and linalg.rank([flat[i * m : (i + 1) * m] for i in range(n)], fld) <= r:
             pts.append(flat)
     return PointSet(n * m, q, pts)
 
@@ -149,6 +148,8 @@ def avg_density_formula(N: int, k: int, ell: int, q) -> Fraction:
     """Average of delta over all point sets of size ell:
     C((q^N-q^k)/(q-1), ell) / C((q^N-1)/(q-1), ell)."""
     q = getattr(q, "order", q)
+    if N < 1 or not 0 <= k <= N:
+        raise ValueError(f"need N >= 1 and 0 <= k <= N, got N={N}, k={k}")
     npoints = (q**N - 1) // (q - 1)
     if not 1 <= ell <= npoints:
         raise ValueError(f"need 1 <= ell <= {npoints}, got {ell}")
@@ -333,8 +334,8 @@ def hyperplane_density_collinear(N: int, i: int, q) -> Fraction:
     """Density of hyperplanes avoiding i points spanning a fixed plane
     (all on one projective line): (q+1-i)(q-1) q^(N-2) / (q^N - 1)."""
     q = getattr(q, "order", q)
-    if not 2 <= i <= q + 1:
-        raise ValueError("need 2 <= i <= q+1 collinear points")
+    if N < 2 or not 2 <= i <= q + 1:
+        raise ValueError("need N >= 2 and 2 <= i <= q+1 collinear points")
     return Fraction((q + 1 - i) * (q - 1) * q ** (N - 2), q**N - 1)
 
 
@@ -429,8 +430,8 @@ def mds_arc_density(N: int, ell: int, q) -> Fraction:
     """Density of hyperplanes avoiding an arc of ell points:
     (q-1)/(q^N-1) * sum_j (-1)^j C(ell-1, j) q^(N-1-j)."""
     q = getattr(q, "order", q)
-    if ell < 2 or ell < N:
-        raise ValueError("need ell >= max(2, N) for an arc spanning the space")
+    if N < 1 or ell < 2 or ell < N:
+        raise ValueError("need N >= 1 and ell >= max(2, N) for an arc spanning the space")
     acc = 0
     for j in range(N):
         acc += (-1) ** j * binom(ell - 1, j) * q ** (N - 1 - j)
@@ -471,6 +472,8 @@ def arc_plus_point_gap(N: int, ell: int, q) -> Fraction:
     (q-1)/(q^N-1) * (-1)^N * C(ell-2, N-1); positive iff N is even and
     ell >= N+1."""
     q = getattr(q, "order", q)
+    if N < 2:
+        raise ValueError(f"need N >= 2, got N = {N}")
     return Fraction((q - 1) * (-1) ** N * binom(ell - 2, N - 1), q**N - 1)
 
 

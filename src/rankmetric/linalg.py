@@ -6,14 +6,16 @@ elimination step is one row operation, `row_sub` (x - f*y) or
 `row_scale` (f*x), and every reduction of a vector against an echelon
 basis is one call of `reduce`.  Over a prime field (h == 1) the row
 operations do the arithmetic inline modulo p; an extension field goes
-through its add/mul.  A bit-packed GF(2) rank table backs the hot
-enumeration paths; it never leaks into public interfaces.
+through its add/mul.  `span_elements` is the package's one walk of a
+GF(q)-space, one `row_sub` per changed digit; only the GL_n(q) build of
+`semifield` keeps its own loop.  A bit-packed GF(2) rank table backs the
+hot enumeration paths; it never leaks into public interfaces.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -21,12 +23,12 @@ Matrix = tuple[Vector, ...]
 
 def row_sub(x: Sequence[int], f: int, y: Sequence[int], fld) -> list[int]:
     """The row x - f*y.  Over a prime field the arithmetic is inline
-    `% p`; an extension field goes through its add/mul."""
+    `% p`; an extension field goes through its add/mul, as x + (-f)*y."""
     if fld.h == 1:
         p = fld.p
         return [(a - f * b) % p for a, b in zip(x, y)]
-    sub, mul = fld.sub, fld.mul
-    return [sub(a, mul(f, b)) for a, b in zip(x, y)]
+    add, mul, g = fld.add, fld.mul, fld.neg(f)
+    return [add(a, mul(g, b)) for a, b in zip(x, y)]
 
 
 def row_scale(f: int, x: Sequence[int], fld) -> list[int]:
@@ -175,38 +177,34 @@ def is_invertible(a: Sequence[Sequence[int]], fld) -> bool:
     return len(a) == len(a[0]) and rank(a, fld) == len(a)
 
 
-def span_elements(basis: Sequence[Sequence[int]], fld) -> Iterable[Vector]:
-    """All q^k vectors in the span of k basis vectors, zero included."""
-    if not basis:
+def span_elements(basis: Sequence[Sequence[int]], fld, q: int | None = None) -> Iterator[Vector]:
+    """All q^k vectors of the GF(q)-span of k basis vectors, zero included.
+
+    q, by default fld.order, is the order of a field below fld in its
+    tower (GF(q) in GF(q^2) for Hermitian matrices), whose elements are
+    the ints range(q).  Element idx has the base-q digits of idx as
+    coefficients, basis[0] least significant.  Each step applies one
+    `row_sub` per digit it changes, by the field difference of the old
+    and new digit: over GF(4), where 2 encodes t, 1 -> 2 adds t + 1 = 3."""
+    q = fld.order if q is None else q
+    k = len(basis)
+    if not k:
         yield ()
         return
-    ncols = len(basis[0])
-    q = fld.order
-    k = len(basis)
-    for idx in range(q**k):
-        v = [0] * ncols
-        e = idx
-        for b in basis:
-            c = e % q
-            e //= q
+    step = [fld.sub(c, (c + 1) % q) for c in range(q)]
+    digits = [0] * k
+    v = [0] * len(basis[0])
+    yield tuple(v)
+    for _ in range(q**k - 1):
+        j = 0
+        while True:
+            c = digits[j]
+            v = row_sub(v, step[c], basis[j], fld)
+            c = digits[j] = (c + 1) % q
             if c:
-                v = [fld.add(x, fld.mul(c, y)) for x, y in zip(v, b)]
+                break
+            j += 1
         yield tuple(v)
-
-
-def projective_reps(k: int, q: int) -> Iterable[Vector]:
-    """One coefficient vector per projective point of GF(q)^k: the first
-    nonzero coordinate is 1.  Deterministic order."""
-    for lead in range(k):
-        prefix = (0,) * lead + (1,)
-        tail = k - lead - 1
-        for idx in range(q**tail):
-            rest = []
-            e = idx
-            for _ in range(tail):
-                rest.append(e % q)
-                e //= q
-            yield prefix + tuple(rest)
 
 
 # ----------------------------------------------------------------------

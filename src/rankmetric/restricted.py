@@ -9,7 +9,8 @@ arbiter in this package) confirms the validated variant -- already at
 (q, n, i) = (2, 1, 1) the printed one counts 3 instead of the enumerated
 1 -- so the validated variant is the default everywhere, and the printed
 one stays callable for comparison tables.  Both have the same leading
-q-power, so every asymptotic statement is unaffected.
+q-power, so every asymptotic statement is unaffected.  The enumeration
+counts every rank in one walk of the ambient (`linalg.span_elements`).
 
 The density sweeps of alternating and Hermitian ambients are seeded by
 rank, as in `codes._sweep`: X -> AXA^T (alternating) and X -> AXA*
@@ -24,7 +25,6 @@ are not derived here.
 
 from __future__ import annotations
 
-import itertools
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -141,24 +141,6 @@ def is_member(kind: str, mat: linalg.Matrix, q: int) -> bool:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def enumerate_ambient(kind: str, n: int, q: int, budget: int | None = None):
-    """All matrices of the ambient, as coordinate combinations of the
-    fixed basis (deterministic order)."""
-    basis = ambient_basis(kind, n, q)
-    fld = _entry_field(kind, q)
-    dim = len(basis)
-    charge(q**dim, resolve_budget(budget), f"enumerating {kind} ambient")
-    for coeffs in itertools.product(range(q), repeat=dim):
-        m = [[0] * n for _ in range(n)]
-        for c, b in zip(coeffs, basis):
-            if c:
-                for i in range(n):
-                    for j in range(n):
-                        if b[i][j]:
-                            m[i][j] = fld.add(m[i][j], fld.mul(c, b[i][j]))
-        yield tuple(tuple(r) for r in m)
-
-
 # ----------------------------------------------------------------------
 # rank stratification
 # ----------------------------------------------------------------------
@@ -207,15 +189,23 @@ def rank_count(kind: str, n: int, i: int, q, variant: str = "validated") -> int:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def rank_count_exhaustive(
-    kind: str, n: int, i: int, q, budget: int | None = None
-) -> int:
-    """Oracle: count rank-i ambient matrices by direct enumeration."""
+def rank_distribution_exhaustive(
+    kind: str, n: int, q, budget: int | None = None
+) -> tuple[int, ...]:
+    """Oracle: the number of ambient matrices of each rank 0..n, by one
+    walk of the ambient charged q^dim.  An empty basis (alternating n = 1)
+    walks one word, (), whose rows of length 0 rank 0: the zero matrix."""
     q = getattr(q, "order", q)
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n = {n}")
+    basis = ambient_basis(kind, n, q)
+    charge(q ** len(basis), resolve_budget(budget), f"enumerating {kind} ambient")
     fld = _entry_field(kind, q)
-    return sum(
-        1 for m in enumerate_ambient(kind, n, q, budget=budget) if linalg.rank(m, fld) == i
-    )
+    counts = [0] * (n + 1)
+    flat = [[x for row in bm for x in row] for bm in basis]
+    for vec in linalg.span_elements(flat, fld, q):
+        counts[linalg.rank([vec[i * n : (i + 1) * n] for i in range(n)], fld)] += 1
+    return tuple(counts)
 
 
 # ----------------------------------------------------------------------

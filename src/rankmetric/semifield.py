@@ -344,10 +344,10 @@ def twisted_code(spec: TwistedFieldSpec) -> LinPolyCode:
     return LinPolyCode(E, polys)
 
 
-def semifield_to_code(S: Semifield, check: bool = True, budget: int | None = None) -> LinPolyCode:
+def semifield_to_code(S: Semifield, budget: int | None = None) -> LinPolyCode:
     """The code {R_y | y} of right multiplications; MRD with d = n when S
-    is a presemifield."""
-    if check and not S.is_presemifield(budget=budget):
+    is a presemifield, which is checked first."""
+    if not S.is_presemifield(budget=budget):
         raise ValueError("multiplication has zero divisors")
     E = S.field
     return LinPolyCode(E, [S.right_mult_poly(b) for b in E.basis()])
@@ -426,7 +426,9 @@ def code_to_semifield(C: LinPolyCode, budget: int | None = None) -> Semifield:
 def _invertible_matrices(fld, n: int) -> tuple[tuple[linalg.Matrix, ...], tuple[int, ...]]:
     """All of GL_n(q) in increasing order of their base-q codes, the code
     of a matrix being sum of mat[r][c] * q^(r*n + c), and those codes.
-    Cached per (field, n)."""
+    Cached per (field, n).  Kept off linalg.span_elements, which walks
+    the same order: built through it, GL_3(3) (most of the GF(27) census
+    setup) took 0.36 s against 0.33 s, median of 6 alternating runs."""
     q = fld.order
     mats = []
     codes = []

@@ -35,7 +35,7 @@ from rankmetric.qcomb import (
 from rankmetric.restricted import (
     ambient_dim,
     rank_count,
-    rank_count_exhaustive,
+    rank_distribution_exhaustive,
     tensor_ratio,
 )
 from rankmetric.semifield import (
@@ -156,15 +156,16 @@ def test_criterion_06_rank_stratifications():
     ):
         for n, q in grid:
             strata = []
+            enumerated = rank_distribution_exhaustive(kind, n, q)
             for i in range(n + 1):
                 f = rank_count(kind, n, i, q)
-                assert f == rank_count_exhaustive(kind, n, i, q), (kind, n, i, q)
+                assert f == enumerated[i], (kind, n, i, q)
                 strata.append(f)
                 checked += 1
             assert sum(strata) == q ** ambient_dim(kind, n), (kind, n, q)
     assert rank_count("hermitian", 1, 1, 2, variant="printed") == 3
     assert rank_count("hermitian", 1, 1, 2, variant="validated") == 1
-    assert rank_count_exhaustive("hermitian", 1, 1, 2) == 1
+    assert rank_distribution_exhaustive("hermitian", 1, 2)[1] == 1
     report(
         f"6 rank stratifications PASS: {checked} strata enumerated; "
         "hermitian pin printed=3 vs validated=enumerated=1 at (2,1,1)"

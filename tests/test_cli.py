@@ -93,10 +93,42 @@ def test_formula_invalid_parameter_exits_2(capsys):
         ("formula", "ine-margin", "--q", "3", "--terms", "-3"),
         ("formula", "ine-margin", "--q", "3", "--terms", "0"),
         ("formula", "alt-exp-sum", "--m", "100000000"),
+        ("formula", "avg", "--N", "3", "--k", "-1", "--l", "2", "--q", "3"),
+        ("formula", "hyperplane-collinear", "--N", "1", "--i", "2", "--q", "3"),
+        ("formula", "mds-arc", "--N", "-1", "--l", "2", "--q", "2"),
+        ("formula", "arc-plus-point-gap", "--N", "-1", "--l", "2", "--q", "4"),
+        ("formula", "avg-limit", "--regime", "m_large", "--N", "4", "--k", "2",
+         "--s", "1", "--q", "3"),
+        ("formula", "kantor-lower", "--n", "4"),
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 2, (argv, err)
         assert "Traceback" not in err
+
+
+def test_every_formula_exits_0_or_2(capsys):
+    # a fixed seeded sample of small, zero and negative parameters, each
+    # option left out a quarter of the time: every registered formula
+    # prints a value or one usage line, and no exception escapes main
+    import random
+
+    from rankmetric.cli import FORMULAS
+    from rankmetric.restricted import KINDS
+
+    rng = random.Random(0)
+    options = ("n", "m", "k", "d", "N", "l", "rho", "i", "j", "r", "s")
+    for name in sorted(FORMULAS):
+        for _ in range(60):
+            argv = ["formula", name, "--q", str(rng.choice((2, 3, 4))), "--budget", "20000"]
+            for opt in options:
+                if rng.random() < 0.75:
+                    argv += [f"--{opt}", str(rng.randint(-2, 4))]
+            argv += ["--kind", rng.choice(KINDS)]
+            argv += ["--variant", rng.choice(("validated", "printed"))]
+            if rng.random() < 0.5:
+                argv += ["--regime", rng.choice(("q_large", "m_large"))]
+            assert main(argv) in (0, 2), argv
+    capsys.readouterr()
 
 
 def test_large_q_is_checked_quickly(capsys):

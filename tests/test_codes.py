@@ -454,12 +454,16 @@ def test_prime_factor_count():
 
 
 def test_kantor_lowerbound():
-    assert kantor_lowerbound(4) == gl_order(4, 2) ** 2 * 16 // 8  # gamma(4) = 2
-    assert kantor_lowerbound(6) == gl_order(6, 2) ** 2 * 2**6 // 12  # gamma(6) = 2
+    assert kantor_lowerbound(15) == gl_order(15, 2) ** 2 * 2**15 // 30  # gamma(15) = 2
     assert (
-        kantor_lowerbound(8)
-        == gl_order(8, 2) ** 2 * 2**8 * (2**8 - 1) // 16  # gamma(8) = 3
+        kantor_lowerbound(45)
+        == gl_order(45, 2) ** 2 * 2**45 * (2**45 - 1) // 90  # gamma(45) = 3
     )
+    # even n is outside the domain: at n = 4 the formula would give
+    # 812,851,200, above the exact count 26,793,984
+    for n in (4, 6, 8):
+        with pytest.raises(ValueError):
+            kantor_lowerbound(n)
     with pytest.raises(ValueError):
         kantor_lowerbound(9)
     with pytest.raises(ValueError):

@@ -84,7 +84,10 @@ def test_mat_inv_round_trip():
 
 
 def test_projective_reps_count():
-    reps = list(linalg.projective_reps(3, 3))
+    # one canonical vector per point of PG(2, 3), walked by span_elements
+    from rankmetric.critical import all_points
+
+    reps = all_points(3, 3)
     assert len(reps) == 13
     assert len(set(reps)) == 13
     for r in reps:
@@ -177,3 +180,50 @@ def test_l1_matches_generic_reference(case):
 def test_l1_fields_cover_prime_and_extension_paths():
     assert sorted(f.order for f in L1_FIELDS) == [2, 3, 4, 5, 7, 8, 9, 16]
     assert [f.base.order for f in L1_FIELDS if f.order == 16] == [4]
+
+
+# ------------------------------------------- differential test of the walk
+
+def reference_span(basis, fld, q):
+    """Element idx of the GF(q)-span: the combination of the basis whose
+    coefficients are the base-q digits of idx, basis[0] least
+    significant, each digit an element of GF(q) inside fld."""
+    out = []
+    for idx in range(q ** len(basis)):
+        v = [0] * (len(basis[0]) if basis else 0)
+        for j, b in enumerate(basis):
+            c = idx // q**j % q
+            v = [fld.add(x, fld.mul(c, y)) for x, y in zip(v, b)]
+        out.append(tuple(v))
+    return out
+
+
+# GF(2), GF(3), GF(4), GF(5), GF(8), GF(9) and GF(16) over GF(4), each
+# spanning over itself, and GF(q)-spans inside GF(q^2) for q = 2, 3, 4
+SPAN_CASES = [
+    (make_field(p, h), p**h) for p, h in ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2))
+]
+SPAN_CASES.append((make_ext_field(make_field(2, 2), 2), 16))
+SPAN_CASES += [(make_ext_field(field_for_order(q), 2), q) for q in (2, 3, 4)]
+
+
+@st.composite
+def span_case(draw):
+    fld, q = draw(st.sampled_from(SPAN_CASES))
+    k = draw(st.integers(0, 3 if q <= 9 else 2))  # k = 0 is the empty basis
+    ncols = draw(st.integers(1, 3))
+    entry = st.integers(0, fld.order - 1)
+    basis = []
+    for _ in range(k):
+        if basis and draw(st.booleans()):
+            basis.append(draw(st.sampled_from(basis)))  # a dependent basis
+        else:
+            basis.append(draw(st.one_of(st.just((0,) * ncols), st.tuples(*[entry] * ncols))))
+    return fld, q, basis
+
+
+@given(span_case())
+@settings(max_examples=300, deadline=None)
+def test_span_elements_matches_reference(case):
+    fld, q, basis = case
+    assert list(linalg.span_elements(basis, fld, q)) == reference_span(basis, fld, q)

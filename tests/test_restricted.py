@@ -14,11 +14,10 @@ from rankmetric.restricted import (
     ball_asymptotic_exponent,
     density_2dim_formula,
     dim_bound,
-    enumerate_ambient,
     hermitian_field,
     is_member,
     rank_count,
-    rank_count_exhaustive,
+    rank_distribution_exhaustive,
     restricted_density_bruteforce,
     sparseness_exponent,
     tensor_ratio,
@@ -53,13 +52,33 @@ def test_ambient_basis_members_and_independence(kind, n, q):
 
 @pytest.mark.parametrize("kind,n,q", STRATA_GRID)
 def test_rank_count_matches_enumeration_and_sums(kind, n, q):
-    strata = []
-    for i in range(n + 1):
-        formula = rank_count(kind, n, i, q)
-        enumerated = rank_count_exhaustive(kind, n, i, q)
-        assert formula == enumerated, (kind, n, i, q)
-        strata.append(formula)
+    strata = [rank_count(kind, n, i, q) for i in range(n + 1)]
+    assert rank_distribution_exhaustive(kind, n, q) == tuple(strata), (kind, n, q)
     assert sum(strata) == q ** ambient_dim(kind, n)
+
+
+def test_rank_distribution_charges_the_ambient_once_before_the_walk(monkeypatch):
+    # the symmetric 3 x 3 ambient over GF(3) has dimension 6: one charge of
+    # 3^6 covers every rank, and a budget below it stops the walk unstarted
+    from rankmetric import restricted
+
+    charges = []
+    real_charge = restricted.charge
+
+    def recording_charge(cost, budget, what):
+        charges.append(cost)
+        real_charge(cost, budget, what)
+
+    monkeypatch.setattr(restricted, "charge", recording_charge)
+    assert sum(rank_distribution_exhaustive("symmetric", 3, 3)) == 3**6
+    assert charges == [3**6]
+
+    def tripwire(*args):
+        raise AssertionError("walk started before the budget charge")
+
+    monkeypatch.setattr(linalg, "span_elements", tripwire)
+    with pytest.raises(BudgetExceededError, match="729 steps"):
+        rank_distribution_exhaustive("symmetric", 3, 3, budget=728)
 
 
 def test_rank_count_examples():
@@ -77,7 +96,7 @@ def test_hermitian_printed_variant_discrepancy_pinned():
     # is the package default
     assert rank_count("hermitian", 1, 1, 2, variant="printed") == 3
     assert rank_count("hermitian", 1, 1, 2, variant="validated") == 1
-    assert rank_count_exhaustive("hermitian", 1, 1, 2) == 1
+    assert rank_distribution_exhaustive("hermitian", 1, 2)[1] == 1
     with pytest.raises(ValueError):
         rank_count("hermitian", 1, 1, 2, variant="guessy")
 
@@ -136,10 +155,7 @@ def test_restricted_density_charges_the_words_of_a_span(monkeypatch):
 def test_restricted_density_against_independent_count():
     # 1-dim symmetric codes of distance 2 over GF(3): count invertible
     # symmetric matrices directly
-    fld = field_for_order(3)
-    invertible = sum(
-        1 for m in enumerate_ambient("symmetric", 2, 3) if linalg.rank(m, fld) == 2
-    )
+    invertible = rank_distribution_exhaustive("symmetric", 2, 3)[2]
     lines = invertible // 2  # q - 1 = 2 nonzero scalars per line
     r = restricted_density_bruteforce("symmetric", 2, 1, 2, 3)
     assert r.count == lines
