@@ -7,9 +7,10 @@ elimination step is one row operation, `row_sub` (x - f*y) or
 basis is one call of `reduce`.  Over a prime field (h == 1) the row
 operations do the arithmetic inline modulo p; an extension field goes
 through its add/mul.  `span_elements` is the package's one walk of a
-GF(q)-space, one `row_sub` per changed digit; only the GL_n(q) build of
-`semifield` keeps its own loop.  A bit-packed GF(2) rank table backs the
-hot enumeration paths; it never leaks into public interfaces.
+GF(q)-space, one `row_sub` per changed digit.  `mat_mul` and `mat_vec`
+also sum each entry inline modulo p over a prime field.  A bit-packed
+GF(2) rank table backs the hot enumeration paths; it never leaks into
+public interfaces.
 """
 
 from __future__ import annotations
@@ -133,8 +134,13 @@ def solution_space(rows: Sequence[Sequence[int]], ncols: int, fld) -> Matrix:
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], fld) -> Matrix:
-    add, mul = fld.add, fld.mul
+    """The product a . b.  Over a prime field each entry is one inline sum
+    `% p`; an extension field goes through its add/mul."""
     bt = list(zip(*b))
+    if fld.h == 1:
+        p, mul = fld.p, int.__mul__
+        return tuple(tuple(sum(map(mul, row, col)) % p for col in bt) for row in a)
+    add, mul = fld.add, fld.mul
     out = []
     for row in a:
         orow = []
@@ -149,12 +155,17 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], fld) -> Matr
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int], fld) -> Vector:
+    """The vector a . v, inline `% p` over a prime field as in `mat_mul`."""
+    if fld.h == 1:
+        p, mul = fld.p, int.__mul__
+        return tuple(sum(map(mul, row, v)) % p for row in a)
+    add, mul = fld.add, fld.mul
     out = []
     for row in a:
         s = 0
         for x, y in zip(row, v):
             if x and y:
-                s = fld.add(s, fld.mul(x, y))
+                s = add(s, mul(x, y))
         out.append(s)
     return tuple(out)
 
@@ -171,10 +182,6 @@ def mat_inv(a: Sequence[Sequence[int]], fld) -> Matrix | None:
     if pivots != tuple(range(n)):
         return None
     return tuple(row[n:] for row in rows)
-
-
-def is_invertible(a: Sequence[Sequence[int]], fld) -> bool:
-    return len(a) == len(a[0]) and rank(a, fld) == len(a)
 
 
 def span_elements(basis: Sequence[Sequence[int]], fld, q: int | None = None) -> Iterator[Vector]:

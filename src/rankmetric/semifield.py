@@ -423,31 +423,55 @@ def code_to_semifield(C: LinPolyCode, budget: int | None = None) -> Semifield:
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _invertible_matrices(fld, n: int) -> tuple[tuple[linalg.Matrix, ...], tuple[int, ...]]:
-    """All of GL_n(q) in increasing order of their base-q codes, the code
-    of a matrix being sum of mat[r][c] * q^(r*n + c), and those codes.
-    Cached per (field, n).  Kept off linalg.span_elements, which walks
-    the same order: built through it, GL_3(3) (most of the GF(27) census
-    setup) took 0.36 s against 0.33 s, median of 6 alternating runs."""
+def _gl_codes(fld, n: int) -> tuple[int, ...]:
+    """The codes of GL_n(q) in increasing order, the code of a matrix being
+    sum of mat[r][c] * q^(r*n + c).  Cached per (field, n).
+
+    Row r is digit r of the code in base Q = q^n.  The rows are chosen from
+    the most significant down, each from the row codes range(Q) outside the
+    span of the rows above it, that span a set of row codes grown with the
+    `_row_arithmetic` tables; so the codes come out sorted, and no rank is
+    computed."""
     q = fld.order
-    mats = []
-    codes = []
-    for code in range(q ** (n * n)):
-        e = code
-        rows = []
-        for _ in range(n):
-            row = []
-            for _ in range(n):
-                row.append(e % q)
-                e //= q
-            rows.append(tuple(row))
-        mat = tuple(rows)
-        if linalg.is_invertible(mat, fld):
-            mats.append(mat)
-            codes.append(code)
-    if len(mats) != gl_order(n, fld):
+    Q = q**n
+    add, scale = _row_arithmetic(fld, n)
+    codes: list[int] = []
+
+    def extend(prefix: int, span: set[int], rows_left: int) -> None:
+        free = [v for v in range(Q) if v not in span]
+        if rows_left == 1:
+            codes.extend([prefix + v for v in free])
+            return
+        for v in free:
+            multiples = [row[v] for row in scale]
+            grown = {add[s * Q + w] for s in span for w in multiples}
+            extend((prefix + v) * Q, grown, rows_left - 1)
+
+    extend(0, {0}, n)
+    if len(codes) != gl_order(n, fld):
         raise AssertionError("GL_n(q) enumeration must match |GL_n(q)|")
-    return tuple(mats), tuple(codes)
+    return tuple(codes)
+
+
+@lru_cache(maxsize=None)
+def _gl_transpose(fld, n: int) -> tuple[int, ...]:
+    """tr[i], the index in `_gl_codes` of the transpose of matrix i.
+    Cached per (field, n).  Row r of a matrix is column r of its
+    transpose: a row with code v adds weights[r][v], the sum of
+    v[c] * q^(c*n + r), to the code of the transpose."""
+    q = fld.order
+    Q = q**n
+    codes = _gl_codes(fld, n)
+    spread = [sum(v // q**c % q * Q**c for c in range(n)) for v in range(Q)]
+    weights = [[w * q**r for w in spread] for r in range(n)]
+    tr = []
+    for code in codes:
+        t = 0
+        for weight in weights:
+            code, v = divmod(code, Q)
+            t += weight[v]
+        tr.append(bisect_left(codes, t))
+    return tuple(tr)
 
 
 def _matrix_code(mat: linalg.Matrix, q: int) -> int:
@@ -460,10 +484,10 @@ def _matrix_code(mat: linalg.Matrix, q: int) -> int:
 
 
 def _pair_budget(C: LinPolyCode) -> int:
-    """The worst case of one scan: the q^(n^2) matrices tried to build
-    GL_n(q), then one left-multiplier solve per (rho, g)."""
+    """The worst case of one scan: the |GL_n(q)| codes of its build, then
+    one left-multiplier solve per (rho, g)."""
     fld, n = C.field.base, C.field.n
-    return fld.order ** (n * n) + fld.h * gl_order(n, fld)
+    return (1 + fld.h) * gl_order(n, fld)
 
 
 def _left_multiplier_rows(
@@ -516,30 +540,42 @@ def _invertible_in_space(
 
 
 class _GLProducts:
-    """Products in GL_n(q) on the indices of its enumeration.
+    """Products in GL_n(q) on the indices of its enumeration `_gl_codes`.
 
-    Row r of a matrix is digit r of its code in base q^n, a row vector v
-    having the code sum of v[c] * q^c.  A product is computed from the row
-    codes through addition and scaling tables on GF(q)^n and located by
-    bisecting on the sorted codes; nothing is tabulated over all of GL."""
+    Row r of a matrix is digit r of its code in base Q = q^n, a row vector
+    v having the code sum of v[c] * q^c.  Only the codes are kept; a matrix
+    is decoded where one is needed.  A right product maps each row through
+    one table on GF(q)^n, built from the addition and scaling tables, and
+    is located by bisecting on the sorted codes.  A left product is a right
+    product of transposes, u . x = (x^T . u^T)^T, through the transpose
+    permutation `tr`.  Nothing else is tabulated over all of GL."""
 
     def __init__(self, fld, n: int):
-        self.mats, self.codes = _invertible_matrices(fld, n)
+        self.codes = _gl_codes(fld, n)
+        self.tr = _gl_transpose(fld, n)
         self.n = n
         self.q = fld.order
         self.Q = fld.order**n
         self.add, self.scale = _row_arithmetic(fld, n)
         self.identity = self.index(linalg.identity(n))
 
-    def index(self, mat: linalg.Matrix) -> int:
-        return bisect_left(self.codes, _matrix_code(mat, self.q))
+    def matrix(self, i: int) -> linalg.Matrix:
+        """The matrix of index i, decoded from its code."""
+        code, q, n = self.codes[i], self.q, self.n
+        digits = []
+        for _ in range(n * n):
+            code, x = divmod(code, q)
+            digits.append(x)
+        return tuple(tuple(digits[r * n : (r + 1) * n]) for r in range(n))
 
-    def _rows(self, code: int) -> list[int]:
-        out = []
-        for _ in range(self.n):
-            code, v = divmod(code, self.Q)
-            out.append(v)
-        return out
+    def index(self, mat: linalg.Matrix) -> int:
+        """The index of mat; ValueError if mat is not an element of GL_n(q)
+        (singular, of another shape, or with entries outside range(q))."""
+        code = _matrix_code(mat, self.q)
+        i = bisect_left(self.codes, code)
+        if i == len(self.codes) or self.matrix(i) != tuple(map(tuple, mat)):
+            raise ValueError(f"{mat} is not an element of GL_{self.n}({self.q})")
+        return i
 
     def _combine(self, coeffs: Sequence[int], rows: Sequence[int]) -> int:
         """The code of sum_k coeffs[k] * rows[k], rows given by their codes."""
@@ -551,11 +587,10 @@ class _GLProducts:
         return acc
 
     def right_mul(self, s: int):
-        """x -> the index of mats[x] . mats[s]: one table maps each row v
-        of mats[x] to v . mats[s]."""
+        """x -> the index of x . s: one table maps each row v of x to v . s."""
         Q, codes = self.Q, self.codes
-        srows = self._rows(codes[s])
         q, n = self.q, self.n
+        srows = [codes[s] // Q**r % Q for r in range(n)]
         table = [self._combine([v // q**c % q for c in range(n)], srows) for v in range(Q)]
         shifted = [[t * Q**r for t in table] for r in range(n)]
 
@@ -569,18 +604,10 @@ class _GLProducts:
         return act
 
     def left_mul(self, u: int):
-        """x -> the index of mats[u] . mats[x]: row r of the product
-        combines the rows of mats[x] by the entries of row r of mats[u]."""
-        Q, codes, combine = self.Q, self.codes, self._combine
-        urows = self.mats[u][::-1]
-
-        def act(x: int) -> int:
-            rows, out = self._rows(codes[x]), 0
-            for coeffs in urows:
-                out = out * Q + combine(coeffs, rows)
-            return bisect_left(codes, out)
-
-        return act
+        """x -> the index of u . x, as the transpose of x^T . u^T."""
+        tr = self.tr
+        act = self.right_mul(tr[u])
+        return lambda x: tr[act(tr[x])]
 
     def generators(self, elements: Iterator[int]) -> list[int]:
         """Generators of the group formed by `elements` (indices): each
@@ -716,7 +743,8 @@ def _equivalence_scan(
                 break
             if state[i]:
                 continue
-            dmats = [linalg.mat_mul(M, gl.mats[i], fld) for M in base_mats]
+            g = gl.matrix(i)
+            dmats = [linalg.mat_mul(M, g, fld) for M in base_mats]
             space = _left_multiplier_space(checks, dmats, n, fld)
             count = sum(1 for _ in _invertible_in_space(space, n, fld, budget))
             if count and not count_all:

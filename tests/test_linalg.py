@@ -1,6 +1,6 @@
 """Internal exact linear algebra: canonical forms and the GF(2) kernels."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -180,6 +180,45 @@ def test_l1_matches_generic_reference(case):
 def test_l1_fields_cover_prime_and_extension_paths():
     assert sorted(f.order for f in L1_FIELDS) == [2, 3, 4, 5, 7, 8, 9, 16]
     assert [f.base.order for f in L1_FIELDS if f.order == 16] == [4]
+
+
+def reference_dot(x, y, fld):
+    """The field sum of x[k] * y[k] through the field's add/mul."""
+    s = 0
+    for a, b in zip(x, y):
+        s = fld.add(s, fld.mul(a, b))
+    return s
+
+
+def reference_mat_mul(a, b, fld):
+    """Entry (i, j) of a . b as the dot product of row i of a and column j
+    of b.  An empty b carries no column count: the product has no columns."""
+    ncols = len(b[0]) if b else 0
+    cols = [[row[j] for row in b] for j in range(ncols)]
+    return tuple(tuple(reference_dot(row, col, fld) for col in cols) for row in a)
+
+
+@st.composite
+def product_case(draw):
+    fld = draw(st.sampled_from(L1_FIELDS))
+    nrows, inner, ncols = (draw(st.integers(0, 4)) for _ in range(3))
+    entry = st.integers(0, fld.order - 1)
+
+    def matrix(r, c):
+        return draw(st.lists(st.tuples(*[entry] * c), min_size=r, max_size=r))
+
+    return fld, matrix(nrows, inner), matrix(inner, ncols), draw(st.tuples(*[entry] * inner))
+
+
+@given(product_case())
+@example((make_field(3), [], [], ()))
+@example((make_field(5), [(4,)], [(3,)], (2,)))
+@example((make_field(2, 2), [(3,)], [(2,)], (3,)))
+@settings(max_examples=300, deadline=None)
+def test_mat_mul_and_mat_vec_match_generic_reference(case):
+    fld, a, b, v = case
+    assert linalg.mat_mul(a, b, fld) == reference_mat_mul(a, b, fld)
+    assert linalg.mat_vec(a, v, fld) == tuple(reference_dot(row, v, fld) for row in a)
 
 
 # ------------------------------------------- differential test of the walk

@@ -176,18 +176,32 @@ def test_normalize_contains_x_deterministic():
 
 # ---------------------------------------------- equivalence machinery
 
+@lru_cache(maxsize=None)
+def reference_gl(fld, n):
+    """GL_n(q) from scratch, as (codes, matrices): every code in
+    range(q^(n^2)) whose matrix, entry (r, c) being base-q digit r*n + c
+    of the code, has rank n, in increasing order of the codes."""
+    q = fld.order
+    codes, mats = [], []
+    for code in range(q ** (n * n)):
+        digits = [code // q**k % q for k in range(n * n)]
+        mat = tuple(tuple(digits[r * n : (r + 1) * n]) for r in range(n))
+        if linalg.rank(mat, fld) == n:
+            codes.append(code)
+            mats.append(mat)
+    return tuple(codes), tuple(mats)
+
+
 def naive_aut_count(C):
     """Literal definition: count pairs (f, g) in GL x GL with f.C.g = C
     (prime fields, so the coefficient twist is trivial)."""
-    from rankmetric.semifield import _invertible_matrices
-
     E = C.field
     fld = E.base
     assert fld.h == 1
     target = C.matrix_code.basis
     mats = [p.to_matrix() for p in C.basis]
     count = 0
-    gl, _ = _invertible_matrices(fld, E.n)
+    _, gl = reference_gl(fld, E.n)
     for f in gl:
         left = [linalg.mat_mul(f, M, fld) for M in mats]
         for g in gl:
@@ -209,14 +223,12 @@ def test_aut_solver_matches_naive_definition():
 
 def test_equivalence_solver_matches_naive_search():
     # naive existence search over GL x GL for a pair of (2,3)-codes
-    from rankmetric.semifield import _invertible_matrices
-
     fld = E9.base
     spec = TwistedFieldSpec(E9, nonnorm_element(E9), 1, 0)
     C1, C2 = c0_code(E9), spec.code()
     target = C1.matrix_code.basis
     mats = [p.to_matrix() for p in C2.basis]
-    gl, _ = _invertible_matrices(fld, 2)
+    _, gl = reference_gl(fld, 2)
     naive_hit = False
     for f in gl:
         left = [linalg.mat_mul(f, M, fld) for M in mats]
@@ -473,11 +485,11 @@ def reference_scan_hits(C1, C2):
     """Unreduced reference: for every rho and every g of GL_n(q) in order,
     the number of invertible f with f o C2^rho o g inside C1, from one
     left-multiplier solve per (rho, g).  Returns one list per rho."""
-    from rankmetric.semifield import _invertible_matrices, _left_multiplier_space
+    from rankmetric.semifield import _left_multiplier_space
 
     E = C1.field
     fld, n = E.base, E.n
-    gl, _ = _invertible_matrices(fld, n)
+    _, gl = reference_gl(fld, n)
     if C1.dim != C2.dim:
         return [[0] * len(gl) for _ in range(fld.h)]
     checks = linalg.solution_space(C1.matrix_code.basis, n * n, fld)
@@ -504,8 +516,6 @@ def random_code(E, rnd):
     field: the field code, a twisted code, a span of scalar maps or of
     random q-polynomials, optionally composed on the right with a random
     element of GL_n(q), which conjugates the right idealizer."""
-    from rankmetric.semifield import _invertible_matrices
-
     n = E.n
     kind = rnd.choice(("field", "twisted", "scalars", "random"))
     if kind == "field":
@@ -528,18 +538,16 @@ def random_code(E, rnd):
             except ValueError:  # dependent basis: draw again
                 continue
     if rnd.random() < 0.5:
-        gl, _ = _invertible_matrices(E.base, n)
+        _, gl = reference_gl(E.base, n)
         C = C.compose_right(rnd.choice(gl))
     return C
 
 
 def equivalent_partner(C, rnd):
     """f o C^rho o g for random invertible f, g and a random rho."""
-    from rankmetric.semifield import _invertible_matrices
-
     E = C.field
     fld = E.base
-    gl, _ = _invertible_matrices(fld, E.n)
+    _, gl = reference_gl(fld, E.n)
     f, g = rnd.choice(gl), rnd.choice(gl)
     rho = rnd.randrange(fld.h)
     mats = [
@@ -613,22 +621,82 @@ def test_double_coset_scan_solve_counts(monkeypatch):
 
 
 def test_aut_scan_charges_before_building_gl(monkeypatch):
-    # building GL_3(3) tries 3^9 matrices, then the scan makes at most one
-    # solve per g in GL_3(3): 19683 + 11232 steps, charged before either
+    # building GL_3(3) makes its 11232 codes, then the scan makes at most
+    # one solve per g in GL_3(3): 11232 + 11232 steps, charged before either
     def tripwire(*args):
         raise AssertionError("GL built before the budget charge")
 
-    monkeypatch.setattr(semifield, "_invertible_matrices", tripwire)
-    with pytest.raises(BudgetExceededError, match="30915 steps"):
-        aut_group_size_bruteforce(c0_code(E27), budget=30914)
+    monkeypatch.setattr(semifield, "_gl_codes", tripwire)
+    with pytest.raises(BudgetExceededError, match="22464 steps"):
+        aut_group_size_bruteforce(c0_code(E27), budget=22463)
 
 
 def _gl_index(fld, n):
-    from rankmetric.semifield import _invertible_matrices
-
-    gl, _ = _invertible_matrices(fld, n)
+    _, gl = reference_gl(fld, n)
     where = {g: i for i, g in enumerate(gl)}
     return gl, lambda a, b: where[linalg.mat_mul(a, b, fld)]
+
+
+# ------------------------------------------------- GL_n(q) as sorted codes
+
+@pytest.mark.parametrize(
+    "q, n", [(2, 2), (3, 2), (4, 2), (5, 2), (8, 2), (9, 2), (2, 3), (3, 3), (2, 4)]
+)
+def test_gl_codes_match_reference(q, n):
+    from rankmetric.codes import field_for_order
+
+    fld = field_for_order(q)
+    codes, mats = reference_gl(fld, n)
+    assert semifield._gl_codes(fld, n) == codes
+    gl = semifield._GLProducts(fld, n)
+    assert len(codes) == gl_order(n, fld)
+    for i in range(0, len(codes), max(1, len(codes) // 200)):
+        assert gl.matrix(i) == mats[i]
+        assert gl.index(mats[i]) == i
+
+
+@pytest.mark.parametrize("E", [E4, E8, E9, E16, E27])
+def test_gl_transpose_is_the_transpose_involution(E):
+    fld, n = E.base, E.n
+    codes, mats = reference_gl(fld, n)
+    where = {g: i for i, g in enumerate(mats)}
+    tr = semifield._GLProducts(fld, n).tr
+    assert len(tr) == len(codes)
+    for i, g in enumerate(mats):
+        assert tr[i] == where[tuple(zip(*g))]
+        assert tr[tr[i]] == i
+
+
+@given(
+    st.sampled_from((E4, E9, E16, E27)),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_gl_products_match_matrix_products(E, rnd):
+    fld, n = E.base, E.n
+    gl_mats, product = _gl_index(fld, n)
+    gl = semifield._GLProducts(fld, n)
+    u = rnd.randrange(len(gl_mats))
+    left, right = gl.left_mul(u), gl.right_mul(u)
+    for _ in range(20):
+        x = rnd.randrange(len(gl_mats))
+        assert left(x) == product(gl_mats[u], gl_mats[x])
+        assert right(x) == product(gl_mats[x], gl_mats[u])
+
+
+def test_gl_index_refuses_non_elements():
+    gl = semifield._GLProducts(E9.base, 2)
+    assert gl.index(((0, 1), (1, 0))) == reference_gl(E9.base, 2)[1].index(((0, 1), (1, 0)))
+    # a singular matrix, a matrix of another shape, and entries outside
+    # range(3) whose codes equal those of ((1, 0), (1, 1)) and ((2, 2), (2, 0))
+    for mat in (
+        ((1, 1), (1, 1)),
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((1, 3), (0, 1)),
+        ((-1, 0), (0, 1)),
+    ):
+        with pytest.raises(ValueError, match="not an element"):
+            gl.index(mat)
 
 
 def _flat(mat):
