@@ -4,13 +4,14 @@ Vectors are tuples of int-encoded field elements; matrices are tuples of
 row vectors.  The routines work over a `fields.FiniteField`.  Every
 elimination step is one row operation, `row_sub` (x - f*y) or
 `row_scale` (f*x), and every reduction of a vector against an echelon
-basis is one call of `reduce`.  Over a prime field (h == 1) the row
-operations do the arithmetic inline modulo p; an extension field goes
-through its add/mul.  `span_elements` is the package's one walk of a
-GF(q)-space, one `row_sub` per changed digit.  `mat_mul` and `mat_vec`
-also sum each entry inline modulo p over a prime field.  A bit-packed
-GF(2) rank table backs the hot enumeration paths; it never leaks into
-public interfaces.
+basis is one call of `reduce`; `solution_space` grows its echelon basis
+that way, one row at a time, and stops pulling rows at full rank.  Over
+a prime field (h == 1) the row operations do the arithmetic inline
+modulo p; an extension field goes through its add/mul.  `span_elements`
+is the package's one walk of a GF(q)-space, one `row_sub` per changed
+digit.  `mat_mul` and `mat_vec` also sum each entry inline modulo p
+over a prime field.  A bit-packed GF(2) rank table backs the hot
+enumeration paths; it never leaks into public interfaces.
 """
 
 from __future__ import annotations
@@ -100,37 +101,41 @@ def in_rowspan(rref_rows: Matrix, pivots: Sequence[int], vec: Sequence[int], fld
     return not any(reduce(vec, rref_rows, pivots, fld))
 
 
-def nullspace(rows: Iterable[Sequence[int]], fld) -> Matrix:
-    """Canonical basis of {x : rows . x = 0} (right kernel)."""
-    reduced, pivots = rref(rows, fld)
-    if not reduced:
-        # zero map: whole space; caller must know ncols, so demand rows
-        raise ValueError("nullspace of an empty matrix is ambiguous")
-    ncols = len(reduced[0])
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
+def solution_space(rows: Iterable[Sequence[int]], ncols: int, fld) -> Matrix:
+    """Canonical basis of the right kernel {x : row . x = 0 for every row}
+    of rows of length ncols, all of GF(q)^ncols when no row is nonzero.
+
+    The rows are pulled one at a time and reduced into an echelon basis by
+    `reduce`.  Once its rank reaches ncols the kernel is {0}: () is
+    returned and no further row is pulled, so the rows may be a generator
+    that makes each one on demand.  Otherwise the basis is back-substituted
+    to the rref of the rows, and the kernel read off it: for each free
+    column fc, the vector with 1 at fc, -row[fc] at the pivot of each
+    row and 0 elsewhere."""
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for row in rows:
+        v = reduce(row, basis, pivots, fld)
+        c = next((c for c, x in enumerate(v) if x), None)
+        if c is None:
+            continue
+        if v[c] != 1:
+            v = row_scale(fld.inv(v[c]), v, fld)
+        basis.append(v)
+        pivots.append(c)
+        if len(basis) == ncols:
+            return ()
+    # row j is 0 at every earlier pivot; clearing the later pivots from it,
+    # in order, keeps it so
+    reduced = [reduce(row, basis[j + 1 :], pivots[j + 1 :], fld) for j, row in enumerate(basis)]
+    kernel = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
         v = [0] * ncols
         v[fc] = 1
         for row, pc in zip(reduced, pivots):
-            # pivot var = -sum(free entries)
             v[pc] = fld.neg(row[fc])
-        basis.append(tuple(v))
-    return tuple(basis)
-
-
-def solution_space(rows: Sequence[Sequence[int]], ncols: int, fld) -> Matrix:
-    """Basis of the right kernel, handling the no-constraint case."""
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        ident = []
-        for i in range(ncols):
-            v = [0] * ncols
-            v[i] = 1
-            ident.append(tuple(v))
-        return tuple(ident)
-    return nullspace(rows, fld)
+        kernel.append(tuple(v))
+    return tuple(kernel)
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], fld) -> Matrix:

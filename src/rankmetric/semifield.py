@@ -32,6 +32,11 @@ hits x (the number of g with a hit), which equals the unreduced per-g
 sweep (the tests check this against a per-g loop).  No classification
 result is assumed.
 
+A verdict spreads over its double coset through permutation tables, one
+list over all of GL_n(q) per generator of L or H, mapping each element x
+to u . x or x . s.  The identity is solved before any unit group or table
+is built, so an equivalence that holds at g = 1 costs two kernel solves.
+
 The class census takes the class of the field-multiplication code from
 the closed form equiv_to_c0_predicate and decides every other pair of
 twisted codes by this exact scan; there is no second equivalence test.
@@ -40,11 +45,11 @@ twisted codes by this exact scan; there is no second equivalence test.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
-from typing import Iterator, Sequence
+from itertools import chain, repeat
+from operator import add
+from typing import Iterable, Iterator, Sequence
 
 from . import linalg
 from .errors import charge, resolve_budget
@@ -293,8 +298,9 @@ class LinPolyCode:
 
     def contains(self, f: LinearizedPoly) -> bool:
         vec = tuple(x for row in f.to_matrix() for x in row)
-        reduced, pivots = linalg.rref(self._canon.basis, self.field.base)
-        return linalg.in_rowspan(reduced, pivots, vec, self.field.base)
+        basis = self._canon.basis  # canonical rref: a pivot is a row's first nonzero
+        pivots = [next(c for c, x in enumerate(row) if x) for row in basis]
+        return linalg.in_rowspan(basis, pivots, vec, self.field.base)
 
     def contains_x(self) -> bool:
         return self.contains(LinearizedPoly.x(self.field))
@@ -423,55 +429,55 @@ def code_to_semifield(C: LinPolyCode, budget: int | None = None) -> Semifield:
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _gl_codes(fld, n: int) -> tuple[int, ...]:
-    """The codes of GL_n(q) in increasing order, the code of a matrix being
-    sum of mat[r][c] * q^(r*n + c).  Cached per (field, n).
+def _gl_codes(fld, n: int) -> tuple[list[int], tuple[list[int], ...], tuple[list[int], ...]]:
+    """(where, rows, cols): GL_n(q) enumerated in increasing order of the
+    codes of its matrices, the code of a matrix being sum of
+    mat[r][c] * q^(r*n + c).  Cached per (field, n).
+      - where[code] is the index of the element of that code, for each of
+        the q^(n^2) codes (0 off GL);
+      - rows[r][i] is digit r of the code of element i in base Q = q^n,
+        the code of its row r, a vector v of GF(q)^n having the code sum
+        of v[k] * q^k;
+      - cols[c][i] is the code of its column c.
 
-    Row r is digit r of the code in base Q = q^n.  The rows are chosen from
-    the most significant down, each from the row codes range(Q) outside the
-    span of the rows above it, that span a set of row codes grown with the
-    `_row_arithmetic` tables; so the codes come out sorted, and no rank is
+    The rows are chosen from the most significant down, each from the row
+    codes range(Q) outside the span of the rows above it, that span a set
+    of row codes grown with the `_row_arithmetic` tables; so the codes come
+    out sorted, with their row and column digits, and no rank is
     computed."""
     q = fld.order
     Q = q**n
-    add, scale = _row_arithmetic(fld, n)
+    add_tab, scale = _row_arithmetic(fld, n)
+    digit = [[v // q**c % q for v in range(Q)] for c in range(n)]
     codes: list[int] = []
+    rows: tuple[list[int], ...] = tuple([] for _ in range(n))
+    cols: tuple[list[int], ...] = tuple([] for _ in range(n))
+    chosen = [0] * n
 
-    def extend(prefix: int, span: set[int], rows_left: int) -> None:
+    def extend(prefix: int, span: set[int], r: int, col_prefix: list[int]) -> None:
         free = [v for v in range(Q) if v not in span]
-        if rows_left == 1:
+        if r == 0:
             codes.extend([prefix + v for v in free])
+            rows[0].extend(free)
+            for k in range(1, n):
+                rows[k].extend(repeat(chosen[k], len(free)))
+            for c in range(n):
+                cols[c].extend(map(add, repeat(col_prefix[c]), map(digit[c].__getitem__, free)))
             return
         for v in free:
+            chosen[r] = v
             multiples = [row[v] for row in scale]
-            grown = {add[s * Q + w] for s in span for w in multiples}
-            extend((prefix + v) * Q, grown, rows_left - 1)
+            grown = {add_tab[s * Q + w] for s in span for w in multiples}
+            col_next = [x + digit[c][v] * q**r for c, x in enumerate(col_prefix)]
+            extend((prefix + v) * Q, grown, r - 1, col_next)
 
-    extend(0, {0}, n)
+    extend(0, {0}, n - 1, [0] * n)
     if len(codes) != gl_order(n, fld):
         raise AssertionError("GL_n(q) enumeration must match |GL_n(q)|")
-    return tuple(codes)
-
-
-@lru_cache(maxsize=None)
-def _gl_transpose(fld, n: int) -> tuple[int, ...]:
-    """tr[i], the index in `_gl_codes` of the transpose of matrix i.
-    Cached per (field, n).  Row r of a matrix is column r of its
-    transpose: a row with code v adds weights[r][v], the sum of
-    v[c] * q^(c*n + r), to the code of the transpose."""
-    q = fld.order
-    Q = q**n
-    codes = _gl_codes(fld, n)
-    spread = [sum(v // q**c % q * Q**c for c in range(n)) for v in range(Q)]
-    weights = [[w * q**r for w in spread] for r in range(n)]
-    tr = []
-    for code in codes:
-        t = 0
-        for weight in weights:
-            code, v = divmod(code, Q)
-            t += weight[v]
-        tr.append(bisect_left(codes, t))
-    return tuple(tr)
+    where = [0] * q ** (n * n)
+    for i, code in enumerate(codes):
+        where[code] = i
+    return where, rows, cols
 
 
 def _matrix_code(mat: linalg.Matrix, q: int) -> int:
@@ -492,15 +498,14 @@ def _pair_budget(C: LinPolyCode) -> int:
 
 def _left_multiplier_rows(
     checks: Sequence[Sequence[int]], dmats: Sequence[linalg.Matrix], n: int, fld
-) -> list[linalg.Vector]:
+) -> Iterator[linalg.Vector]:
     """The constraint rows of {A : A . D in span(C) for all D in dmats}:
-    <H, A . D> = <H . D^T, A> for each check H, read as an n x n matrix."""
+    <H, A . D> = <H . D^T, A> for each check H, read as an n x n matrix.
+    A generator: each row is made when `linalg.solution_space` pulls it."""
     dts = [tuple(zip(*D)) for D in dmats]
-    return [
-        sum(linalg.mat_mul(H, Dt, fld), ())
-        for H in ([h[r * n : (r + 1) * n] for r in range(n)] for h in checks)
-        for Dt in dts
-    ]
+    for H in ([h[r * n : (r + 1) * n] for r in range(n)] for h in checks):
+        for Dt in dts:
+            yield sum(linalg.mat_mul(H, Dt, fld), ())
 
 
 def _right_idealizer_rows(
@@ -542,87 +547,96 @@ def _invertible_in_space(
 class _GLProducts:
     """Products in GL_n(q) on the indices of its enumeration `_gl_codes`.
 
-    Row r of a matrix is digit r of its code in base Q = q^n, a row vector
-    v having the code sum of v[c] * q^c.  Only the codes are kept; a matrix
-    is decoded where one is needed.  A right product maps each row through
-    one table on GF(q)^n, built from the addition and scaling tables, and
-    is located by bisecting on the sorted codes.  A left product is a right
-    product of transposes, u . x = (x^T . u^T)^T, through the transpose
-    permutation `tr`.  Nothing else is tabulated over all of GL."""
+    Only the digit lists of rows and columns are kept; a matrix is decoded
+    where one is needed.  A product by a fixed element is a permutation
+    table, a list whose entry x is the index of the product with x:
+      - x . s: row r of x . s is (row r of x) . s, so one image table on
+        GF(q)^n maps each row digit of x;
+      - u . x: column c of u . x is u . (column c of x), so one image
+        table maps each column digit.
+    A table sums the images to codes by C-level `map` over the digit lists
+    of all of GL, and reads their indices off `where`."""
 
     def __init__(self, fld, n: int):
-        self.codes = _gl_codes(fld, n)
-        self.tr = _gl_transpose(fld, n)
+        self.where, self.rows, self.cols = _gl_codes(fld, n)
         self.n = n
-        self.q = fld.order
-        self.Q = fld.order**n
+        self.q = q = fld.order
+        self.Q = Q = q**n
         self.add, self.scale = _row_arithmetic(fld, n)
+        self.vectors = [tuple(v // q**c % q for c in range(n)) for v in range(Q)]
+        # spread[w]: what a column of code w adds to the code of a matrix
+        # when it is column 0
+        self.spread = [sum(x * Q**r for r, x in enumerate(v)) for v in self.vectors]
         self.identity = self.index(linalg.identity(n))
 
     def matrix(self, i: int) -> linalg.Matrix:
-        """The matrix of index i, decoded from its code."""
-        code, q, n = self.codes[i], self.q, self.n
-        digits = []
-        for _ in range(n * n):
-            code, x = divmod(code, q)
-            digits.append(x)
-        return tuple(tuple(digits[r * n : (r + 1) * n]) for r in range(n))
+        """The matrix of index i, decoded from its row digits."""
+        return tuple(self.vectors[row[i]] for row in self.rows)
 
     def index(self, mat: linalg.Matrix) -> int:
         """The index of mat; ValueError if mat is not an element of GL_n(q)
         (singular, of another shape, or with entries outside range(q))."""
         code = _matrix_code(mat, self.q)
-        i = bisect_left(self.codes, code)
-        if i == len(self.codes) or self.matrix(i) != tuple(map(tuple, mat)):
+        i = self.where[code] if 0 <= code < len(self.where) else 0
+        if self.matrix(i) != tuple(map(tuple, mat)):
             raise ValueError(f"{mat} is not an element of GL_{self.n}({self.q})")
         return i
 
-    def _combine(self, coeffs: Sequence[int], rows: Sequence[int]) -> int:
-        """The code of sum_k coeffs[k] * rows[k], rows given by their codes."""
-        add, scale, Q = self.add, self.scale, self.Q
-        acc = 0
-        for a, v in zip(coeffs, rows):
-            if a:
-                acc = add[acc * Q + scale[a][v]]
-        return acc
+    def _image(self, vecs: Sequence[int]) -> list[int]:
+        """image[v], the code of sum_k v[k] * vecs[k], for every v in
+        GF(q)^n; the vectors vecs are given by their codes."""
+        add_tab, scale, Q = self.add, self.scale, self.Q
+        image = []
+        for v in self.vectors:
+            acc = 0
+            for a, w in zip(v, vecs):
+                if a:
+                    acc = add_tab[acc * Q + scale[a][w]]
+            image.append(acc)
+        return image
 
-    def right_mul(self, s: int):
-        """x -> the index of x . s: one table maps each row v of x to v . s."""
-        Q, codes = self.Q, self.codes
-        q, n = self.q, self.n
-        srows = [codes[s] // Q**r % Q for r in range(n)]
-        table = [self._combine([v // q**c % q for c in range(n)], srows) for v in range(Q)]
-        shifted = [[t * Q**r for t in table] for r in range(n)]
+    def _right_parts(self, s: int) -> list[list[int]]:
+        """parts[r][v] = (v . s) * Q^r, what row r = v of x adds to the code
+        of x . s; v . s is sum_k v[k] * (row k of s)."""
+        image = self._image([row[s] for row in self.rows])
+        return [[t * self.Q**r for t in image] for r in range(self.n)]
 
-        def act(x: int) -> int:
-            code, out = codes[x], 0
-            for tab in shifted:
-                code, v = divmod(code, Q)
-                out += tab[v]
-            return bisect_left(codes, out)
+    def _table(self, parts: Sequence[Sequence[int]], digits: Sequence[Sequence[int]]) -> list[int]:
+        """The permutation x -> the index of the code sum_k
+        parts[k][digits[k][x]], summed over all of GL at C level."""
+        codes = map(parts[0].__getitem__, digits[0])
+        for part, column in zip(parts[1:], digits[1:]):
+            codes = map(add, codes, map(part.__getitem__, column))
+        return list(map(self.where.__getitem__, codes))
 
-        return act
+    def right_table(self, s: int) -> list[int]:
+        """The permutation x -> the index of x . s."""
+        return self._table(self._right_parts(s), self.rows)
 
-    def left_mul(self, u: int):
-        """x -> the index of u . x, as the transpose of x^T . u^T."""
-        tr = self.tr
-        act = self.right_mul(tr[u])
-        return lambda x: tr[act(tr[x])]
+    def left_table(self, u: int) -> list[int]:
+        """The permutation x -> the index of u . x: column c = w of x
+        becomes u . w = sum_k w[k] * (column k of u)."""
+        image = self._image([col[u] for col in self.cols])
+        parts = [[self.spread[t] * self.q**c for t in image] for c in range(self.n)]
+        return self._table(parts, self.cols)
 
-    def generators(self, elements: Iterator[int]) -> list[int]:
+    def generators(self, elements: Iterable[int]) -> list[int]:
         """Generators of the group formed by `elements` (indices): each
-        element outside the group generated by those kept so far is kept."""
-        group, gens, acts = {self.identity}, [], []
+        element outside the group generated by those kept so far is kept.
+        The group, small, is closed through each kept generator's row
+        table, one product at a time."""
+        where, rows = self.where, self.rows
+        group, gens, tables = {self.identity}, [], []
         for x in elements:
             if x in group:
                 continue
             gens.append(x)
-            acts.append(self.right_mul(x))
+            tables.append(self._right_parts(x))
             frontier = list(group)
             while frontier:
                 y = frontier.pop()
-                for act in acts:
-                    z = act(y)
+                for parts in tables:
+                    z = where[sum(part[row[y]] for part, row in zip(parts, rows))]
                     if z not in group:
                         group.add(z)
                         frontier.append(z)
@@ -687,19 +701,24 @@ def _equivalence_scan(
 
     Every pass decides the identity first, then the other indices in GL
     order, the state of each kept in a bytearray over GL: a solve's
-    verdict is spread along the generators of L and H over its double
-    coset, and when H gains a generator every index already decided is
-    spread along it too.  Since verdicts are exact per double coset, the
-    order changes no verdict and no count.  At rho = 0 of an automorphism
-    scan the identity's double coset contains the group H generates, so
-    every later hit lies outside it and is a new generator.
+    verdict is spread over its double coset through the permutation
+    tables of the generators of L and H (`_GLProducts`), and when H gains
+    a generator every index already decided is spread along it too.
+    Since verdicts are exact per double coset, the order changes no
+    verdict and no count.  At rho = 0 of an automorphism scan the
+    identity's double coset contains the group H generates, so every
+    later hit lies outside it and is a new generator.
+
+    The identity's rho = 0 solve comes before any unit group or table is
+    built: an equivalence that holds at g = 1 costs two kernel solves,
+    C1's check rows and that one.  Most other g give the kernel {0}, and
+    `linalg.solution_space` stops pulling constraint rows at full rank.
 
     chunk=(lo, hi) restricts the count to a slice of the GL enumeration;
     counting over a partition of [0, |GL|) sums to the full count, and hit
     existence is independent of the split, so parallel reductions stay
     deterministic.  The identity is decided even outside the slice, but
-    only indices inside it are counted.  A pass ends as soon as every
-    index of the slice is decided."""
+    only indices inside it are counted."""
     E = C1.field
     fld = E.base
     n = E.n
@@ -709,65 +728,65 @@ def _equivalence_scan(
         return 0
     budget = resolve_budget(budget)
     charge(_pair_budget(C1), budget, "equivalence triple search")
-    checks = linalg.solution_space(C1.matrix_code.basis, n * n, fld)
-    gl = _GLProducts(fld, n)
-    size = len(gl.codes)
+    size = gl_order(n, fld)
     lo, hi = chunk if chunk is not None else (0, size)
     if not 0 <= lo <= hi <= size:
         raise ValueError(f"chunk {chunk} is not a slice of the {size} elements of GL")
+    checks = linalg.solution_space(C1.matrix_code.basis, n * n, fld)
+
+    def solve(base_mats: Sequence[linalg.Matrix], g: linalg.Matrix) -> int:
+        dmats = [linalg.mat_mul(M, g, fld) for M in base_mats]
+        space = _left_multiplier_space(checks, dmats, n, fld)
+        return sum(1 for _ in _invertible_in_space(space, n, fld, budget))
+
+    # the identity's solve, before any unit group or table is built
+    mats2 = [p.to_matrix() for p in C2.basis]
+    first = solve(mats2, linalg.identity(n))
+    if first and not count_all:
+        return 1
+    gl = _GLProducts(fld, n)
     h_gens = _unit_generators(gl, checks, [p.to_matrix() for p in C1.basis], n, fld, budget)
-    rights = [gl.right_mul(s) for s in h_gens]
+    rights = [gl.right_table(s) for s in h_gens]
     hits = total = 0
     for rho in range(fld.h):
         Crho = C2.twist(rho) if rho else C2
-        base_mats = [p.to_matrix() for p in Crho.basis]
+        base_mats = [p.to_matrix() for p in Crho.basis] if rho else mats2
         if Crho == C1:
             l_gens = h_gens
         else:
             rho_checks = linalg.solution_space(Crho.matrix_code.basis, n * n, fld)
             l_gens = _unit_generators(gl, rho_checks, base_mats, n, fld, budget)
-        acts = [gl.left_mul(u) for u in l_gens] + rights
+        tables = [gl.left_table(u) for u in l_gens] + rights
         grow = rho == 0 and C1 == C2
         state = bytearray(size)  # 0 undecided, 1 no hit, 2 hit
-        remaining, positives = hi - lo, 0
-
-        def mark(x: int, verdict: int) -> None:
-            nonlocal remaining, positives
-            state[x] = verdict
-            if lo <= x < hi:
-                remaining -= 1
-                positives += verdict == 2
-
         for i in chain((gl.identity,), range(lo, hi)):
-            if not remaining:
-                break
             if state[i]:
                 continue
-            g = gl.matrix(i)
-            dmats = [linalg.mat_mul(M, g, fld) for M in base_mats]
-            space = _left_multiplier_space(checks, dmats, n, fld)
-            count = sum(1 for _ in _invertible_in_space(space, n, fld, budget))
+            if rho == 0 and i == gl.identity:
+                count = first
+            else:
+                count = solve(base_mats, gl.matrix(i))
             if count and not count_all:
                 return 1
             hits = hits or count
-            mark(i, 2 if count else 1)
+            state[i] = 2 if count else 1
             queue = [i]
             if count and grow and i != gl.identity:
-                act = gl.right_mul(i)
-                acts.append(act)
-                rights.append(act)
+                table = gl.right_table(i)
+                tables.append(table)
+                rights.append(table)
                 for x, verdict in enumerate(bytes(state)):
-                    if verdict and not state[y := act(x)]:
-                        mark(y, verdict)
+                    if verdict and not state[y := table[x]]:
+                        state[y] = verdict
                         queue.append(y)
-            while queue and remaining:
+            while queue:
                 x = queue.pop()
                 verdict = state[x]
-                for act in acts:
-                    if not state[y := act(x)]:
-                        mark(y, verdict)
+                for table in tables:
+                    if not state[y := table[x]]:
+                        state[y] = verdict
                         queue.append(y)
-        total += hits * positives
+        total += hits * state.count(2, lo, hi)
     return total
 
 

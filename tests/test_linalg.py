@@ -3,8 +3,6 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import pytest
-
 from rankmetric import linalg
 from rankmetric.codes import field_for_order
 from rankmetric.fields import make_ext_field, make_field
@@ -67,7 +65,7 @@ def test_gf2_rank_table_agrees_with_elimination():
 def test_nullspace_orthogonal_and_complementary():
     fld = field_for_order(3)
     rows = [(1, 2, 0, 1), (0, 1, 1, 1)]
-    null = linalg.nullspace(rows, fld)
+    null = linalg.solution_space(rows, 4, fld)
     assert len(null) == 2  # 4 - rank
     assert linalg.rank(null, fld) == 2
     for v in null:
@@ -170,11 +168,8 @@ def test_l1_matches_generic_reference(case):
         assert linalg.in_rowspan(reduced, pivots, v, fld) == reference_in_rowspan(
             reduced, pivots, v, fld
         )
-    if reduced:
-        assert linalg.nullspace(rows, fld) == reference_nullspace(rows, fld)
-    else:
-        with pytest.raises(ValueError):
-            linalg.nullspace(rows, fld)
+    ncols = len(vec)
+    assert linalg.solution_space(rows, ncols, fld) == reference_solution_space(rows, ncols, fld)
 
 
 def test_l1_fields_cover_prime_and_extension_paths():
@@ -266,3 +261,57 @@ def span_case(draw):
 def test_span_elements_matches_reference(case):
     fld, q, basis = case
     assert list(linalg.span_elements(basis, fld, q)) == reference_span(basis, fld, q)
+
+
+# ------------------------------------ differential test of the kernel solve
+
+def reference_solution_space(rows, ncols, fld):
+    """The textbook kernel: GF(q)^ncols when every row is zero, else the
+    basis read off the Gauss-Jordan form of all the rows."""
+    if not any(any(r) for r in rows):
+        return tuple(tuple(int(i == j) for j in range(ncols)) for i in range(ncols))
+    return reference_nullspace(rows, fld)
+
+
+# GF(2), GF(3), GF(4) and GF(9)
+SOLVE_FIELDS = [make_field(2), make_field(3), make_field(2, 2), make_field(3, 2)]
+
+
+@st.composite
+def solve_case(draw):
+    fld = draw(st.sampled_from(SOLVE_FIELDS))
+    ncols = draw(st.integers(1, 5))
+    nrows = draw(st.integers(0, 8))  # more rows than columns is drawn too
+    entry = st.integers(0, fld.order - 1)
+    row = st.one_of(st.just((0,) * ncols), st.tuples(*[entry] * ncols))
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):
+        # a full-rank system: the identity rows mixed in at random places
+        for i in range(ncols):
+            rows.insert(draw(st.integers(0, len(rows))), tuple(int(i == j) for j in range(ncols)))
+    return fld, ncols, rows
+
+
+@given(solve_case())
+@example((make_field(3), 2, []))
+@example((make_field(2, 2), 3, [(0, 0, 0), (0, 0, 0)]))
+@settings(max_examples=400, deadline=None)
+def test_solution_space_matches_textbook_reference(case):
+    fld, ncols, rows = case
+    want = reference_solution_space(rows, ncols, fld)
+    assert linalg.solution_space(rows, ncols, fld) == want
+    # rows pulled from a generator give the same basis, and none is pulled
+    # after the rank reaches ncols
+    pulled = []
+
+    def lazy():
+        for r in rows:
+            pulled.append(r)
+            yield r
+
+    assert linalg.solution_space(lazy(), ncols, fld) == want
+    full = next(
+        (k for k in range(1, len(rows) + 1) if len(reference_rref(rows[:k], fld)[0]) == ncols),
+        None,
+    )
+    assert len(pulled) == (len(rows) if full is None else full)

@@ -620,6 +620,61 @@ def test_double_coset_scan_solve_counts(monkeypatch):
     assert len(solves) == 25
 
 
+def test_equivalence_at_the_identity_builds_no_unit_group_or_table(monkeypatch):
+    # the census's 25 twisted-vs-twisted tests over GF(27) each hit at the
+    # identity, whose solve comes first: two kernel solves per test (C1's
+    # check rows, then the identity's), no unit group and no GL table
+    counts = {"solves": 0, "kernels": 0, "units": 0, "tables": 0}
+
+    def counting(key, original):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(
+        semifield, "_left_multiplier_space", counting("solves", semifield._left_multiplier_space)
+    )
+    monkeypatch.setattr(linalg, "solution_space", counting("kernels", linalg.solution_space))
+    monkeypatch.setattr(
+        semifield, "_unit_generators", counting("units", semifield._unit_generators)
+    )
+    monkeypatch.setattr(
+        semifield._GLProducts, "_table", counting("tables", semifield._GLProducts._table)
+    )
+    twisted_class_census(E27, aut_sizes=False)
+    assert counts == {"solves": 25, "kernels": 50, "units": 0, "tables": 0}
+    # a scan past the identity does build them
+    spec = next(s for s in valid_twisted_specs(E27) if (s.i, s.j) == (1, 2))
+    assert not is_equivalent_bruteforce(c0_code(E27), spec.code(), budget=BIG)
+    assert counts["units"] == 2 and counts["tables"] > 0
+
+
+@given(
+    st.sampled_from((E4, E8, E9, E16, E27)),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+def test_contains_matches_rref_membership(E, rnd):
+    # the pivots read off the canonical basis give the answers of a fresh rref
+    C = random_code(E, rnd)
+    fld, n = E.base, E.n
+    reduced, pivots = linalg.rref(C.matrix_code.basis, fld)
+    words = list(linalg.span_elements(C.matrix_code.basis, fld))
+    for _ in range(10):
+        kind = rnd.random()
+        if kind < 0.1:
+            f = LinearizedPoly.x(E)
+        elif kind < 0.5:  # a codeword
+            word = rnd.choice(words)
+            f = from_matrix(E, tuple(tuple(word[r * n : (r + 1) * n]) for r in range(n)))
+        else:
+            f = LinearizedPoly(E, [rnd.randrange(E.order) for _ in range(n)])
+        vec = _flat(f.to_matrix())
+        assert C.contains(f) == linalg.in_rowspan(reduced, pivots, vec, fld)
+
+
 def test_aut_scan_charges_before_building_gl(monkeypatch):
     # building GL_3(3) makes its 11232 codes, then the scan makes at most
     # one solve per g in GL_3(3): 11232 + 11232 steps, charged before either
@@ -647,24 +702,33 @@ def test_gl_codes_match_reference(q, n):
 
     fld = field_for_order(q)
     codes, mats = reference_gl(fld, n)
-    assert semifield._gl_codes(fld, n) == codes
-    gl = semifield._GLProducts(fld, n)
+    where, rows, cols = semifield._gl_codes(fld, n)
     assert len(codes) == gl_order(n, fld)
+    assert len(where) == q ** (n * n)
+    assert all(len(digits) == len(codes) for digits in rows + cols)
+    Q = q**n
+    for i, (code, mat) in enumerate(zip(codes, mats)):
+        assert where[code] == i
+        assert [row[i] for row in rows] == [code // Q**r % Q for r in range(n)]
+        assert [col[i] for col in cols] == [
+            sum(mat[r][c] * q**r for r in range(n)) for c in range(n)
+        ]
+    gl = semifield._GLProducts(fld, n)
     for i in range(0, len(codes), max(1, len(codes) // 200)):
         assert gl.matrix(i) == mats[i]
         assert gl.index(mats[i]) == i
 
 
 @pytest.mark.parametrize("E", [E4, E8, E9, E16, E27])
-def test_gl_transpose_is_the_transpose_involution(E):
+def test_gl_columns_are_the_rows_of_the_transpose(E):
+    # column c of element i is row c of its transpose
     fld, n = E.base, E.n
-    codes, mats = reference_gl(fld, n)
+    _, mats = reference_gl(fld, n)
     where = {g: i for i, g in enumerate(mats)}
-    tr = semifield._GLProducts(fld, n).tr
-    assert len(tr) == len(codes)
+    _, rows, cols = semifield._gl_codes(fld, n)
     for i, g in enumerate(mats):
-        assert tr[i] == where[tuple(zip(*g))]
-        assert tr[tr[i]] == i
+        t = where[tuple(zip(*g))]
+        assert [col[i] for col in cols] == [row[t] for row in rows]
 
 
 @given(
@@ -673,15 +737,16 @@ def test_gl_transpose_is_the_transpose_involution(E):
 )
 @settings(max_examples=60, deadline=None)
 def test_gl_products_match_matrix_products(E, rnd):
+    # every entry of both permutation tables of a random element u
     fld, n = E.base, E.n
     gl_mats, product = _gl_index(fld, n)
     gl = semifield._GLProducts(fld, n)
     u = rnd.randrange(len(gl_mats))
-    left, right = gl.left_mul(u), gl.right_mul(u)
-    for _ in range(20):
-        x = rnd.randrange(len(gl_mats))
-        assert left(x) == product(gl_mats[u], gl_mats[x])
-        assert right(x) == product(gl_mats[x], gl_mats[u])
+    left, right = gl.left_table(u), gl.right_table(u)
+    assert len(left) == len(right) == len(gl_mats)
+    for x, g in enumerate(gl_mats):
+        assert left[x] == product(gl_mats[u], g)
+        assert right[x] == product(g, gl_mats[u])
 
 
 def test_gl_index_refuses_non_elements():
