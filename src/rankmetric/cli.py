@@ -616,7 +616,9 @@ def _add_common(p: argparse.ArgumentParser, n_takes_range: bool = False) -> None
     p.add_argument("--terms", type=_terms, default=40)
     p.add_argument("--budget", type=_budget, default=None,
                    help=f"enumeration budget (default {default_budget()})")
-    p.add_argument("--jobs", type=_jobs, default=1, help="worker processes for sweeps")
+    p.add_argument("--jobs", type=_jobs, default=1,
+                   help="worker processes for sweeps: one Pool per command, "
+                        "started by the first sweep with more than one task")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.add_argument("--precision", type=int, default=6,
@@ -655,7 +657,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the sweeps of one command share at most one worker Pool
+        with codes._pool_scope():
+            return args.func(args)
     except SystemExit2 as exc:
         sys.stderr.write(f"{exc}\n")
         return 2

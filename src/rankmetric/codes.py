@@ -33,9 +33,13 @@ The three Grassmannian sweeps -- `density_bruteforce`,
 `critical.delta_bruteforce` -- hand their field, matrix shape and
 coordinate vectors to one driver, `_sweep`.  It checks d, charges the
 budget before it builds the kernel and the Grassmannian, and splits the
-index range into deterministic chunks, run by a multiprocessing Pool
-of at most `jobs` workers only when there is more than one chunk, more
-than one job and more than one CPU.
+index range into deterministic chunks.  With one worker (one job, one
+CPU, or a single subspace to count) the chunks run in-process; with
+more they are mapped on a multiprocessing Pool.  A sweep takes that Pool
+from `_pool_scope`, which holds at most one: the command line runs each
+command inside one scope, so all the sweeps of `verify all --jobs 2`
+share the Pool the first of them starts, and a library call made outside
+any scope opens a scope of its own.
 
 The driver runs a plan of seeded counts where the ambient allows it.
 X -> AXB (A, B invertible) preserves rank and is transitive on the
@@ -65,6 +69,7 @@ import itertools
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
@@ -481,6 +486,36 @@ def _count_chunk(task: tuple) -> int:
     return kernel.count(g, units, d, lo, hi, seed)
 
 
+_open_scope: list | None = None  # the open _pool_scope: [its Pool] once started
+
+
+@contextmanager
+def _pool_scope():
+    """Give the sweeps run inside at most one worker Pool between them.
+
+    Yields a list that holds the Pool once a sweep has started it; every
+    later sweep maps its chunks on that Pool.  On exit the Pool is closed
+    and joined, or terminated first if an exception is unwinding, so no
+    worker outlives the scope.  A scope opened inside another one is that
+    one, and leaves its Pool to it."""
+    global _open_scope
+    if _open_scope is not None:
+        yield _open_scope
+        return
+    held = _open_scope = []
+    try:
+        yield held
+    except BaseException:
+        for pool in held:
+            pool.terminate()
+        raise
+    finally:
+        _open_scope = None
+        for pool in held:
+            pool.close()
+            pool.join()
+
+
 def _seed_word(fld, q: int, n: int, m: int, vectors: Sequence, r: int, seed: Sequence[int]):
     """(word, p) for a seed given by its coordinates over `vectors`: the
     flattened n x m matrix it stands for, and its first nonzero
@@ -528,11 +563,18 @@ def _sweep(
 
     The charge covers the subspaces of the plan that runs and the
     q^(k-1) words of the largest span the sweep holds, labelled `what`,
-    and comes before the kernel and the Grassmannian are built.  Every
-    entry is split into `jobs` deterministic chunks; all the chunks form
-    one task list, run by one Pool of at most `jobs` workers, one per task
-    and per CPU.  With one worker the tasks run in-process, so jobs = 1
-    never starts a Pool."""
+    and comes before the kernel and the Grassmannian are built.
+
+    The sweep has min(jobs, CPUs) workers, and at most one per subspace
+    of the plan unless it runs in a scope it shares with other sweeps.
+    With one worker each entry is one task, run in-process, so jobs = 1
+    never starts a Pool.  With more, each entry is split into 4
+    deterministic chunks per worker, so that `Pool.map` hands the uneven
+    chunks out as workers free up, and the tasks are mapped on the one
+    Pool of the open `_pool_scope`, which the first sweep of the scope
+    that needs it starts; a sweep made outside any scope opens a scope of
+    its own.  The counts are integers, and their sum does not depend on
+    the chunks."""
     if not 1 <= d <= min(n, m):
         raise ValueError(f"bad parameters n={n}, m={m}, k={k}, d={d}")
     if strata is not None and points:
@@ -549,8 +591,12 @@ def _sweep(
     kernel = _SpanMinRank(fld, q, n, m, points)
     units = [kernel.vec(v) for v in vectors]
     g = Grassmannian(*shape, q)
-    jobs = max(jobs, 1)
-    bounds = [size * i // jobs for i in range(jobs + 1)]
+    workers = min(max(jobs, 1), os.cpu_count() or 1)
+    if _open_scope is None or len(plan) * size <= 1:
+        # a shared Pool is not cut to the sweep that happens to start it
+        workers = min(workers, len(plan) * size)
+    chunks = 4 * workers if workers > 1 else 1
+    bounds = [size * i // chunks for i in range(chunks + 1)]
     weights, tasks = [], []
     for weight, seed, p in plan:
         entry_units = units if p is None else units[:p] + units[p + 1 :]
@@ -559,14 +605,15 @@ def _sweep(
             if lo < hi:
                 weights.append(weight)
                 tasks.append((kernel, g, entry_units, seed, d, lo, hi))
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         counts = [_count_chunk(task) for task in tasks]
     else:
-        import multiprocessing
+        with _pool_scope() as held:
+            if not held:
+                import multiprocessing
 
-        with multiprocessing.Pool(processes=workers) as pool:
-            counts = pool.map(_count_chunk, tasks)
+                held.append(multiprocessing.Pool(processes=workers))
+            counts = held[0].map(_count_chunk, tasks)
     count, rest = divmod(sum(w * c for w, c in zip(weights, counts)), divisor)
     if rest:
         raise AssertionError(f"{what}: the weighted count is not divisible by {divisor}")

@@ -621,22 +621,33 @@ class _GLProducts:
         return self._table(parts, self.cols)
 
     def generators(self, elements: Iterable[int]) -> list[int]:
-        """Generators of the group formed by `elements` (indices): each
-        element outside the group generated by those kept so far is kept.
-        The group, small, is closed through each kept generator's row
-        table, one product at a time."""
-        where, rows = self.where, self.rows
-        group, gens, tables = {self.identity}, [], []
-        for x in elements:
+        """Generators of the group formed by `elements` (indices).  The
+        elements are tried by decreasing order, and each one outside the
+        group generated by those kept so far is kept, so a cyclic group
+        gets one generator.  The group, small, is closed through each kept
+        generator's row table, one product at a time."""
+        where, rows, identity = self.where, self.rows, self.identity
+        parts = {x: self._right_parts(x) for x in elements}
+
+        def times(y: int, x: int) -> int:
+            return where[sum(part[row[y]] for part, row in zip(parts[x], rows))]
+
+        def order(x: int) -> int:
+            k, y = 1, x
+            while y != identity:
+                k, y = k + 1, times(y, x)
+            return k
+
+        group, gens = {identity}, []
+        for x in sorted(parts, key=order, reverse=True):
             if x in group:
                 continue
             gens.append(x)
-            tables.append(self._right_parts(x))
             frontier = list(group)
             while frontier:
                 y = frontier.pop()
-                for parts in tables:
-                    z = where[sum(part[row[y]] for part, row in zip(parts, rows))]
+                for s in gens:
+                    z = times(y, s)
                     if z not in group:
                         group.add(z)
                         frontier.append(z)

@@ -251,13 +251,79 @@ def test_verify_budget_accepts_scientific_notation(capsys):
     assert "PASS" in out
 
 
-def test_verify_all_byte_identical_across_jobs(tmp_path, capsys):
-    out1 = tmp_path / "j1.txt"
-    out8 = tmp_path / "j8.txt"
-    assert main(["verify", "all", "--out", str(out1)]) == 0
-    assert main(["verify", "all", "--jobs", "8", "--out", str(out8)]) == 0
+@pytest.fixture
+def pools_started(monkeypatch):
+    """The list of the worker counts of the real Pools started, with 2
+    CPUs reported."""
+    import multiprocessing
+
+    real_pool, started = multiprocessing.Pool, []
+
+    def counting_pool(processes):
+        started.append(processes)
+        return real_pool(processes=processes)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return started
+
+
+@pytest.mark.parametrize(
+    "argv,pools",
+    [
+        (("verify", "all", "--jobs", "2"), [2]),
+        (("verify", "all", "--jobs", "1"), []),
+        (("verify", "lambda", "--jobs", "2"), []),
+        (("formula", "density3x3", "--q", "2"), []),
+    ],
+    ids=["all-jobs2", "all-jobs1", "lambda-jobs2", "formula"],
+)
+def test_one_pool_per_command(pools_started, capsys, argv, pools):
+    # every sweep of a command maps on the Pool the first sweep with more
+    # than one task starts; main closes and joins it, so no worker outlives
+    # main and no Pool is dropped unclosed
+    import multiprocessing
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert run(capsys, *argv)[0] == 0
+    assert pools_started == pools
+    assert multiprocessing.active_children() == []
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def _failing_chunk(task):
+    raise RuntimeError("chunk failed in a worker")
+
+
+def test_no_worker_outlives_a_failed_sweep(pools_started, capsys, monkeypatch):
+    # patched before the fork, so the chunk raises inside a Pool worker;
+    # the exception unwinds through main, which terminates the Pool
+    import multiprocessing
+
+    from rankmetric import codes
+
+    monkeypatch.setattr(codes, "_count_chunk", _failing_chunk)
+    with pytest.raises(RuntimeError, match="chunk failed in a worker"):
+        main(["verify", "mrd192", "--jobs", "2"])
+    assert pools_started == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_all_byte_identical_across_jobs(pools_started, tmp_path, capsys):
+    # the text and JSON reports at jobs 1, 2 and 8; 2 CPUs are reported, so
+    # jobs 2 and 8 each run on one Pool of 2 workers
+    for fmt in ("text", "json"):
+        reports = []
+        for jobs in ("1", "2", "8"):
+            out = tmp_path / f"j{jobs}.{fmt}"
+            argv = ["verify", "all", "--jobs", jobs, "--format", fmt, "--out", str(out)]
+            assert main(argv) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1] == reports[2]
     capsys.readouterr()
-    assert out1.read_bytes() == out8.read_bytes()
+    assert pools_started == [2, 2, 2, 2]
 
 
 def test_verify_json_format(capsys):

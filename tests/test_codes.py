@@ -172,14 +172,17 @@ def fake_pool(monkeypatch):
         def __init__(self, processes):
             seen.append(processes)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def map(self, fn, tasks):
             return [fn(t) for t in tasks]
+
+        def close(self):
+            pass
+
+        def terminate(self):
+            pass
+
+        def join(self):
+            pass
 
     def install(cpus):
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
@@ -231,6 +234,50 @@ def test_restricted_sweep_starts_no_pool(fake_pool):
     seen = fake_pool(4)
     assert restricted_density_bruteforce("hermitian", 2, 1, 1, 2).count == 15
     assert seen == []
+
+
+def test_one_pool_serves_mixed_sweeps(monkeypatch):
+    # one scope at jobs 2: the Pool forks at the first sweep, the packed
+    # GF(2) one, so the later sweeps send its workers fields, kernels and a
+    # point set they never saw before the fork; every count is the
+    # in-process one, and exactly one Pool starts
+    import multiprocessing
+    import os
+
+    from rankmetric import codes, critical
+
+    real_pool, started = multiprocessing.Pool, []
+
+    def counting_pool(processes):
+        started.append(processes)
+        return real_pool(processes=processes)
+
+    P = critical.rank_ball_pointset(2, 2, 1, 3)
+
+    def point_sweep(jobs):
+        # the sweep of critical.delta_bruteforce(P, 2), which takes no jobs
+        return _sweep(
+            P.field, 3, 1, 4, linalg.identity(4), 2, 1, None, "point-set sweep",
+            points=P.points, jobs=jobs,
+        )
+
+    sweeps = [
+        lambda jobs: density_bruteforce(2, 3, 3, 2, 2, jobs=jobs).count,  # packed, seeded
+        lambda jobs: density_bruteforce(2, 2, 2, 2, 3, jobs=jobs).count,  # generic GF(3)
+        lambda jobs: density_bruteforce(2, 2, 2, 2, 4, jobs=jobs).count,  # generic GF(4)
+        lambda jobs: density_bruteforce(3, 3, 8, 1, 2, jobs=jobs).count,  # flat plan, d = 1
+        point_sweep,
+    ]
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with codes._pool_scope():
+        shared = [sweep(2) for sweep in sweeps]
+    assert started == [2]
+    assert multiprocessing.active_children() == []
+    assert shared == [sweep(1) for sweep in sweeps]
+    assert shared[:4] == [48, 18, 72, 511]
+    assert Fraction(*shared[4]) == critical.delta_bruteforce(P, 2)
+    assert started == [2]  # jobs 1 starts none
 
 
 def test_density_generic_path_q3():

@@ -22,6 +22,7 @@ reference codes that contain E_r, and the driver's count against the
 reference count.
 """
 
+import multiprocessing
 import os
 from unittest import mock
 
@@ -267,14 +268,32 @@ def test_seeded_strata_match_flat_reference(case, cuts):
     assert pairs == len(good) * (q**k - 1)
 
 
+class InProcessPool:
+    """A stand-in for multiprocessing.Pool that maps in-process."""
+
+    def __init__(self, processes):
+        pass
+
+    def map(self, fn, tasks):
+        return [fn(t) for t in tasks]
+
+    def close(self):
+        pass
+
+    terminate = join = close
+
+
 @given(seeded_cases(), st.integers(1, 6))
 @settings(max_examples=60, deadline=None)
 def test_seeded_driver_matches_flat_reference(case, jobs):
-    # the driver's chunks (jobs of them per plan entry) run in-process
+    # the driver's chunks (4 per worker and plan entry, at most jobs
+    # workers) run in-process on a stand-in Pool
     kind, n, m, k, d, q = case
     fld, vectors, strata = ambient(kind, n, m, d, q)
     expected = len(reference_good_codes(fld, q, n, m, vectors, k, d))
-    with mock.patch.object(os, "cpu_count", return_value=1):
+    with mock.patch.object(os, "cpu_count", return_value=jobs), mock.patch.object(
+        multiprocessing, "Pool", InProcessPool
+    ):
         count, total = _sweep(
             fld, q, n, m, vectors, k, d, None, "test sweep", jobs=jobs, strata=strata
         )

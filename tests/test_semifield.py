@@ -651,6 +651,41 @@ def test_equivalence_at_the_identity_builds_no_unit_group_or_table(monkeypatch):
     assert counts["units"] == 2 and counts["tables"] > 0
 
 
+def test_cyclic_unit_group_has_one_generator(monkeypatch):
+    # R* of the GF(27) field code is the cyclic group GF(27)*, 26 units:
+    # trying elements of larger order first gives it one generator, so the
+    # census builds one left and one right whole-GL table for it, and 7
+    # tables in all
+    code = c0_code(E27)
+    fld, n = E27.base, E27.n
+    gl = semifield._GLProducts(fld, n)
+    checks = linalg.solution_space(code.matrix_code.basis, n * n, fld)
+    mats = [p.to_matrix() for p in code.basis]
+    units = list(semifield._invertible_in_space(
+        linalg.solution_space(semifield._right_idealizer_rows(checks, mats, n, fld), n * n, fld),
+        n, fld, BIG,
+    ))
+    assert len(units) == 26
+    assert len(semifield._unit_generators(gl, checks, mats, n, fld, BIG)) == 1
+    # in any input order, the one generator's powers are all 26 units
+    (gen,) = gl.generators(map(gl.index, reversed(units)))
+    times_gen, x, powers = gl.right_table(gen), gl.identity, set()
+    for _ in units:
+        x = times_gen[x]
+        powers.add(x)
+    assert powers == {gl.index(u) for u in units}
+    tables = []
+    original = semifield._GLProducts._table
+
+    def counted(self, *args):
+        tables.append(1)
+        return original(self, *args)
+
+    monkeypatch.setattr(semifield._GLProducts, "_table", counted)
+    twisted_class_census(E27)
+    assert len(tables) == 7
+
+
 @given(
     st.sampled_from((E4, E8, E9, E16, E27)),
     st.randoms(use_true_random=False),
