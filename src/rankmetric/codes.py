@@ -56,11 +56,12 @@ sets, which no such group preserves.
 
 The other side of the 2 x m identity, `spectrum_free_count`, is a
 separate depth-first traversal over the rows of an m x m matrix M.  For
-every lambda in GF(q) it keeps an echelon basis of the rows fixed so far
-of M - lambda*I and drops a prefix, with all its completions, once some
-lambda makes those rows dependent.  It uses only the `linalg` row
-reduction, never the span kernel or the Grassmannian, so the identity
-still compares two independent computations.
+every lambda in GF(q) it keeps the span of the rows fixed so far of
+M - lambda*I as a set of row codes and drops a prefix, with all its
+completions, once some lambda makes those rows dependent.  It uses only
+the `linalg` row-code tables, never the span kernel, the Grassmannian
+or a row reduction, so the identity still compares two independent
+computations.
 """
 
 from __future__ import annotations
@@ -660,48 +661,52 @@ def spectrum_free_count(m: int, q, budget: int | None = None) -> int:
     i.e. det(M - lambda*I) != 0 for every lambda.
 
     One depth-first traversal over the rows of M.  For every lambda it
-    keeps an echelon basis of the rows fixed so far of M - lambda*I,
-    whose row i is r_i - lambda*e_i, and reduces each candidate r_i
-    against it.  If some lambda reduces the candidate to zero, those rows
-    are dependent for that lambda in every completion, so the prefix is
-    dropped with its q^(m(m-1-i)) completions; every leaf reached has
-    independent rows for every lambda.  The count is exact: M is
-    spectrum-free iff M - lambda*I has independent rows for every
-    lambda.  It stays independent of the density sweep on the other side
-    of the 2 x m identity: no span kernel, no Grassmannian, no seeding.
-    The budget is charged q^(m^2), the whole matrix space, before
-    anything is built."""
+    keeps the span of the rows fixed so far of M - lambda*I, whose row i
+    is r_i - lambda*e_i, as the set of the row codes of its vectors
+    (`linalg.grow_span`).  The candidate r_x - lambda*e_i is dependent
+    iff its code lies in that set, that is iff x, the code of r_x, lies
+    in the set translated by lambda*e_i; so the translates of the q
+    sets, one per lambda, hold exactly the rows x that some lambda makes
+    dependent.  Such a prefix is dropped with its q^(m(m-1-i))
+    completions, and at the last row the leaves are counted as the rows
+    outside every translate.  The count is exact: M is spectrum-free iff
+    M - lambda*I has independent rows for every lambda.  It stays
+    independent of the density sweep on the other side of the 2 x m
+    identity: no span kernel, no Grassmannian, no seeding, no
+    elimination.  The budget is charged the larger of q^(m^2), the whole
+    matrix space, and the size of the row-code tables, before anything
+    is built."""
     q = getattr(q, "order", q)
     if m < 1:
         raise ValueError(f"need m >= 1, got m = {m}")
     fld = field_for_order(q)
-    charge(q ** (m * m), resolve_budget(budget), f"enumerating GF({q})^({m}x{m})")
-    # shifted[i][x] = [r_x - lam*e_i for lam in GF(q)], r_x the x-th row
-    rows = list(linalg.span_elements(linalg.identity(m), fld))
+    cost = max(q ** (m * m), linalg.row_arithmetic_size(q, m))
+    charge(cost, resolve_budget(budget), f"enumerating GF({q})^({m}x{m})")
+    Q = q**m
+    add, scale = linalg.row_arithmetic(fld, m)
+    # shift[i][lam] is the code of lam*e_i; shifted[i][x][lam] that of
+    # r_x - lam*e_i, r_x the row of code x, for every row but the last
+    shift = [[lam * q**i for lam in range(q)] for i in range(m)]
     shifted = [
-        [[r[:i] + (fld.sub(r[i], lam),) + r[i + 1:] for lam in range(q)] for r in rows]
-        for i in range(m)
+        [tuple(add[x * Q + fld.neg(lam) * q**i] for lam in range(q)) for x in range(Q)]
+        for i in range(m - 1)
     ]
 
-    def count(i: int, bases: list) -> int:
-        # bases[lam] = (basis, pivots) of the rows < i of M - lam*I
-        last = i == m - 1
+    def count(i: int, spans: list) -> int:
+        # spans[lam]: the codes of the span of the rows < i of M - lam*I
+        dependent = set()
+        for span, t in zip(spans, shift[i]):
+            dependent.update([add[s * Q + t] for s in span])
+        if i == m - 1:
+            return Q - len(dependent)
         total = 0
-        for vs in shifted[i]:
-            grown = []
-            for v, (basis, pivots) in zip(vs, bases):
-                w = linalg.reduce(v, basis, pivots, fld)
-                if not any(w):
-                    break
-                if not last:
-                    c = next(j for j, x in enumerate(w) if x)
-                    row = linalg.row_scale(fld.inv(w[c]), w, fld)
-                    grown.append((basis + (row,), pivots + (c,)))
-            else:
-                total += 1 if last else count(i + 1, grown)
+        for x, vs in enumerate(shifted[i]):
+            if x not in dependent:
+                grown = [linalg.grow_span(span, v, add, scale) for v, span in zip(vs, spans)]
+                total += count(i + 1, grown)
         return total
 
-    return count(0, [((), ())] * q)
+    return count(0, [{0}] * q)
 
 
 def spectrum_free_identity_check(m: int, q, budget: int | None = None) -> bool:

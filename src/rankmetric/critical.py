@@ -284,17 +284,33 @@ def _pointset_histogram(N: int, ell: int, q: int) -> dict[tuple[int, int], int]:
     A point lies in the coordinate subspace V_s = <e_0..e_(s-1)> iff its
     largest nonzero index is < s, so V_s distinguishes the set iff
     s <= min_maxidx.
-    """
+
+    The ell-subsets of `all_points` are walked depth-first, in
+    itertools.combinations order.  Each prefix carries the row codes of
+    its span (`linalg.grow_span`), its rank and its min max-index, and a
+    new point raises the rank iff its code is not in the span; no rank
+    is computed.  The caller charges the row-code tables."""
     fld = field_for_order(q)
+    add, scale = linalg.row_arithmetic(fld, N)
     points = all_points(N, q)
+    codes = [sum(x * q**c for c, x in enumerate(p)) for p in points]
     maxidx = [max(j for j, x in enumerate(p) if x) for p in points]
     hist: dict[tuple[int, int], int] = {}
-    for combo in itertools.combinations(range(len(points)), ell):
-        vecs = [points[i] for i in combo]
-        rho = linalg.rank(vecs, fld)
-        m = min(maxidx[i] for i in combo)
-        key = (rho, m)
-        hist[key] = hist.get(key, 0) + 1
+
+    def walk(start: int, depth: int, span: set[int], rank: int, low: int) -> None:
+        last = depth == ell - 1
+        for i in range(start, len(points) - (ell - 1 - depth)):
+            code, m = codes[i], min(low, maxidx[i])
+            grows = code not in span
+            if last:
+                key = (rank + grows, m)
+                hist[key] = hist.get(key, 0) + 1
+            elif grows:
+                walk(i + 1, depth + 1, linalg.grow_span(span, code, add, scale), rank + 1, m)
+            else:
+                walk(i + 1, depth + 1, span, rank, m)
+
+    walk(0, 0, {0}, 0, N)
     return hist
 
 
@@ -304,10 +320,20 @@ def lambda_exhaustive(
     """Oracle for lambda_count: direct enumeration of all point sets of
     size ell, counting those of rank rho avoided by the coordinate
     subspace <e_0, ..., e_(s-1)>.  (The count is the same for every
-    s-dimensional subspace; the test suite cross-checks this.)"""
-    q = getattr(q, "order", q)
+    s-dimensional subspace; the test suite cross-checks this.)  rho is
+    not restricted: the oracle answers outside the formula's domain too.
+    The budget is charged the larger of the number of point sets and the
+    size of the row-code tables of GF(q)^N."""
+    q = field_for_order(getattr(q, "order", q)).order
+    if N < 1:
+        raise ValueError(f"need N >= 1, got N = {N}")
+    if not 0 <= s <= N:
+        raise ValueError(f"need 0 <= s <= N, got s = {s}, N = {N}")
     npoints = (q**N - 1) // (q - 1)
-    charge(binom(npoints, ell), resolve_budget(budget), "point-set enumeration")
+    if not 1 <= ell <= npoints:
+        raise ValueError(f"need 1 <= ell <= {npoints}, got ell = {ell}")
+    cost = max(binom(npoints, ell), linalg.row_arithmetic_size(q, N))
+    charge(cost, resolve_budget(budget), "point-set enumeration")
     hist = _pointset_histogram(N, ell, q)
     return sum(
         count for (r, m), count in hist.items() if r == rho and s <= m

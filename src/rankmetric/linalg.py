@@ -10,8 +10,16 @@ a prime field (h == 1) the row operations do the arithmetic inline
 modulo p; an extension field goes through its add/mul.  `span_elements`
 is the package's one walk of a GF(q)-space, one `row_sub` per changed
 digit.  `mat_mul` and `mat_vec` also sum each entry inline modulo p
-over a prime field.  A bit-packed GF(2) rank table backs the hot
-enumeration paths; it never leaks into public interfaces.
+over a prime field.
+
+A vector of GF(q)^n also has a row code, the int sum of v[c] * q^c.
+`row_arithmetic` tabulates addition and scaling on these codes, cached
+per (field, n), and `grow_span` grows the set of codes of a span by one
+row with them; membership in a span is then one set lookup, with no
+elimination.  GL_n(q) (`semifield`), the spectrum-free count (`codes`)
+and the point-set histograms (`critical`) test independence that way.
+A bit-packed GF(2) rank table backs the hot enumeration paths; it never
+leaks into public interfaces.
 """
 
 from __future__ import annotations
@@ -187,6 +195,43 @@ def mat_inv(a: Sequence[Sequence[int]], fld) -> Matrix | None:
     if pivots != tuple(range(n)):
         return None
     return tuple(row[n:] for row in rows)
+
+
+@lru_cache(maxsize=None)
+def row_arithmetic(fld, n: int) -> tuple[list[int], list[list[int]]]:
+    """Addition and scaling on the row codes of GF(q)^n, the code of v
+    being sum of v[c] * q^c: add[v * q^n + w] is the code of v + w and
+    scale[a][v] that of a * v.  Cached per (field, n).  The two tables
+    hold `row_arithmetic_size(q, n)` entries, which a caller charges to
+    its budget before the first call."""
+    q = fld.order
+    vecs = [[(v // q**c) % q for c in range(n)] for v in range(q**n)]
+
+    def code(vec) -> int:
+        return sum(x * q**c for c, x in enumerate(vec))
+
+    add = [code(map(fld.add, v, w)) for v in vecs for w in vecs]
+    scale = [[code(fld.mul(a, x) for x in v) for v in vecs] for a in range(q)]
+    return add, scale
+
+
+def row_arithmetic_size(q: int, n: int) -> int:
+    """The number of entries of `row_arithmetic` over GF(q)^n:
+    q^(2n) sums and q^(n+1) multiples."""
+    return q ** (2 * n) + q ** (n + 1)
+
+
+def grow_span(
+    span: Iterable[int], v: int, add: Sequence[int], scale: Sequence[Sequence[int]]
+) -> set[int]:
+    """The row codes of span + GF(q)*v, where span holds the codes of every
+    vector of a subspace and (add, scale) = `row_arithmetic(fld, n)`.  A
+    vector lies in the span iff its code is in the set, so an
+    independence test is one set lookup; the set grows q-fold when v is
+    outside it."""
+    Q = len(scale[0])
+    multiples = [row[v] for row in scale]
+    return {add[s * Q + w] for s in span for w in multiples}
 
 
 def span_elements(basis: Sequence[Sequence[int]], fld, q: int | None = None) -> Iterator[Vector]:

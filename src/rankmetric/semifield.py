@@ -442,12 +442,11 @@ def _gl_codes(fld, n: int) -> tuple[list[int], tuple[list[int], ...], tuple[list
 
     The rows are chosen from the most significant down, each from the row
     codes range(Q) outside the span of the rows above it, that span a set
-    of row codes grown with the `_row_arithmetic` tables; so the codes come
-    out sorted, with their row and column digits, and no rank is
-    computed."""
+    of row codes grown by `linalg.grow_span`; so the codes come out
+    sorted, with their row and column digits, and no rank is computed."""
     q = fld.order
     Q = q**n
-    add_tab, scale = _row_arithmetic(fld, n)
+    add_tab, scale = linalg.row_arithmetic(fld, n)
     digit = [[v // q**c % q for v in range(Q)] for c in range(n)]
     codes: list[int] = []
     rows: tuple[list[int], ...] = tuple([] for _ in range(n))
@@ -466,8 +465,7 @@ def _gl_codes(fld, n: int) -> tuple[list[int], tuple[list[int], ...], tuple[list
             return
         for v in free:
             chosen[r] = v
-            multiples = [row[v] for row in scale]
-            grown = {add_tab[s * Q + w] for s in span for w in multiples}
+            grown = linalg.grow_span(span, v, add_tab, scale)
             col_next = [x + digit[c][v] * q**r for c, x in enumerate(col_prefix)]
             extend((prefix + v) * Q, grown, r - 1, col_next)
 
@@ -491,9 +489,10 @@ def _matrix_code(mat: linalg.Matrix, q: int) -> int:
 
 def _pair_budget(C: LinPolyCode) -> int:
     """The worst case of one scan: the |GL_n(q)| codes of its build, then
-    one left-multiplier solve per (rho, g)."""
+    one left-multiplier solve per (rho, g); or the row-code tables of the
+    build, when they are larger (n = 1, or n = 2 with q <= 3)."""
     fld, n = C.field.base, C.field.n
-    return (1 + fld.h) * gl_order(n, fld)
+    return max((1 + fld.h) * gl_order(n, fld), linalg.row_arithmetic_size(fld.order, n))
 
 
 def _left_multiplier_rows(
@@ -562,7 +561,7 @@ class _GLProducts:
         self.n = n
         self.q = q = fld.order
         self.Q = Q = q**n
-        self.add, self.scale = _row_arithmetic(fld, n)
+        self.add, self.scale = linalg.row_arithmetic(fld, n)
         self.vectors = [tuple(v // q**c % q for c in range(n)) for v in range(Q)]
         # spread[w]: what a column of code w adds to the code of a matrix
         # when it is column 0
@@ -652,22 +651,6 @@ class _GLProducts:
                         group.add(z)
                         frontier.append(z)
         return gens
-
-
-@lru_cache(maxsize=None)
-def _row_arithmetic(fld, n: int) -> tuple[list[int], list[list[int]]]:
-    """Addition and scaling on the codes of GF(q)^n, the code of v being
-    sum of v[c] * q^c: add[v * q^n + w] is the code of v + w and
-    scale[a][v] that of a * v.  Cached per (field, n)."""
-    q = fld.order
-    vecs = [[(v // q**c) % q for c in range(n)] for v in range(q**n)]
-
-    def code(vec) -> int:
-        return sum(x * q**c for c, x in enumerate(vec))
-
-    add = [code(map(fld.add, v, w)) for v in vecs for w in vecs]
-    scale = [[code(fld.mul(a, x) for x in v) for v in vecs] for a in range(q)]
-    return add, scale
 
 
 def _unit_generators(

@@ -446,20 +446,33 @@ def test_spectrum_free_closed_form(m, q):
 
 def test_spectrum_free_charges_before_traversal(monkeypatch):
     calls = []
-    real = linalg.reduce
+    real = linalg.row_arithmetic
 
     def tripwire(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(linalg, "reduce", tripwire)
+    monkeypatch.setattr(linalg, "row_arithmetic", tripwire)
     with pytest.raises(BudgetExceededError, match=r"enumerating GF\(3\)\^\(3x3\) needs 19683 steps"):
         spectrum_free_count(3, 3, budget=19682)
     with pytest.raises(BudgetExceededError):
         spectrum_free_count(12, 2)  # 2^144 steps: refused at once
+    # 65537 matrices, but row-code tables of 2 * 65537^2 entries
+    with pytest.raises(BudgetExceededError, match=r"GF\(65537\)\^\(1x1\) needs 8590196738 steps"):
+        spectrum_free_count(1, 65537)
     assert calls == []
     assert spectrum_free_count(3, 3, budget=19683) == 3456
     assert calls
+
+
+def test_spectrum_free_count_runs_no_elimination(monkeypatch):
+    def tripwire(*args):
+        raise AssertionError("row reduction in the spectrum-free count")
+
+    for name in ("reduce", "rref", "rank", "row_sub", "row_scale"):
+        monkeypatch.setattr(linalg, name, tripwire)
+    assert spectrum_free_count(3, 3) == 3456
+    assert spectrum_free_count(2, 4) == 72
 
 
 def test_spectrum_free_rejects_bad_sizes():

@@ -14,6 +14,7 @@ from rankmetric import linalg
 from rankmetric.codes import Grassmannian, _SpanMinRank, density_bruteforce, field_for_order
 from rankmetric.critical import (
     PointSet,
+    _pointset_histogram,
     all_points,
     arc_plus_point_density,
     arc_plus_point_gap,
@@ -224,6 +225,73 @@ def test_lambda_oracle_full_grid():
                         assert lambda_count(N, s, ell, rho, q) == lambda_exhaustive(
                             N, s, ell, rho, q
                         ), (N, s, ell, rho, q)
+
+
+def reference_pointset_histogram(N, ell, q):
+    """The histogram of `_pointset_histogram` with one rank per point set."""
+    fld = field_for_order(q)
+    hist = {}
+    for combo in itertools.combinations(all_points(N, q), ell):
+        low = min(max(j for j, x in enumerate(p) if x) for p in combo)
+        key = (linalg.rank(combo, fld), low)
+        hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
+# every (N, ell, q) of the lambda grid above and of `verify lambda`
+LAMBDA_GRID = sorted(
+    {
+        (N, ell, q)
+        for Nmax, q, ellmax in ((4, 2, 5), (3, 3, 4))
+        for N in range(2, Nmax + 1)
+        for rho in range(2, N + 1)
+        for ell in range(rho, min(ellmax, (q**rho - 1) // (q - 1)) + 1)
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "N,ell,q",
+    LAMBDA_GRID + [(1, 1, 4), (2, 3, 4), (3, 2, 4), (2, 4, 5), (3, 2, 5), (2, 6, 5)],
+)
+def test_pointset_histogram_matches_rank_reference(N, ell, q):
+    assert _pointset_histogram.__wrapped__(N, ell, q) == reference_pointset_histogram(N, ell, q)
+
+
+def test_pointset_histogram_runs_no_elimination(monkeypatch):
+    def tripwire(*args):
+        raise AssertionError("row reduction in the point-set histogram")
+
+    for name in ("reduce", "rref", "rank", "row_sub", "row_scale"):
+        monkeypatch.setattr(linalg, name, tripwire)
+    assert sum(_pointset_histogram.__wrapped__(4, 5, 2).values()) == binom(15, 5)
+    assert sum(_pointset_histogram.__wrapped__(3, 3, 3).values()) == binom(13, 3)
+
+
+def test_lambda_exhaustive_rejects_bad_sizes():
+    with pytest.raises(ValueError, match="N >= 1"):
+        lambda_exhaustive(0, 0, 1, 1, 2)
+    for s in (-1, 3):
+        with pytest.raises(ValueError, match="0 <= s <= N"):
+            lambda_exhaustive(2, s, 2, 2, 2)
+    for ell in (0, 4):  # GF(2)^2 has 3 points
+        with pytest.raises(ValueError, match="1 <= ell <= 3"):
+            lambda_exhaustive(2, 0, ell, 2, 2)
+    with pytest.raises(ValueError, match="not a prime power"):
+        lambda_exhaustive(2, 0, 2, 2, 6)
+    # rho is not restricted: outside the formula's domain the oracle counts
+    assert lambda_exhaustive(2, 0, 2, 1, 2) == 0
+    assert lambda_exhaustive(2, 0, 1, 1, 2) == 3
+
+
+def test_lambda_exhaustive_charges_the_row_tables(monkeypatch):
+    def tripwire(*args):
+        raise AssertionError("row-code tables built before the budget charge")
+
+    monkeypatch.setattr(linalg, "row_arithmetic", tripwire)
+    # 4095 point sets of one point, but tables of 2^24 + 2^13 entries
+    with pytest.raises(BudgetExceededError, match="point-set enumeration needs 16785408 steps"):
+        lambda_exhaustive(12, 0, 1, 1, 2)
 
 
 def test_lambda_is_independent_of_the_fixed_subspace():

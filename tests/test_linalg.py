@@ -315,3 +315,41 @@ def test_solution_space_matches_textbook_reference(case):
         None,
     )
     assert len(pulled) == (len(rows) if full is None else full)
+
+
+# ---------------------------------------- differential test of the row codes
+
+# GF(2), GF(3), GF(4), GF(5), GF(9) and GF(16) over GF(4)
+ROW_CODE_FIELDS = [make_field(p, h) for p, h in ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2))]
+ROW_CODE_FIELDS.append(make_ext_field(make_field(2, 2), 2))
+
+
+def row_code(vec, q):
+    return sum(x * q**c for c, x in enumerate(vec))
+
+
+@st.composite
+def row_code_case(draw):
+    fld = draw(st.sampled_from(ROW_CODE_FIELDS))
+    n = draw(st.integers(1, 3 if fld.order <= 5 else 2))
+    entry = st.integers(0, fld.order - 1)
+    vec = st.tuples(*[entry] * n)
+    return fld, n, draw(vec), draw(vec), draw(entry), draw(st.lists(vec, max_size=3))
+
+
+@given(row_code_case())
+@example((make_ext_field(make_field(2, 2), 2), 1, (15,), (9,), 7, [(6,)]))
+@settings(max_examples=300, deadline=None)
+def test_row_arithmetic_matches_field_add_and_mul(case):
+    fld, n, v, w, a, basis = case
+    q = fld.order
+    add, scale = linalg.row_arithmetic(fld, n)
+    assert len(add) + sum(map(len, scale)) == linalg.row_arithmetic_size(q, n)
+    assert add[row_code(v, q) * q**n + row_code(w, q)] == row_code(map(fld.add, v, w), q)
+    assert scale[a][row_code(v, q)] == row_code([fld.mul(a, x) for x in v], q)
+    # grown one row at a time, dependent rows included, the set holds the
+    # codes of exactly the span's vectors
+    span = {0}
+    for b in basis:
+        span = linalg.grow_span(span, row_code(b, q), add, scale)
+    assert span == {row_code(u, q) for u in reference_span(basis, fld, q)}

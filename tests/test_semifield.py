@@ -721,6 +721,18 @@ def test_aut_scan_charges_before_building_gl(monkeypatch):
         aut_group_size_bruteforce(c0_code(E27), budget=22463)
 
 
+def test_aut_scan_charges_the_row_tables(monkeypatch):
+    # GL_1(4093) has 4092 elements, but its row-code tables 2 * 4093^2
+    # entries
+    def tripwire(*args):
+        raise AssertionError("row-code tables built before the budget charge")
+
+    monkeypatch.setattr(linalg, "row_arithmetic", tripwire)
+    field = FiniteField(make_field(4093), 1)
+    with pytest.raises(BudgetExceededError, match="33505298 steps"):
+        aut_group_size_bruteforce(c0_code(field))
+
+
 def _gl_index(fld, n):
     _, gl = reference_gl(fld, n)
     where = {g: i for i, g in enumerate(gl)}
