@@ -32,6 +32,12 @@ hits x (the number of g with a hit), which equals the unreduced per-g
 sweep (the tests check this against a per-g loop).  No classification
 result is assumed.
 
+Each solve runs in the k coordinates of C1, not the n^2 entries of f:
+with an invertible anchor M0 in C2^rho, f . M0 . g lies in C1 iff f =
+X . (M0 . g)^-1 for some X in C1, so hits(g) counts the invertible X of
+a kernel with k columns (`_LeftSolver`).  A C2^rho with no invertible
+element is solved on the n^2 entries (`_left_multiplier_space`).
+
 A verdict spreads over its double coset through permutation tables, one
 list over all of GL_n(q) per generator of L or H, mapping each element x
 to u . x or x . s.  The identity is solved before any unit group or table
@@ -40,6 +46,9 @@ is built, so an equivalence that holds at g = 1 costs two kernel solves.
 The class census takes the class of the field-multiplication code from
 the closed form equiv_to_c0_predicate and decides every other pair of
 twisted codes by this exact scan; there is no second equivalence test.
+Its classes are semilinear (rho ranges over Aut(GF(q))), so over a
+non-prime base field it can find fewer than `class_count_formula`, which
+counts GF(q)-linear classes.
 """
 
 from __future__ import annotations
@@ -244,8 +253,15 @@ def equiv_to_c0_predicate(spec: TwistedFieldSpec) -> bool:
 
 
 def class_count_formula(n: int, q) -> int:
-    """Number of equivalence classes among the twisted-field-type codes:
-    1 + (q-2)*C(n-1,2)."""
+    """Number of GF(q)-linear equivalence classes (f o C2 o g = C1, rho =
+    id) among the twisted-field-type codes: 1 + (q-2)*C(n-1,2).
+
+    The scans and `twisted_class_census` also allow rho in Aut(GF(q)),
+    which can merge linear classes when q is not prime: over GF(64) with
+    base GF(4) the formula gives 3, but the (1, 2) codes with N(c) = w
+    and N(c) = w^2 are equivalent through rho (the twist of the code of
+    c is the code of c^2), so the census finds 2 classes.  Over a prime
+    base field the two notions agree."""
     q = getattr(q, "order", q)
     if n < 2:
         raise ValueError("need n >= 2")
@@ -489,7 +505,7 @@ def _matrix_code(mat: linalg.Matrix, q: int) -> int:
 
 def _pair_budget(C: LinPolyCode) -> int:
     """The worst case of one scan: the |GL_n(q)| codes of its build, then
-    one left-multiplier solve per (rho, g); or the row-code tables of the
+    one `_LeftSolver.hits` per (rho, g); or the row-code tables of the
     build, when they are larger (n = 1, or n = 2 with q <= 3)."""
     fld, n = C.field.base, C.field.n
     return max((1 + fld.h) * gl_order(n, fld), linalg.row_arithmetic_size(fld.order, n))
@@ -525,7 +541,9 @@ def _left_multiplier_space(
     checks: Sequence[Sequence[int]], dmats: Sequence[linalg.Matrix], n: int, fld
 ) -> linalg.Matrix:
     """Basis of {A in GF(q)^(n x n) : A . D in span(C) for all D in dmats},
-    where `checks` spans the orthogonal complement of C (flattened)."""
+    where `checks` spans the orthogonal complement of C (flattened): the
+    left idealizer, and a scan's solve when C2^rho has no invertible
+    element."""
     return linalg.solution_space(_left_multiplier_rows(checks, dmats, n, fld), n * n, fld)
 
 
@@ -541,6 +559,80 @@ def _invertible_in_space(
         mat = tuple(vec[r * n : (r + 1) * n] for r in range(n))
         if linalg.rank(mat, fld) == n:
             yield mat
+
+
+class _LeftSolver:
+    """hits(g), the number of invertible A with A . M . g in C1 for every
+    basis matrix M of C2^rho, for one (scan, rho).
+
+    An anchor M0, an invertible element of C2^rho (a basis matrix if one
+    is invertible, else the first in span order), makes D0 = M0 . g
+    invertible, and A . D0 lies in C1 iff A = X . D0^-1 for some X in C1;
+    A <-> X keeps invertibility.  So hits(g) counts the invertible X =
+    sum_j x_j B_j, B_j the canonical basis of C1, with X . Y in C1 for
+    each Y = g^-1 . N . g, N = M0^-1 . M for every basis matrix M other
+    than M0: a kernel in the k coordinates x, whose constraint rows are
+    <H, B_j . Y> = <B_j^T . H, Y> over j, one per check H of C1 and Y.
+    The N and the B_j^T . H are made once; a g costs one inverse and the
+    conjugates Y the kernel pulls, and the kernel is usually {0} after
+    about k rows.  A code with no invertible element has no anchor, and
+    each g is then solved on the n^2 entries of A (`_left_multiplier_space`)."""
+
+    def __init__(
+        self,
+        checks: Sequence[Sequence[int]],
+        C1: LinPolyCode,
+        mats: Sequence[linalg.Matrix],
+        budget: int,
+    ):
+        fld, n = C1.field.base, C1.field.n
+        self.fld, self.n, self.budget = fld, n, budget
+        self.checks, self.mats = checks, mats
+        anchor = next((M for M in mats if linalg.rank(M, fld) == n), None)
+        if anchor is None:
+            flat = [sum(M, ()) for M in mats]
+            anchor = next(_invertible_in_space(flat, n, fld, budget), None)
+        self.anchor = anchor
+        if anchor is None:
+            return
+        inv = linalg.mat_inv(anchor, fld)
+        self.others = [linalg.mat_mul(inv, M, fld) for M in mats if M != anchor]
+        # row (h, j) of weights is B_j^T . H_h flattened, all B_j^T stacked
+        # in one product per check; columns maps x to X flattened
+        basis = C1.matrix_code.basis
+        self.k = k = len(basis)
+        stacked = [row for B in C1.basis_matrices() for row in zip(*B)]
+        self.weights = [
+            sum(P[j * n : (j + 1) * n], ())
+            for P in (
+                linalg.mat_mul(stacked, [h[r * n : (r + 1) * n] for r in range(n)], fld)
+                for h in checks
+            )
+            for j in range(k)
+        ]
+        self.columns = tuple(zip(*basis))
+
+    def _rows(self, g: linalg.Matrix) -> Iterator[linalg.Vector]:
+        """The constraint rows on x, one per check and conjugate Y: the
+        entries of all checks are one product of the weights with Y, each Y
+        made when `linalg.solution_space` first pulls one of its rows."""
+        fld, k = self.fld, self.k
+        g_inv = linalg.mat_inv(g, fld)
+        for N in self.others:
+            y = sum(linalg.mat_mul(linalg.mat_mul(g_inv, N, fld), g, fld), ())
+            entries = linalg.mat_vec(self.weights, y, fld)
+            for i in range(0, len(entries), k):
+                yield entries[i : i + k]
+
+    def hits(self, g: linalg.Matrix) -> int:
+        fld, n = self.fld, self.n
+        if self.anchor is None:
+            dmats = [linalg.mat_mul(M, g, fld) for M in self.mats]
+            space = _left_multiplier_space(self.checks, dmats, n, fld)
+        else:
+            kernel = linalg.solution_space(self._rows(g), self.k, fld)
+            space = [linalg.mat_vec(self.columns, x, fld) for x in kernel]
+        return sum(1 for _ in _invertible_in_space(space, n, fld, self.budget))
 
 
 class _GLProducts:
@@ -679,8 +771,9 @@ def _equivalence_scan(
     and rho in Aut(GF(q)) with f o C2^rho o g = C1; with count_all=False,
     1 at the first hit.
 
-    For each rho, one left-multiplier solve gives hits(g), the number of f
-    with f o C2^rho o g = C1, for the whole double coset L . g . H, where
+    For each rho, one solve (`_LeftSolver.hits`, in the k coordinates of
+    C1) gives hits(g), the number of f with f o C2^rho o g = C1, for the
+    whole double coset L . g . H, where
     L = R*(C2^rho) acts on the left and H, starting as R*(C1), on the
     right.  It is exact by the facts of the module docstring:
       (i) hits(g) is 0 or |L*(C1)| (f works iff f . f0^-1 fixes C1), the
@@ -706,7 +799,8 @@ def _equivalence_scan(
     The identity's rho = 0 solve comes before any unit group or table is
     built: an equivalence that holds at g = 1 costs two kernel solves,
     C1's check rows and that one.  Most other g give the kernel {0}, and
-    `linalg.solution_space` stops pulling constraint rows at full rank.
+    `linalg.solution_space` stops pulling constraint rows at full rank k,
+    usually after about k rows.
 
     chunk=(lo, hi) restricts the count to a slice of the GL enumeration;
     counting over a partition of [0, |GL|) sums to the full count, and hit
@@ -728,14 +822,10 @@ def _equivalence_scan(
         raise ValueError(f"chunk {chunk} is not a slice of the {size} elements of GL")
     checks = linalg.solution_space(C1.matrix_code.basis, n * n, fld)
 
-    def solve(base_mats: Sequence[linalg.Matrix], g: linalg.Matrix) -> int:
-        dmats = [linalg.mat_mul(M, g, fld) for M in base_mats]
-        space = _left_multiplier_space(checks, dmats, n, fld)
-        return sum(1 for _ in _invertible_in_space(space, n, fld, budget))
-
     # the identity's solve, before any unit group or table is built
     mats2 = [p.to_matrix() for p in C2.basis]
-    first = solve(mats2, linalg.identity(n))
+    solver = _LeftSolver(checks, C1, mats2, budget)
+    first = solver.hits(linalg.identity(n))
     if first and not count_all:
         return 1
     gl = _GLProducts(fld, n)
@@ -745,6 +835,8 @@ def _equivalence_scan(
     for rho in range(fld.h):
         Crho = C2.twist(rho) if rho else C2
         base_mats = [p.to_matrix() for p in Crho.basis] if rho else mats2
+        if rho:
+            solver = _LeftSolver(checks, C1, base_mats, budget)
         if Crho == C1:
             l_gens = h_gens
         else:
@@ -759,7 +851,7 @@ def _equivalence_scan(
             if rho == 0 and i == gl.identity:
                 count = first
             else:
-                count = solve(base_mats, gl.matrix(i))
+                count = solver.hits(gl.matrix(i))
             if count and not count_all:
                 return 1
             hits = hits or count
@@ -883,7 +975,9 @@ def twisted_class_census(
     The class of the field code is given by equiv_to_c0_predicate; the
     test suite checks it against the exact scan.  Every other code is
     tested against the accumulated representatives by
-    is_equivalent_bruteforce, over any base field.
+    is_equivalent_bruteforce, over any base field.  Classes are under
+    semilinear equivalence (f, rho, g), so over GF(64) with base GF(4)
+    there are 2, not the 3 GF(q)-linear classes of class_count_formula.
     """
     classes: list[dict] = []
     reps: list[tuple[LinPolyCode, bool]] = []

@@ -447,6 +447,29 @@ def test_twisted_class_census_json():
     assert sum(e["members"] for e in census) == len(distinct)
 
 
+def test_norm_classes_over_gf64_merge_under_the_field_automorphism():
+    # over GF(64) with base GF(4) = {0, 1, w, w^2} (w encoded 2), the (1, 2)
+    # twisted codes split by N(c) into two GF(4)-linear classes, which
+    # class_count_formula counts; the twist rho = 1, x -> x^2 on
+    # coefficients, maps the code of c to the code of c^2 and N(c) = w^2 to
+    # N(c^2) = w, so the scan, which ranges over rho, finds one class.  The
+    # full scan of the pair, a whole rho = 0 pass first, is a CI step.
+    E = make_ext_field(make_field(2, 2), 3)
+    w, w2 = E.from_coords((2, 0, 0)), E.from_coords((3, 0, 0))
+    a, b = 4, 5
+    assert (E.rel_norm(a, 1), E.rel_norm(b, 1)) == (w, w2)
+    A, B = TwistedFieldSpec(E, a, 1, 2).code(), TwistedFieldSpec(E, b, 1, 2).code()
+    b2 = E.mul(b, b)
+    assert E.rel_norm(b2, 1) == w
+    assert B.twist(1) == TwistedFieldSpec(E, b2, 1, 2).code() != A
+    # f o B^rho o g = A at rho = 1, g = 1, for 3 invertible f
+    checks = linalg.solution_space(A.matrix_code.basis, 9, E.base)
+    mats = [p.to_matrix() for p in B.twist(1).basis]
+    assert semifield._LeftSolver(checks, A, mats, BIG).hits(linalg.identity(3)) == 3
+    assert is_equivalent_bruteforce(A, B.twist(1))
+    assert class_count_formula(3, E.base) == 3
+
+
 @pytest.mark.parametrize("E, aut", [(E8, 147), (E9, 128), (E16, 900), (E25, 1152)])
 def test_class_census_single_class_fields(E, aut):
     # one class, the field code's, with |Aut| = h n (q^n - 1)^2; GF(16)
@@ -593,13 +616,13 @@ def test_double_coset_scan_solve_counts(monkeypatch):
     # after the identity, H growing by every rho = 0 hit; GL_3(3) has 11232
     # elements
     solves = []
-    original = semifield._left_multiplier_space
+    original = semifield._LeftSolver.hits
 
-    def counted(*args):
+    def counted(self, g):
         solves.append(1)
-        return original(*args)
+        return original(self, g)
 
-    monkeypatch.setattr(semifield, "_left_multiplier_space", counted)
+    monkeypatch.setattr(semifield._LeftSolver, "hits", counted)
     # the default budget covers the scan's real worst case
     assert aut_group_size_bruteforce(c0_code(E27)) == 2028
     assert len(solves) == 35
@@ -634,7 +657,7 @@ def test_equivalence_at_the_identity_builds_no_unit_group_or_table(monkeypatch):
         return counted
 
     monkeypatch.setattr(
-        semifield, "_left_multiplier_space", counting("solves", semifield._left_multiplier_space)
+        semifield._LeftSolver, "hits", counting("solves", semifield._LeftSolver.hits)
     )
     monkeypatch.setattr(linalg, "solution_space", counting("kernels", linalg.solution_space))
     monkeypatch.setattr(
@@ -649,6 +672,68 @@ def test_equivalence_at_the_identity_builds_no_unit_group_or_table(monkeypatch):
     spec = next(s for s in valid_twisted_specs(E27) if (s.i, s.j) == (1, 2))
     assert not is_equivalent_bruteforce(c0_code(E27), spec.code(), budget=BIG)
     assert counts["units"] == 2 and counts["tables"] > 0
+
+
+def anchored_code(E, rnd, kind):
+    """A code over E whose basis matrices set the anchor of a left-
+    multiplier solve: "basis", some basis matrix is invertible; "span",
+    none is but their sum is (projectors onto the blocks of a split of
+    the coordinates, between invertible matrices); "none", every element
+    kills the last coordinate vector."""
+    fld, n = E.base, E.n
+    _, gl = reference_gl(fld, n)
+    f, g = rnd.choice(gl), rnd.choice(gl)
+
+    def random_matrix():
+        return tuple(tuple(rnd.randrange(fld.order) for _ in range(n)) for _ in range(n))
+
+    while True:
+        if kind == "basis":
+            mats = [linalg.mat_mul(f, g, fld)]
+            mats += [random_matrix() for _ in range(rnd.randrange(n))]
+        elif kind == "span":
+            cuts = sorted(rnd.sample(range(1, n), rnd.randint(1, n - 1)))
+            blocks = [range(a, b) for a, b in zip([0, *cuts], [*cuts, n])]
+            projectors = [
+                [[int(r == c and r in b) for c in range(n)] for r in range(n)] for b in blocks
+            ]
+            mats = [linalg.mat_mul(linalg.mat_mul(f, P, fld), g, fld) for P in projectors]
+        else:
+            kill = [[int(r == c and r < n - 1) for c in range(n)] for r in range(n)]
+            mats = [
+                linalg.mat_mul(random_matrix(), kill, fld) for _ in range(rnd.randint(1, n))
+            ]
+        rnd.shuffle(mats)
+        try:
+            return LinPolyCode(E, [from_matrix(E, M) for M in mats])
+        except ValueError:  # dependent basis: draw again
+            continue
+
+
+@given(
+    st.sampled_from((E4, E8, E9, E16, E25)),
+    st.sampled_from(("basis", "span", "none")),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+def test_left_solver_matches_the_full_solve(E, kind, rnd):
+    # hits(g) in the k coordinates of C1 equals the count of the n^2-column
+    # solve, for every g of GL_n(q) and every rho, in each anchor case
+    fld, n = E.base, E.n
+    C2 = anchored_code(E, rnd, kind)
+    C1 = rnd.choice((C2, equivalent_partner(C2, rnd), random_code(E, rnd)))
+    checks = linalg.solution_space(C1.matrix_code.basis, n * n, fld)
+    _, gl = reference_gl(fld, n)
+    for rho in range(fld.h):
+        mats = [p.to_matrix() for p in C2.twist(rho).basis]
+        solver = semifield._LeftSolver(checks, C1, mats, BIG)
+        anchor = solver.anchor
+        assert {"basis": anchor in mats, "span": anchor not in mats, "none": True}[kind]
+        assert (anchor is None) == (kind == "none")
+        for g in gl:
+            dmats = [linalg.mat_mul(M, g, fld) for M in mats]
+            want = _unit_count(semifield._left_multiplier_space(checks, dmats, n, fld), n, fld)
+            assert solver.hits(g) == want
 
 
 def test_cyclic_unit_group_has_one_generator(monkeypatch):
