@@ -539,8 +539,9 @@ def cmd_table(args) -> int:
             f"unknown table {args.name!r}; known: {', '.join(sorted(TABLES))}\n"
         )
         return 2
+    if args.format != "csv":
+        raise SystemExit2(f"table emits csv only, not --format {args.format}")
     header, rows = TABLES[args.name](args)
-    args.format = "csv"
     _emit({"header": header, "rows": rows}, args)
     return 0
 
@@ -649,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("table", help="emit a reference table as CSV")
     pt.add_argument("name")
     _add_common(pt, n_takes_range=True)
-    pt.set_defaults(func=cmd_table)
+    pt.set_defaults(func=cmd_table, format="csv")
 
     return parser
 

@@ -6,11 +6,14 @@ x^(q^n) - x).  Matrix representations are with respect to the power basis
 {1, t, ..., t^(n-1)} of the field's modulus root t; this basis is fixed so
 that canonical forms and golden values are stable.  Counts and densities
 derived from these matrices are basis-independent, which the test suite
-checks by recomputing one of them under a second modulus.
+checks by recomputing one of them under a second modulus.  The inverse
+map, `from_matrix`, goes through `interpolate`, which solves the Moore
+system of the power basis with one inverse cached per field.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from . import linalg
@@ -155,24 +158,27 @@ class LinearizedPoly:
         return LinearizedPoly(E, tuple(E.pow(c, e) for c in self.coeffs))
 
 
+@lru_cache(maxsize=None)
+def _moore_inverse(field: FiniteField) -> linalg.Matrix:
+    """The inverse over GF(q^n) of the Moore matrix M[i][j] = b_i^(q^j) of
+    the power basis b, cached per field: f = sum_j c_j x^(q^j) maps b_i to
+    (M . c)_i, so c = M^-1 . (f(b_0), ..., f(b_(n-1)))."""
+    n = field.n
+    moore = tuple(tuple(field.frobenius(b, j) for j in range(n)) for b in field.basis())
+    inv = linalg.mat_inv(moore, field)
+    if inv is None:
+        raise ValueError("Moore matrix of the power basis is singular")
+    return inv
+
+
+def interpolate(field: FiniteField, images: Sequence[int]) -> LinearizedPoly:
+    """The unique q-polynomial f with f(b_j) = images[j] on the power basis
+    b, solving the Moore system exactly."""
+    return LinearizedPoly(field, linalg.mat_vec(_moore_inverse(field), images, field))
+
+
 def from_matrix(field: FiniteField, mat: Sequence[Sequence[int]]) -> LinearizedPoly:
     """Inverse of to_matrix: the unique q-polynomial inducing the given
-    GF(q)-linear map.  Solves the Moore system sum_j c_j b^(q^j) = image(b)
-    over the power basis, exactly."""
-    n = field.n
-    images = []
-    for j, b in enumerate(field.basis()):
-        col = tuple(mat[r][j] for r in range(n))
-        images.append(field.from_coords(col))
-    rows = []
-    for b in field.basis():
-        rows.append(tuple(field.frobenius(b, j) for j in range(n)))
-    # Solve M c = images over GF(q^n) where M[i][j] = basis_i^(q^j).
-    aug = [list(rows[i]) + [images[i]] for i in range(n)]
-    reduced, pivots = linalg.rref(aug, field)
-    if len(pivots) != n or any(p >= n for p in pivots):
-        raise ValueError("Moore matrix of the power basis is singular")
-    coeffs = [0] * n
-    for row, p in zip(reduced, pivots):
-        coeffs[p] = row[n]
-    return LinearizedPoly(field, coeffs)
+    GF(q)-linear map, column j of mat being the coordinates of the image
+    of basis element j."""
+    return interpolate(field, [field.from_coords(col) for col in zip(*mat)])

@@ -2,10 +2,14 @@
 maps, generalized twisted fields, and exhaustive equivalence machinery.
 
 A multiplication is stored by its bilinear coefficient array:
-x * y = sum_{i,j} c[i][j] x^(q^i) y^(q^j); full multiplication tables are
-only materialized on demand.  Codes of q-polynomials are canonicalized
-through their matrix representation (RREF of flattened images), so
-equivalence tests reduce to set equality of canonical forms.
+x * y = sum_{i,j} c[i][j] x^(q^i) y^(q^j), evaluated as R_y(x), R_y the
+right multiplication by y as a q-polynomial; full multiplication tables
+are only materialized on demand.  Codes of q-polynomials are
+canonicalized through their matrix representation (RREF of flattened
+images), so equivalence tests reduce to set equality of canonical forms.
+A code converts its basis polynomials to matrices once, when it is built:
+`basis_matrices()` returns those, and `matrix_code.basis` is the
+canonical RREF form.
 
 The equivalence and automorphism searches are exhaustive over
 (rho in Aut(GF(q)), g in GL_n(q)): hits(g), the number of invertible f
@@ -63,7 +67,7 @@ from typing import Iterable, Iterator, Sequence
 from . import linalg
 from .errors import charge, resolve_budget
 from .fields import FiniteField
-from .linpoly import LinearizedPoly, from_matrix
+from .linpoly import LinearizedPoly, from_matrix, interpolate
 from .qcomb import gl_order
 
 
@@ -96,21 +100,7 @@ class Semifield:
         return cls(field, coeffs)
 
     def star(self, x: int, y: int) -> int:
-        E = self.field
-        n = E.n
-        out = 0
-        fx = x
-        for i in range(n):
-            row = self.coeffs[i]
-            if any(row):
-                fy = y
-                for j in range(n):
-                    c = row[j]
-                    if c:
-                        out = E.add(out, E.mul(E.mul(c, fx), fy))
-                    fy = E.frobenius(fy, 1)
-            fx = E.frobenius(fx, 1)
-        return out
+        return self.right_mult_poly(y).evaluate(x)
 
     def mult_table(self, budget: int | None = None) -> list[list[int]]:
         if self._table is None:
@@ -144,18 +134,8 @@ class Semifield:
     def right_mult_poly(self, y: int) -> LinearizedPoly:
         """R_y: x -> x*y as a q-polynomial: coeff_i = sum_j c[i][j] y^(q^j)."""
         E = self.field
-        n = E.n
-        out = []
-        for i in range(n):
-            acc = 0
-            fy = y
-            for j in range(n):
-                c = self.coeffs[i][j]
-                if c:
-                    acc = E.add(acc, E.mul(c, fy))
-                fy = E.frobenius(fy, 1)
-            out.append(acc)
-        return LinearizedPoly(E, out)
+        powers = [E.frobenius(y, j) for j in range(E.n)]
+        return LinearizedPoly(E, linalg.mat_vec(self.coeffs, powers, E))
 
 
 @dataclass(frozen=True)
@@ -286,20 +266,23 @@ def valid_twisted_specs(field: FiniteField) -> Iterator[TwistedFieldSpec]:
 
 class LinPolyCode:
     """A GF(q)-subspace of linearized polynomials, canonicalized through
-    the matrix representation of its basis."""
+    the matrix representation of its basis.  The basis polynomials are
+    converted to matrices once, here: `basis_matrices()` returns those,
+    and `matrix_code.basis` is the canonical RREF form of their span."""
 
-    __slots__ = ("field", "basis", "_canon")
+    __slots__ = ("field", "basis", "_mats", "_canon")
 
     def __init__(self, field: FiniteField, polys: Sequence[LinearizedPoly]):
         from .codes import MatrixCode
 
-        flat = [tuple(x for row in p.to_matrix() for x in row) for p in polys]
-        rows, _ = linalg.rref(flat, field.base)
-        if len(rows) != len(polys):
+        mats = tuple(p.to_matrix() for p in polys)
+        canon = MatrixCode(field.base, field.n, field.n, [sum(M, ()) for M in mats])
+        if canon.dim != len(mats):
             raise ValueError("basis polynomials are linearly dependent")
         self.field = field
         self.basis = tuple(polys)
-        self._canon = MatrixCode(field.base, field.n, field.n, rows)
+        self._mats = mats
+        self._canon = canon
 
     @property
     def dim(self) -> int:
@@ -310,7 +293,8 @@ class LinPolyCode:
         return self._canon
 
     def basis_matrices(self) -> list[linalg.Matrix]:
-        return self._canon.basis_matrices()
+        """The matrices of the basis polynomials, in basis order."""
+        return list(self._mats)
 
     def contains(self, f: LinearizedPoly) -> bool:
         vec = tuple(x for row in f.to_matrix() for x in row)
@@ -333,7 +317,7 @@ class LinPolyCode:
     def compose_right(self, g: Sequence[Sequence[int]]) -> "LinPolyCode":
         """C o g for an invertible matrix g (as p o g for each basis p)."""
         E = self.field
-        mats = [linalg.mat_mul(p.to_matrix(), g, E.base) for p in self.basis]
+        mats = [linalg.mat_mul(M, g, E.base) for M in self._mats]
         return LinPolyCode(E, [from_matrix(E, m) for m in mats])
 
     def __eq__(self, other: object) -> bool:
@@ -351,19 +335,17 @@ def c0_code(field: FiniteField) -> LinPolyCode:
     return LinPolyCode(field, [LinearizedPoly.scalar(field, b) for b in field.basis()])
 
 
+def _right_mult_code(S: Semifield) -> LinPolyCode:
+    """{R_y | y}, spanned by the R_b of the power basis b."""
+    E = S.field
+    return LinPolyCode(E, [S.right_mult_poly(b) for b in E.basis()])
+
+
 def twisted_code(spec: TwistedFieldSpec) -> LinPolyCode:
-    """{xy - c alpha(x) beta(y) | y in GF(q^n)} as an n-dim code."""
-    spec.validate()
-    E = spec.field
-    n = E.n
-    polys = []
-    for b in E.basis():
-        coeffs = [0] * n
-        coeffs[0] = b
-        i = spec.i % n
-        coeffs[i] = E.sub(coeffs[i], E.mul(spec.c, E.frobenius(b, spec.j)))
-        polys.append(LinearizedPoly(E, coeffs))
-    return LinPolyCode(E, polys)
+    """{xy - c alpha(x) beta(y) | y in GF(q^n)} as an n-dim code: the
+    right-multiplication code of spec.semifield(), whose basis polynomials
+    are b x - c b^(q^j) x^(q^i)."""
+    return _right_mult_code(spec.semifield())
 
 
 def semifield_to_code(S: Semifield, budget: int | None = None) -> LinPolyCode:
@@ -371,27 +353,23 @@ def semifield_to_code(S: Semifield, budget: int | None = None) -> LinPolyCode:
     is a presemifield, which is checked first."""
     if not S.is_presemifield(budget=budget):
         raise ValueError("multiplication has zero divisors")
-    E = S.field
-    return LinPolyCode(E, [S.right_mult_poly(b) for b in E.basis()])
+    return _right_mult_code(S)
 
 
 def normalize_contains_x(C: LinPolyCode) -> LinPolyCode:
     """Replace C by C o g^-1 for the first invertible element g of C in
-    span-enumeration order; the result contains the polynomial x."""
+    span-enumeration order; the result contains the polynomial x.  The
+    walk over the span is charged to the default budget first."""
     E = C.field
     fld = E.base
-    for vec in linalg.span_elements(C.matrix_code.basis, fld):
-        if not any(vec):
-            continue
-        n = E.n
-        mat = tuple(tuple(vec[r * n : (r + 1) * n]) for r in range(n))
-        inv = linalg.mat_inv(mat, fld)
-        if inv is not None:
-            out = C.compose_right(inv)
-            if not out.contains_x():
-                raise AssertionError("C o g^-1 must contain x")
-            return out
-    raise ValueError("code has no invertible element")
+    space = C.matrix_code.basis
+    g = next(_invertible_in_space(space, E.n, fld, resolve_budget(None)), None)
+    if g is None:
+        raise ValueError("code has no invertible element")
+    out = C.compose_right(linalg.mat_inv(g, fld))
+    if not out.contains_x():
+        raise AssertionError("C o g^-1 must contain x")
+    return out
 
 
 def code_to_semifield(C: LinPolyCode, budget: int | None = None) -> Semifield:
@@ -406,10 +384,9 @@ def code_to_semifield(C: LinPolyCode, budget: int | None = None) -> Semifield:
     if C.min_distance(budget=budget) != n:
         raise ValueError("code is not full-rank MRD (min distance < n)")
     fld = E.base
-    # evaluation-at-1 matrix: column t = coords of basis_t(1)
-    eval1 = tuple(
-        tuple(E.coords(p.evaluate(1))[r] for p in C.basis) for r in range(n)
-    )
+    # evaluation-at-1 matrix: column t = coords of basis_t(1), column 0 of
+    # its matrix (the power basis starts at 1)
+    eval1 = tuple(tuple(M[r][0] for M in C.basis_matrices()) for r in range(n))
     inv = linalg.mat_inv(eval1, fld)
     if inv is None:
         raise AssertionError("evaluation at 1 must be bijective on an MRD code")
@@ -423,18 +400,11 @@ def code_to_semifield(C: LinPolyCode, budget: int | None = None) -> Semifield:
         return out
 
     # interpolate c[i][j] from the coefficient functionals y -> L(y).coeffs[i],
-    # each a q-polynomial in y: solve the Moore system over GF(q^n).
-    basis = E.basis()
-    moore = tuple(tuple(E.frobenius(b, j) for j in range(n)) for b in basis)
-    moore_inv = linalg.mat_inv(moore, E)
-    if moore_inv is None:
-        raise AssertionError("Moore matrix of the power basis must be invertible")
-    images = [L(b) for b in basis]
-    coeffs = []
-    for i in range(n):
-        values = tuple(img.coeffs[i] for img in images)
-        coeffs.append(linalg.mat_vec(moore_inv, values, E))
-    S = Semifield(E, coeffs)
+    # each a q-polynomial in y, through its values on the power basis
+    images = [L(b) for b in E.basis()]
+    S = Semifield(
+        E, [interpolate(E, [img.coeffs[i] for img in images]).coeffs for i in range(n)]
+    )
     if not all(S.star(1, y) == y and S.star(y, 1) == y for y in E.elements()):
         raise AssertionError("1 must be a two-sided identity of the recovered product")
     return S
@@ -528,7 +498,8 @@ def _right_idealizer_rows(
 ) -> list[linalg.Vector]:
     """The constraint rows of {A : M . A in span(C) for all M in cmats},
     `checks` spanning the orthogonal complement of C (flattened):
-    <H, M . A> = <M^T . H, A> for each check H, read as an n x n matrix."""
+    <H, M . A> = <M^T . H, A> for each check H, read as an n x n matrix.
+    They are also `_LeftSolver`'s weights, M then running over C1's basis."""
     mts = [tuple(zip(*M)) for M in cmats]
     return [
         sum(linalg.mat_mul(Mt, H, fld), ())
@@ -597,20 +568,13 @@ class _LeftSolver:
             return
         inv = linalg.mat_inv(anchor, fld)
         self.others = [linalg.mat_mul(inv, M, fld) for M in mats if M != anchor]
-        # row (h, j) of weights is B_j^T . H_h flattened, all B_j^T stacked
-        # in one product per check; columns maps x to X flattened
-        basis = C1.matrix_code.basis
-        self.k = k = len(basis)
-        stacked = [row for B in C1.basis_matrices() for row in zip(*B)]
-        self.weights = [
-            sum(P[j * n : (j + 1) * n], ())
-            for P in (
-                linalg.mat_mul(stacked, [h[r * n : (r + 1) * n] for r in range(n)], fld)
-                for h in checks
-            )
-            for j in range(k)
-        ]
-        self.columns = tuple(zip(*basis))
+        # row (h, j) of weights is B_j^T . H_h flattened, B_j the canonical
+        # basis, sparser than the basis polynomials' matrices; columns maps
+        # x to X flattened
+        canon = C1.matrix_code
+        self.k = canon.dim
+        self.weights = _right_idealizer_rows(checks, canon.basis_matrices(), n, fld)
+        self.columns = tuple(zip(*canon.basis))
 
     def _rows(self, g: linalg.Matrix) -> Iterator[linalg.Vector]:
         """The constraint rows on x, one per check and conjugate Y: the
@@ -823,25 +787,23 @@ def _equivalence_scan(
     checks = linalg.solution_space(C1.matrix_code.basis, n * n, fld)
 
     # the identity's solve, before any unit group or table is built
-    mats2 = [p.to_matrix() for p in C2.basis]
-    solver = _LeftSolver(checks, C1, mats2, budget)
+    solver = _LeftSolver(checks, C1, C2.basis_matrices(), budget)
     first = solver.hits(linalg.identity(n))
     if first and not count_all:
         return 1
     gl = _GLProducts(fld, n)
-    h_gens = _unit_generators(gl, checks, [p.to_matrix() for p in C1.basis], n, fld, budget)
+    h_gens = _unit_generators(gl, checks, C1.basis_matrices(), n, fld, budget)
     rights = [gl.right_table(s) for s in h_gens]
     hits = total = 0
     for rho in range(fld.h):
         Crho = C2.twist(rho) if rho else C2
-        base_mats = [p.to_matrix() for p in Crho.basis] if rho else mats2
         if rho:
-            solver = _LeftSolver(checks, C1, base_mats, budget)
+            solver = _LeftSolver(checks, C1, Crho.basis_matrices(), budget)
         if Crho == C1:
             l_gens = h_gens
         else:
             rho_checks = linalg.solution_space(Crho.matrix_code.basis, n * n, fld)
-            l_gens = _unit_generators(gl, rho_checks, base_mats, n, fld, budget)
+            l_gens = _unit_generators(gl, rho_checks, Crho.basis_matrices(), n, fld, budget)
         tables = [gl.left_table(u) for u in l_gens] + rights
         grow = rho == 0 and C1 == C2
         state = bytearray(size)  # 0 undecided, 1 no hit, 2 hit
@@ -924,7 +886,7 @@ def idealizers(C: LinPolyCode) -> IdealizerResult:
     fld = E.base
     n = E.n
     q = fld.order
-    cmats = [p.to_matrix() for p in C.basis]
+    cmats = C.basis_matrices()
     checks = linalg.solution_space(C.matrix_code.basis, n * n, fld)
 
     left_space = _left_multiplier_space(checks, cmats, n, fld)

@@ -84,6 +84,8 @@ def test_formula_invalid_parameter_exits_2(capsys):
         ("formula", "density-2dim", "--n", "0", "--q", "3"),
         ("formula", "density3x3", "--q", "1"),
         ("table", "mrd-bounds", "--q", "0", "--n", "3..3"),
+        ("table", "critical-example", "--format", "json"),
+        ("table", "critical-example", "--format", "text"),
         ("formula", "density3x3", "--q", "6"),
         ("verify", "mrd192", "--jobs", "0"),
         ("verify", "mrd192", "--jobs", "-3"),

@@ -61,6 +61,26 @@ def test_field_multiplication_is_semifield():
             assert S.star(x, y) == E8.mul(x, y)
 
 
+@given(
+    st.sampled_from((E4, E8, E9, E16, E27)),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+def test_star_is_the_bilinear_double_sum(E, rnd):
+    # x * y = sum_{i,j} c[i][j] x^(q^i) y^(q^j), term by term
+    n = E.n
+    coeffs = [[rnd.randrange(E.order) if rnd.random() < 0.5 else 0 for _ in range(n)] for _ in range(n)]
+    S = Semifield(E, coeffs)
+    for _ in range(20):
+        x, y = rnd.randrange(E.order), rnd.randrange(E.order)
+        want = 0
+        for i in range(n):
+            for j in range(n):
+                term = E.mul(E.frobenius(x, i), E.frobenius(y, j))
+                want = E.add(want, E.mul(coeffs[i][j], term))
+        assert S.star(x, y) == want
+
+
 def test_zero_divisor_detected():
     # x*y = xy - c x^q y^q over GF(4); every unit has norm 1, so any c != 0
     # produces zero divisors
@@ -120,6 +140,18 @@ def test_twisted_code_is_full_rank_mrd():
     assert T.is_mrd()
 
 
+@pytest.mark.parametrize("E", [E8, E9, E16], ids=repr)
+def test_twisted_code_basis_is_the_direct_formula(E):
+    # basis polynomial b of the code of (c, i, j): b x - c b^(q^j) x^(q^i)
+    for spec in valid_twisted_specs(E):
+        want = tuple(
+            LinearizedPoly.scalar(E, b)
+            - LinearizedPoly.monomial(E, E.mul(spec.c, E.frobenius(b, spec.j)), spec.i)
+            for b in E.basis()
+        )
+        assert twisted_code(spec).basis == want, spec
+
+
 def test_twisted_code_invalid_spec_rejected():
     # norm-1 c is rejected
     norm_one = next(c for c in E27.units() if E27.rel_norm(c, 1) == 1)
@@ -165,6 +197,22 @@ def test_round_trip_on_normalized_twisted_code():
     S = code_to_semifield(C)
     assert S.identity() == 1
     assert semifield_to_code(S) == C
+
+
+def test_round_trip_on_normalized_twisted_code_over_a_tower():
+    # GF(64) over GF(4): the first twisted code outside the field-code class
+    E64 = make_ext_field(make_field(2, 2), 3)
+    spec = next(s for s in valid_twisted_specs(E64) if not equiv_to_c0_predicate(s))
+    assert (spec.i, spec.j) == (1, 2)
+    C = normalize_contains_x(spec.code())
+    assert semifield_to_code(code_to_semifield(C)) == C
+
+
+def test_normalize_contains_x_charges_the_budget_before_the_walk(monkeypatch):
+    code = twisted_code(TwistedFieldSpec(E27, nonnorm_element(E27), 1, 2))
+    monkeypatch.setenv("RANKMETRIC_BUDGET", "1")
+    with pytest.raises(BudgetExceededError, match="needs 27 steps"):
+        normalize_contains_x(code)
 
 
 def test_normalize_contains_x_deterministic():
