@@ -33,9 +33,7 @@ from .codes import (
     density_bruteforce,
     enumerate_subspaces,
     spectrum_free_identity_check,
-    is_mrd,
     kantor_lowerbound,
-    min_distance,
     mrd_lowerbound_formula,
     spectrum_free_count,
 )

@@ -1,6 +1,13 @@
 """Command-line front end: evaluate formulas, run verification suites,
 and emit the package's reference tables.
 
+Each subcommand takes only the options it reads.  `formula` looks its
+name up in FORMULAS, which gives the function, the options it needs (an
+absent one exits 2) and the options it reads when given; an option left
+out takes the function's own default, and the JSON `params` list exactly
+the declared options that were given, --budget aside.  `verify` takes
+--jobs; `table` takes --q, --n and --kind and writes csv only.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Reports
 written to stdout (or --out) are deterministic: identical inputs produce
 byte-identical output at any --jobs setting.  Wall-clock timings go to
@@ -104,56 +111,31 @@ def _write_atomic(path: str, text: str) -> None:
 # formula registry
 # ----------------------------------------------------------------------
 
-def _need(args, *names):
-    vals = []
-    for name in names:
-        v = getattr(args, name.replace("-", "_"), None)
-        if v is None:
-            raise SystemExit2(f"formula requires --{name}")
-        vals.append(v)
-    return vals
-
-
 class SystemExit2(Exception):
     """Usage errors that should exit with status 2."""
 
 
-def _f_qbinom(a):
-    i, j, q = _need(a, "i", "j", "q")
-    return qcomb.qbinom(i, j, q)
+def _need(given: dict, names) -> list:
+    """The values of the named options, in order; the first one missing
+    is a usage error."""
+    for name in names:
+        if given.get(name) is None:
+            raise SystemExit2(f"formula requires --{name}")
+    return [given[name] for name in names]
 
 
-def _f_gl_order(a):
-    n, q = _need(a, "n", "q")
-    return qcomb.gl_order(n, q)
+# Adapters for the formulas whose result is reshaped or whose call
+# branches on the options given.
 
-
-def _f_ball_size(a):
-    n, m, r, q = _need(a, "n", "m", "r", "q")
-    return qcomb.ball_size(n, m, r, q)
-
-
-def _f_pointset_size(a):
-    n, m, r, q = _need(a, "n", "m", "r", "q")
-    return qcomb.pointset_size(n, m, r, q)
-
-
-def _f_pi_q(a):
-    (q,) = _need(a, "q")
-    if a.n is not None:
-        return qcomb.pi_q(q, a.n)
-    value, bound = qcomb.pi_q_limit(q, a.eps)
+def _f_pi_q(q, n=None, eps=1e-9):
+    if n is not None:
+        return qcomb.pi_q(q, n)
+    value, bound = qcomb.pi_q_limit(q, eps)
     return {"value": value, "certified_bound": bound}
 
 
-def _f_alt_exp_sum(a):
-    (m,) = _need(a, "m")
-    return qcomb.alt_exp_sum(m, budget=a.budget)
-
-
-def _f_ine_margin(a):
-    (q,) = _need(a, "q")
-    cert = qcomb.comparison_inequality_check(q, a.terms, budget=a.budget)
+def _f_ine_margin(q, **given):
+    cert = qcomb.comparison_inequality_check(q, **given)
     return {
         "holds": cert.holds,
         "margin_lower": f"{cert.margin_lower.numerator}/{cert.margin_lower.denominator}",
@@ -162,13 +144,7 @@ def _f_ine_margin(a):
     }
 
 
-def _f_density3x3(a):
-    (q,) = _need(a, "q")
-    return codes.density_3x3_formula(q)
-
-
-def _f_mrd_lower(a):
-    n, q = _need(a, "n", "q")
+def _f_mrd_lower(n, q):
     count, density = codes.mrd_lowerbound_formula(n, q)
     return {
         "count": str(count),
@@ -177,141 +153,58 @@ def _f_mrd_lower(a):
     }
 
 
-def _f_kantor_lower(a):
-    (n,) = _need(a, "n")
-    return codes.kantor_lowerbound(n)
-
-
-def _f_class_count(a):
-    n, q = _need(a, "n", "q")
-    return semifield.class_count_formula(n, q)
-
-
-def _f_spectrum_free(a):
-    m, q = _need(a, "m", "q")
-    return codes.spectrum_free_count(m, q, budget=a.budget)
-
-
-def _f_avg(a):
-    N, k, ell, q = _need(a, "N", "k", "l", "q")
-    return critical.avg_density_formula(N, k, ell, q)
-
-
-def _f_avg_rank(a):
-    N, k, ell, rho, q = _need(a, "N", "k", "l", "rho", "q")
-    return critical.avg_density_rank_formula(N, k, ell, rho, q)
-
-
-def _f_lambda(a):
-    N, s, ell, rho, q = _need(a, "N", "s", "l", "rho", "q")
-    return critical.lambda_count(N, s, ell, rho, q)
-
-
-def _f_hyp_collinear(a):
-    N, i, q = _need(a, "N", "i", "q")
-    return critical.hyperplane_density_collinear(N, i, q)
-
-
-def _f_hyp_independent(a):
-    N, i, q = _need(a, "N", "i", "q")
-    return critical.hyperplane_density_independent(N, i, q)
-
-
-def _f_mds_arc(a):
-    N, ell, q = _need(a, "N", "l", "q")
-    return critical.mds_arc_density(N, ell, q)
-
-
-def _f_arc_plus_point(a):
-    N, ell, q = _need(a, "N", "l", "q")
-    return critical.arc_plus_point_density(N, ell, q)
-
-
-def _f_arc_plus_point_gap(a):
-    N, ell, q = _need(a, "N", "l", "q")
-    return critical.arc_plus_point_gap(N, ell, q)
-
-
-def _f_density_2dim(a):
-    n, q = _need(a, "n", "q")
-    return restricted.density_2dim_formula(n, q, budget=a.budget)
-
-
-def _f_tensor_ratio(a):
-    r, n, q = _need(a, "r", "n", "q")
-    return restricted.tensor_ratio(r, n, q)
-
-
-def _f_rank_count(a):
-    kind, n, i, q = _need(a, "kind", "n", "i", "q")
-    return restricted.rank_count(kind, n, i, q, variant=a.variant)
-
-
-def _f_dim_bound(a):
-    kind, n, d = _need(a, "kind", "n", "d")
-    return restricted.dim_bound(kind, n, d)
-
-
-def _f_ball_exponent(a):
-    kind, n, r = _need(a, "kind", "n", "r")
-    return restricted.ball_asymptotic_exponent(kind, n, r, m=a.m)
-
-
-def _f_sparseness_exponent(a):
-    kind, n, k, d = _need(a, "kind", "n", "k", "d")
-    est, limit = restricted.sparseness_exponent(kind, n, k, d, variant=a.variant)
+def _f_sparseness_exponent(kind, n, k, d, **given):
+    est, limit = restricted.sparseness_exponent(kind, n, k, d, **given)
     return {"exponent": est.exponent, "limit": "boundary" if limit is None else limit}
 
 
-def _f_mrd_asymptotics(a):
-    n, d = _need(a, "n", "d")
-    out = codes.asymptotic_constants(n, d, q=a.q, eps=a.eps)
+def _f_mrd_asymptotics(n, d, **given):
+    out = codes.asymptotic_constants(n, d, **given)
     flat = {}
     for key, val in out.items():
         flat[key] = str(val) if isinstance(val, qcomb.AsymptoticEstimate) else val
     return flat
 
 
-def _f_avg_limit(a):
-    regime = a.regime or "q_large"
-    if a.d is not None:
-        n, d, q = _need(a, "n", "d", "q")
-        return critical.ball_avg_limit(n, d, q, regime)
+def _f_avg_limit(regime="q_large", **given):
+    if given.get("d") is not None:
+        return critical.ball_avg_limit(*_need(given, ("n", "d", "q")), regime)
     if regime == "m_large":
         raise SystemExit2("avg-limit --regime m_large needs --d (no option passes k', l', m)")
-    N, k, s, q = _need(a, "N", "k", "s", "q")
-    return critical.avg_density_limit_qlarge(N, k, s, q)
+    return critical.avg_density_limit_qlarge(*_need(given, ("N", "k", "s", "q")))
 
 
+# name -> (function, the options it needs, passed in this order, the
+# options it reads when given, passed by keyword)
 FORMULAS = {
-    "qbinom": _f_qbinom,
-    "gl-order": _f_gl_order,
-    "ball-size": _f_ball_size,
-    "pointset-size": _f_pointset_size,
-    "pi-q": _f_pi_q,
-    "alt-exp-sum": _f_alt_exp_sum,
-    "ine-margin": _f_ine_margin,
-    "density3x3": _f_density3x3,
-    "mrd-lower": _f_mrd_lower,
-    "kantor-lower": _f_kantor_lower,
-    "class-count": _f_class_count,
-    "spectrum-free": _f_spectrum_free,
-    "avg": _f_avg,
-    "avg-rank": _f_avg_rank,
-    "avg-limit": _f_avg_limit,
-    "lambda": _f_lambda,
-    "hyperplane-collinear": _f_hyp_collinear,
-    "hyperplane-independent": _f_hyp_independent,
-    "mds-arc": _f_mds_arc,
-    "arc-plus-point": _f_arc_plus_point,
-    "arc-plus-point-gap": _f_arc_plus_point_gap,
-    "density-2dim": _f_density_2dim,
-    "tensor-ratio": _f_tensor_ratio,
-    "rank-count": _f_rank_count,
-    "dim-bound": _f_dim_bound,
-    "ball-exponent": _f_ball_exponent,
-    "sparseness-exponent": _f_sparseness_exponent,
-    "mrd-asymptotics": _f_mrd_asymptotics,
+    "qbinom": (qcomb.qbinom, ("i", "j", "q"), ()),
+    "gl-order": (qcomb.gl_order, ("n", "q"), ()),
+    "ball-size": (qcomb.ball_size, ("n", "m", "r", "q"), ()),
+    "pointset-size": (qcomb.pointset_size, ("n", "m", "r", "q"), ()),
+    "pi-q": (_f_pi_q, ("q",), ("n", "eps")),
+    "alt-exp-sum": (qcomb.alt_exp_sum, ("m",), ("budget",)),
+    "ine-margin": (_f_ine_margin, ("q",), ("terms", "budget")),
+    "density3x3": (codes.density_3x3_formula, ("q",), ()),
+    "mrd-lower": (_f_mrd_lower, ("n", "q"), ()),
+    "kantor-lower": (codes.kantor_lowerbound, ("n",), ()),
+    "class-count": (semifield.class_count_formula, ("n", "q"), ()),
+    "spectrum-free": (codes.spectrum_free_count, ("m", "q"), ("budget",)),
+    "avg": (critical.avg_density_formula, ("N", "k", "l", "q"), ()),
+    "avg-rank": (critical.avg_density_rank_formula, ("N", "k", "l", "rho", "q"), ()),
+    "avg-limit": (_f_avg_limit, (), ("regime", "n", "d", "q", "N", "k", "s")),
+    "lambda": (critical.lambda_count, ("N", "s", "l", "rho", "q"), ()),
+    "hyperplane-collinear": (critical.hyperplane_density_collinear, ("N", "i", "q"), ()),
+    "hyperplane-independent": (critical.hyperplane_density_independent, ("N", "i", "q"), ()),
+    "mds-arc": (critical.mds_arc_density, ("N", "l", "q"), ()),
+    "arc-plus-point": (critical.arc_plus_point_density, ("N", "l", "q"), ()),
+    "arc-plus-point-gap": (critical.arc_plus_point_gap, ("N", "l", "q"), ()),
+    "density-2dim": (restricted.density_2dim_formula, ("n", "q"), ("budget",)),
+    "tensor-ratio": (restricted.tensor_ratio, ("r", "n", "q"), ()),
+    "rank-count": (restricted.rank_count, ("kind", "n", "i", "q"), ("variant",)),
+    "dim-bound": (restricted.dim_bound, ("kind", "n", "d"), ()),
+    "ball-exponent": (restricted.ball_asymptotic_exponent, ("kind", "n", "r"), ("m",)),
+    "sparseness-exponent": (_f_sparseness_exponent, ("kind", "n", "k", "d"), ("variant",)),
+    "mrd-asymptotics": (_f_mrd_asymptotics, ("n", "d"), ("q", "eps")),
 }
 
 
@@ -321,14 +214,16 @@ def cmd_formula(args) -> int:
             f"unknown formula {args.name!r}; known: {', '.join(sorted(FORMULAS))}\n"
         )
         return 2
+    func, needs, reads = FORMULAS[args.name]
+    opts = vars(args)
+    values = _need(opts, needs)
+    given = {name: opts[name] for name in reads if opts[name] is not None}
     params = {
         k: v
-        for k, v in vars(args).items()
-        if k
-        not in ("name", "func", "format", "out", "budget", "jobs", "precision")
-        and v is not None
+        for k, v in opts.items()
+        if (k in needs or k in given) and k != "budget"
     }
-    value = FORMULAS[args.name](args)
+    value = func(*values, **given)
     _emit(_result_payload(args.name, params, value, args.precision), args)
     return 0
 
@@ -539,8 +434,6 @@ def cmd_table(args) -> int:
             f"unknown table {args.name!r}; known: {', '.join(sorted(TABLES))}\n"
         )
         return 2
-    if args.format != "csv":
-        raise SystemExit2(f"table emits csv only, not --format {args.format}")
     header, rows = TABLES[args.name](args)
     _emit({"header": header, "rows": rows}, args)
     return 0
@@ -594,36 +487,11 @@ def _terms(text: str) -> int:
     return terms
 
 
-def _add_common(p: argparse.ArgumentParser, n_takes_range: bool = False) -> None:
-    p.add_argument("--q", type=_prime_power)
-    if n_takes_range:
-        p.add_argument("--n", help="an integer or a range like 3..7")
-    else:
-        p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--N", type=int, dest="N")
-    p.add_argument("--l", type=int, help="point-set size")
-    p.add_argument("--rho", type=int)
-    p.add_argument("--i", type=int)
-    p.add_argument("--j", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--kind", choices=restricted.KINDS)
-    p.add_argument("--variant", choices=("validated", "printed"), default="validated")
-    p.add_argument("--regime", choices=("q_large", "m_large"))
-    p.add_argument("--eps", type=_eps, default=1e-9)
-    p.add_argument("--terms", type=_terms, default=40)
+def _add_shared(p: argparse.ArgumentParser, formats=("text", "json", "csv")) -> None:
     p.add_argument("--budget", type=_budget, default=None,
                    help=f"enumeration budget (default {default_budget()})")
-    p.add_argument("--jobs", type=_jobs, default=1,
-                   help="worker processes for sweeps: one Pool per command, "
-                        "started by the first sweep with more than one task")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--out", help="write output to this path instead of stdout")
-    p.add_argument("--precision", type=int, default=6,
-                   help="significant digits for floats")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -639,18 +507,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     pf = sub.add_parser("formula", help="evaluate a registered formula")
     pf.add_argument("name")
-    _add_common(pf)
+    pf.add_argument("--q", type=_prime_power)
+    pf.add_argument("--n", type=int)
+    pf.add_argument("--m", type=int)
+    pf.add_argument("--k", type=int)
+    pf.add_argument("--d", type=int)
+    pf.add_argument("--N", type=int, dest="N")
+    pf.add_argument("--l", type=int, help="point-set size")
+    pf.add_argument("--rho", type=int)
+    pf.add_argument("--i", type=int)
+    pf.add_argument("--j", type=int)
+    pf.add_argument("--r", type=int)
+    pf.add_argument("--s", type=int)
+    pf.add_argument("--kind", choices=restricted.KINDS)
+    pf.add_argument("--variant", choices=("validated", "printed"))
+    pf.add_argument("--regime", choices=("q_large", "m_large"))
+    pf.add_argument("--eps", type=_eps)
+    pf.add_argument("--terms", type=_terms)
+    _add_shared(pf)
+    pf.add_argument("--precision", type=int, default=6,
+                    help="significant digits for floats")
     pf.set_defaults(func=cmd_formula)
 
     pv = sub.add_parser("verify", help="run formula-vs-bruteforce suites")
     pv.add_argument("suite", help=f"one of {', '.join(SUITE_ORDER)} or 'all'")
-    _add_common(pv)
+    pv.add_argument("--jobs", type=_jobs, default=1,
+                    help="worker processes for sweeps: one Pool per command, "
+                         "started by the first sweep with more than one task")
+    _add_shared(pv)
     pv.set_defaults(func=cmd_verify)
 
     pt = sub.add_parser("table", help="emit a reference table as CSV")
     pt.add_argument("name")
-    _add_common(pt, n_takes_range=True)
-    pt.set_defaults(func=cmd_table, format="csv")
+    pt.add_argument("--q", type=_prime_power)
+    pt.add_argument("--n", help="an integer or a range like 3..7")
+    pt.add_argument("--kind", choices=restricted.KINDS)
+    _add_shared(pt, formats=("csv",))
+    pt.set_defaults(func=cmd_table)
 
     return parser
 

@@ -427,14 +427,6 @@ class _SpanMinRank:
         return total
 
 
-def min_distance(code: MatrixCode, budget: int | None = None) -> int:
-    return code.min_distance(budget=budget)
-
-
-def is_mrd(code: MatrixCode) -> bool:
-    return code.is_mrd()
-
-
 # ----------------------------------------------------------------------
 # densities by enumeration
 # ----------------------------------------------------------------------

@@ -106,25 +106,27 @@ class Semifield:
         if self._table is None:
             E = self.field
             charge(E.order**2, resolve_budget(budget), "semifield multiplication table")
-            self._table = [[self.star(x, y) for y in E.elements()] for x in E.elements()]
+            R = self._right_mult_polys()
+            self._table = [[R_y.evaluate(x) for R_y in R] for x in E.elements()]
         return self._table
 
     def is_presemifield(self, budget: int | None = None) -> bool:
         """No zero divisors, by exhaustive search over nonzero pairs."""
         E = self.field
         charge(E.order**2, resolve_budget(budget), "zero-divisor search")
-        for x in E.units():
-            for y in E.units():
-                if self.star(x, y) == 0:
-                    return False
+        for y in E.units():
+            R_y = self.right_mult_poly(y)
+            if any(R_y.evaluate(x) == 0 for x in E.units()):
+                return False
         return True
 
     def identity(self, budget: int | None = None) -> int | None:
         """The two-sided identity element, or None."""
         E = self.field
         charge(2 * E.order**2, resolve_budget(budget), "identity search")
+        R = self._right_mult_polys()
         for e in E.units():
-            if all(self.star(e, x) == x and self.star(x, e) == x for x in E.elements()):
+            if all(R[x].evaluate(e) == x and R[e].evaluate(x) == x for x in E.elements()):
                 return e
         return None
 
@@ -136,6 +138,10 @@ class Semifield:
         E = self.field
         powers = [E.frobenius(y, j) for j in range(E.n)]
         return LinearizedPoly(E, linalg.mat_vec(self.coeffs, powers, E))
+
+    def _right_mult_polys(self) -> list[LinearizedPoly]:
+        """R_y for every y, indexed by the element y."""
+        return [self.right_mult_poly(y) for y in self.field.elements()]
 
 
 @dataclass(frozen=True)
@@ -405,7 +411,8 @@ def code_to_semifield(C: LinPolyCode, budget: int | None = None) -> Semifield:
     S = Semifield(
         E, [interpolate(E, [img.coeffs[i] for img in images]).coeffs for i in range(n)]
     )
-    if not all(S.star(1, y) == y and S.star(y, 1) == y for y in E.elements()):
+    R = S._right_mult_polys()
+    if not all(R[y].evaluate(1) == y and R[1].evaluate(y) == y for y in E.elements()):
         raise AssertionError("1 must be a two-sided identity of the recovered product")
     return S
 

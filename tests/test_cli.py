@@ -388,3 +388,37 @@ def test_budget_env_var_override(capsys, monkeypatch):
     assert code == 0
     assert "SKIPPED" in out
     monkeypatch.delenv("RANKMETRIC_BUDGET")
+
+
+def test_options_a_subcommand_does_not_read_exit_2(capsys):
+    for argv in (
+        ("verify", "hejar", "--q", "3"),
+        ("table", "mrd-bounds", "--jobs", "2"),
+        ("table", "mrd-bounds", "--eps", "0.1"),
+        ("formula", "density3x3", "--q", "2", "--jobs", "2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "Traceback" not in err
+
+
+def test_formula_params_list_only_the_options_read(capsys):
+    code, out, _ = run(
+        capsys, "formula", "qbinom", "--i", "4", "--j", "2", "--q", "2",
+        "--n", "3", "--budget", "1000", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["params"] == {"i": 4, "j": 2, "q": 2}
+    # an optional option appears only when given
+    code, out, _ = run(capsys, "formula", "pi-q", "--q", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"] == {"q": 2}
+
+
+def test_every_declared_formula_option_is_a_parser_option():
+    from rankmetric.cli import FORMULAS, build_parser
+
+    dests = set(vars(build_parser().parse_args(["formula", "qbinom"])))
+    for name, (func, needs, reads) in FORMULAS.items():
+        assert callable(func), name
+        assert set(needs) | set(reads) <= dests, name

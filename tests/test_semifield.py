@@ -100,6 +100,30 @@ def test_twisted_presemifield_is_presemifield_without_identity():
     assert S.identity() is None  # presemifield only
 
 
+def test_pair_loops_build_each_right_multiplication_once(monkeypatch):
+    # the zero-divisor search, the identity search, the table and the
+    # identity check of code_to_semifield build R_y once per y, not once
+    # per pair (x, y)
+    calls = []
+    real = Semifield.right_mult_poly
+
+    def counting(self, y):
+        calls.append(y)
+        return real(self, y)
+
+    monkeypatch.setattr(Semifield, "right_mult_poly", counting)
+    S = Semifield.field_multiplication(E8)
+    for run in (S.is_presemifield, S.identity, S.mult_table):
+        calls.clear()
+        run()
+        assert len(calls) <= E8.order, run
+    spec = TwistedFieldSpec(E27, nonnorm_element(E27), 1, 2)
+    C = normalize_contains_x(twisted_code(spec))
+    calls.clear()
+    code_to_semifield(C)
+    assert len(calls) <= E27.order
+
+
 def test_twisted_spec_fixed_field():
     spec = TwistedFieldSpec(E27, nonnorm_element(E27), 1, 2)
     assert spec.ell == 1
