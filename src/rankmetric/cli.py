@@ -391,10 +391,16 @@ def _table_critical_example(args):
 
 
 def _parse_range(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(spec)]
+    """--n of `table`: the integers of lo..hi, lo <= hi, or the one integer
+    given; anything else is a usage error."""
+    lo, dots, hi = spec.partition("..")
+    try:
+        ns = list(range(int(lo), int(hi if dots else lo) + 1))
+    except ValueError:
+        ns = []
+    if not ns:
+        raise SystemExit2(f"table --n must be an integer or a range lo..hi with lo <= hi, got {spec!r}")
+    return ns
 
 
 def _table_mrd_bounds(args):
@@ -410,7 +416,9 @@ def _table_mrd_bounds(args):
 
 def _table_rank_strata(args):
     kind = args.kind or "hermitian"
-    n = int(args.n) if args.n else 2
+    if args.n and ".." in args.n:
+        raise SystemExit2(f"table rank-strata takes one --n, not the range {args.n!r}")
+    (n,) = _parse_range(args.n or "2")
     q = args.q or 2
     rows = []
     enumerated = restricted.rank_distribution_exhaustive(kind, n, q, budget=args.budget)

@@ -15,8 +15,9 @@ lies on a point of the given point set.  One kernel, `_SpanMinRank`,
 answers it, growing the span one row at a time and testing only the
 words each new row adds, on one of two paths chosen from the input:
 bit-packed words with a precomputed table when the entries are in GF(2)
-and nm <= 16, the generic field arithmetic otherwise.  Packing never
-appears in any public signature.
+and nm <= 16, the generic field arithmetic otherwise, where each chunk
+of a sweep ranks each distinct word once and keeps the rank in a memo.
+Packing never appears in any public signature.
 
 The Grassmannian sweeps are pruned.  Inside a pivot pattern the last
 RREF row holds the most significant base-q digits of the index, so a
@@ -256,16 +257,30 @@ class _SpanMinRank:
     A span is held as the list W of all its words, zero included.  Adding
     a row x outside the span adds the words c*x + w (c != 0, w in W), and
     c*x + w is c times x + w/c, which has the same rank.  So
-    first_below(x, W, d) ranks only the |W| words x + w and already sees
-    every rank in span(W, x) that span(W) lacks; extend(W, x) lists the
-    words of span(W, x).  A row that completes a span to dimension k is
-    ranked against W but never extended.
+    first_below(x, W, d, ranks) ranks only the |W| words x + w and
+    already sees every rank in span(W, x) that span(W) lacks; extend(W, x)
+    lists the words of span(W, x), and count() also builds the values of
+    each RREF row with it.  A row that completes a span to dimension k is
+    ranked against W but never extended.  Both take their words from
+    sums(x, W), the one entrywise word sum.
 
     Packed path (entries in GF(2), nm <= 16): words are bit-packed as by
-    linalg.pack_row and ranked by one XOR and one rank-table probe.
-    Generic path otherwise: words are tuples over fld, ranked by
-    linalg.rank; the span coefficients range over GF(q), a subfield of
-    fld.  vec(flat) converts a flattened n x m matrix into a word.
+    linalg.pack_row, summed by XOR and ranked by one rank-table probe.
+    Generic path otherwise: words are tuples over fld, summed entrywise
+    (inline `% p` over a prime field, fld.add otherwise) and ranked
+    exactly, by linalg.rank, on their first test only.  Every count or
+    min_rank call keeps its own memo `ranks`, a dict word -> rank that
+    first_below reads before it ranks: the branches of a search test the
+    same words again and again, and each distinct word is eliminated
+    once.  The memo stores at most `limit` words, and past that answers
+    from what it holds and ranks the rest.  `_sweep` sets `limit` to
+    min(q^N, the steps it charged), so the charge bounds the memo; the
+    default, the number of n x m matrices over fld, binds nothing, and
+    min_rank tests each word of its span once, the words `min_distance`
+    charged.  The memo lives in the call's frame and never travels with
+    the kernel to a Pool worker.  The span coefficients range over GF(q),
+    a subfield of fld.  vec(flat) converts a flattened n x m matrix into
+    a word.
 
     Given a point set `points` of GF(q)^(nm) (canonical vectors, first
     nonzero entry 1, fld = GF(q)), a word is bad when its projective
@@ -280,12 +295,16 @@ class _SpanMinRank:
     exact.
     """
 
-    __slots__ = ("packed", "fld", "q", "n", "m", "table", "zero", "bad")
+    __slots__ = ("packed", "fld", "q", "n", "m", "table", "zero", "bad", "limit")
 
-    def __init__(self, fld, q: int, n: int, m: int, points: Collection[Sequence[int]] = ()):
+    def __init__(
+        self, fld, q: int, n: int, m: int, points: Collection[Sequence[int]] = (),
+        limit: int | None = None,
+    ):
         self.packed = fld.order == 2 and n * m <= 16
         self.fld, self.q, self.n, self.m = fld, q, n, m
         self.zero = 0 if self.packed else (0,) * (n * m)
+        self.limit = fld.order ** (n * m) if limit is None else limit
         self.bad = None
         if points and self.packed:
             table = bytearray(b"\x01") * (1 << (n * m))
@@ -300,19 +319,26 @@ class _SpanMinRank:
     def vec(self, flat: Sequence[int]):
         return linalg.pack_row(flat) if self.packed else tuple(flat)
 
-    def add(self, x, y):
+    def sums(self, x, W: Iterable) -> Iterator:
+        """The words x + w for w in W, in order, made as they are read."""
         if self.packed:
-            return x ^ y
-        return tuple(linalg.row_sub(x, self.fld.neg(1), y, self.fld))
+            return (x ^ w for w in W)
+        fld = self.fld
+        if fld.h == 1:
+            p = fld.p
+            return (tuple([(a + b) % p for a, b in zip(x, w)]) for w in W)
+        add = fld.add
+        return (tuple(map(add, x, w)) for w in W)
 
     def scale(self, c: int, x):
         if self.packed:
             return x if c else 0
         return tuple(linalg.row_scale(c, x, self.fld))
 
-    def first_below(self, x, W: Sequence, d: int) -> int:
+    def first_below(self, x, W: Sequence, d: int, ranks: dict) -> int:
         """The minimum rank over the words x + w (w in W), stopping at the
-        first word of rank < d."""
+        first word of rank < d.  ranks is the call's memo (generic rank
+        path only)."""
         best = min(self.n, self.m)
         if self.packed:
             table = self.table
@@ -323,17 +349,17 @@ class _SpanMinRank:
                     if r < d:
                         break
             return best
-        fld, n, m = self.fld, self.n, self.m
-        add, rank = fld.add, linalg.rank
         if self.bad is not None:
             bad = self.bad
-            for w in W:
-                if tuple([add(a, b) for a, b in zip(x, w)]) in bad:
-                    return 0
-            return 1
-        for w in W:
-            vec = [add(a, b) for a, b in zip(x, w)]
-            r = rank([vec[i * m : (i + 1) * m] for i in range(n)], fld)
+            return 0 if any(word in bad for word in self.sums(x, W)) else 1
+        fld, n, m, limit = self.fld, self.n, self.m, self.limit
+        rank, known = linalg.rank, ranks.get
+        for word in self.sums(x, W):
+            r = known(word)
+            if r is None:
+                r = rank([word[i * m : (i + 1) * m] for i in range(n)], fld)
+                if len(ranks) < limit:
+                    ranks[word] = r
             if r < best:
                 best = r
                 if r < d:
@@ -341,11 +367,12 @@ class _SpanMinRank:
         return best
 
     def extend(self, W: Sequence, x) -> list:
-        """The words of span(W, x), for x outside span(W)."""
+        """The words c*x + w (c in GF(q), w in W): the block of c = 0, W
+        itself, first, then one block per c, each in the order of W.  For
+        a span W and x outside it, the words of span(W, x)."""
         out = list(W)
         for c in range(1, self.q):
-            cx = self.scale(c, x)
-            out += [self.add(cx, w) for w in W]
+            out += self.sums(self.scale(c, x), W)
         return out
 
     def min_rank(self, rows: Sequence, d: int) -> int:
@@ -353,8 +380,9 @@ class _SpanMinRank:
         independent rows, stopping at the first word of rank < d."""
         best = min(self.n, self.m)
         W = [self.zero]
+        ranks: dict = {}
         for i, x in enumerate(rows):
-            best = min(best, self.first_below(x, W, d))
+            best = min(best, self.first_below(x, W, d, ranks))
             if best < d:
                 break
             if i + 1 < len(rows):
@@ -387,8 +415,9 @@ class _SpanMinRank:
         each surviving row-0 leaf, one subspace, is counted once, so the
         counts of any chunking add up to the full count.
         """
-        q, k = g.q, g.k
-        first_below, extend, add, scale = self.first_below, self.extend, self.add, self.scale
+        k = g.k
+        first_below, extend = self.first_below, self.extend
+        ranks: dict = {}  # this call's memo, word -> rank
         total = 0
         for pivots, free, a, b in g._pattern_slices(lo, hi):
             # levels[r] = (the word of every value of row r, indexed by the
@@ -399,8 +428,7 @@ class _SpanMinRank:
                 words = [units[p]]
                 for rr, j in free:
                     if rr == r:
-                        cu = [scale(c, units[j]) for c in range(q)]
-                        words = [add(u, w) for u in cu for w in words]
+                        words = extend(words, units[j])
                 levels.append((words, weight))
                 weight *= len(words)
 
@@ -411,7 +439,7 @@ class _SpanMinRank:
                 found = 0
                 for v in range(vlo, vhi):
                     x = words[v]
-                    if first_below(x, W, d) < d:
+                    if first_below(x, W, d, ranks) < d:
                         continue
                     if r == 0:
                         found += 1
@@ -556,7 +584,9 @@ def _sweep(
 
     The charge covers the subspaces of the plan that runs and the
     q^(k-1) words of the largest span the sweep holds, labelled `what`,
-    and comes before the kernel and the Grassmannian are built.
+    and comes before the kernel and the Grassmannian are built.  It also
+    bounds the rank memo of each chunk, which holds at most min(q^N, the
+    charge) words.
 
     The sweep has min(jobs, CPUs) workers, and at most one per subspace
     of the plan unless it runs in a scope it shares with other sweeps.
@@ -580,8 +610,9 @@ def _sweep(
     else:
         plan, divisor, shape = [(1, None, None)], 1, (N, k)
     size = qbinom(*shape, q)
-    charge(len(plan) * size + q ** max(k - 1, 0), resolve_budget(budget), what)
-    kernel = _SpanMinRank(fld, q, n, m, points)
+    cost = len(plan) * size + q ** max(k - 1, 0)
+    charge(cost, resolve_budget(budget), what)
+    kernel = _SpanMinRank(fld, q, n, m, points, min(q**N, cost))
     units = [kernel.vec(v) for v in vectors]
     g = Grassmannian(*shape, q)
     workers = min(max(jobs, 1), os.cpu_count() or 1)

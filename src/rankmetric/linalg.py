@@ -20,6 +20,11 @@ elimination.  GL_n(q) (`semifield`), the spectrum-free count (`codes`)
 and the point-set histograms (`critical`) test independence that way.
 A bit-packed GF(2) rank table backs the hot enumeration paths; it never
 leaks into public interfaces.
+
+`rank` is the exact rank of the generic codeword-sweep kernel
+(`codes._SpanMinRank`), which calls it once per distinct word of a
+sweep chunk and keeps the answers in a memo of its own; nothing in this
+module caches a rank.
 """
 
 from __future__ import annotations

@@ -373,6 +373,21 @@ def test_table_unknown_exits_2(capsys):
     assert code == 2
 
 
+def test_table_bad_n_exits_2_naming_n(capsys):
+    # an empty or reversed range, a non-integer, and a range where
+    # rank-strata takes one n
+    for argv in (
+        ("table", "mrd-bounds", "--n", "5..3"),
+        ("table", "mrd-bounds", "--n", "3..x"),
+        ("table", "rank-strata", "--n", "3..4"),
+        ("table", "rank-strata", "--n", "two"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "--n" in err, (argv, err)
+
+
 def test_table_out_file_and_determinism(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

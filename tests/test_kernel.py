@@ -20,16 +20,27 @@ hyperplane of a coordinate where E_r is nonzero, and divides
 sum_r A_r * f_r by q^k - 1.  Each f_r is checked here against the
 reference codes that contain E_r, and the driver's count against the
 reference count.
+
+On the generic path the kernel ranks each distinct word once per
+`count` or `min_rank` call: first_below reads a memo, word -> rank,
+before it ranks, and the memo stores at most min(q^N, the steps the
+sweep charged) words.  The tests below record every memo a sweep
+fills and check each entry against `linalg.rank` of its word, check
+that bound, and check that past it the kernel still answers exactly.
+They also check that the tasks a Pool receives carry no memo words,
+and that a sweep gives the same count at jobs 1 and 2.  The shapes
+reach GF(2) to GF(5) and Hermitian matrices over GF(q^2).
 """
 
 import multiprocessing
 import os
+import pickle
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankmetric import linalg
+from rankmetric import codes, linalg
 from rankmetric.codes import (
     Grassmannian,
     MatrixCode,
@@ -60,7 +71,7 @@ def reference_min_rank(words, n, m, fld):
 @st.composite
 def small_codes(draw):
     # GF(2) shapes up to 4 x 5 reach both paths (packed needs nm <= 16).
-    q = draw(st.sampled_from((2, 3, 4)))
+    q = draw(st.sampled_from((2, 3, 4, 5)))
     n = draw(st.integers(1, 4 if q == 2 else 3))
     m = draw(st.integers(1, 5 if q == 2 else 3))
     k = draw(st.integers(1, 3))
@@ -94,74 +105,95 @@ def test_min_distance_matches_reference(case):
     assert C.min_distance() == expected
 
 
-def reference_density_counts(n, m, k, d, q, bounds):
-    """For each chunk [bounds[i], bounds[i+1]) of the canonical order, the
-    number of its k-dim subspaces of GF(q)^(n x m) with min distance >= d."""
-    fld = field_for_order(q)
-    g = Grassmannian(n * m, k, q)
+def ambient(kind, n, m, d, q):
+    """(entry field, coordinate vectors, strata at d) of a full n x m or
+    a symmetric, alternating or Hermitian n x n ambient.  The full strata
+    are built here: E_r, the rank-r partial identity, with A_r words of
+    rank r."""
+    if kind == "full":
+        strata = []
+        for r in range(d, min(n, m) + 1):
+            E_r = [[int(i == j and i < r) for j in range(m)] for i in range(n)]
+            strata.append((r, matrix_rank_count(n, m, r, q), [x for row in E_r for x in row]))
+        return field_for_order(q), linalg.identity(n * m), strata
+    fld = hermitian_field(q) if kind == "hermitian" else field_for_order(q)
+    vectors = [[x for row in mat for x in row] for mat in ambient_basis(kind, n, q)]
+    return fld, vectors, _rank_strata(kind, n, d, q)
+
+
+def reference_verdicts(fld, q, n, m, vectors, k, d):
+    """(RREF basis over GF(q), verdict) for every k-dim coordinate
+    subspace in the canonical order, the verdict being whether all its
+    nonzero words, mapped through vectors, have rank >= d.  Each word is
+    mapped and ranked once, on its first appearance."""
+    coord = field_for_order(q)
     ranks = {}
-    ok = []
-    for rows in g.iter_range():
-        words = [w for w in linalg.span_elements(rows, fld) if any(w)]
-        for w in words:
-            if w not in ranks:
-                ranks[w] = linalg.rank([w[i * m : (i + 1) * m] for i in range(n)], fld)
-        ok.append(min(ranks[w] for w in words) >= d)
-    return [sum(ok[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    out = []
+    for rows in Grassmannian(len(vectors), k, q).iter_range():
+        nonzero = [c for c in linalg.span_elements(rows, coord) if any(c)]
+        for coeffs in nonzero:
+            if coeffs not in ranks:
+                word = [0] * (n * m)
+                for c, vec in zip(coeffs, vectors):
+                    word = [fld.add(w, fld.mul(c, x)) for w, x in zip(word, vec)]
+                ranks[coeffs] = reference_min_rank([word], n, m, fld)
+        out.append((rows, min(ranks[c] for c in nonzero) >= d))
+    return out
 
 
-# (q, n, m, k) with at most 20,000 words over the whole reference sweep;
-# q = 2 takes the packed path, q = 3 and 4 the generic one
+def reference_good_codes(fld, q, n, m, vectors, k, d):
+    """The RREF bases of the subspaces with a good verdict."""
+    return [rows for rows, good in reference_verdicts(fld, q, n, m, vectors, k, d) if good]
+
+
+def dim_of(kind, n, m, q):
+    """N, the dimension over GF(q) of the ambient."""
+    return len(ambient(kind, n, m, 1, q)[1])
+
+
+# (kind, n, m, k, q) with at most 20,000 words over the reference sweep;
+# GF(2) full shapes take the packed path, every other one the generic
+# path, Hermitian ones with entries in GF(q^2), GF(4) to GF(16)
 SWEEP_SHAPES = [
-    (q, n, m, k)
-    for q in (2, 3, 4)
-    for n in (1, 2, 3)
-    for m in (1, 2, 3)
-    for k in range(1, n * m + 1)
-    if qbinom(n * m, k, q) * q**k <= 20000
+    (kind, n, m, k, q)
+    for kind, n, m, q in (
+        [("full", n, m, q) for q in (2, 3, 4, 5) for n in (1, 2, 3) for m in (1, 2, 3)]
+        + [("hermitian", n, n, q) for n in (2, 3) for q in (2, 3, 4)]
+    )
+    for k in range(1, dim_of(kind, n, m, q) + 1)
+    if qbinom(dim_of(kind, n, m, q), k, q) * q**k <= 20000
 ]
 
 
 @st.composite
 def sweep_cases(draw):
-    q, n, m, k = draw(st.sampled_from(SWEEP_SHAPES))
+    kind, n, m, k, q = draw(st.sampled_from(SWEEP_SHAPES))
     d = draw(st.integers(1, min(n, m)))
-    total = qbinom(n * m, k, q)
+    total = qbinom(dim_of(kind, n, m, q), k, q)
     cuts = draw(st.lists(st.integers(0, total), max_size=5))
-    return n, m, k, d, q, [0] + sorted(cuts) + [total]
+    return kind, n, m, k, d, q, [0] + sorted(cuts) + [total]
+
+
+def sweep_density(kind, n, m, k, d, q):
+    """The count of the driver's public sweep of the ambient."""
+    if kind == "full":
+        return density_bruteforce(n, m, k, d, q).count
+    return restricted_density_bruteforce(kind, n, k, d, q).count
 
 
 @given(sweep_cases())
 @settings(max_examples=80, deadline=None)
 def test_pruned_sweep_matches_flat_reference(case):
-    n, m, k, d, q, bounds = case
-    expected = reference_density_counts(n, m, k, d, q, bounds)
-    g = Grassmannian(n * m, k, q)
-    kernel = _SpanMinRank(g.field, q, n, m)
-    units = [kernel.vec(row) for row in linalg.identity(n * m)]
+    kind, n, m, k, d, q, bounds = case
+    fld, vectors, _ = ambient(kind, n, m, d, q)
+    ok = [good for _, good in reference_verdicts(fld, q, n, m, vectors, k, d)]
+    expected = [sum(ok[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    g = Grassmannian(len(vectors), k, q)
+    kernel = _SpanMinRank(fld, q, n, m)
+    units = [kernel.vec(v) for v in vectors]
     chunks = [kernel.count(g, units, d, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     assert chunks == expected
-    assert density_bruteforce(n, m, k, d, q).count == sum(expected)
-
-
-def reference_restricted_count(kind, n, k, d, q):
-    """Subspaces of the coordinate Grassmannian whose nonzero words, mapped
-    through the ambient basis, all have rank >= d."""
-    fld = hermitian_field(q) if kind == "hermitian" else field_for_order(q)
-    basis = ambient_basis(kind, n, q)
-    coord = field_for_order(q)
-    count = 0
-    for rows in Grassmannian(len(basis), k, q).iter_range():
-        words = []
-        for coeffs in linalg.span_elements(rows, coord):
-            word = [0] * (n * n)
-            for c, mat in zip(coeffs, basis):
-                flat = [x for row in mat for x in row]
-                word = [fld.add(w, fld.mul(c, x)) for w, x in zip(word, flat)]
-            words.append(word)
-        if reference_min_rank(words, n, n, fld) >= d:
-            count += 1
-    return count
+    assert sweep_density(kind, n, m, k, d, q) == sum(expected)
 
 
 @st.composite
@@ -183,39 +215,8 @@ def restricted_cases(draw):
 def test_restricted_density_matches_reference(case):
     kind, n, k, d, q = case
     res = restricted_density_bruteforce(kind, n, k, d, q)
-    assert res.count == reference_restricted_count(kind, n, k, d, q)
-
-
-def ambient(kind, n, m, d, q):
-    """(entry field, coordinate vectors, strata at d) of a full n x m or
-    an alternating or Hermitian n x n ambient.  The full strata are built
-    here: E_r, the rank-r partial identity, with A_r words of rank r."""
-    if kind == "full":
-        strata = []
-        for r in range(d, min(n, m) + 1):
-            E_r = [[int(i == j and i < r) for j in range(m)] for i in range(n)]
-            strata.append((r, matrix_rank_count(n, m, r, q), [x for row in E_r for x in row]))
-        return field_for_order(q), linalg.identity(n * m), strata
-    fld = hermitian_field(q) if kind == "hermitian" else field_for_order(q)
-    vectors = [[x for row in mat for x in row] for mat in ambient_basis(kind, n, q)]
-    return fld, vectors, _rank_strata(kind, n, d, q)
-
-
-def reference_good_codes(fld, q, n, m, vectors, k, d):
-    """The RREF bases over GF(q) of the k-dim coordinate subspaces whose
-    nonzero words, mapped through vectors, all have rank >= d."""
-    coord = field_for_order(q)
-    good = []
-    for rows in Grassmannian(len(vectors), k, q).iter_range():
-        words = []
-        for coeffs in linalg.span_elements(rows, coord):
-            word = [0] * (n * m)
-            for c, vec in zip(coeffs, vectors):
-                word = [fld.add(w, fld.mul(c, x)) for w, x in zip(word, vec)]
-            words.append(word)
-        if reference_min_rank(words, n, m, fld) >= d:
-            good.append(rows)
-    return good
+    fld, vectors, _ = ambient(kind, n, n, d, q)
+    assert res.count == len(reference_good_codes(fld, q, n, n, vectors, k, d))
 
 
 # (kind, n, m, k, q) with at most 20,000 words over the reference sweep;
@@ -223,12 +224,12 @@ def reference_good_codes(fld, q, n, m, vectors, k, d):
 SEEDED_SHAPES = [
     (kind, n, m, k, q)
     for kind, n, m, q in (
-        [("full", n, m, q) for q in (2, 3, 4) for n in (1, 2, 3) for m in (1, 2, 3)]
+        [("full", n, m, q) for q in (2, 3, 4, 5) for n in (1, 2, 3) for m in (1, 2, 3)]
         + [("alternating", n, n, q) for n in (2, 3, 4) for q in (2, 3)]
-        + [("hermitian", n, n, q) for n in (2, 3) for q in (2, 3)]
+        + [("hermitian", n, n, q) for n in (2, 3) for q in (2, 3, 4)]
     )
-    for k in range(1, len(ambient(kind, n, m, 1, q)[1]) + 1)
-    if qbinom(len(ambient(kind, n, m, 1, q)[1]), k, q) * q**k <= 20000
+    for k in range(1, dim_of(kind, n, m, q) + 1)
+    if qbinom(dim_of(kind, n, m, q), k, q) * q**k <= 20000
 ]
 
 
@@ -306,3 +307,115 @@ def test_seeded_restricted_pins():
     # counts of the flat sweep, before the rank seeding
     assert restricted_density_bruteforce("alternating", 5, 2, 4, 2).count == 105896
     assert restricted_density_bruteforce("hermitian", 3, 2, 3, 2).count == 6720
+
+
+def recording_kernel():
+    """A kernel class that records every memo first_below is handed, and
+    the dict it records them in, by id."""
+    memos = {}
+
+    class Recording(_SpanMinRank):
+        def first_below(self, x, W, d, ranks):
+            memos[id(ranks)] = ranks
+            return super().first_below(x, W, d, ranks)
+
+    return Recording, memos
+
+
+def assert_memo_is_ranks(memo, fld, n, m):
+    for word, r in memo.items():
+        assert r == linalg.rank([word[i * m : (i + 1) * m] for i in range(n)], fld), word
+
+
+@given(seeded_cases())
+@settings(max_examples=60, deadline=None)
+def test_memo_holds_true_ranks_within_the_charged_bound(case):
+    # every memo of a driver sweep, flat or seeded, maps each word to its
+    # rank and holds at most min(q^N, the steps the sweep charged) words
+    kind, n, m, k, d, q = case
+    fld, vectors, strata = ambient(kind, n, m, d, q)
+    Recording, memos = recording_kernel()
+    charged = []
+    with mock.patch.object(codes, "_SpanMinRank", Recording), mock.patch.object(
+        codes, "charge", lambda cost, budget, what: charged.append(cost)
+    ):
+        count, _ = _sweep(fld, q, n, m, vectors, k, d, None, "test sweep", strata=strata)
+    assert count == len(reference_good_codes(fld, q, n, m, vectors, k, d))
+    (cost,) = charged
+    for memo in memos.values():
+        assert len(memo) <= min(q ** len(vectors), cost)
+        assert_memo_is_ranks(memo, fld, n, m)
+
+
+@given(sweep_cases(), st.integers(0, 40))
+@settings(max_examples=60, deadline=None)
+def test_memo_past_its_limit_answers_without_storing(case, limit):
+    kind, n, m, k, d, q, bounds = case
+    fld, vectors, _ = ambient(kind, n, m, d, q)
+    ok = [good for _, good in reference_verdicts(fld, q, n, m, vectors, k, d)]
+    Recording, memos = recording_kernel()
+    kernel = Recording(fld, q, n, m, limit=limit)
+    units = [kernel.vec(v) for v in vectors]
+    g = Grassmannian(len(vectors), k, q)
+    for lo, hi in zip(bounds, bounds[1:]):
+        assert kernel.count(g, units, d, lo, hi) == sum(ok[lo:hi])
+    for memo in memos.values():
+        assert len(memo) <= limit
+        assert_memo_is_ranks(memo, fld, n, m)
+
+
+def test_generic_sweep_ranks_each_distinct_word_once():
+    # (2, 3, 3, 2, 3) is one seeded count at jobs 1: every word it tests
+    # lies in GF(3)^6, so at most 3^6 = 729 ranks, plus one for the seed;
+    # ranking every tested word took 3,047
+    with mock.patch.object(linalg, "rank", wraps=linalg.rank) as spy:
+        assert density_bruteforce(2, 3, 3, 2, 3).count == 3456
+    assert spy.call_count <= 3**6 + 1
+
+
+class PicklingPool(InProcessPool):
+    """An in-process stand-in for multiprocessing.Pool that pickles each
+    task before and after running it."""
+
+    sent = []
+
+    def map(self, fn, tasks):
+        out = []
+        for task in tasks:
+            before = pickle.dumps(task)
+            out.append(fn(task))
+            self.sent.append((before, pickle.dumps(task), task))
+        return out
+
+
+def test_pool_tasks_carry_no_memo_words():
+    # a task pickles to the same bytes before and after a chunk has run
+    # on its kernel, and no slot of the kernel holds a dict
+    PicklingPool.sent = []
+    for kind, n, m, k, d, q in (("full", 2, 2, 2, 2, 3), ("hermitian", 2, 2, 2, 2, 3)):
+        fld, vectors, strata = ambient(kind, n, m, d, q)
+        expected = len(reference_good_codes(fld, q, n, m, vectors, k, d))
+        with mock.patch.object(os, "cpu_count", return_value=2), mock.patch.object(
+            multiprocessing, "Pool", PicklingPool
+        ):
+            count, _ = _sweep(fld, q, n, m, vectors, k, d, None, "test sweep", jobs=2, strata=strata)
+        assert count == expected
+    assert PicklingPool.sent
+    for before, after, task in PicklingPool.sent:
+        assert before == after == pickle.dumps(task)
+        kernel = task[0]
+        assert not any(isinstance(getattr(kernel, s, None), dict) for s in kernel.__slots__)
+
+
+def test_generic_sweeps_agree_at_jobs_1_and_2():
+    # a real two-worker Pool against the in-process sweep
+    fld, vectors, strata = ambient("hermitian", 3, 3, 2, 2)
+    with mock.patch.object(os, "cpu_count", return_value=2):
+        for n, m in ((2, 3), (3, 2)):
+            counts = [density_bruteforce(n, m, 3, 2, 3, jobs=jobs).count for jobs in (1, 2)]
+            assert counts == [3456, 3456]
+        hermitian = [
+            _sweep(fld, 2, 3, 3, vectors, 3, 2, None, "test sweep", jobs=jobs, strata=strata)
+            for jobs in (1, 2)
+        ]
+        assert hermitian[0] == hermitian[1] == (586680, 788035)

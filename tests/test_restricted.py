@@ -152,6 +152,14 @@ def test_restricted_density_charges_the_words_of_a_span(monkeypatch):
         restricted_density_bruteforce("symmetric", 3, 6, 1, 4, budget=1)
 
 
+def test_symmetric_optimal_3x3_pins():
+    # 3-dim symmetric 3 x 3 codes of full rank: 8 of 1395 over GF(2), 288 of
+    # 33880 over GF(3) (the GF(4) count, 960 of 376805, runs in CI)
+    for q, want in ((2, (8, 1395)), (3, (288, 33880))):
+        r = restricted_density_bruteforce("symmetric", 3, 3, 3, q)
+        assert (r.count, r.total) == want
+
+
 def test_restricted_density_against_independent_count():
     # 1-dim symmetric codes of distance 2 over GF(3): count invertible
     # symmetric matrices directly
