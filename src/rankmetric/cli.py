@@ -541,7 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("suite", help=f"one of {', '.join(SUITE_ORDER)} or 'all'")
     pv.add_argument("--jobs", type=_jobs, default=1,
                     help="worker processes for sweeps: one Pool per command, "
-                         "started by the first sweep with more than one task")
+                         "started by the first sweep still running after "
+                         "0.05 s in-process")
     _add_shared(pv)
     pv.set_defaults(func=cmd_verify)
 

@@ -15,8 +15,9 @@ lies on a point of the given point set.  One kernel, `_SpanMinRank`,
 answers it, growing the span one row at a time and testing only the
 words each new row adds, on one of two paths chosen from the input:
 bit-packed words with a precomputed table when the entries are in GF(2)
-and nm <= 16, the generic field arithmetic otherwise, where each chunk
-of a sweep ranks each distinct word once and keeps the rank in a memo.
+and nm <= 16, the generic field arithmetic otherwise, where each plan
+entry of a sweep run in-process, and each chunk it sends to a worker,
+ranks each distinct word once and keeps the rank in a memo.
 Packing never appears in any public signature.
 
 The Grassmannian sweeps are pruned.  Inside a pivot pattern the last
@@ -34,13 +35,17 @@ The three Grassmannian sweeps -- `density_bruteforce`,
 `critical.delta_bruteforce` -- hand their field, matrix shape and
 coordinate vectors to one driver, `_sweep`.  It checks d, charges the
 budget before it builds the kernel and the Grassmannian, and splits the
-index range into deterministic chunks.  With one worker (one job, one
-CPU, or a single subspace to count) the chunks run in-process; with
-more they are mapped on a multiprocessing Pool.  A sweep takes that Pool
-from `_pool_scope`, which holds at most one: the command line runs each
-command inside one scope, so all the sweeps of `verify all --jobs 2`
-share the Pool the first of them starts, and a library call made outside
-any scope opens a scope of its own.
+index range into deterministic pieces.  With one worker (one job, one
+CPU, or a single subspace to count) it runs in-process.  With more, it
+still counts in-process, in index ranges of doubling length, until it
+has run `_POOL_AFTER_S` seconds, since a Pool costs more than a short
+sweep takes; only what is left is split into chunks and mapped on a
+multiprocessing Pool.  A sweep takes that Pool from `_pool_scope`,
+which holds at most one: the command line runs each command inside one
+scope, so all the sweeps of a command that outlast the deadline share
+the Pool the first of them starts, and a library call made outside any
+scope opens a scope of its own.  The sweeps of `verify all` all finish
+before the deadline, so it starts no Pool at any `--jobs`.
 
 The driver runs a plan of seeded counts where the ambient allows it.
 X -> AXB (A, B invertible) preserves rank and is transitive on the
@@ -268,19 +273,21 @@ class _SpanMinRank:
     linalg.pack_row, summed by XOR and ranked by one rank-table probe.
     Generic path otherwise: words are tuples over fld, summed entrywise
     (inline `% p` over a prime field, fld.add otherwise) and ranked
-    exactly, by linalg.rank, on their first test only.  Every count or
-    min_rank call keeps its own memo `ranks`, a dict word -> rank that
-    first_below reads before it ranks: the branches of a search test the
-    same words again and again, and each distinct word is eliminated
-    once.  The memo stores at most `limit` words, and past that answers
-    from what it holds and ranks the rest.  `_sweep` sets `limit` to
-    min(q^N, the steps it charged), so the charge bounds the memo; the
-    default, the number of n x m matrices over fld, binds nothing, and
-    min_rank tests each word of its span once, the words `min_distance`
-    charged.  The memo lives in the call's frame and never travels with
-    the kernel to a Pool worker.  The span coefficients range over GF(q),
-    a subfield of fld.  vec(flat) converts a flattened n x m matrix into
-    a word.
+    exactly, by linalg.rank, on their first test only.  Every min_rank
+    call keeps its own memo `ranks`, a dict word -> rank that first_below
+    reads before it ranks: the branches of a search test the same words
+    again and again, and each distinct word is eliminated once.  A count
+    call keeps its own memo too, unless it is handed one: `_sweep` hands
+    the in-process ranges of one plan entry the same memo.  The memo
+    stores at most `limit` words, and past that answers from what it
+    holds and ranks the rest.  `_sweep` sets `limit` to min(q^N, the
+    steps it charged), so the charge bounds the memo; the default, the
+    number of n x m matrices over fld, binds nothing, and min_rank tests
+    each word of its span once, the words `min_distance` charged.  The
+    memo lives in a frame of the process that fills it, never on the
+    kernel, so it never travels to a Pool worker.  The span coefficients
+    range over GF(q), a subfield of fld.  vec(flat) converts a flattened
+    n x m matrix into a word.
 
     Given a point set `points` of GF(q)^(nm) (canonical vectors, first
     nonzero entry 1, fld = GF(q)), a word is bad when its projective
@@ -390,7 +397,8 @@ class _SpanMinRank:
         return best
 
     def count(
-        self, g: Grassmannian, units: Sequence, d: int, lo: int, hi: int, seed=None
+        self, g: Grassmannian, units: Sequence, d: int, lo: int, hi: int, seed=None,
+        ranks: dict | None = None,
     ) -> int:
         """Number of subspaces lo..hi-1 of g with no bad word: every
         nonzero word has rank >= d, or, for a point-set kernel at d = 1,
@@ -417,7 +425,7 @@ class _SpanMinRank:
         """
         k = g.k
         first_below, extend = self.first_below, self.extend
-        ranks: dict = {}  # this call's memo, word -> rank
+        ranks = {} if ranks is None else ranks  # the memo, word -> rank
         total = 0
         for pivots, free, a, b in g._pattern_slices(lo, hi):
             # levels[r] = (the word of every value of row r, indexed by the
@@ -507,6 +515,16 @@ def _count_chunk(task: tuple) -> int:
     return kernel.count(g, units, d, lo, hi, seed)
 
 
+# A sweep with more than one worker counts in-process until it has run
+# this many seconds, and only then maps the rest on a Pool.  Measured on
+# a 2-core host, 15 ops per side, jobs 1 against jobs 2 (one Pool of 2
+# workers): the mrd192 sweep 0.9 against 15.9 ms, (2,3,3,2,3) 6.4
+# against 34.8 ms, (2,3,3,2,4) 46 against 68 ms, (3,3,2,2,3) 303 against
+# 169 ms, (2,4,3,2,3) 1,033 against 582 ms.  Forking a Pool costs about
+# 7 ms, closing it 2 ms and each map 1-5 ms, and 2 workers lose on every
+# sweep shorter than about 0.25 s.
+_POOL_AFTER_S = 0.05
+
 _open_scope: list | None = None  # the open _pool_scope: [its Pool] once started
 
 
@@ -585,19 +603,26 @@ def _sweep(
     The charge covers the subspaces of the plan that runs and the
     q^(k-1) words of the largest span the sweep holds, labelled `what`,
     and comes before the kernel and the Grassmannian are built.  It also
-    bounds the rank memo of each chunk, which holds at most min(q^N, the
-    charge) words.
+    bounds every rank memo, which holds at most min(q^N, the charge)
+    words.
 
     The sweep has min(jobs, CPUs) workers, and at most one per subspace
     of the plan unless it runs in a scope it shares with other sweeps.
     With one worker each entry is one task, run in-process, so jobs = 1
-    never starts a Pool.  With more, each entry is split into 4
-    deterministic chunks per worker, so that `Pool.map` hands the uneven
-    chunks out as workers free up, and the tasks are mapped on the one
-    Pool of the open `_pool_scope`, which the first sweep of the scope
-    that needs it starts; a sweep made outside any scope opens a scope of
-    its own.  The counts are integers, and their sum does not depend on
-    the chunks."""
+    never starts a Pool.  With more, the sweep first counts each entry
+    in-process, in index ranges [lo, lo + step) with step doubling from
+    1 that share one memo, and stops once the sweep has run
+    `_POOL_AFTER_S` seconds.  What is left, the rest of the current entry
+    and every later entry, is split into 4 deterministic chunks per
+    worker and entry, so that `Pool.map` hands the uneven chunks out as
+    workers free up, and the chunks are mapped on the one Pool of the
+    open `_pool_scope`, which the first sweep of the scope that needs it
+    starts; a sweep made outside any scope opens a scope of its own.  A
+    sweep that finishes in-process starts no Pool, and at
+    `_POOL_AFTER_S = 0` every entry goes to the Pool whole.  The counts
+    are integers, and the count of [0, size) is the sum of the counts of
+    any partition of it, so the total does not depend on where the
+    deadline fell or on the chunks."""
     if not 1 <= d <= min(n, m):
         raise ValueError(f"bad parameters n={n}, m={m}, k={k}, d={d}")
     if strata is not None and points:
@@ -620,16 +645,26 @@ def _sweep(
         # a shared Pool is not cut to the sweep that happens to start it
         workers = min(workers, len(plan) * size)
     chunks = 4 * workers if workers > 1 else 1
-    bounds = [size * i // chunks for i in range(chunks + 1)]
-    weights, tasks = [], []
+    weighted, weights, tasks = 0, [], []
+    start = time.perf_counter()
     for weight, seed, p in plan:
         entry_units = units if p is None else units[:p] + units[p + 1 :]
         seed = None if seed is None else kernel.vec(seed)
-        for lo, hi in zip(bounds, bounds[1:]):
-            if lo < hi:
+        lo = 0
+        if workers > 1:
+            # in-process ranges [lo, lo + step), step doubling from 1,
+            # sharing one memo, until the sweep has run _POOL_AFTER_S
+            step, ranks = 1, {}
+            while lo < size and time.perf_counter() - start < _POOL_AFTER_S:
+                hi = min(lo + step, size)
+                weighted += weight * kernel.count(g, entry_units, d, lo, hi, seed, ranks)
+                lo, step = hi, 2 * step
+        bounds = [lo + (size - lo) * i // chunks for i in range(chunks + 1)]
+        for a, b in zip(bounds, bounds[1:]):
+            if a < b:
                 weights.append(weight)
-                tasks.append((kernel, g, entry_units, seed, d, lo, hi))
-    if workers <= 1:
+                tasks.append((kernel, g, entry_units, seed, d, a, b))
+    if workers <= 1 or not tasks:
         counts = [_count_chunk(task) for task in tasks]
     else:
         with _pool_scope() as held:
@@ -638,7 +673,7 @@ def _sweep(
 
                 held.append(multiprocessing.Pool(processes=workers))
             counts = held[0].map(_count_chunk, tasks)
-    count, rest = divmod(sum(w * c for w, c in zip(weights, counts)), divisor)
+    count, rest = divmod(weighted + sum(w * c for w, c in zip(weights, counts)), divisor)
     if rest:
         raise AssertionError(f"{what}: the weighted count is not divisible by {divisor}")
     return count, total

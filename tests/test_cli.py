@@ -280,13 +280,16 @@ def pools_started(monkeypatch):
     ],
     ids=["all-jobs2", "all-jobs1", "lambda-jobs2", "formula"],
 )
-def test_one_pool_per_command(pools_started, capsys, argv, pools):
-    # every sweep of a command maps on the Pool the first sweep with more
-    # than one task starts; main closes and joins it, so no worker outlives
-    # main and no Pool is dropped unclosed
+def test_one_pool_per_command(pools_started, capsys, monkeypatch, argv, pools):
+    # with no in-process part, every sweep of a command maps on the Pool
+    # the first sweep with more than one task starts; main closes and
+    # joins it, so no worker outlives main and no Pool is dropped unclosed
     import multiprocessing
     import warnings
 
+    from rankmetric import codes
+
+    monkeypatch.setattr(codes, "_POOL_AFTER_S", 0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         assert run(capsys, *argv)[0] == 0
@@ -306,6 +309,7 @@ def test_no_worker_outlives_a_failed_sweep(pools_started, capsys, monkeypatch):
 
     from rankmetric import codes
 
+    monkeypatch.setattr(codes, "_POOL_AFTER_S", 0)
     monkeypatch.setattr(codes, "_count_chunk", _failing_chunk)
     with pytest.raises(RuntimeError, match="chunk failed in a worker"):
         main(["verify", "mrd192", "--jobs", "2"])
@@ -313,9 +317,13 @@ def test_no_worker_outlives_a_failed_sweep(pools_started, capsys, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_verify_all_byte_identical_across_jobs(pools_started, tmp_path, capsys):
-    # the text and JSON reports at jobs 1, 2 and 8; 2 CPUs are reported, so
-    # jobs 2 and 8 each run on one Pool of 2 workers
+def test_verify_all_byte_identical_across_jobs(pools_started, tmp_path, capsys, monkeypatch):
+    # the text and JSON reports at jobs 1, 2 and 8; 2 CPUs are reported and
+    # no sweep counts in-process, so jobs 2 and 8 each run on one Pool of
+    # 2 workers
+    from rankmetric import codes
+
+    monkeypatch.setattr(codes, "_POOL_AFTER_S", 0)
     for fmt in ("text", "json"):
         reports = []
         for jobs in ("1", "2", "8"):
@@ -326,6 +334,23 @@ def test_verify_all_byte_identical_across_jobs(pools_started, tmp_path, capsys):
         assert reports[0] == reports[1] == reports[2]
     capsys.readouterr()
     assert pools_started == [2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("jobs", ["2", "8"])
+def test_verify_all_starts_no_pool_by_default(pools_started, tmp_path, capsys, jobs):
+    # every sweep of verify all finishes before codes._POOL_AFTER_S, so at
+    # jobs 2 and 8 it runs in-process and writes the bytes of jobs 1
+    import multiprocessing
+
+    reports = []
+    for j in ("1", jobs):
+        out = tmp_path / f"j{j}.txt"
+        assert main(["verify", "all", "--jobs", j, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+    assert pools_started == []
+    assert multiprocessing.active_children() == []
 
 
 def test_verify_json_format(capsys):

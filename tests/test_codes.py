@@ -162,9 +162,13 @@ def test_density_parallel_chunking_identical(shape, q, count):
 def fake_pool(monkeypatch):
     """A function of the CPU count to report: it replaces
     multiprocessing.Pool by a pool that maps in-process and returns the
-    list of the worker counts of the pools started."""
+    list of the worker counts of the pools started.  No sweep counts
+    in-process first (codes._POOL_AFTER_S = 0), so every sweep with more
+    than one worker maps its chunks on the pool."""
     import multiprocessing
     import os
+
+    from rankmetric import codes
 
     seen = []
 
@@ -187,6 +191,7 @@ def fake_pool(monkeypatch):
     def install(cpus):
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(codes, "_POOL_AFTER_S", 0)
         return seen
 
     return install
@@ -237,10 +242,10 @@ def test_restricted_sweep_starts_no_pool(fake_pool):
 
 
 def test_one_pool_serves_mixed_sweeps(monkeypatch):
-    # one scope at jobs 2: the Pool forks at the first sweep, the packed
-    # GF(2) one, so the later sweeps send its workers fields, kernels and a
-    # point set they never saw before the fork; every count is the
-    # in-process one, and exactly one Pool starts
+    # one scope at jobs 2 with no in-process part: the Pool forks at the
+    # first sweep, the packed GF(2) one, so the later sweeps send its
+    # workers fields, kernels and a point set they never saw before the
+    # fork; every count is the in-process one, and exactly one Pool starts
     import multiprocessing
     import os
 
@@ -270,6 +275,7 @@ def test_one_pool_serves_mixed_sweeps(monkeypatch):
     ]
     monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(codes, "_POOL_AFTER_S", 0)
     with codes._pool_scope():
         shared = [sweep(2) for sweep in sweeps]
     assert started == [2]

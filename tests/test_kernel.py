@@ -30,6 +30,13 @@ that bound, and check that past it the kernel still answers exactly.
 They also check that the tasks a Pool receives carry no memo words,
 and that a sweep gives the same count at jobs 1 and 2.  The shapes
 reach GF(2) to GF(5) and Hermitian matrices over GF(q^2).
+
+With more than one worker the driver counts in-process, in doubling
+index ranges that share one memo, until a deadline, and maps only the
+rest on a Pool.  A fake clock that expires after any number of those
+ranges checks that the count is the one-worker count and that the Pool
+receives exactly the untouched tail, in 4 chunks per worker; the tests
+that pin the Pool path itself set the deadline to 0.
 """
 
 import multiprocessing
@@ -37,7 +44,7 @@ import os
 import pickle
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankmetric import codes, linalg
@@ -50,6 +57,7 @@ from rankmetric.codes import (
     density_bruteforce,
     field_for_order,
 )
+from rankmetric.critical import PointSet, all_points
 from rankmetric.qcomb import matrix_rank_count, qbinom
 from rankmetric.restricted import (
     _rank_strata,
@@ -288,13 +296,13 @@ class InProcessPool:
 @settings(max_examples=60, deadline=None)
 def test_seeded_driver_matches_flat_reference(case, jobs):
     # the driver's chunks (4 per worker and plan entry, at most jobs
-    # workers) run in-process on a stand-in Pool
+    # workers, no in-process part) run in-process on a stand-in Pool
     kind, n, m, k, d, q = case
     fld, vectors, strata = ambient(kind, n, m, d, q)
     expected = len(reference_good_codes(fld, q, n, m, vectors, k, d))
     with mock.patch.object(os, "cpu_count", return_value=jobs), mock.patch.object(
         multiprocessing, "Pool", InProcessPool
-    ):
+    ), mock.patch.object(codes, "_POOL_AFTER_S", 0):
         count, total = _sweep(
             fld, q, n, m, vectors, k, d, None, "test sweep", jobs=jobs, strata=strata
         )
@@ -397,7 +405,7 @@ def test_pool_tasks_carry_no_memo_words():
         expected = len(reference_good_codes(fld, q, n, m, vectors, k, d))
         with mock.patch.object(os, "cpu_count", return_value=2), mock.patch.object(
             multiprocessing, "Pool", PicklingPool
-        ):
+        ), mock.patch.object(codes, "_POOL_AFTER_S", 0):
             count, _ = _sweep(fld, q, n, m, vectors, k, d, None, "test sweep", jobs=2, strata=strata)
         assert count == expected
     assert PicklingPool.sent
@@ -408,9 +416,12 @@ def test_pool_tasks_carry_no_memo_words():
 
 
 def test_generic_sweeps_agree_at_jobs_1_and_2():
-    # a real two-worker Pool against the in-process sweep
+    # a real two-worker Pool, which counts every subspace, against the
+    # in-process sweep
     fld, vectors, strata = ambient("hermitian", 3, 3, 2, 2)
-    with mock.patch.object(os, "cpu_count", return_value=2):
+    with mock.patch.object(os, "cpu_count", return_value=2), mock.patch.object(
+        codes, "_POOL_AFTER_S", 0
+    ):
         for n, m in ((2, 3), (3, 2)):
             counts = [density_bruteforce(n, m, 3, 2, 3, jobs=jobs).count for jobs in (1, 2)]
             assert counts == [3456, 3456]
@@ -419,3 +430,100 @@ def test_generic_sweeps_agree_at_jobs_1_and_2():
             for jobs in (1, 2)
         ]
         assert hermitian[0] == hermitian[1] == (586680, 788035)
+
+
+class CountingKernel(_SpanMinRank):
+    """The kernel, recording (seed, lo, hi, whether a memo was handed in)
+    for every count call made on it in this process."""
+
+    __slots__ = ()
+    calls = []
+
+    def count(self, g, units, d, lo, hi, seed=None, ranks=None):
+        CountingKernel.calls.append((seed, lo, hi, ranks is not None))
+        return super().count(g, units, d, lo, hi, seed, ranks)
+
+
+class FakeClock:
+    """A stand-in for the `time` module of `codes` whose clock reads 0 on
+    its first `ticks` reads and 1e9 after."""
+
+    def __init__(self, ticks):
+        self.ticks = ticks
+
+    def perf_counter(self):
+        self.ticks -= 1
+        return 0.0 if self.ticks >= 0 else 1e9
+
+
+def doubling_split(entries, j, chunks):
+    """(in-process ranges, Pool chunks), each a list of (seed, lo, hi), of
+    plan entries (seed, size) when the deadline falls after j ranges."""
+    ranges, tail = [], []
+    for seed, size in entries:
+        lo, step = 0, 1
+        while lo < size and len(ranges) < j:
+            ranges.append((seed, lo, min(lo + step, size)))
+            lo, step = min(lo + step, size), 2 * step
+        bounds = [lo + (size - lo) * i // chunks for i in range(chunks + 1)]
+        tail += [(seed, a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+    return ranges, tail
+
+
+@st.composite
+def split_cases(draw):
+    """(_sweep arguments, keyword arguments) of a small sweep on the
+    generic GF(3) path, the packed GF(2) path or a point set."""
+    path = draw(st.sampled_from(("gf3", "gf2", "points")))
+    if path == "points":
+        q, N = draw(st.sampled_from([(2, 3), (2, 4), (3, 3)]))
+        k = draw(st.integers(1, N - 1))
+        pts = draw(st.lists(st.sampled_from(all_points(N, q)), min_size=1, max_size=6))
+        P = PointSet(N, q, pts)
+        return (P.field, q, 1, N, linalg.identity(N), k, 1), {"points": P.points}
+    q = 3 if path == "gf3" else 2
+    _, n, m, k, q = draw(st.sampled_from([s for s in SEEDED_SHAPES if s[0] == "full" and s[4] == q]))
+    d = draw(st.integers(1, min(n, m)))
+    fld, vectors, strata = ambient("full", n, m, d, q)
+    return (fld, q, n, m, vectors, k, d), {"strata": strata}
+
+
+@given(split_cases(), st.integers(2, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_deadline_splits_sweep_into_ranges_and_pool_tail(case, jobs, data):
+    args, kw = case
+    CountingKernel.calls = []
+    with mock.patch.object(codes, "_SpanMinRank", CountingKernel):
+        expected, total = _sweep(*args, None, "test sweep", **kw)
+    # one worker: one count per plan entry, over all of it
+    entries = [(seed, hi) for seed, lo, hi, _ in CountingKernel.calls]
+    assert all(lo == 0 and not memo for _, lo, _, memo in CountingKernel.calls)
+    workers = min(jobs, sum(size for _, size in entries))
+    assume(workers > 1)
+    everything = len(doubling_split(entries, float("inf"), 1)[0])
+    j = data.draw(st.integers(0, everything), label="ranges before the deadline")
+    ranges, tail = doubling_split(entries, j, 4 * workers)
+
+    CountingKernel.calls = []
+    PicklingPool.sent = []
+    started = []
+
+    def pool(processes):
+        started.append(processes)
+        return PicklingPool(processes)
+
+    with mock.patch.object(codes, "_SpanMinRank", CountingKernel), mock.patch.object(
+        codes, "time", FakeClock(j + 1)
+    ), mock.patch.object(os, "cpu_count", return_value=jobs), mock.patch.object(
+        multiprocessing, "Pool", pool
+    ):
+        assert _sweep(*args, None, "test sweep", jobs=jobs, **kw) == (expected, total)
+    assert [c[:3] for c in CountingKernel.calls if c[3]] == ranges
+    sent = [(task[3], task[5], task[6]) for _, _, task in PicklingPool.sent]
+    assert sent == tail
+    assert started == ([workers] if tail else [])
+    for before, after, task in PicklingPool.sent:
+        assert before == after == pickle.dumps(task)
+        assert not any(isinstance(item, dict) for item in task)
+        kernel = task[0]
+        assert not any(isinstance(getattr(kernel, s, None), dict) for s in kernel.__slots__)
