@@ -27,7 +27,7 @@ import time
 from fractions import Fraction
 
 from . import codes, critical, fields, qcomb, restricted, semifield
-from .errors import BudgetExceededError, default_budget
+from .errors import BUDGET_ENV_VAR, DEFAULT_BUDGET, BudgetExceededError
 
 
 def _fmt_float(x: float, precision: int) -> str:
@@ -127,9 +127,9 @@ def _need(given: dict, names) -> list:
 # Adapters for the formulas whose result is reshaped or whose call
 # branches on the options given.
 
-def _f_pi_q(q, n=None, eps=1e-9):
+def _f_pi_q(q, n=None, eps=1e-9, budget=None):
     if n is not None:
-        return qcomb.pi_q(q, n)
+        return qcomb.pi_q(q, n, budget)
     value, bound = qcomb.pi_q_limit(q, eps)
     return {"value": value, "certified_bound": bound}
 
@@ -181,7 +181,7 @@ FORMULAS = {
     "gl-order": (qcomb.gl_order, ("n", "q"), ()),
     "ball-size": (qcomb.ball_size, ("n", "m", "r", "q"), ()),
     "pointset-size": (qcomb.pointset_size, ("n", "m", "r", "q"), ()),
-    "pi-q": (_f_pi_q, ("q",), ("n", "eps")),
+    "pi-q": (_f_pi_q, ("q",), ("n", "eps", "budget")),
     "alt-exp-sum": (qcomb.alt_exp_sum, ("m",), ("budget",)),
     "ine-margin": (_f_ine_margin, ("q",), ("terms", "budget")),
     "density3x3": (codes.density_3x3_formula, ("q",), ()),
@@ -497,7 +497,7 @@ def _terms(text: str) -> int:
 
 def _add_shared(p: argparse.ArgumentParser, formats=("text", "json", "csv")) -> None:
     p.add_argument("--budget", type=_budget, default=None,
-                   help=f"enumeration budget (default {default_budget()})")
+                   help=f"enumeration budget (default ${BUDGET_ENV_VAR}, else {DEFAULT_BUDGET})")
     p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--out", help="write output to this path instead of stdout")
 
@@ -540,9 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run formula-vs-bruteforce suites")
     pv.add_argument("suite", help=f"one of {', '.join(SUITE_ORDER)} or 'all'")
     pv.add_argument("--jobs", type=_jobs, default=1,
-                    help="worker processes for sweeps: one Pool per command, "
-                         "started by the first sweep still running after "
-                         "0.05 s in-process")
+                    help="worker processes for sweeps: a sweep still running "
+                         "after 0.05 s in-process maps the rest on a Pool of "
+                         "its own")
     _add_shared(pv)
     pv.set_defaults(func=cmd_verify)
 
@@ -560,9 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # the sweeps of one command share at most one worker Pool
-        with codes._pool_scope():
-            return args.func(args)
+        return args.func(args)
     except SystemExit2 as exc:
         sys.stderr.write(f"{exc}\n")
         return 2

@@ -40,12 +40,9 @@ CPU, or a single subspace to count) it runs in-process.  With more, it
 still counts in-process, in index ranges of doubling length, until it
 has run `_POOL_AFTER_S` seconds, since a Pool costs more than a short
 sweep takes; only what is left is split into chunks and mapped on a
-multiprocessing Pool.  A sweep takes that Pool from `_pool_scope`,
-which holds at most one: the command line runs each command inside one
-scope, so all the sweeps of a command that outlast the deadline share
-the Pool the first of them starts, and a library call made outside any
-scope opens a scope of its own.  The sweeps of `verify all` all finish
-before the deadline, so it starts no Pool at any `--jobs`.
+multiprocessing Pool that the sweep starts, and closes and joins, itself.
+The sweeps of `verify all` all finish before the deadline, so it starts
+no Pool at any `--jobs`.
 
 The driver runs a plan of seeded counts where the ambient allows it.
 X -> AXB (A, B invertible) preserves rank and is transitive on the
@@ -76,7 +73,6 @@ import itertools
 import math
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
@@ -525,35 +521,6 @@ def _count_chunk(task: tuple) -> int:
 # sweep shorter than about 0.25 s.
 _POOL_AFTER_S = 0.05
 
-_open_scope: list | None = None  # the open _pool_scope: [its Pool] once started
-
-
-@contextmanager
-def _pool_scope():
-    """Give the sweeps run inside at most one worker Pool between them.
-
-    Yields a list that holds the Pool once a sweep has started it; every
-    later sweep maps its chunks on that Pool.  On exit the Pool is closed
-    and joined, or terminated first if an exception is unwinding, so no
-    worker outlives the scope.  A scope opened inside another one is that
-    one, and leaves its Pool to it."""
-    global _open_scope
-    if _open_scope is not None:
-        yield _open_scope
-        return
-    held = _open_scope = []
-    try:
-        yield held
-    except BaseException:
-        for pool in held:
-            pool.terminate()
-        raise
-    finally:
-        _open_scope = None
-        for pool in held:
-            pool.close()
-            pool.join()
-
 
 def _seed_word(fld, q: int, n: int, m: int, vectors: Sequence, r: int, seed: Sequence[int]):
     """(word, p) for a seed given by its coordinates over `vectors`: the
@@ -607,18 +574,17 @@ def _sweep(
     words.
 
     The sweep has min(jobs, CPUs) workers, and at most one per subspace
-    of the plan unless it runs in a scope it shares with other sweeps.
-    With one worker each entry is one task, run in-process, so jobs = 1
-    never starts a Pool.  With more, the sweep first counts each entry
-    in-process, in index ranges [lo, lo + step) with step doubling from
-    1 that share one memo, and stops once the sweep has run
-    `_POOL_AFTER_S` seconds.  What is left, the rest of the current entry
-    and every later entry, is split into 4 deterministic chunks per
-    worker and entry, so that `Pool.map` hands the uneven chunks out as
-    workers free up, and the chunks are mapped on the one Pool of the
-    open `_pool_scope`, which the first sweep of the scope that needs it
-    starts; a sweep made outside any scope opens a scope of its own.  A
-    sweep that finishes in-process starts no Pool, and at
+    of the plan.  It counts each entry in-process, in index ranges
+    [lo, lo + step) that share one memo.  With one worker the first range
+    is the whole entry and there is no deadline, so jobs = 1 makes one
+    call per entry and never starts a Pool.  With more, step doubles from
+    1 and the sweep stops once it has run `_POOL_AFTER_S` seconds.  What
+    is left, the rest of the current entry and every later entry, is
+    split into 4 deterministic chunks per worker and entry, so that
+    `Pool.map` hands the uneven chunks out as workers free up.  The sweep
+    then starts a Pool of its own, maps the chunks on it, and closes and
+    joins it before it returns, or terminates it first if the map
+    raises.  A sweep that finishes in-process starts no Pool, and at
     `_POOL_AFTER_S = 0` every entry goes to the Pool whole.  The counts
     are integers, and the count of [0, size) is the sum of the counts of
     any partition of it, so the total does not depend on where the
@@ -640,39 +606,39 @@ def _sweep(
     kernel = _SpanMinRank(fld, q, n, m, points, min(q**N, cost))
     units = [kernel.vec(v) for v in vectors]
     g = Grassmannian(*shape, q)
-    workers = min(max(jobs, 1), os.cpu_count() or 1)
-    if _open_scope is None or len(plan) * size <= 1:
-        # a shared Pool is not cut to the sweep that happens to start it
-        workers = min(workers, len(plan) * size)
-    chunks = 4 * workers if workers > 1 else 1
+    workers = max(min(jobs, os.cpu_count() or 1, len(plan) * size), 1)
+    # one worker counts each entry as one range [0, size), with no deadline
+    deadline, first = (_POOL_AFTER_S, 1) if workers > 1 else (math.inf, size)
     weighted, weights, tasks = 0, [], []
     start = time.perf_counter()
     for weight, seed, p in plan:
         entry_units = units if p is None else units[:p] + units[p + 1 :]
         seed = None if seed is None else kernel.vec(seed)
-        lo = 0
-        if workers > 1:
-            # in-process ranges [lo, lo + step), step doubling from 1,
-            # sharing one memo, until the sweep has run _POOL_AFTER_S
-            step, ranks = 1, {}
-            while lo < size and time.perf_counter() - start < _POOL_AFTER_S:
-                hi = min(lo + step, size)
-                weighted += weight * kernel.count(g, entry_units, d, lo, hi, seed, ranks)
-                lo, step = hi, 2 * step
-        bounds = [lo + (size - lo) * i // chunks for i in range(chunks + 1)]
+        # in-process ranges [lo, lo + step), step doubling from `first`,
+        # sharing one memo, until the sweep has run `deadline` seconds
+        lo, step, ranks = 0, first, {}
+        while lo < size and time.perf_counter() - start < deadline:
+            hi = min(lo + step, size)
+            weighted += weight * kernel.count(g, entry_units, d, lo, hi, seed, ranks)
+            lo, step = hi, 2 * step
+        bounds = [lo + (size - lo) * i // (4 * workers) for i in range(4 * workers + 1)]
         for a, b in zip(bounds, bounds[1:]):
             if a < b:
                 weights.append(weight)
                 tasks.append((kernel, g, entry_units, seed, d, a, b))
-    if workers <= 1 or not tasks:
-        counts = [_count_chunk(task) for task in tasks]
-    else:
-        with _pool_scope() as held:
-            if not held:
-                import multiprocessing
+    counts = []
+    if tasks:
+        import multiprocessing
 
-                held.append(multiprocessing.Pool(processes=workers))
-            counts = held[0].map(_count_chunk, tasks)
+        pool = multiprocessing.Pool(processes=workers)
+        try:
+            counts = pool.map(_count_chunk, tasks)
+        except BaseException:
+            pool.terminate()
+            raise
+        finally:
+            pool.close()
+            pool.join()
     count, rest = divmod(weighted + sum(w * c for w, c in zip(weights, counts)), divisor)
     if rest:
         raise AssertionError(f"{what}: the weighted count is not divisible by {divisor}")
@@ -852,6 +818,8 @@ def asymptotic_constants(
     - 'upper_m_*': both branch values of the m -> inf limsup bound, with
       pi(q) evaluated to certified precision eps; 'upper_m' is their min.
     """
+    if not 2 <= d <= n:
+        raise ValueError("need 2 <= d <= n")
     out: dict = {
         "lower_q": AsymptoticEstimate(
             Fraction((n - 1) * (n - 2), 2 * n), "q", -(n**3) + 3 * n**2 - n

@@ -8,6 +8,7 @@ of library; it must be loud, never silent.
 
 from __future__ import annotations
 
+import math
 import os
 
 # Default number of enumeration steps an exhaustive operation may take.
@@ -31,10 +32,13 @@ def default_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return DEFAULT_BUDGET
-    value = int(float(raw))
-    if value <= 0:
-        raise ValueError(f"budget must be positive, got {raw!r}")
-    return value
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value < 1:
+        raise ValueError(f"${BUDGET_ENV_VAR} must be a finite number >= 1, got {raw!r}")
+    return int(value)
 
 
 def resolve_budget(budget: int | None) -> int:

@@ -100,9 +100,12 @@ def pointset_size(n: int, m: int, r: int, q) -> int:
     return size // (q - 1)
 
 
-def pi_q(q, n: int) -> Fraction:
-    """Exact prod_{i=1}^n q^i/(q^i - 1)."""
+def pi_q(q, n: int, budget: int | None = None) -> Fraction:
+    """Exact prod_{i=1}^n q^i/(q^i - 1).  Charges its n factors."""
     q = _as_int_q(q)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    charge(n, resolve_budget(budget), "pi_q factors")
     out = Fraction(1)
     for i in range(1, n + 1):
         out *= Fraction(q**i, q**i - 1)
@@ -118,14 +121,14 @@ def pi_q_limit(q, eps: float) -> tuple[float, float]:
     q = _as_int_q(q)
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be a finite number > 0, got {eps}")
-    n = 1
+    n, partial = 1, Fraction(q, q - 1)
     while True:
-        partial = pi_q(q, n)
         tail = 2.0 * q ** (-(n + 1)) / (1.0 - 1.0 / q)
         bound = float(partial) * (math.expm1(tail))
         if bound < eps:
             return float(partial), bound
         n += 1
+        partial *= Fraction(q**n, q**n - 1)
 
 
 def alt_exp_sum(m: int, budget: int | None = None) -> Fraction:

@@ -102,10 +102,15 @@ def test_formula_invalid_parameter_exits_2(capsys):
         ("formula", "avg-limit", "--regime", "m_large", "--N", "4", "--k", "2",
          "--s", "1", "--q", "3"),
         ("formula", "kantor-lower", "--n", "4"),
+        ("formula", "pi-q", "--q", "2", "--n", "100000000"),
+        ("formula", "pi-q", "--q", "2", "--n", "-1"),
+        ("formula", "mrd-asymptotics", "--n", "3", "--d", "9"),
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 2, (argv, err)
         assert "Traceback" not in err
+        # main reports one line; argparse a usage block and one line
+        assert err.startswith("usage:") or err.count("\n") == 1, (argv, err)
 
 
 def test_every_formula_exits_0_or_2(capsys):
@@ -273,7 +278,7 @@ def pools_started(monkeypatch):
 @pytest.mark.parametrize(
     "argv,pools",
     [
-        (("verify", "all", "--jobs", "2"), [2]),
+        (("verify", "all", "--jobs", "2"), [2] * 6),
         (("verify", "all", "--jobs", "1"), []),
         (("verify", "lambda", "--jobs", "2"), []),
         (("formula", "density3x3", "--q", "2"), []),
@@ -281,19 +286,36 @@ def pools_started(monkeypatch):
     ids=["all-jobs2", "all-jobs1", "lambda-jobs2", "formula"],
 )
 def test_one_pool_per_command(pools_started, capsys, monkeypatch, argv, pools):
-    # with no in-process part, every sweep of a command maps on the Pool
-    # the first sweep with more than one task starts; main closes and
-    # joins it, so no worker outlives main and no Pool is dropped unclosed
+    # with no in-process part, every sweep with more than one subspace
+    # maps its chunks on a 2-worker Pool of its own and closes and joins
+    # it before it returns, so no worker outlives the sweep and no Pool
+    # is dropped unclosed.  verify all at jobs 2 has 6 such sweeps: the
+    # three of hejar, mrd192 and two of the six of tensor; the other four
+    # count a single subspace each, in-process.
     import multiprocessing
     import warnings
 
     from rankmetric import codes
 
+    per_sweep, alive = [], []
+    real_sweep = codes._sweep
+
+    def sweep(*args, **kwargs):
+        before = len(pools_started)
+        out = real_sweep(*args, **kwargs)
+        per_sweep.append(pools_started[before:])
+        alive.append(multiprocessing.active_children())
+        return out
+
     monkeypatch.setattr(codes, "_POOL_AFTER_S", 0)
+    monkeypatch.setattr(codes, "_sweep", sweep)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         assert run(capsys, *argv)[0] == 0
     assert pools_started == pools
+    assert all(started in ([], [2]) for started in per_sweep)
+    assert sum(per_sweep, []) == pools
+    assert not any(alive)
     assert multiprocessing.active_children() == []
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
@@ -304,7 +326,7 @@ def _failing_chunk(task):
 
 def test_no_worker_outlives_a_failed_sweep(pools_started, capsys, monkeypatch):
     # patched before the fork, so the chunk raises inside a Pool worker;
-    # the exception unwinds through main, which terminates the Pool
+    # the exception unwinds through the sweep, which terminates its Pool
     import multiprocessing
 
     from rankmetric import codes
@@ -319,8 +341,8 @@ def test_no_worker_outlives_a_failed_sweep(pools_started, capsys, monkeypatch):
 
 def test_verify_all_byte_identical_across_jobs(pools_started, tmp_path, capsys, monkeypatch):
     # the text and JSON reports at jobs 1, 2 and 8; 2 CPUs are reported and
-    # no sweep counts in-process, so jobs 2 and 8 each run on one Pool of
-    # 2 workers
+    # no sweep counts in-process, so jobs 2 and 8 each start one Pool of
+    # 2 workers for each of the 6 sweeps with more than one subspace
     from rankmetric import codes
 
     monkeypatch.setattr(codes, "_POOL_AFTER_S", 0)
@@ -333,7 +355,7 @@ def test_verify_all_byte_identical_across_jobs(pools_started, tmp_path, capsys, 
             reports.append(out.read_bytes())
         assert reports[0] == reports[1] == reports[2]
     capsys.readouterr()
-    assert pools_started == [2, 2, 2, 2]
+    assert pools_started == [2] * 6 * 4
 
 
 @pytest.mark.parametrize("jobs", ["2", "8"])
@@ -428,6 +450,17 @@ def test_budget_env_var_override(capsys, monkeypatch):
     assert code == 0
     assert "SKIPPED" in out
     monkeypatch.delenv("RANKMETRIC_BUDGET")
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "abc", "-5", "0.5"])
+def test_bad_budget_env_var_exits_2(capsys, monkeypatch, value):
+    # the --budget help no longer reads the variable, so a bad value is
+    # one usage line from main, not a traceback while the parser is built
+    monkeypatch.setenv("RANKMETRIC_BUDGET", value)
+    code, out, err = run(capsys, "formula", "spectrum-free", "--m", "2", "--q", "2")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "RANKMETRIC_BUDGET" in err
+    assert "Traceback" not in err
 
 
 def test_options_a_subcommand_does_not_read_exit_2(capsys):

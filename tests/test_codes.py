@@ -242,12 +242,13 @@ def test_restricted_sweep_starts_no_pool(fake_pool):
 
 
 def test_one_pool_serves_mixed_sweeps(monkeypatch):
-    # one scope at jobs 2 with no in-process part: the Pool forks at the
-    # first sweep, the packed GF(2) one, so the later sweeps send its
-    # workers fields, kernels and a point set they never saw before the
-    # fork; every count is the in-process one, and exactly one Pool starts
+    # jobs 2 with no in-process part: each sweep forks a 2-worker Pool of
+    # its own and sends it a packed GF(2), a generic GF(3) or GF(4), a
+    # flat d = 1 or a point-set kernel; every count is the in-process one,
+    # and no worker or unclosed Pool is left after any sweep returns
     import multiprocessing
     import os
+    import warnings
 
     from rankmetric import codes, critical
 
@@ -276,14 +277,19 @@ def test_one_pool_serves_mixed_sweeps(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(codes, "_POOL_AFTER_S", 0)
-    with codes._pool_scope():
-        shared = [sweep(2) for sweep in sweeps]
-    assert started == [2]
-    assert multiprocessing.active_children() == []
+    shared, alive = [], []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for sweep in sweeps:
+            shared.append(sweep(2))
+            alive.append(multiprocessing.active_children())
+    assert started == [2] * len(sweeps)
+    assert alive == [[]] * len(sweeps)
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
     assert shared == [sweep(1) for sweep in sweeps]
     assert shared[:4] == [48, 18, 72, 511]
     assert Fraction(*shared[4]) == critical.delta_bruteforce(P, 2)
-    assert started == [2]  # jobs 1 starts none
+    assert started == [2] * len(sweeps)  # jobs 1 starts none
 
 
 def test_density_generic_path_q3():
@@ -549,6 +555,10 @@ def test_asymptotic_constants():
     assert abs(b1 - 1 / 3.4627466 ** 3) < 1e-4
     assert abs(b2 - 1 / (3 * 2.4627466 + 1)) < 1e-4
     assert out2["upper_m"] == min(b1, b2)
+    # d outside 2..n, the domain of sparseness_exponent and dim_bound
+    for n, d in ((3, 9), (3, 1), (3, 4)):
+        with pytest.raises(ValueError):
+            asymptotic_constants(n, d, q=2)
 
 
 def test_asymptotic_upper_exponent_example():

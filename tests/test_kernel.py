@@ -495,9 +495,10 @@ def test_deadline_splits_sweep_into_ranges_and_pool_tail(case, jobs, data):
     CountingKernel.calls = []
     with mock.patch.object(codes, "_SpanMinRank", CountingKernel):
         expected, total = _sweep(*args, None, "test sweep", **kw)
-    # one worker: one count per plan entry, over all of it
+    # one worker: one in-process count per plan entry, over all of it,
+    # each handed a memo
     entries = [(seed, hi) for seed, lo, hi, _ in CountingKernel.calls]
-    assert all(lo == 0 and not memo for _, lo, _, memo in CountingKernel.calls)
+    assert all(lo == 0 and memo for _, lo, _, memo in CountingKernel.calls)
     workers = min(jobs, sum(size for _, size in entries))
     assume(workers > 1)
     everything = len(doubling_split(entries, float("inf"), 1)[0])

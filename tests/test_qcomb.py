@@ -204,6 +204,10 @@ def test_series_are_charged_before_their_loops(monkeypatch):
         alt_exp_sum(10**8, budget=10)
     with pytest.raises(BudgetExceededError):
         comparison_inequality_check(3, terms=10**8, budget=10)
+    with pytest.raises(BudgetExceededError):
+        pi_q(2, 10**8, budget=10)
+    with pytest.raises(ValueError):
+        pi_q(2, -1)
 
 
 def test_field_handle_is_read_as_its_order():
