@@ -98,7 +98,8 @@ def field_for_order(q: int) -> FiniteField:
 # ----------------------------------------------------------------------
 
 class Grassmannian:
-    """Indexed enumeration of the k-dim subspaces of GF(q)^N in RREF form."""
+    """Indexed enumeration of the k-dim subspaces of GF(q)^N in RREF form.
+    Only the size is stored; `_pattern_slices` walks the pivot patterns."""
 
     def __init__(self, N: int, k: int, q: int):
         if not 0 <= k <= N:
@@ -107,23 +108,7 @@ class Grassmannian:
         self.k = k
         self.q = q
         self.field = field_for_order(q)
-        patterns = []
-        offset = 0
-        for pivots in itertools.combinations(range(N), k):
-            pivot_set = set(pivots)
-            free = tuple(
-                (r, j)
-                for r in range(k)
-                for j in range(pivots[r] + 1, N)
-                if j not in pivot_set
-            )
-            count = q ** len(free)
-            patterns.append((pivots, free, offset))
-            offset += count
-        self._patterns = patterns
-        self.total = offset
-        if self.total != qbinom(N, k, q):
-            raise AssertionError("pivot patterns must cover the Grassmannian")
+        self.total = qbinom(N, k, q)
 
     def iter_range(self, lo: int = 0, hi: int | None = None) -> Iterator[linalg.Matrix]:
         """Subspaces lo..hi-1 in canonical order, as tuples of row tuples."""
@@ -142,14 +127,23 @@ class Grassmannian:
                 yield tuple(tuple(row) for row in rows)
 
     def _pattern_slices(self, lo: int, hi: int):
+        """(pivots, free entries, a, b) for each pivot pattern, in
+        combinations order, whose fills a..b-1 lie in [lo, hi).  Row r has
+        N - pivots[r] - (k - r) free entries."""
         if not 0 <= lo <= hi <= self.total:
             raise IndexError((lo, hi))
-        for pivots, free, offset in self._patterns:
-            count = self.q ** len(free)
-            a = max(lo, offset) - offset
-            b = min(hi, offset + count) - offset
+        N, k, q = self.N, self.k, self.q
+        offset = 0
+        for pivots in itertools.combinations(range(N), k):
+            if offset >= hi:
+                return
+            count = q ** sum(N - p - (k - r) for r, p in enumerate(pivots))
+            a, b = max(lo, offset) - offset, min(hi, offset + count) - offset
             if a < b:
+                free = [(r, j) for r, p in enumerate(pivots)
+                        for j in range(p + 1, N) if j not in pivots]
                 yield pivots, free, a, b
+            offset += count
 
 
 def enumerate_subspaces(

@@ -343,9 +343,6 @@ class FiniteField:
             return self._exp[(self.order - 1) - self._log[a]]
         return self.pow(a, self.order - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)

@@ -1,16 +1,16 @@
 """Exact linear algebra over the package's field handles.
 
 Vectors are tuples of int-encoded field elements; matrices are tuples of
-row vectors.  The routines work over a `fields.FiniteField`.  Every
-elimination step is one row operation, `row_sub` (x - f*y) or
-`row_scale` (f*x), and every reduction of a vector against an echelon
-basis is one call of `reduce`; `solution_space` grows its echelon basis
-that way, one row at a time, and stops pulling rows at full rank.  Over
-a prime field (h == 1) the row operations do the arithmetic inline
-modulo p; an extension field goes through its add/mul.  `span_elements`
-is the package's one walk of a GF(q)-space, one `row_sub` per changed
-digit.  `mat_mul` and `mat_vec` also sum each entry inline modulo p
-over a prime field.
+row vectors.  The routines work over a `fields.FiniteField`.  The one
+elimination is `_echelon`: each row is reduced against the echelon basis
+so far by `reduce` and appended if it stays nonzero; `rank`, `rref`,
+`solution_space` and `mat_inv` all run on it.  Every step is one row
+operation, `row_sub` (x - f*y) or `row_scale` (f*x).  Over a prime field
+(h == 1) the row operations do the arithmetic inline modulo p; an
+extension field goes through its add/mul.  `span_elements` is the
+package's one walk of a GF(q)-space, one `row_sub` per changed digit.
+`mat_mul` and `mat_vec` also sum each entry inline modulo p over a prime
+field.
 
 A vector of GF(q)^n also has a row code, the int sum of v[c] * q^c.
 `row_arithmetic` tabulates addition and scaling on these codes, cached
@@ -18,8 +18,8 @@ per (field, n), and `grow_span` grows the set of codes of a span by one
 row with them; membership in a span is then one set lookup, with no
 elimination.  GL_n(q) (`semifield`), the spectrum-free count (`codes`)
 and the point-set histograms (`critical`) test independence that way.
-A bit-packed GF(2) rank table backs the hot enumeration paths; it never
-leaks into public interfaces.
+A bit-packed GF(2) rank table, its own elimination on int rows, backs
+the hot enumeration paths; it never leaks into public interfaces.
 
 `rank` is the exact rank of the generic codeword-sweep kernel
 (`codes._SpanMinRank`), which calls it once per distinct word of a
@@ -70,43 +70,58 @@ def reduce(vec: Sequence[int], rows: Sequence[Sequence[int]], pivots: Sequence[i
     return v
 
 
+def _echelon(
+    rows: Iterable[Sequence[int]], fld, full: int | None = None
+) -> tuple[list[list[int]], list[int]]:
+    """An echelon basis of the rows and its pivots, in input order: each
+    row is reduced against the basis so far by `reduce` and, if nonzero,
+    scaled to 1 at its first nonzero column and appended, so row j is 0 at
+    every earlier pivot.  No row is pulled once the basis has `full` rows."""
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for row in rows:
+        v = reduce(row, basis, pivots, fld)
+        f = next(filter(None, v), 0)
+        if not f:
+            continue
+        if f != 1:
+            v = row_scale(fld.inv(f), v, fld)
+        basis.append(v)
+        pivots.append(v.index(1))  # the scaled first nonzero entry
+        if len(basis) == full:
+            break
+    return basis, pivots
+
+
+def _back_substitute(basis: list[list[int]], pivots: Sequence[int], fld) -> None:
+    """Clear each row of an `_echelon` basis, in place, at the pivots of
+    the rows below it, last row first: the rows become rref rows."""
+    for j in range(len(basis) - 2, -1, -1):
+        v = basis[j]
+        for i in range(j + 1, len(basis)):
+            f = v[pivots[i]]
+            if f:
+                v = row_sub(v, f, basis[i], fld)
+        basis[j] = v
+
+
 def rref(rows: Iterable[Sequence[int]], fld) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form; returns (nonzero rows, pivot columns).
 
     The output is the canonical representative of the row space: two
     subspaces are equal iff their rref rows are equal.
     """
-    work = [list(r) for r in rows]
-    if not work:
+    basis, pivots = _echelon(rows, fld)
+    if not basis:
         return (), ()
-    ncols = len(work[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        lead = work[r][c]
-        if lead != 1:
-            work[r] = row_scale(fld.inv(lead), work[r], fld)
-        prow = work[r]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                work[i] = row_sub(work[i], work[i][c], prow, fld)
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+    _back_substitute(basis, pivots, fld)
+    # sorted by pivot: the pivots are distinct, so no two rows are compared
+    pivots, basis = zip(*sorted(zip(pivots, map(tuple, basis))))
+    return basis, pivots
 
 
 def rank(rows: Iterable[Sequence[int]], fld) -> int:
-    return len(rref(rows, fld)[0])
+    return len(_echelon(rows, fld)[0])
 
 
 def in_rowspan(rref_rows: Matrix, pivots: Sequence[int], vec: Sequence[int], fld) -> bool:
@@ -118,34 +133,21 @@ def solution_space(rows: Iterable[Sequence[int]], ncols: int, fld) -> Matrix:
     """Canonical basis of the right kernel {x : row . x = 0 for every row}
     of rows of length ncols, all of GF(q)^ncols when no row is nonzero.
 
-    The rows are pulled one at a time and reduced into an echelon basis by
-    `reduce`.  Once its rank reaches ncols the kernel is {0}: () is
-    returned and no further row is pulled, so the rows may be a generator
-    that makes each one on demand.  Otherwise the basis is back-substituted
-    to the rref of the rows, and the kernel read off it: for each free
-    column fc, the vector with 1 at fc, -row[fc] at the pivot of each
-    row and 0 elsewhere."""
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    for row in rows:
-        v = reduce(row, basis, pivots, fld)
-        c = next((c for c, x in enumerate(v) if x), None)
-        if c is None:
-            continue
-        if v[c] != 1:
-            v = row_scale(fld.inv(v[c]), v, fld)
-        basis.append(v)
-        pivots.append(c)
-        if len(basis) == ncols:
-            return ()
-    # row j is 0 at every earlier pivot; clearing the later pivots from it,
-    # in order, keeps it so
-    reduced = [reduce(row, basis[j + 1 :], pivots[j + 1 :], fld) for j, row in enumerate(basis)]
+    The rows go through `_echelon` with full = ncols.  Once its rank
+    reaches ncols the kernel is {0}: () is returned and no further row is
+    pulled, so the rows may be a generator that makes each one on demand.
+    Otherwise the basis is back-substituted to the rref of the rows, and
+    the kernel read off it: for each free column fc, the vector with 1 at
+    fc, -row[fc] at the pivot of each row and 0 elsewhere."""
+    basis, pivots = _echelon(rows, fld, ncols)
+    if len(basis) == ncols:
+        return ()
+    _back_substitute(basis, pivots, fld)
     kernel = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
         v = [0] * ncols
         v[fc] = 1
-        for row, pc in zip(reduced, pivots):
+        for row, pc in zip(basis, pivots):
             v[pc] = fld.neg(row[fc])
         kernel.append(tuple(v))
     return tuple(kernel)

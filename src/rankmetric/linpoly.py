@@ -84,9 +84,6 @@ class LinearizedPoly:
     def __repr__(self) -> str:
         return f"LinearizedPoly({self.field!r}, {self.coeffs})"
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def _check(self, other: "LinearizedPoly") -> None:
         if self.field != other.field:
             raise ValueError("field mismatch")
@@ -129,9 +126,6 @@ class LinearizedPoly:
     def rank(self) -> int:
         """Rank of the induced GF(q)-linear map; n iff f is invertible."""
         return linalg.rank(self.to_matrix(), self.field.base)
-
-    def is_invertible(self) -> bool:
-        return self.rank() == self.field.n
 
     def adjoint(self) -> "LinearizedPoly":
         """sum_i f_i^(q^(n-i)) x^(q^(n-i)): the transpose under the trace

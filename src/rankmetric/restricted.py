@@ -70,6 +70,8 @@ def ambient_basis(kind: str, n: int, q: int) -> tuple[linalg.Matrix, ...]:
     alternating: E_ij - E_ji (i < j), zero diagonal in every characteristic;
     hermitian:  E_ii, then w^e E_ij + conj(w^e) E_ji (i < j, e in {0, 1})
                 with w the power-basis generator of GF(q^2);
+    full:       E_ij in row-major order, the coordinates of
+                `codes.density_bruteforce`;
     entries of hermitian matrices live in GF(q^2), all others in GF(q).
     """
     if kind == "symmetric":
@@ -107,6 +109,8 @@ def ambient_basis(kind: str, n: int, q: int) -> tuple[linalg.Matrix, ...]:
                     m[j][i] = E.frobenius(w, 1)
                     out.append(tuple(tuple(r) for r in m))
         return tuple(out)
+    if kind == "full":
+        return tuple(_single(n, i, j, 1) for i in range(n) for j in range(n))
     raise ValueError(f"no coordinate basis for kind {kind!r}")
 
 
@@ -266,7 +270,8 @@ def restricted_density_bruteforce(
     """Exact density of k-dim GF(q)-subspaces of the ambient whose nonzero
     elements all have rank >= d, over the coordinate Grassmannian of the
     fixed ambient basis.  Alternating and Hermitian sweeps are seeded by
-    rank (see `codes._sweep`), symmetric ones flat."""
+    rank (see `codes._sweep`), symmetric and full ones flat; the seeded
+    sweep of full matrices is `codes.density_bruteforce`."""
     q = getattr(q, "order", q)
     basis = ambient_basis(kind, n, q)
     if not 1 <= k <= len(basis):

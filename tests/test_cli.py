@@ -404,6 +404,11 @@ def test_table_rank_strata(capsys):
     assert [r[2] for r in rows] == [r[3] for r in rows]  # validated == enumerated
     assert rows[1][1:] == ["15", "5", "5"]  # printed disagrees already at i=1
     assert rows[2][1:] == ["18", "10", "10"]
+    # the full ambient has a coordinate basis too: its unit matrices
+    code, out, _ = run(capsys, "table", "rank-strata", "--kind", "full", "--n", "2", "--q", "2")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [r[2:] for r in rows] == [["1", "1"], ["9", "9"], ["6", "6"]]
 
 
 def test_table_mrd_bounds(capsys):

@@ -164,6 +164,18 @@ def test_l1_matches_generic_reference(case):
     fld, rows, vec = case
     reduced, pivots = linalg.rref(rows, fld)
     assert (reduced, pivots) == reference_rref(rows, fld)
+    assert linalg.rank(rows, fld) == len(reduced)  # the reference rank
+    # an iterator of rows is read once, to the same answers
+    assert linalg.rref(iter(rows), fld) == (reduced, pivots)
+    assert linalg.rank(iter(rows), fld) == len(reduced)
+    # the leading square block: no inverse exactly when its rank is short
+    n = min(len(rows), len(vec))
+    square = [row[:n] for row in rows[:n]]
+    inv = linalg.mat_inv(square, fld)
+    if len(reference_rref(square, fld)[0]) < n:
+        assert inv is None
+    else:
+        assert linalg.mat_mul(square, inv, fld) == linalg.identity(n)
     for v in list(rows) + [vec]:
         assert linalg.in_rowspan(reduced, pivots, v, fld) == reference_in_rowspan(
             reduced, pivots, v, fld

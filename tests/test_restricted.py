@@ -29,6 +29,8 @@ STRATA_GRID = [
     ("alternating", n, q) for n in (1, 2, 3) for q in (2, 3)
 ] + [
     ("hermitian", n, q) for n in (1, 2) for q in (2, 3)
+] + [
+    ("full", n, q) for n in (1, 2, 3) for q in (2, 3)
 ]
 
 
@@ -158,6 +160,17 @@ def test_symmetric_optimal_3x3_pins():
     for q, want in ((2, (8, 1395)), (3, (288, 33880))):
         r = restricted_density_bruteforce("symmetric", 3, 3, 3, q)
         assert (r.count, r.total) == want
+
+
+def test_full_ambient_density_is_the_full_matrix_sweep():
+    # the unit matrices E_ij are the coordinates of density_bruteforce, whose
+    # sweep is seeded by rank; the full ambient's sweep is flat
+    for q in (2, 3):
+        for k in (1, 2, 3, 4):
+            for d in (1, 2):
+                r = restricted_density_bruteforce("full", 2, k, d, q)
+                want = density_bruteforce(2, 2, k, d, q)
+                assert (r.count, r.total) == (want.count, want.total), (q, k, d)
 
 
 def test_restricted_density_against_independent_count():
