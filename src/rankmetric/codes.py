@@ -13,12 +13,11 @@ sweeps here and in `restricted`, the distinguishing sweep
 a bad word?  A bad word has rank < d, or, in the distinguishing sweep,
 lies on a point of the given point set.  One kernel, `_SpanMinRank`,
 answers it, growing the span one row at a time and testing only the
-words each new row adds, on one of two paths chosen from the input:
-bit-packed words with a precomputed table when the entries are in GF(2)
-and nm <= 16, the generic field arithmetic otherwise, where each plan
-entry of a sweep run in-process, and each chunk it sends to a worker,
-ranks each distinct word once and keeps the rank in a memo.
-Packing never appears in any public signature.
+words each new row adds.  Every word is one int with a slot per base-p
+digit of each entry.  Over GF(2) with nm <= 16 it is ranked by one table
+probe, otherwise by `linalg.rank`, once per distinct word of each plan
+entry run in-process and each chunk sent to a worker, through a memo.
+The packing never appears in any public signature.
 
 The Grassmannian sweeps are pruned.  Inside a pivot pattern the last
 RREF row holds the most significant base-q digits of the index, so a
@@ -249,6 +248,17 @@ class MatrixCode:
 class _SpanMinRank:
     """The codeword-sweep kernel: spans grown one row at a time.
 
+    A word, a flattened n x m matrix over fld = GF(p^h), is one int: digit t
+    of entry j fills the b-bit slot at bit b*(h*j + t), b = 1 for p = 2 and
+    p.bit_length() + 1 otherwise; over GF(2) it is the index of
+    linalg.gf2_rank_table.  sums(x, W), the one word sum, is XOR in
+    characteristic 2.  In odd characteristic it adds the ints, each slot
+    then at most 2p - 2, and takes p off each slot that reached p: adding
+    `carry`, 2^(b-1) - p in every slot, sets the top bit of exactly those
+    slots, never carrying into the next one, and `ones`, a 1 at the bottom
+    of every slot, picks those bits out after a shift.  scale(c, x) unpacks
+    x, runs linalg.row_scale and packs the result.
+
     A span is held as the list W of all its words, zero included.  Adding
     a row x outside the span adds the words c*x + w (c != 0, w in W), and
     c*x + w is c times x + w/c, which has the same rank.  So
@@ -256,88 +266,88 @@ class _SpanMinRank:
     already sees every rank in span(W, x) that span(W) lacks; extend(W, x)
     lists the words of span(W, x), and count() also builds the values of
     each RREF row with it.  A row that completes a span to dimension k is
-    ranked against W but never extended.  Both take their words from
-    sums(x, W), the one entrywise word sum.
+    ranked against W but never extended.
 
-    Packed path (entries in GF(2), nm <= 16): words are bit-packed as by
-    linalg.pack_row, summed by XOR and ranked by one rank-table probe.
-    Generic path otherwise: words are tuples over fld, summed entrywise
-    (inline `% p` over a prime field, fld.add otherwise) and ranked
-    exactly, by linalg.rank, on their first test only.  Every min_rank
-    call keeps its own memo `ranks`, a dict word -> rank that first_below
-    reads before it ranks: the branches of a search test the same words
-    again and again, and each distinct word is eliminated once.  A count
-    call keeps its own memo too, unless it is handed one: `_sweep` hands
-    the in-process ranges of one plan entry the same memo.  The memo
-    stores at most `limit` words, and past that answers from what it
-    holds and ranks the rest.  `_sweep` sets `limit` to min(q^N, the
-    steps it charged), so the charge bounds the memo; the default, the
-    number of n x m matrices over fld, binds nothing, and min_rank tests
-    each word of its span once, the words `min_distance` charged.  The
-    memo lives in a frame of the process that fills it, never on the
-    kernel, so it never travels to a Pool worker.  The span coefficients
-    range over GF(q), a subfield of fld.  vec(flat) converts a flattened
-    n x m matrix into a word.
+    Over GF(2) with nm <= 16 a word is ranked by one table probe, else
+    exactly, by linalg.rank of its entries, on its first test only: the
+    branches of a search test the same words again and again, so
+    first_below reads a memo `ranks`, word -> rank, before it ranks.  Each
+    min_rank call keeps its own memo, and so does each count call unless
+    handed one: `_sweep` hands the in-process ranges of one plan entry one
+    memo.  A memo stores at most `limit` words and past that ranks what it
+    lacks.  `_sweep` sets `limit` to min(q^N, the steps it charged); the
+    default, the number of n x m matrices over fld, binds nothing, and
+    min_rank tests each word of its span once, the words `min_distance`
+    charged.  The memo lives in a frame of the process that fills it,
+    never on the kernel, so it never travels to a Pool worker.  The span
+    coefficients range over GF(q), a subfield of fld.
 
     Given a point set `points` of GF(q)^(nm) (canonical vectors, first
-    nonzero entry 1, fld = GF(q)), a word is bad when its projective
-    point lies in the set, not when its rank is low: its "rank" reads 0
-    there and 1 elsewhere, so with n = 1 and d = 1 count() counts the
-    subspaces that distinguish the set.  The packed table then holds
-    these 0/1 values, and the generic path looks each word up in the
-    set.  Every word count() tests is x + w with x the RREF row of least
-    pivot so far and w zero up to that pivot, so its first nonzero entry
-    is 1: it is the canonical vector of its point.  A partial subspace
-    holding a point keeps it in every completion, so the pruning stays
-    exact.
+    nonzero entry 1, fld = GF(q)), a word is bad when it lies in `bad`, the
+    frozenset of the words of the points: its "rank" reads 0 there and 1
+    elsewhere, so with n = 1 and d = 1 count() counts the subspaces that
+    distinguish the set.  Every word count() tests is x + w with x the RREF
+    row of least pivot so far and w zero up to that pivot, so its first
+    nonzero entry is 1: it is the canonical vector of its point.  A partial
+    subspace holding a point keeps it in every completion, so the pruning
+    stays exact.
     """
 
-    __slots__ = ("packed", "fld", "q", "n", "m", "table", "zero", "bad", "limit")
+    __slots__ = ("fld", "q", "n", "m", "b", "ones", "carry", "table", "bad", "limit")
 
     def __init__(
         self, fld, q: int, n: int, m: int, points: Collection[Sequence[int]] = (),
         limit: int | None = None,
     ):
-        self.packed = fld.order == 2 and n * m <= 16
-        self.fld, self.q, self.n, self.m = fld, q, n, m
-        self.zero = 0 if self.packed else (0,) * (n * m)
+        self.fld, self.q, self.n, self.m, p = fld, q, n, m, fld.p
+        self.b = b = 1 if p == 2 else p.bit_length() + 1
+        self.ones = sum(1 << i for i in range(0, b * fld.h * n * m, b))
+        self.carry = ((1 << b - 1) - p) * self.ones
         self.limit = fld.order ** (n * m) if limit is None else limit
-        self.bad = None
-        if points and self.packed:
-            table = bytearray(b"\x01") * (1 << (n * m))
-            for p in points:
-                table[linalg.pack_row(p)] = 0
-            self.table = bytes(table)
-        elif points:
-            self.bad = frozenset(points)
-        elif self.packed:
-            self.table = linalg.gf2_rank_table(n, m)
+        self.bad = frozenset(map(self.vec, points)) if points else None
+        gf2 = fld.order == 2 and n * m <= 16 and not points
+        self.table = linalg.gf2_rank_table(n, m) if gf2 else None
 
-    def vec(self, flat: Sequence[int]):
-        return linalg.pack_row(flat) if self.packed else tuple(flat)
+    def vec(self, flat: Sequence[int]) -> int:
+        """The word of a flattened n x m matrix over fld."""
+        b, h, p = self.b, self.fld.h, self.fld.p
+        if h > 1 and b > 1:  # an entry's base-p digits to slots of their own
+            flat = [sum(e // p**t % p << b * t for t in range(h)) for e in flat]
+        word = 0
+        for e in reversed(flat):  # the last entry in the top slots
+            word = word << b * h | e
+        return word
 
-    def sums(self, x, W: Iterable) -> Iterator:
+    def entries(self, word: int) -> list[int]:
+        """The flattened n x m matrix of a word, the inverse of vec."""
+        b, h, p = self.b, self.fld.h, self.fld.p
+        step, size, mask = b * h, self.n * self.m, (1 << b * h) - 1
+        if h == 1 or b == 1:  # one slot over GF(p), h bits over GF(2^h)
+            return [word >> s & mask for s in range(0, step * size, step)]
+        mask = (1 << b) - 1
+        digits = [word >> s & mask for s in range(0, step * size, b)]
+        out = digits[h - 1 :: h]  # Horner from the top digit of every entry
+        for t in range(h - 2, -1, -1):
+            out = [e * p + d for e, d in zip(out, digits[t::h])]
+        return out
+
+    def sums(self, x: int, W: Iterable[int]) -> Iterator[int]:
         """The words x + w for w in W, in order, made as they are read."""
-        if self.packed:
+        if self.b == 1:
             return (x ^ w for w in W)
-        fld = self.fld
-        if fld.h == 1:
-            p = fld.p
-            return (tuple([(a + b) % p for a, b in zip(x, w)]) for w in W)
-        add = fld.add
-        return (tuple(map(add, x, w)) for w in W)
+        p, top, ones, xc = self.fld.p, self.b - 1, self.ones, x + self.carry
+        return (x + w - ((xc + w) >> top & ones) * p for w in W)  # xc + w = x + w + carry
 
-    def scale(self, c: int, x):
-        if self.packed:
-            return x if c else 0
-        return tuple(linalg.row_scale(c, x, self.fld))
+    def scale(self, c: int, x: int) -> int:
+        return self.vec(linalg.row_scale(c, self.entries(x), self.fld))
 
-    def first_below(self, x, W: Sequence, d: int, ranks: dict) -> int:
+    def first_below(self, x: int, W: Sequence[int], d: int, ranks: dict) -> int:
         """The minimum rank over the words x + w (w in W), stopping at the
-        first word of rank < d.  ranks is the call's memo (generic rank
-        path only)."""
+        first word of rank < d; ranks is the call's memo."""
+        if self.bad is not None:  # isdisjoint stops at the first bad word
+            return int(self.bad.isdisjoint(self.sums(x, W)))
         best = min(self.n, self.m)
-        if self.packed:
+        if self.table is not None:
             table = self.table
             for w in W:
                 r = table[x ^ w]
@@ -346,15 +356,13 @@ class _SpanMinRank:
                     if r < d:
                         break
             return best
-        if self.bad is not None:
-            bad = self.bad
-            return 0 if any(word in bad for word in self.sums(x, W)) else 1
         fld, n, m, limit = self.fld, self.n, self.m, self.limit
-        rank, known = linalg.rank, ranks.get
+        rank, known, entries = linalg.rank, ranks.get, self.entries
         for word in self.sums(x, W):
             r = known(word)
             if r is None:
-                r = rank([word[i * m : (i + 1) * m] for i in range(n)], fld)
+                e = entries(word)
+                r = rank([e[i * m : (i + 1) * m] for i in range(n)], fld)
                 if len(ranks) < limit:
                     ranks[word] = r
             if r < best:
@@ -363,12 +371,12 @@ class _SpanMinRank:
                     break
         return best
 
-    def extend(self, W: Sequence, x) -> list:
+    def extend(self, W: Sequence[int], x: int) -> list[int]:
         """The words c*x + w (c in GF(q), w in W): the block of c = 0, W
         itself, first, then one block per c, each in the order of W.  For
         a span W and x outside it, the words of span(W, x)."""
-        out = list(W)
-        for c in range(1, self.q):
+        out = [*W, *self.sums(x, W)]  # c = 0 and 1, all of GF(2)
+        for c in range(2, self.q):
             out += self.sums(self.scale(c, x), W)
         return out
 
@@ -376,7 +384,7 @@ class _SpanMinRank:
         """Minimum rank over the nonzero words of span(rows), for linearly
         independent rows, stopping at the first word of rank < d."""
         best = min(self.n, self.m)
-        W = [self.zero]
+        W = [0]
         ranks: dict = {}
         for i, x in enumerate(rows):
             best = min(best, self.first_below(x, W, d, ranks))
@@ -446,7 +454,7 @@ class _SpanMinRank:
                 return found
 
             if k:
-                start = [self.zero] if seed is None else extend([self.zero], seed)
+                start = [0] if seed is None else extend([0], seed)
                 total += descend(k - 1, 0, start)
             else:
                 total += b - a

@@ -18,13 +18,11 @@ per (field, n), and `grow_span` grows the set of codes of a span by one
 row with them; membership in a span is then one set lookup, with no
 elimination.  GL_n(q) (`semifield`), the spectrum-free count (`codes`)
 and the point-set histograms (`critical`) test independence that way.
-A bit-packed GF(2) rank table, its own elimination on int rows, backs
-the hot enumeration paths; it never leaks into public interfaces.
-
-`rank` is the exact rank of the generic codeword-sweep kernel
-(`codes._SpanMinRank`), which calls it once per distinct word of a
-sweep chunk and keeps the answers in a memo of its own; nothing in this
-module caches a rank.
+`gf2_rank_table`, the rank of every n x m GF(2) matrix with nm <= 16
+indexed by its row-major bits (the GF(2) word of the codeword-sweep
+kernel `codes._SpanMinRank`), runs its own elimination on int rows.  The
+kernel ranks every other word by `rank`, once per distinct word of a
+sweep chunk, in a memo of its own; nothing here caches a rank.
 """
 
 from __future__ import annotations
@@ -271,22 +269,10 @@ def span_elements(basis: Sequence[Sequence[int]], fld, q: int | None = None) -> 
         yield tuple(v)
 
 
-# ----------------------------------------------------------------------
-# GF(2) bit-packed kernels (rows as ints, column j = bit j)
-# ----------------------------------------------------------------------
-
-def pack_row(row: Sequence[int]) -> int:
-    bits = 0
-    for j, x in enumerate(row):
-        if x:
-            bits |= 1 << j
-    return bits
-
-
 @lru_cache(maxsize=None)
 def gf2_rank_table(n: int, m: int) -> bytes:
     """rank of every n x m GF(2) matrix, indexed by its nm-bit row-major
-    packing.  Only built for nm <= 16."""
+    packing, entry j at bit j.  Only built for nm <= 16."""
     cells = n * m
     if cells > 16:
         raise ValueError("rank table limited to nm <= 16")

@@ -217,8 +217,12 @@ def rank_distribution_exhaustive(
 # ----------------------------------------------------------------------
 
 def dim_bound(kind: str, n: int, d: int) -> int:
-    """Largest dimension of a code in the ambient with min distance d;
-    codes attaining it are the restricted MRD codes."""
+    """An upper bound on the dimension of a code in the ambient with min
+    distance d, attained by the restricted MRD codes where any exist.
+    None does for alternating forms with n >= 4 even and d = n: on an
+    (n-1)-dim code the Pfaffian is a form of degree n/2 in n - 1 > n/2
+    variables, with a nontrivial zero by Chevalley-Warning, a word of
+    rank <= n - 2.  At n = 4 the largest attained dimension is 2 (q = 2, 3)."""
     if not 2 <= d <= n:
         raise ValueError("need 2 <= d <= n")
     if kind == "symmetric":
@@ -317,7 +321,8 @@ def sparseness_exponent(
     threshold).
 
     symmetric:   E = n(n+1)/2 - k + 1 - n(d-1) + (d-1)(d-2)/2;
-    alternating: E = n(n-1)/2 - k + 1 - (d-2)n + (d-1)(d-2)/2  (d even);
+    alternating: E = n(n-1)/2 - k + 1 - (d-2)n + (d-1)(d-2)/2  (d even;
+                 an empty family at n >= 4 even, d = n, k = n - 1);
     hermitian:   E = n^2 - k + 1 - (d-1)(2n-d+1) by default; the printed
                  variant (d-1)(2n+d-1) disagrees with the ball exponent
                  r(2n-r) at r = d-1 and with the resulting MRD rate

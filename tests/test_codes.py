@@ -59,7 +59,8 @@ def test_min_distance_examples():
 
 
 def test_min_distance_generic_matches_packed():
-    # every 2-dim code in GF(2)^(2x2): packed and generic kernels agree
+    # every 2-dim code in GF(2)^(2x2): the kernel's rank table agrees
+    # with elimination
     g = Grassmannian(4, 2, 2)
     for rows in g.iter_range():
         C = MatrixCode(F2, 2, 2, rows)
@@ -148,8 +149,8 @@ def test_density_2x2_value_and_monotonicity():
 
 @pytest.mark.parametrize(
     "shape,q,count",
-    # GF(2) on the packed path; GF(3) and GF(4) on the generic one, whose
-    # kernel and field are pickled into the pool workers
+    # GF(2) ranked by the table; GF(3) and GF(4) by elimination, with the
+    # kernel and field pickled into the pool workers
     [((2, 3, 3, 2), 2, 48), ((2, 2, 2, 2), 3, 18), ((2, 2, 2, 2), 4, 72)],
     ids=["gf2", "gf3", "gf4"],
 )
@@ -243,7 +244,7 @@ def test_restricted_sweep_starts_no_pool(fake_pool):
 
 def test_one_pool_serves_mixed_sweeps(monkeypatch):
     # jobs 2 with no in-process part: each sweep forks a 2-worker Pool of
-    # its own and sends it a packed GF(2), a generic GF(3) or GF(4), a
+    # its own and sends it a GF(2) rank-table, a GF(3) or GF(4), a
     # flat d = 1 or a point-set kernel; every count is the in-process one,
     # and no worker or unclosed Pool is left after any sweep returns
     import multiprocessing
@@ -268,9 +269,9 @@ def test_one_pool_serves_mixed_sweeps(monkeypatch):
         )
 
     sweeps = [
-        lambda jobs: density_bruteforce(2, 3, 3, 2, 2, jobs=jobs).count,  # packed, seeded
-        lambda jobs: density_bruteforce(2, 2, 2, 2, 3, jobs=jobs).count,  # generic GF(3)
-        lambda jobs: density_bruteforce(2, 2, 2, 2, 4, jobs=jobs).count,  # generic GF(4)
+        lambda jobs: density_bruteforce(2, 3, 3, 2, 2, jobs=jobs).count,  # rank table, seeded
+        lambda jobs: density_bruteforce(2, 2, 2, 2, 3, jobs=jobs).count,  # odd sum arm
+        lambda jobs: density_bruteforce(2, 2, 2, 2, 4, jobs=jobs).count,  # GF(4), XOR
         lambda jobs: density_bruteforce(3, 3, 8, 1, 2, jobs=jobs).count,  # flat plan, d = 1
         point_sweep,
     ]

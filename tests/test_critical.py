@@ -123,8 +123,8 @@ def reference_distinguishing_counts(P, k, bounds):
     ]
 
 
-# (q, N, k) with at most 1,000 subspaces; q = 2 takes the packed path,
-# q = 3, 4 and 5 the generic one (q = 4 has a non-prime field)
+# (q, N, k) with at most 1,000 subspaces; q = 2 and 4 sum words by XOR,
+# q = 3 and 5 by the odd-characteristic arm (q = 4 has a non-prime field)
 DELTA_SHAPES = [
     (q, N, k)
     for q in (2, 3, 4, 5)

@@ -2,8 +2,13 @@
 
 `MatrixCode.min_distance`, `density_bruteforce`,
 `restricted_density_bruteforce` and `critical.delta_bruteforce` all run
-on the one kernel in `codes`, which takes a bit-packed path for GF(2)
-entries with nm <= 16 and a generic path otherwise.  The three
+on the one kernel in `codes`.  It holds every word as an int with a
+slot per base-p digit of each entry, sums words by XOR in characteristic
+2 and by a slotwise add and correct in odd characteristic, and ranks a
+word by one table probe when its entries are in GF(2) and nm <= 16, by
+`linalg.rank` otherwise.  The word arithmetic is checked against the
+entrywise field arithmetic over prime fields, GF(p^h), the GF(16)/GF(4)
+tower and the Hermitian entry fields GF(q^2).  The three
 Grassmannian sweeps go through one driver, `codes._sweep`, which checks
 d, charges the budget and splits the sweep into chunks, each one
 `_SpanMinRank.count` call that skips every subspace containing an
@@ -12,7 +17,7 @@ already rejected partial subcode; the chunks are counted here through
 checked against its flat reference in test_critical.py.  The references here
 enumerate every subspace with `Grassmannian.iter_range` and every word of
 its span with `linalg.span_elements`, and rank each word with
-`linalg.rank`, with no pruning, no early exit and no packing.
+`linalg.rank`, with no pruning, no early exit and no word packing.
 
 The driver seeds full, alternating and Hermitian sweeps by rank: it
 counts the good codes through one rank-r word E_r (f_r) on the
@@ -21,7 +26,7 @@ sum_r A_r * f_r by q^k - 1.  Each f_r is checked here against the
 reference codes that contain E_r, and the driver's count against the
 reference count.
 
-On the generic path the kernel ranks each distinct word once per
+Off the rank table the kernel ranks each distinct word once per
 `count` or `min_rank` call: first_below reads a memo, word -> rank,
 before it ranks, and the memo stores at most min(q^N, the steps the
 sweep charged) words.  The tests below record every memo a sweep
@@ -58,6 +63,7 @@ from rankmetric.codes import (
     field_for_order,
 )
 from rankmetric.critical import PointSet, all_points
+from rankmetric.fields import make_ext_field
 from rankmetric.qcomb import matrix_rank_count, qbinom
 from rankmetric.restricted import (
     _rank_strata,
@@ -78,7 +84,8 @@ def reference_min_rank(words, n, m, fld):
 
 @st.composite
 def small_codes(draw):
-    # GF(2) shapes up to 4 x 5 reach both paths (packed needs nm <= 16).
+    # GF(2) shapes up to 4 x 5 reach both the rank table (nm <= 16) and
+    # the memo.
     q = draw(st.sampled_from((2, 3, 4, 5)))
     n = draw(st.integers(1, 4 if q == 2 else 3))
     m = draw(st.integers(1, 5 if q == 2 else 3))
@@ -111,6 +118,43 @@ def test_min_distance_matches_reference(case):
     C = MatrixCode(fld, n, m, vectors)
     expected = reference_min_rank(linalg.span_elements(C.basis, fld), n, m, fld)
     assert C.min_distance() == expected
+
+
+# (entry field, coefficient order q) of every word layout: prime fields,
+# GF(p^h) over GF(p), the GF(16)/GF(4) tower and the Hermitian entry
+# fields GF(q^2) over GF(q)
+WORD_FIELDS = (
+    [(field_for_order(q), q) for q in (2, 3, 4, 5, 7, 9, 16, 27, 81)]
+    + [(make_ext_field(field_for_order(4), 2), 4)]
+    + [(hermitian_field(q), q) for q in (2, 3, 4, 5)]
+)
+
+
+@st.composite
+def word_cases(draw):
+    fld, q = draw(st.sampled_from(WORD_FIELDS))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    flat = st.lists(st.integers(0, fld.order - 1), min_size=n * m, max_size=n * m)
+    return fld, q, n, m, draw(flat), draw(st.lists(flat, max_size=4))
+
+
+@given(word_cases())
+@settings(max_examples=300, deadline=None)
+def test_word_arithmetic_matches_field_arithmetic(case):
+    fld, q, n, m, a, others = case
+    kernel = _SpanMinRank(fld, q, n, m)
+    vec = kernel.vec
+    x = vec(a)
+    assert kernel.entries(x) == a
+    sums = [vec(list(map(fld.add, a, b))) for b in others]
+    assert list(kernel.sums(x, [vec(b) for b in others])) == sums
+    for c in range(q):
+        assert kernel.scale(c, x) == vec(linalg.row_scale(c, a, fld))
+    if fld.order == 2:
+        # entry j at bit j: the index of the rank table
+        assert x == sum(e << j for j, e in enumerate(a))
+        rows = [a[i * m : (i + 1) * m] for i in range(n)]
+        assert linalg.gf2_rank_table(n, m)[x] == linalg.rank(rows, fld)
 
 
 def ambient(kind, n, m, d, q):
@@ -160,8 +204,8 @@ def dim_of(kind, n, m, q):
 
 
 # (kind, n, m, k, q) with at most 20,000 words over the reference sweep;
-# GF(2) full shapes take the packed path, every other one the generic
-# path, Hermitian ones with entries in GF(q^2), GF(4) to GF(16)
+# GF(2) full shapes are ranked by the table, every other one by
+# elimination, Hermitian ones with entries in GF(q^2), GF(4) to GF(16)
 SWEEP_SHAPES = [
     (kind, n, m, k, q)
     for kind, n, m, q in (
@@ -206,9 +250,9 @@ def test_pruned_sweep_matches_flat_reference(case):
 
 @st.composite
 def restricted_cases(draw):
-    # GF(2) symmetric and alternating (n <= 3) take the packed path;
+    # GF(2) symmetric and alternating (n <= 3) are ranked by the table;
     # Hermitian matrices have entries in GF(q^2), GF(4) to GF(16), and
-    # take the generic one with coefficients in the subfield GF(q).
+    # are ranked by elimination, with coefficients in the subfield GF(q).
     q = draw(st.sampled_from((2, 3, 4)))
     kind = draw(st.sampled_from(("symmetric", "alternating", "hermitian")))
     n = draw(st.integers(2, 3 if q == 2 and kind != "hermitian" else 2))
@@ -228,7 +272,7 @@ def test_restricted_density_matches_reference(case):
 
 
 # (kind, n, m, k, q) with at most 20,000 words over the reference sweep;
-# GF(2) full and alternating shapes with nm <= 16 take the packed path
+# GF(2) full and alternating shapes with nm <= 16 are ranked by the table
 SEEDED_SHAPES = [
     (kind, n, m, k, q)
     for kind, n, m, q in (
@@ -330,9 +374,11 @@ def recording_kernel():
     return Recording, memos
 
 
-def assert_memo_is_ranks(memo, fld, n, m):
+def assert_memo_is_ranks(kernel, memo):
+    n, m = kernel.n, kernel.m
     for word, r in memo.items():
-        assert r == linalg.rank([word[i * m : (i + 1) * m] for i in range(n)], fld), word
+        e = kernel.entries(word)
+        assert r == linalg.rank([e[i * m : (i + 1) * m] for i in range(n)], kernel.fld), word
 
 
 @given(seeded_cases())
@@ -352,7 +398,7 @@ def test_memo_holds_true_ranks_within_the_charged_bound(case):
     (cost,) = charged
     for memo in memos.values():
         assert len(memo) <= min(q ** len(vectors), cost)
-        assert_memo_is_ranks(memo, fld, n, m)
+        assert_memo_is_ranks(_SpanMinRank(fld, q, n, m), memo)
 
 
 @given(sweep_cases(), st.integers(0, 40))
@@ -369,7 +415,7 @@ def test_memo_past_its_limit_answers_without_storing(case, limit):
         assert kernel.count(g, units, d, lo, hi) == sum(ok[lo:hi])
     for memo in memos.values():
         assert len(memo) <= limit
-        assert_memo_is_ranks(memo, fld, n, m)
+        assert_memo_is_ranks(kernel, memo)
 
 
 def test_generic_sweep_ranks_each_distinct_word_once():
@@ -473,7 +519,7 @@ def doubling_split(entries, j, chunks):
 @st.composite
 def split_cases(draw):
     """(_sweep arguments, keyword arguments) of a small sweep on the
-    generic GF(3) path, the packed GF(2) path or a point set."""
+    GF(3) memo path, the GF(2) rank-table path or a point set."""
     path = draw(st.sampled_from(("gf3", "gf2", "points")))
     if path == "points":
         q, N = draw(st.sampled_from([(2, 3), (2, 4), (3, 3)]))

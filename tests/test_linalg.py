@@ -50,7 +50,7 @@ def test_rank_agrees_with_bit_kernel_on_gf2(mq):
     n, m = len(rows), len(rows[0])
     if n * m > 16:
         rows, n = rows[: 16 // m], 16 // m
-    code = sum(linalg.pack_row(r) << (m * i) for i, r in enumerate(rows))
+    code = sum(x << j for j, x in enumerate(x for r in rows for x in r))
     assert linalg.gf2_rank_table(n, m)[code] == linalg.rank(rows, field_for_order(2))
 
 

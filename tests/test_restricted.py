@@ -162,6 +162,33 @@ def test_symmetric_optimal_3x3_pins():
         assert (r.count, r.total) == want
 
 
+def test_even_alternating_bound_is_not_attained():
+    # n = 4, d = 4: dim_bound is 3, but on a 3-dim code the Pfaffian is a
+    # quadratic form in 3 variables, which has a nontrivial zero
+    # (Chevalley-Warning), so no 3-dim code has full rank; the largest
+    # attained dimension is 2
+    assert dim_bound("alternating", 4, 4) == 3
+    for k, q, want in (
+        (3, 2, (0, 1395)), (3, 3, (0, 33880)), (2, 2, (56, 651)), (2, 3, (2106, 11011))
+    ):
+        r = restricted_density_bruteforce("alternating", 4, k, 4, q)
+        assert (r.count, r.total) == want, (k, q)
+
+
+def test_optimal_restricted_pins_over_gf2():
+    # alternating 5 x 5 words lie past the GF(2) rank table (nm = 25) and
+    # are ranked through the memo, symmetric 4 x 4 words (nm = 16) by the
+    # table, and Hermitian 3 x 3 words over GF(4) are summed by XOR with
+    # two bits per entry (the Hermitian count over GF(9) runs in CI)
+    for args, want in (
+        (("alternating", 5, 5, 4), (129024, 109221651)),
+        (("symmetric", 4, 4, 4), (336, 53743987)),
+        (("hermitian", 3, 3, 3), (6720, 788035)),
+    ):
+        r = restricted_density_bruteforce(*args, 2, budget=10**9)
+        assert (r.count, r.total) == want, args
+
+
 def test_full_ambient_density_is_the_full_matrix_sweep():
     # the unit matrices E_ij are the coordinates of density_bruteforce, whose
     # sweep is seeded by rank; the full ambient's sweep is flat
