@@ -399,6 +399,14 @@ class FiniteField:
             raise ValueError(f"ell = {ell} does not divide n = {self.n}")
         return self.frobenius(a, ell) == a
 
+    def generator(self) -> int:
+        """A primitive element, of multiplicative order `order - 1`: the
+        base of the log tables when they exist, else the first one found
+        by `_find_generator`."""
+        if self._exp is not None:
+            return self._exp[1]
+        return _find_generator(self)
+
     def _build_tables(self) -> None:
         g = _find_generator(self)
         exp = [0] * (2 * self.order)

@@ -21,7 +21,7 @@ decides a whole double coset L . g . H:
     C2^rho . r = C2^rho, so hits(r . g) = hits(g);
   - H acts on the right and starts as R*(C1): C1 . s = C1, so
     hits(g . s) = hits(g).
-Three facts make the count exact:
+Four facts make the count exact:
   (i) hits(g) is 0 or |L*(C1)|, L*(C1) being the unit group of C1's left
       idealizer: if f0 o C2^rho o g = C1, then f works exactly when
       f . f0^-1 fixes C1;
@@ -29,12 +29,23 @@ Three facts make the count exact:
       generally for every s with C1 . s = f0 . C1 (f <-> f0^-1 . f);
   (iii) in an automorphism scan (C1 == C2) the rho = 0 hit set is a group
       G0 that contains R*(C1), each of whose elements satisfies (ii), and
-      each rho > 0 hit set is a left coset of G0.
-So at rho = 0 of an automorphism scan every hit joins H, and the rho > 0
-passes reuse that H; an equivalence scan keeps H = R*(C1).  The count is
-hits x (the number of g with a hit), which equals the unreduced per-g
-sweep (the tests check this against a per-g loop).  No classification
-result is assumed.
+      each rho > 0 hit set is a left coset of G0;
+  (iv) at rho = 0 of an automorphism scan G0 also acts on the left: for
+      u in G0 with f_u . C1 . u = C1, hits(u . g) = hits(g) by
+      f <-> f . f_u^-1.
+So at rho = 0 of an automorphism scan L and H are one group K, which
+starts as R*(C1) and every hit joins; the rho > 0 passes reuse K as H.
+An equivalence scan keeps H = R*(C1).  The count is hits x (the number
+of g with a hit), which equals the unreduced per-g sweep (the tests
+check this against a per-g loop).  No classification result is assumed.
+
+G0 is found late in GL order: a twisted code's R* is often just the
+scalars.  So an automorphism scan first decides two seeds, elements of
+G0 for the field code and the twisted codes: multiplication by a
+primitive element of GF(q^n) (`FiniteField.generator`), and the
+q-Frobenius x -> x^q.  The seeds that hit join R*(C1) in K, and K's
+generators are chosen seeds first, so the scans of one field take the
+same ones.
 
 Each solve runs in the k coordinates of C1, not the n^2 entries of f:
 with an invertible anchor M0 in C2^rho, f . M0 . g lies in C1 iff f =
@@ -44,8 +55,14 @@ element is solved on the n^2 entries (`_left_multiplier_space`).
 
 A verdict spreads over its double coset through permutation tables, one
 list over all of GL_n(q) per generator of L or H, mapping each element x
-to u . x or x . s.  The identity is solved before any unit group or table
-is built, so an equivalence that holds at g = 1 costs two kernel solves.
+to u . x or x . s.  The identity, and then an automorphism scan's seeds,
+are solved before any unit group or table is built, so an equivalence
+that holds at g = 1 costs two kernel solves.  The scans given one
+`tables` dict share it, so each table is built once; the class census
+gives one to all of its scans, and drops it when it returns.  A rho
+whose twisted code C2^rho equals an earlier pass's has that pass's
+hits, so it adds that pass's count and runs no solve: the field code
+over a non-prime base is its own twist.
 
 The class census takes the class of the field-multiplication code from
 the closed form equiv_to_c0_predicate and decides every other pair of
@@ -619,9 +636,12 @@ class _GLProducts:
     A table sums the images to codes by C-level `map` over the digit lists
     of all of GL, and reads their indices off `where`."""
 
-    def __init__(self, fld, n: int):
+    def __init__(self, fld, n: int, tables: dict | None = None):
         self.where, self.rows, self.cols = _gl_codes(fld, n)
-        self.n = n
+        self.fld, self.n = fld, n
+        # the permutation tables made so far, by (fld, n, side, element):
+        # the scans given one dict build each table once
+        self.tables = {} if tables is None else tables
         self.q = q = fld.order
         self.Q = Q = q**n
         self.add, self.scale = linalg.row_arithmetic(fld, n)
@@ -673,23 +693,30 @@ class _GLProducts:
 
     def right_table(self, s: int) -> list[int]:
         """The permutation x -> the index of x . s."""
-        return self._table(self._right_parts(s), self.rows)
+        key = (self.fld, self.n, "right", s)
+        if key not in self.tables:
+            self.tables[key] = self._table(self._right_parts(s), self.rows)
+        return self.tables[key]
 
     def left_table(self, u: int) -> list[int]:
         """The permutation x -> the index of u . x: column c = w of x
         becomes u . w = sum_k w[k] * (column k of u)."""
-        image = self._image([col[u] for col in self.cols])
-        parts = [[self.spread[t] * self.q**c for t in image] for c in range(self.n)]
-        return self._table(parts, self.cols)
+        key = (self.fld, self.n, "left", u)
+        if key not in self.tables:
+            image = self._image([col[u] for col in self.cols])
+            parts = [[self.spread[t] * self.q**c for t in image] for c in range(self.n)]
+            self.tables[key] = self._table(parts, self.cols)
+        return self.tables[key]
 
-    def generators(self, elements: Iterable[int]) -> list[int]:
-        """Generators of the group formed by `elements` (indices).  The
-        elements are tried by decreasing order, and each one outside the
-        group generated by those kept so far is kept, so a cyclic group
-        gets one generator.  The group, small, is closed through each kept
+    def generators(self, elements: Iterable[int], first: Sequence[int] = ()) -> list[int]:
+        """Generators of the group generated by `first` and `elements`
+        (indices).  The elements of `first` are tried in their order, then
+        the others by decreasing order, and each one outside the group
+        generated by those kept so far is kept, so a cyclic group gets one
+        generator.  The group, small, is closed through each kept
         generator's row table, one product at a time."""
         where, rows, identity = self.where, self.rows, self.identity
-        parts = {x: self._right_parts(x) for x in elements}
+        parts = {x: self._right_parts(x) for x in chain(first, elements)}
 
         def times(y: int, x: int) -> int:
             return where[sum(part[row[y]] for part, row in zip(parts[x], rows))]
@@ -700,8 +727,9 @@ class _GLProducts:
                 k, y = k + 1, times(y, x)
             return k
 
+        rest = sorted((x for x in parts if x not in first), key=order, reverse=True)
         group, gens = {identity}, []
-        for x in sorted(parts, key=order, reverse=True):
+        for x in chain(first, rest):
             if x in group:
                 continue
             gens.append(x)
@@ -723,12 +751,23 @@ def _unit_generators(
     n: int,
     fld,
     budget: int,
+    first: Sequence[int] = (),
 ) -> list[int]:
-    """GL indices of generators of R*, the unit group of the right
-    idealizer of the code with basis matrices `mats` and check rows
-    `checks`."""
+    """GL indices of generators of the group generated by `first` and R*,
+    the unit group of the right idealizer of the code with basis matrices
+    `mats` and check rows `checks`; the elements of `first` are tried
+    first."""
     space = linalg.solution_space(_right_idealizer_rows(checks, mats, n, fld), n * n, fld)
-    return gl.generators(map(gl.index, _invertible_in_space(space, n, fld, budget)))
+    return gl.generators(map(gl.index, _invertible_in_space(space, n, fld, budget)), first)
+
+
+def _seeds(E: FiniteField) -> list[linalg.Matrix]:
+    """The seeds of an automorphism scan, as matrices over GF(q):
+    multiplication by a primitive element of E, and x -> x^q."""
+    return [
+        LinearizedPoly.scalar(E, E.generator()).to_matrix(),
+        LinearizedPoly.monomial(E, 1, 1).to_matrix(),
+    ]
 
 
 def _equivalence_scan(
@@ -737,6 +776,7 @@ def _equivalence_scan(
     budget: int | None,
     count_all: bool,
     chunk: tuple[int, int] | None = None,
+    tables: dict | None = None,
 ) -> int:
     """Shared kernel: the number of triples (f, rho, g) of invertible f, g
     and rho in Aut(GF(q)) with f o C2^rho o g = C1; with count_all=False,
@@ -752,32 +792,40 @@ def _equivalence_scan(
           with a hit);
       (ii) hits(g . s) = hits(g) whenever C1 . s = f0 . C1;
       (iii) in an automorphism scan the rho = 0 hit set is a group G0
-          containing R*(C1), each rho > 0 hit set a left coset of G0.
-    So at rho = 0 of an automorphism scan every hit joins H, and the
-    rho > 0 passes reuse that H.  An equivalence scan keeps H = R*(C1),
-    since the hits of C2 say nothing about C1's automorphisms.
+          containing R*(C1), each rho > 0 hit set a left coset of G0;
+      (iv) at rho = 0 of an automorphism scan, hits(u . g) = hits(g) for
+          u in G0.
+    So at rho = 0 of an automorphism scan L = H = K, the group of R*(C1)
+    and the seeds that hit (multiplication by a primitive element, and
+    x -> x^q), and every later hit joins K on both sides; the rho > 0
+    passes reuse K as H.  An equivalence scan keeps H = R*(C1), since the
+    hits of C2 say nothing about C1's automorphisms.
 
-    Every pass decides the identity first, then the other indices in GL
-    order, the state of each kept in a bytearray over GL: a solve's
-    verdict is spread over its double coset through the permutation
-    tables of the generators of L and H (`_GLProducts`), and when H gains
-    a generator every index already decided is spread along it too.
-    Since verdicts are exact per double coset, the order changes no
-    verdict and no count.  At rho = 0 of an automorphism scan the
-    identity's double coset contains the group H generates, so every
-    later hit lies outside it and is a new generator.
+    Every pass decides the identity first (and at rho = 0 of an
+    automorphism scan the seeds), then the other indices in GL order,
+    the state of each kept in a bytearray over GL: a solve's verdict is
+    spread over its double coset through the permutation tables of the
+    generators of L and H (`_GLProducts`), and when K gains a generator
+    every index already decided is spread along its left and its right
+    table too.  Since verdicts are exact per double coset, the order
+    changes no verdict and no count.  At rho = 0 of an automorphism scan
+    the identity's double coset is K, so every later hit lies outside it
+    and is a new generator.  A rho whose C2^rho equals an earlier pass's
+    has that pass's hits: it adds that pass's count and runs no solve.
 
     The identity's rho = 0 solve comes before any unit group or table is
     built: an equivalence that holds at g = 1 costs two kernel solves,
-    C1's check rows and that one.  Most other g give the kernel {0}, and
-    `linalg.solution_space` stops pulling constraint rows at full rank k,
-    usually after about k rows.
+    C1's check rows and that one; an automorphism scan solves its two
+    seeds next, still before any table.  Most other g give the kernel
+    {0}, and `linalg.solution_space` stops pulling constraint rows at
+    full rank k, usually after about k rows.  `tables`, a dict shared by
+    scans over one field, keeps the permutation tables built so far.
 
     chunk=(lo, hi) restricts the count to a slice of the GL enumeration;
     counting over a partition of [0, |GL|) sums to the full count, and hit
     existence is independent of the split, so parallel reductions stay
-    deterministic.  The identity is decided even outside the slice, but
-    only indices inside it are counted."""
+    deterministic.  The identity and the seeds are decided even outside
+    the slice, but only indices inside it are counted."""
     E = C1.field
     fld = E.base
     n = E.n
@@ -793,17 +841,30 @@ def _equivalence_scan(
         raise ValueError(f"chunk {chunk} is not a slice of the {size} elements of GL")
     checks = linalg.solution_space(C1.matrix_code.basis, n * n, fld)
 
-    # the identity's solve, before any unit group or table is built
+    # the identity's solve, then an automorphism scan's seeds, before any
+    # unit group or table is built
     solver = _LeftSolver(checks, C1, C2.basis_matrices(), budget)
-    first = solver.hits(linalg.identity(n))
+    one = linalg.identity(n)
+    first = solver.hits(one)
     if first and not count_all:
         return 1
-    gl = _GLProducts(fld, n)
-    h_gens = _unit_generators(gl, checks, C1.basis_matrices(), n, fld, budget)
+    aut = C1 == C2
+    known = {one: first}
+    for seed in _seeds(E) if aut else ():
+        if seed not in known:
+            known[seed] = solver.hits(seed)
+    gl = _GLProducts(fld, n, tables)
+    known = {gl.index(g): count for g, count in known.items()}
+    seeds = [i for i, count in known.items() if count and i != gl.identity]
+    h_gens = _unit_generators(gl, checks, C1.basis_matrices(), n, fld, budget, seeds)
     rights = [gl.right_table(s) for s in h_gens]
     hits = total = 0
+    passes: dict[LinPolyCode, int] = {}  # the count of each pass, by C2^rho
     for rho in range(fld.h):
         Crho = C2.twist(rho) if rho else C2
+        if Crho in passes:  # the same hits as that earlier pass
+            total += passes[Crho]
+            continue
         if rho:
             solver = _LeftSolver(checks, C1, Crho.basis_matrices(), budget)
         if Crho == C1:
@@ -811,14 +872,14 @@ def _equivalence_scan(
         else:
             rho_checks = linalg.solution_space(Crho.matrix_code.basis, n * n, fld)
             l_gens = _unit_generators(gl, rho_checks, Crho.basis_matrices(), n, fld, budget)
-        tables = [gl.left_table(u) for u in l_gens] + rights
-        grow = rho == 0 and C1 == C2
+        perms = [gl.left_table(u) for u in l_gens] + rights
+        grow = rho == 0 and aut
         state = bytearray(size)  # 0 undecided, 1 no hit, 2 hit
-        for i in chain((gl.identity,), range(lo, hi)):
+        for i in chain(known if rho == 0 else (gl.identity,), range(lo, hi)):
             if state[i]:
                 continue
-            if rho == 0 and i == gl.identity:
-                count = first
+            if rho == 0 and i in known:
+                count = known[i]
             else:
                 count = solver.hits(gl.matrix(i))
             if count and not count_all:
@@ -827,39 +888,52 @@ def _equivalence_scan(
             state[i] = 2 if count else 1
             queue = [i]
             if count and grow and i != gl.identity:
-                table = gl.right_table(i)
-                tables.append(table)
-                rights.append(table)
-                for x, verdict in enumerate(bytes(state)):
-                    if verdict and not state[y := table[x]]:
-                        state[y] = verdict
-                        queue.append(y)
+                new = (gl.left_table(i), gl.right_table(i))
+                perms.extend(new)
+                rights.append(new[1])
+                for table in new:
+                    for x, verdict in enumerate(bytes(state)):
+                        if verdict and not state[y := table[x]]:
+                            state[y] = verdict
+                            queue.append(y)
             while queue:
                 x = queue.pop()
                 verdict = state[x]
-                for table in tables:
+                for table in perms:
                     if not state[y := table[x]]:
                         state[y] = verdict
                         queue.append(y)
-        total += hits * state.count(2, lo, hi)
+        passes[Crho] = hits * state.count(2, lo, hi)
+        total += passes[Crho]
     return total
 
 
 def is_equivalent_bruteforce(
-    C1: LinPolyCode, C2: LinPolyCode, budget: int | None = None
+    C1: LinPolyCode,
+    C2: LinPolyCode,
+    budget: int | None = None,
+    *,
+    tables: dict | None = None,
 ) -> bool:
     """Exhaustive equivalence test: exists (f, rho, g) with invertible f, g
-    and C1 = f o C2^rho o g.  Deterministic regardless of early exit."""
-    return _equivalence_scan(C1, C2, budget, count_all=False) > 0
+    and C1 = f o C2^rho o g.  Deterministic regardless of early exit.
+    `tables`, a dict that scans over one field may share, keeps the
+    permutation tables of GL_n(q) they build, so each is built once."""
+    return _equivalence_scan(C1, C2, budget, count_all=False, tables=tables) > 0
 
 
 def aut_group_size_bruteforce(
-    C: LinPolyCode, budget: int | None = None, chunk: tuple[int, int] | None = None
+    C: LinPolyCode,
+    budget: int | None = None,
+    chunk: tuple[int, int] | None = None,
+    *,
+    tables: dict | None = None,
 ) -> int:
     """|Aut(C)|: the exact number of triples (f, rho, g) fixing C.  An
     optional chunk=(lo, hi) slice of the GL sweep supports deterministic
-    parallel splitting (chunk counts sum to the total)."""
-    return _equivalence_scan(C, C, budget, count_all=True, chunk=chunk)
+    parallel splitting (chunk counts sum to the total); `tables` is as in
+    `is_equivalent_bruteforce`."""
+    return _equivalence_scan(C, C, budget, count_all=True, chunk=chunk, tables=tables)
 
 
 # ----------------------------------------------------------------------
@@ -951,6 +1025,7 @@ def twisted_class_census(
     classes: list[dict] = []
     reps: list[tuple[LinPolyCode, bool]] = []
     seen: dict[LinPolyCode, int] = {}
+    tables: dict = {}  # GL_n(q)'s permutation tables, shared by every scan
     for spec in valid_twisted_specs(field):
         code = spec.code()
         if code in seen:
@@ -958,7 +1033,8 @@ def twisted_class_census(
         is_c0_class = equiv_to_c0_predicate(spec)
         for idx, (rep_code, rep_is_c0) in enumerate(reps):
             if rep_is_c0 == is_c0_class and (
-                rep_is_c0 or is_equivalent_bruteforce(code, rep_code, budget=budget)
+                rep_is_c0
+                or is_equivalent_bruteforce(code, rep_code, budget=budget, tables=tables)
             ):
                 seen[code] = idx
                 classes[idx]["members"] += 1
@@ -975,5 +1051,5 @@ def twisted_class_census(
             )
     if aut_sizes:
         for entry, (rep_code, _) in zip(classes, reps):
-            entry["aut_size"] = aut_group_size_bruteforce(rep_code, budget=budget)
+            entry["aut_size"] = aut_group_size_bruteforce(rep_code, budget=budget, tables=tables)
     return classes

@@ -364,3 +364,25 @@ def test_tower_attributes():
 def test_former_extension_name_resolves_to_the_one_class():
     assert fields.ExtField is fields.FiniteField
     assert "ExtField" not in vars(fields)
+
+
+def multiplicative_order(E, a):
+    """The least k >= 1 with a^k = 1, from the prime factors of |E*|."""
+    k = E.order - 1
+    for p, _ in factorize(k):
+        while k % p == 0 and E.pow(a, k // p) == 1:
+            k //= p
+    return k
+
+
+@pytest.mark.parametrize(
+    "E",
+    DIFF_FIELDS + [make_field(4093), FiniteField(make_field(2), 14)],
+    ids=repr,
+)
+def test_generator_is_primitive(E):
+    # from the log tables where the field has them, else by search (the
+    # prime fields and GF(2^14), above the table limit)
+    g = E.generator()
+    assert multiplicative_order(E, g) == E.order - 1
+    assert (E._exp is None) == (E.h == 1 or E.order > fields._TABLE_LIMIT)

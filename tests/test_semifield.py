@@ -684,9 +684,10 @@ def test_quotiented_scan_matches_per_g_reference(E, rnd):
 
 
 def test_double_coset_scan_solve_counts(monkeypatch):
-    # one left-multiplier solve per double coset R* . g . H met in GL order
-    # after the identity, H growing by every rho = 0 hit; GL_3(3) has 11232
-    # elements
+    # one left-multiplier solve per double coset K . g . K met in GL order
+    # after the identity and the two seeds, K growing by every rho = 0 hit;
+    # GL_3(3) has 11232 elements.  Both seeds hit for the field code and
+    # for the (1, 2) twisted code, and generate G0, of order 78 for both
     solves = []
     original = semifield._LeftSolver.hits
 
@@ -697,22 +698,35 @@ def test_double_coset_scan_solve_counts(monkeypatch):
     monkeypatch.setattr(semifield._LeftSolver, "hits", counted)
     # the default budget covers the scan's real worst case
     assert aut_group_size_bruteforce(c0_code(E27)) == 2028
-    assert len(solves) == 35
+    assert len(solves) == 10
     solves.clear()
     spec = next(s for s in valid_twisted_specs(E27) if (s.i, s.j) == (1, 2))
     assert aut_group_size_bruteforce(spec.code(), budget=BIG) == 156
-    assert len(solves) == 299
-    # a one-element chunk: the identity, then that element at most
+    assert len(solves) == 10
+    # a one-element chunk: the identity, the two seeds, then that element,
+    # which none of their double cosets contains
     size = gl_order(3, 3)
     for chunk in ((0, 1), (size - 1, size)):
         solves.clear()
         assert aut_group_size_bruteforce(c0_code(E27), budget=BIG, chunk=chunk) == 0
-        assert len(solves) <= 2
+        assert len(solves) == 4
     # every scan decides the identity first: the census's 25 twisted-vs-
     # twisted tests over GF(27) each end at that first solve
     solves.clear()
     twisted_class_census(E27, aut_sizes=False)
     assert len(solves) == 25
+
+
+def test_seeds_lie_in_g0_of_the_gf27_class_representatives():
+    # multiplication by a primitive element and x -> x^q fix the field code
+    # and the (1, 2) twisted code, each with |L*(C)| left multipliers f
+    spec = next(s for s in valid_twisted_specs(E27) if (s.i, s.j) == (1, 2))
+    for code, left_units in ((c0_code(E27), 26), (spec.code(), 2)):
+        checks = linalg.solution_space(code.matrix_code.basis, 9, E27.base)
+        solver = semifield._LeftSolver(checks, code, code.basis_matrices(), BIG)
+        seeds = semifield._seeds(E27)
+        assert len(set(seeds)) == 2 and linalg.identity(3) not in seeds
+        assert [solver.hits(seed) for seed in seeds] == [left_units] * 2
 
 
 def test_equivalence_at_the_identity_builds_no_unit_group_or_table(monkeypatch):
@@ -810,9 +824,10 @@ def test_left_solver_matches_the_full_solve(E, kind, rnd):
 
 def test_cyclic_unit_group_has_one_generator(monkeypatch):
     # R* of the GF(27) field code is the cyclic group GF(27)*, 26 units:
-    # trying elements of larger order first gives it one generator, so the
-    # census builds one left and one right whole-GL table for it, and 7
-    # tables in all
+    # trying elements of larger order first gives it one generator.  The
+    # census's scans share their tables, and both of its automorphism
+    # scans take the two seeds as the generators of K, so it builds one
+    # left and one right whole-GL table for each seed, 4 tables in all
     code = c0_code(E27)
     fld, n = E27.base, E27.n
     gl = semifield._GLProducts(fld, n)
@@ -840,7 +855,52 @@ def test_cyclic_unit_group_has_one_generator(monkeypatch):
 
     monkeypatch.setattr(semifield._GLProducts, "_table", counted)
     twisted_class_census(E27)
-    assert len(tables) == 7
+    assert len(tables) == 4
+
+
+def _count_scan_work(monkeypatch):
+    """Counters of left-multiplier solvers built, solves and whole-GL
+    tables built, kept while the monkeypatch lasts."""
+    counts = {"solvers": 0, "solves": 0, "tables": 0}
+
+    def counting(key, original):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name, key in (("__init__", "solvers"), ("hits", "solves")):
+        original = getattr(semifield._LeftSolver, name)
+        monkeypatch.setattr(semifield._LeftSolver, name, counting(key, original))
+    monkeypatch.setattr(
+        semifield._GLProducts, "_table", counting("tables", semifield._GLProducts._table)
+    )
+    return counts
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_census_work_at_every_gf27_modulus(monkeypatch, index):
+    # 25 equivalence tests that hit at the identity, and two automorphism
+    # scans of 10 solves each, whose 4 tables are those of the two seeds
+    F3 = make_field(3)
+    field = FiniteField(F3, 3, modulus=nth_irreducible(F3, 3, index))
+    counts = _count_scan_work(monkeypatch)
+    census = twisted_class_census(field, budget=BIG)
+    assert sorted(e["aut_size"] for e in census) == [156, 2028]
+    assert (counts["solves"], counts["tables"]) == (45, 4)
+
+
+@pytest.mark.parametrize("E, aut", [(E16, 900), (make_ext_field(make_field(2, 2), 3), 23814)])
+def test_equal_twist_pass_reuses_the_earlier_count(monkeypatch, E, aut):
+    # the field code over a non-prime base equals its twist, so the rho = 1
+    # pass adds the rho = 0 count: one solver, whose solves are all of
+    # rho = 0, and the 4 tables of the seeds, which generate G0
+    code = c0_code(E)
+    assert E.base.h == 2 and code.twist(1) == code
+    counts = _count_scan_work(monkeypatch)
+    assert aut_group_size_bruteforce(code, budget=BIG) == aut
+    assert (counts["solvers"], counts["tables"]) == (1, 4)
 
 
 @given(
@@ -982,7 +1042,8 @@ def test_double_coset_facts(E, rnd):
     the per-g reference: (i) every hit count is 0 or |L*(C1)|; (ii) g . s
     has the hits of g for s in G0; (iii) the rho = 0 hit set G0 of an
     automorphism scan contains R*(C1) and is a group, and each rho > 0
-    hit set is a left coset of G0."""
+    hit set is a left coset of G0; (iv) u . g has the rho = 0 hits of g
+    for u in G0."""
     fld, n = E.base, E.n
     gl, product = _gl_index(fld, n)
     C1 = random_code(E, rnd)
@@ -999,6 +1060,9 @@ def test_double_coset_facts(E, rnd):
     members = sorted(g0)
     for _ in range(300):
         assert product(gl[rnd.choice(members)], gl[rnd.choice(members)]) in g0
+    for _ in range(20):
+        g, u = rnd.randrange(len(gl)), rnd.choice(members)
+        assert aut[0][product(gl[u], gl[g])] == aut[0][g]
     for row in aut[1:]:
         hit_set = {i for i, h in enumerate(row) if h}
         if hit_set:
