@@ -6,14 +6,19 @@ x^(q^n) - x).  Matrix representations are with respect to the power basis
 {1, t, ..., t^(n-1)} of the field's modulus root t; this basis is fixed so
 that canonical forms and golden values are stable.  Counts and densities
 derived from these matrices are basis-independent, which the test suite
-checks by recomputing one of them under a second modulus.  The inverse
-map, `from_matrix`, goes through `interpolate`, which solves the Moore
-system of the power basis with one inverse cached per field.
+checks by recomputing one of them under a second modulus.
+
+`to_matrix` is GF(q)-linear in the coefficients: the matrix of f is the
+sum over GF(q) of the matrices of its monomials c x^(q^i).  Each of those
+is made once per field, from the images of the power basis under
+`evaluate`, and cached; `to_matrix` itself evaluates nothing.  The
+inverse map, `from_matrix`, goes through `interpolate`, which solves the
+Moore system of the power basis with one inverse cached per field.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 from . import linalg
@@ -118,10 +123,25 @@ class LinearizedPoly:
 
     def to_matrix(self) -> linalg.Matrix:
         """Matrix of a -> f(a) over GF(q) w.r.t. the power basis; an algebra
-        isomorphism: to_matrix(f o g) == to_matrix(f) . to_matrix(g)."""
+        isomorphism: to_matrix(f o g) == to_matrix(f) . to_matrix(g).  The
+        sum over GF(q) of the cached matrices of the monomials of f."""
         E = self.field
-        cols = [E.coords(self.evaluate(b)) for b in E.basis()]
-        return tuple(tuple(col[r] for col in cols) for r in range(E.n))
+        made = _monomial_matrices(E)
+        mats = []
+        for i, c in enumerate(self.coeffs):
+            if c:
+                if (c, i) not in made:
+                    made[c, i] = _evaluation_matrix(LinearizedPoly.monomial(E, c, i))
+                mats.append(made[c, i])
+        if not mats:
+            return ((0,) * E.n,) * E.n
+        if len(mats) == 1:
+            return mats[0]
+        fld = E.base
+        if fld.h == 1:
+            p = fld.p
+            return tuple(tuple(sum(xs) % p for xs in zip(*rows)) for rows in zip(*mats))
+        return tuple(tuple(reduce(fld.add, xs) for xs in zip(*rows)) for rows in zip(*mats))
 
     def rank(self) -> int:
         """Rank of the induced GF(q)-linear map; n iff f is invertible."""
@@ -150,6 +170,21 @@ class LinearizedPoly:
             return self
         e = E.base.p**rho
         return LinearizedPoly(E, tuple(E.pow(c, e) for c in self.coeffs))
+
+
+def _evaluation_matrix(f: LinearizedPoly) -> linalg.Matrix:
+    """The matrix of f from its values: column j is the coordinates of
+    f(b_j), b the power basis."""
+    E = f.field
+    cols = [E.coords(f.evaluate(b)) for b in E.basis()]
+    return tuple(tuple(col[r] for col in cols) for r in range(E.n))
+
+
+@lru_cache(maxsize=None)
+def _monomial_matrices(field: FiniteField) -> dict[tuple[int, int], linalg.Matrix]:
+    """The matrices of the monomials c x^(q^i) made so far over the field,
+    by (c, i); `to_matrix` fills it, each on first use."""
+    return {}
 
 
 @lru_cache(maxsize=None)

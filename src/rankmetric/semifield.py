@@ -9,7 +9,9 @@ canonicalized through their matrix representation (RREF of flattened
 images), so equivalence tests reduce to set equality of canonical forms.
 A code converts its basis polynomials to matrices once, when it is built:
 `basis_matrices()` returns those, and `matrix_code.basis` is the
-canonical RREF form.
+canonical RREF form.  The linear algebra derived from a code, its check
+rows, its right-idealizer rows and its right idealizer, is made once, on
+first use, and kept by the code.
 
 The equivalence and automorphism searches are exhaustive over
 (rho in Aut(GF(q)), g in GL_n(q)): hits(g), the number of invertible f
@@ -57,12 +59,16 @@ A verdict spreads over its double coset through permutation tables, one
 list over all of GL_n(q) per generator of L or H, mapping each element x
 to u . x or x . s.  The identity, and then an automorphism scan's seeds,
 are solved before any unit group or table is built, so an equivalence
-that holds at g = 1 costs two kernel solves.  The scans given one
-`tables` dict share it, so each table is built once; the class census
-gives one to all of its scans, and drops it when it returns.  A rho
-whose twisted code C2^rho equals an earlier pass's has that pass's
-hits, so it adds that pass's count and runs no solve: the field code
-over a non-prime base is its own twist.
+that holds at g = 1 costs one kernel solve past C1's check rows.  A pass
+over all of GL keeps its partition into double cosets, keyed by the
+generators of L and H; a later pass with the same generators solves one
+representative per coset and walks none.  The scans given one `tables`
+dict share the tables and the partitions in it, so each is built once;
+the class census gives one to all of its scans, whose automorphism scans
+take the same generators, and drops it when it returns.  A rho whose
+twisted code C2^rho equals an earlier pass's has that pass's hits, so
+it adds that pass's count and runs no solve: the field code over a
+non-prime base is its own twist.
 
 The class census takes the class of the field-multiplication code from
 the closed form equiv_to_c0_predicate and decides every other pair of
@@ -75,9 +81,10 @@ counts GF(q)-linear classes.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
@@ -291,9 +298,12 @@ class LinPolyCode:
     """A GF(q)-subspace of linearized polynomials, canonicalized through
     the matrix representation of its basis.  The basis polynomials are
     converted to matrices once, here: `basis_matrices()` returns those,
-    and `matrix_code.basis` is the canonical RREF form of their span."""
+    and `matrix_code.basis` is the canonical RREF form of their span.
+    The linear algebra the scans and `idealizers` read is derived once,
+    on first use: `check_rows()`, `right_idealizer_rows()` and
+    `right_idealizer_space()`."""
 
-    __slots__ = ("field", "basis", "_mats", "_canon")
+    __slots__ = ("field", "basis", "_mats", "_canon", "_checks", "_weights", "_right")
 
     def __init__(self, field: FiniteField, polys: Sequence[LinearizedPoly]):
         from .codes import MatrixCode
@@ -306,6 +316,7 @@ class LinPolyCode:
         self.basis = tuple(polys)
         self._mats = mats
         self._canon = canon
+        self._checks = self._weights = self._right = None
 
     @property
     def dim(self) -> int:
@@ -318,6 +329,31 @@ class LinPolyCode:
     def basis_matrices(self) -> list[linalg.Matrix]:
         """The matrices of the basis polynomials, in basis order."""
         return list(self._mats)
+
+    def check_rows(self) -> linalg.Matrix:
+        """Rows spanning the orthogonal complement of the code in the
+        flattened n x n matrices."""
+        if self._checks is None:
+            E = self.field
+            self._checks = linalg.solution_space(self._canon.basis, E.n * E.n, E.base)
+        return self._checks
+
+    def right_idealizer_rows(self) -> list[linalg.Vector]:
+        """The constraint rows of the right idealizer {A : M . A in C for
+        all M in C}, one per check and canonical basis matrix: the weights
+        of a `_LeftSolver` into this code."""
+        if self._weights is None:
+            E = self.field
+            mats = self._canon.basis_matrices()
+            self._weights = _right_idealizer_rows(self.check_rows(), mats, E.n, E.base)
+        return self._weights
+
+    def right_idealizer_space(self) -> linalg.Matrix:
+        """Basis of the right idealizer, flattened."""
+        if self._right is None:
+            E = self.field
+            self._right = linalg.solution_space(self.right_idealizer_rows(), E.n * E.n, E.base)
+        return self._right
 
     def contains(self, f: LinearizedPoly) -> bool:
         vec = tuple(x for row in f.to_matrix() for x in row)
@@ -379,14 +415,14 @@ def semifield_to_code(S: Semifield, budget: int | None = None) -> LinPolyCode:
     return _right_mult_code(S)
 
 
-def normalize_contains_x(C: LinPolyCode) -> LinPolyCode:
+def normalize_contains_x(C: LinPolyCode, budget: int | None = None) -> LinPolyCode:
     """Replace C by C o g^-1 for the first invertible element g of C in
     span-enumeration order; the result contains the polynomial x.  The
-    walk over the span is charged to the default budget first."""
+    walk over the span, q^k matrices, is charged to the budget first."""
     E = C.field
     fld = E.base
     space = C.matrix_code.basis
-    g = next(_invertible_in_space(space, E.n, fld, resolve_budget(None)), None)
+    g = next(_invertible_in_space(space, E.n, fld, resolve_budget(budget)), None)
     if g is None:
         raise ValueError("code has no invertible element")
     out = C.compose_right(linalg.mat_inv(g, fld))
@@ -523,7 +559,7 @@ def _right_idealizer_rows(
     """The constraint rows of {A : M . A in span(C) for all M in cmats},
     `checks` spanning the orthogonal complement of C (flattened):
     <H, M . A> = <M^T . H, A> for each check H, read as an n x n matrix.
-    They are also `_LeftSolver`'s weights, M then running over C1's basis."""
+    `LinPolyCode.right_idealizer_rows` keeps them for the canonical basis."""
     mts = [tuple(zip(*M)) for M in cmats]
     return [
         sum(linalg.mat_mul(Mt, H, fld), ())
@@ -568,21 +604,16 @@ class _LeftSolver:
     each Y = g^-1 . N . g, N = M0^-1 . M for every basis matrix M other
     than M0: a kernel in the k coordinates x, whose constraint rows are
     <H, B_j . Y> = <B_j^T . H, Y> over j, one per check H of C1 and Y.
-    The N and the B_j^T . H are made once; a g costs one inverse and the
+    The N are made once per solver, and the B_j^T . H once per code C1
+    (`LinPolyCode.right_idealizer_rows`); a g costs one inverse and the
     conjugates Y the kernel pulls, and the kernel is usually {0} after
     about k rows.  A code with no invertible element has no anchor, and
     each g is then solved on the n^2 entries of A (`_left_multiplier_space`)."""
 
-    def __init__(
-        self,
-        checks: Sequence[Sequence[int]],
-        C1: LinPolyCode,
-        mats: Sequence[linalg.Matrix],
-        budget: int,
-    ):
+    def __init__(self, C1: LinPolyCode, mats: Sequence[linalg.Matrix], budget: int):
         fld, n = C1.field.base, C1.field.n
         self.fld, self.n, self.budget = fld, n, budget
-        self.checks, self.mats = checks, mats
+        self.C1, self.mats = C1, mats
         anchor = next((M for M in mats if linalg.rank(M, fld) == n), None)
         if anchor is None:
             flat = [sum(M, ()) for M in mats]
@@ -597,7 +628,7 @@ class _LeftSolver:
         # x to X flattened
         canon = C1.matrix_code
         self.k = canon.dim
-        self.weights = _right_idealizer_rows(checks, canon.basis_matrices(), n, fld)
+        self.weights = C1.right_idealizer_rows()
         self.columns = tuple(zip(*canon.basis))
 
     def _rows(self, g: linalg.Matrix) -> Iterator[linalg.Vector]:
@@ -616,7 +647,7 @@ class _LeftSolver:
         fld, n = self.fld, self.n
         if self.anchor is None:
             dmats = [linalg.mat_mul(M, g, fld) for M in self.mats]
-            space = _left_multiplier_space(self.checks, dmats, n, fld)
+            space = _left_multiplier_space(self.C1.check_rows(), dmats, n, fld)
         else:
             kernel = linalg.solution_space(self._rows(g), self.k, fld)
             space = [linalg.mat_vec(self.columns, x, fld) for x in kernel]
@@ -639,8 +670,9 @@ class _GLProducts:
     def __init__(self, fld, n: int, tables: dict | None = None):
         self.where, self.rows, self.cols = _gl_codes(fld, n)
         self.fld, self.n = fld, n
-        # the permutation tables made so far, by (fld, n, side, element):
-        # the scans given one dict build each table once
+        # the permutation tables made so far, by (fld, n, side, element),
+        # and the double-coset partitions of complete passes (see
+        # `_equivalence_scan`): the scans given one dict build each once
         self.tables = {} if tables is None else tables
         self.q = q = fld.order
         self.Q = Q = q**n
@@ -745,20 +777,13 @@ class _GLProducts:
 
 
 def _unit_generators(
-    gl: _GLProducts,
-    checks: Sequence[Sequence[int]],
-    mats: Sequence[linalg.Matrix],
-    n: int,
-    fld,
-    budget: int,
-    first: Sequence[int] = (),
+    gl: _GLProducts, C: LinPolyCode, budget: int, first: Sequence[int] = ()
 ) -> list[int]:
-    """GL indices of generators of the group generated by `first` and R*,
-    the unit group of the right idealizer of the code with basis matrices
-    `mats` and check rows `checks`; the elements of `first` are tried
-    first."""
-    space = linalg.solution_space(_right_idealizer_rows(checks, mats, n, fld), n * n, fld)
-    return gl.generators(map(gl.index, _invertible_in_space(space, n, fld, budget)), first)
+    """GL indices of generators of the group generated by `first` and
+    R*(C), the unit group of the right idealizer of C; the elements of
+    `first` are tried first."""
+    space = C.right_idealizer_space()
+    return gl.generators(map(gl.index, _invertible_in_space(space, gl.n, gl.fld, budget)), first)
 
 
 def _seeds(E: FiniteField) -> list[linalg.Matrix]:
@@ -802,24 +827,36 @@ def _equivalence_scan(
     hits of C2 say nothing about C1's automorphisms.
 
     Every pass decides the identity first (and at rho = 0 of an
-    automorphism scan the seeds), then the other indices in GL order,
-    the state of each kept in a bytearray over GL: a solve's verdict is
-    spread over its double coset through the permutation tables of the
-    generators of L and H (`_GLProducts`), and when K gains a generator
-    every index already decided is spread along its left and its right
-    table too.  Since verdicts are exact per double coset, the order
-    changes no verdict and no count.  At rho = 0 of an automorphism scan
-    the identity's double coset is K, so every later hit lies outside it
-    and is a new generator.  A rho whose C2^rho equals an earlier pass's
-    has that pass's hits: it adds that pass's count and runs no solve.
+    automorphism scan the seeds), then the other indices in GL order.
+    Each index met undecided opens a class, its double coset: one solve
+    decides it, and the class is walked through the permutation tables
+    of the generators of L and H (`_GLProducts`, `_walk_cosets`); when K
+    gains a generator every index already met is spread along its left
+    and its right table too.  Since verdicts are exact per double coset
+    of any subgroup of G0, the order changes no verdict and no count.  At
+    rho = 0 of an automorphism scan the identity's double coset is K, so
+    every later hit lies outside it and is a new generator.  A rho whose
+    C2^rho equals an earlier pass's has that pass's hits: it adds that
+    pass's count and runs no solve.
+
+    A pass over all of GL in which K did not grow stores its partition
+    (the class of each index, the class representatives in walk order,
+    the class sizes) in `tables`, keyed by the generators of L and H.  A
+    later pass over all of GL with the same generators, in this scan or
+    another sharing `tables`, walks the stored representatives instead
+    of GL: one solve per class, or its `known` verdict, and the sizes of
+    the classes that hit.  If K grows there, the classes still undecided
+    are walked afresh under the larger K, as in a pass with nothing
+    stored.  Chunked passes and early exits store nothing.
 
     The identity's rho = 0 solve comes before any unit group or table is
-    built: an equivalence that holds at g = 1 costs two kernel solves,
-    C1's check rows and that one; an automorphism scan solves its two
-    seeds next, still before any table.  Most other g give the kernel
-    {0}, and `linalg.solution_space` stops pulling constraint rows at
-    full rank k, usually after about k rows.  `tables`, a dict shared by
-    scans over one field, keeps the permutation tables built so far.
+    built: an equivalence that holds at g = 1 costs one kernel solve, and
+    C1's check rows, which C1 derives once for all its scans; an
+    automorphism scan solves its two seeds next, still before any table.
+    Most other g give the kernel {0}, and `linalg.solution_space` stops
+    pulling constraint rows at full rank k, usually after about k rows.
+    `tables`, a dict shared by scans over one field, keeps the
+    permutation tables and the partitions built so far.
 
     chunk=(lo, hi) restricts the count to a slice of the GL enumeration;
     counting over a partition of [0, |GL|) sums to the full count, and hit
@@ -839,11 +876,11 @@ def _equivalence_scan(
     lo, hi = chunk if chunk is not None else (0, size)
     if not 0 <= lo <= hi <= size:
         raise ValueError(f"chunk {chunk} is not a slice of the {size} elements of GL")
-    checks = linalg.solution_space(C1.matrix_code.basis, n * n, fld)
+    whole = (lo, hi) == (0, size)
 
     # the identity's solve, then an automorphism scan's seeds, before any
     # unit group or table is built
-    solver = _LeftSolver(checks, C1, C2.basis_matrices(), budget)
+    solver = _LeftSolver(C1, C2.basis_matrices(), budget)
     one = linalg.identity(n)
     first = solver.hits(one)
     if first and not count_all:
@@ -856,7 +893,7 @@ def _equivalence_scan(
     gl = _GLProducts(fld, n, tables)
     known = {gl.index(g): count for g, count in known.items()}
     seeds = [i for i, count in known.items() if count and i != gl.identity]
-    h_gens = _unit_generators(gl, checks, C1.basis_matrices(), n, fld, budget, seeds)
+    h_gens = _unit_generators(gl, C1, budget, seeds)
     rights = [gl.right_table(s) for s in h_gens]
     hits = total = 0
     passes: dict[LinPolyCode, int] = {}  # the count of each pass, by C2^rho
@@ -866,46 +903,66 @@ def _equivalence_scan(
             total += passes[Crho]
             continue
         if rho:
-            solver = _LeftSolver(checks, C1, Crho.basis_matrices(), budget)
-        if Crho == C1:
-            l_gens = h_gens
-        else:
-            rho_checks = linalg.solution_space(Crho.matrix_code.basis, n * n, fld)
-            l_gens = _unit_generators(gl, rho_checks, Crho.basis_matrices(), n, fld, budget)
+            solver = _LeftSolver(C1, Crho.basis_matrices(), budget)
+        l_gens = h_gens if Crho == C1 else _unit_generators(gl, Crho, budget)
         perms = [gl.left_table(u) for u in l_gens] + rights
-        grow = rho == 0 and aut
-        state = bytearray(size)  # 0 undecided, 1 no hit, 2 hit
-        for i in chain(known if rho == 0 else (gl.identity,), range(lo, hi)):
-            if state[i]:
+        # the double cosets L . g . H: the class of each index (0 until it
+        # is met), the representative of class c (reps[c - 1], in walk
+        # order) and the class sizes; a complete pass stores them for any
+        # pass with the same generators, which then walks no coset
+        key = (fld, n, "cosets", tuple(l_gens), tuple(h_gens))
+        stored = gl.tables.get(key) if whole else None
+        cls, reps, sizes = stored or ([0] * size, [], None)
+        verdicts = bytearray(1 + len(reps))  # by class: 0 undecided, 1 no hit, 2 hit
+        grow, keep = rho == 0 and aut, whole and stored is None
+        for i in chain(known if rho == 0 else (gl.identity,), reps if stored else range(lo, hi)):
+            c = cls[i]
+            if verdicts[c]:
                 continue
-            if rho == 0 and i in known:
-                count = known[i]
-            else:
-                count = solver.hits(gl.matrix(i))
+            count = known[i] if rho == 0 and i in known else solver.hits(gl.matrix(i))
             if count and not count_all:
                 return 1
             hits = hits or count
-            state[i] = 2 if count else 1
-            queue = [i]
-            if count and grow and i != gl.identity:
+            queue = []
+            if not c:  # a coset not met before: walked below
+                c = cls[i] = len(verdicts)
+                reps.append(i)
+                verdicts.append(0)
+                queue.append(i)
+            verdicts[c] = 2 if count else 1
+            if count and grow and i != gl.identity:  # i joins K on both sides
+                if sizes is not None:  # stored cosets of the smaller K: walk afresh
+                    cls, reps, sizes = [d if verdicts[d] else 0 for d in cls], [], None
+                keep = False
+                h_gens.append(i)
                 new = (gl.left_table(i), gl.right_table(i))
                 perms.extend(new)
                 rights.append(new[1])
                 for table in new:
-                    for x, verdict in enumerate(bytes(state)):
-                        if verdict and not state[y := table[x]]:
-                            state[y] = verdict
+                    for x, d in enumerate(cls):
+                        if d and not cls[y := table[x]]:
+                            cls[y] = d
                             queue.append(y)
-            while queue:
-                x = queue.pop()
-                verdict = state[x]
-                for table in perms:
-                    if not state[y := table[x]]:
-                        state[y] = verdict
-                        queue.append(y)
-        passes[Crho] = hits * state.count(2, lo, hi)
+            _walk_cosets(cls, queue, perms)
+        if sizes is None:
+            sizes = Counter(islice(cls, lo, hi))
+            if keep:
+                gl.tables[key] = (cls, reps, sizes)
+        passes[Crho] = hits * sum(k for c, k in sizes.items() if verdicts[c] == 2)
         total += passes[Crho]
     return total
+
+
+def _walk_cosets(cls: list[int], queue: list[int], perms: Sequence[Sequence[int]]) -> None:
+    """Close the classes under the permutation tables: each index reached
+    from one in the queue that has no class yet (0) joins its class."""
+    while queue:
+        x = queue.pop()
+        c = cls[x]
+        for table in perms:
+            if not cls[y := table[x]]:
+                cls[y] = c
+                queue.append(y)
 
 
 def is_equivalent_bruteforce(
@@ -918,7 +975,8 @@ def is_equivalent_bruteforce(
     """Exhaustive equivalence test: exists (f, rho, g) with invertible f, g
     and C1 = f o C2^rho o g.  Deterministic regardless of early exit.
     `tables`, a dict that scans over one field may share, keeps the
-    permutation tables of GL_n(q) they build, so each is built once."""
+    permutation tables of GL_n(q) and the double-coset partitions they
+    build, so each is built once."""
     return _equivalence_scan(C1, C2, budget, count_all=False, tables=tables) > 0
 
 
@@ -968,12 +1026,11 @@ def idealizers(C: LinPolyCode) -> IdealizerResult:
     n = E.n
     q = fld.order
     cmats = C.basis_matrices()
-    checks = linalg.solution_space(C.matrix_code.basis, n * n, fld)
 
-    left_space = _left_multiplier_space(checks, cmats, n, fld)
+    left_space = _left_multiplier_space(C.check_rows(), cmats, n, fld)
 
     # right idealizer: {A : M . A in C for all basis M}
-    right_space = linalg.solution_space(_right_idealizer_rows(checks, cmats, n, fld), n * n, fld)
+    right_space = C.right_idealizer_space()
 
     # centralizer: <H, A M - M A> = 0 for every unit check H and basis M
     units = linalg.identity(n * n)
@@ -1018,14 +1075,16 @@ def twisted_class_census(
     The class of the field code is given by equiv_to_c0_predicate; the
     test suite checks it against the exact scan.  Every other code is
     tested against the accumulated representatives by
-    is_equivalent_bruteforce, over any base field.  Classes are under
-    semilinear equivalence (f, rho, g), so over GF(64) with base GF(4)
-    there are 2, not the 3 GF(q)-linear classes of class_count_formula.
+    is_equivalent_bruteforce(representative, code), over any base field,
+    so a representative's derived linear algebra serves all its tests.
+    Classes are under semilinear equivalence (f, rho, g), so over GF(64)
+    with base GF(4) there are 2, not the 3 GF(q)-linear classes of
+    class_count_formula.
     """
     classes: list[dict] = []
     reps: list[tuple[LinPolyCode, bool]] = []
     seen: dict[LinPolyCode, int] = {}
-    tables: dict = {}  # GL_n(q)'s permutation tables, shared by every scan
+    tables: dict = {}  # GL_n(q)'s tables and partitions, shared by every scan
     for spec in valid_twisted_specs(field):
         code = spec.code()
         if code in seen:
@@ -1034,7 +1093,7 @@ def twisted_class_census(
         for idx, (rep_code, rep_is_c0) in enumerate(reps):
             if rep_is_c0 == is_c0_class and (
                 rep_is_c0
-                or is_equivalent_bruteforce(code, rep_code, budget=budget, tables=tables)
+                or is_equivalent_bruteforce(rep_code, code, budget=budget, tables=tables)
             ):
                 seen[code] = idx
                 classes[idx]["members"] += 1

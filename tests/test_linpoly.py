@@ -4,6 +4,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_fields import DIFF_FIELDS
 
 from rankmetric import linalg
 from rankmetric.fields import FiniteField, make_ext_field, make_field, nth_irreducible
@@ -108,6 +111,26 @@ def test_to_matrix_bijective(E):
     for c in itertools.product(range(E.order), repeat=E.n):
         seen.add(LinearizedPoly(E, c).to_matrix())
     assert len(seen) == E.q ** (E.n * E.n)
+
+
+def evaluation_matrix(f):
+    """Column j is the coordinates of f(b_j), b the power basis."""
+    E = f.field
+    cols = [E.coords(f.evaluate(b)) for b in E.basis()]
+    return tuple(tuple(col[r] for col in cols) for r in range(E.n))
+
+
+MATRIX_FIELDS = DIFF_FIELDS + [make_ext_field(make_field(5), 3)]  # and GF(125)
+
+
+@given(st.sampled_from(MATRIX_FIELDS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_to_matrix_matches_the_evaluation_reference(E, data):
+    # the sum of the cached monomial matrices against the images of the
+    # power basis, for sparse and dense coefficient vectors
+    coeff = st.one_of(st.just(0), st.just(1), st.integers(0, E.order - 1))
+    f = LinearizedPoly(E, data.draw(st.lists(coeff, min_size=E.n, max_size=E.n)))
+    assert f.to_matrix() == evaluation_matrix(f)
 
 
 def test_rank_equals_kernel_codimension():

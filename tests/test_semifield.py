@@ -239,6 +239,14 @@ def test_normalize_contains_x_charges_the_budget_before_the_walk(monkeypatch):
         normalize_contains_x(code)
 
 
+def test_normalize_contains_x_charges_the_budget_it_is_given():
+    # the span of a 3-dim code over GF(3) has 27 elements
+    code = twisted_code(TwistedFieldSpec(E27, nonnorm_element(E27), 1, 2))
+    with pytest.raises(BudgetExceededError, match="needs 27 steps"):
+        normalize_contains_x(code, budget=26)
+    assert normalize_contains_x(code, budget=27).contains_x()
+
+
 def test_normalize_contains_x_deterministic():
     spec = TwistedFieldSpec(E27, nonnorm_element(E27), 1, 2)
     a = normalize_contains_x(twisted_code(spec))
@@ -535,9 +543,8 @@ def test_norm_classes_over_gf64_merge_under_the_field_automorphism():
     assert E.rel_norm(b2, 1) == w
     assert B.twist(1) == TwistedFieldSpec(E, b2, 1, 2).code() != A
     # f o B^rho o g = A at rho = 1, g = 1, for 3 invertible f
-    checks = linalg.solution_space(A.matrix_code.basis, 9, E.base)
     mats = [p.to_matrix() for p in B.twist(1).basis]
-    assert semifield._LeftSolver(checks, A, mats, BIG).hits(linalg.identity(3)) == 3
+    assert semifield._LeftSolver(A, mats, BIG).hits(linalg.identity(3)) == 3
     assert is_equivalent_bruteforce(A, B.twist(1))
     assert class_count_formula(3, E.base) == 3
 
@@ -722,8 +729,7 @@ def test_seeds_lie_in_g0_of_the_gf27_class_representatives():
     # and the (1, 2) twisted code, each with |L*(C)| left multipliers f
     spec = next(s for s in valid_twisted_specs(E27) if (s.i, s.j) == (1, 2))
     for code, left_units in ((c0_code(E27), 26), (spec.code(), 2)):
-        checks = linalg.solution_space(code.matrix_code.basis, 9, E27.base)
-        solver = semifield._LeftSolver(checks, code, code.basis_matrices(), BIG)
+        solver = semifield._LeftSolver(code, code.basis_matrices(), BIG)
         seeds = semifield._seeds(E27)
         assert len(set(seeds)) == 2 and linalg.identity(3) not in seeds
         assert [solver.hits(seed) for seed in seeds] == [left_units] * 2
@@ -731,8 +737,9 @@ def test_seeds_lie_in_g0_of_the_gf27_class_representatives():
 
 def test_equivalence_at_the_identity_builds_no_unit_group_or_table(monkeypatch):
     # the census's 25 twisted-vs-twisted tests over GF(27) each hit at the
-    # identity, whose solve comes first: two kernel solves per test (C1's
-    # check rows, then the identity's), no unit group and no GL table
+    # identity, whose solve comes first: one kernel solve per test, the
+    # identity's, plus the check rows of the class representative, which
+    # is C1 of every test and derives them once; no unit group, no GL table
     counts = {"solves": 0, "kernels": 0, "units": 0, "tables": 0}
 
     def counting(key, original):
@@ -753,7 +760,7 @@ def test_equivalence_at_the_identity_builds_no_unit_group_or_table(monkeypatch):
         semifield._GLProducts, "_table", counting("tables", semifield._GLProducts._table)
     )
     twisted_class_census(E27, aut_sizes=False)
-    assert counts == {"solves": 25, "kernels": 50, "units": 0, "tables": 0}
+    assert counts == {"solves": 25, "kernels": 26, "units": 0, "tables": 0}
     # a scan past the identity does build them
     spec = next(s for s in valid_twisted_specs(E27) if (s.i, s.j) == (1, 2))
     assert not is_equivalent_bruteforce(c0_code(E27), spec.code(), budget=BIG)
@@ -812,7 +819,7 @@ def test_left_solver_matches_the_full_solve(E, kind, rnd):
     _, gl = reference_gl(fld, n)
     for rho in range(fld.h):
         mats = [p.to_matrix() for p in C2.twist(rho).basis]
-        solver = semifield._LeftSolver(checks, C1, mats, BIG)
+        solver = semifield._LeftSolver(C1, mats, BIG)
         anchor = solver.anchor
         assert {"basis": anchor in mats, "span": anchor not in mats, "none": True}[kind]
         assert (anchor is None) == (kind == "none")
@@ -838,7 +845,7 @@ def test_cyclic_unit_group_has_one_generator(monkeypatch):
         n, fld, BIG,
     ))
     assert len(units) == 26
-    assert len(semifield._unit_generators(gl, checks, mats, n, fld, BIG)) == 1
+    assert len(semifield._unit_generators(gl, code, BIG)) == 1
     # in any input order, the one generator's powers are all 26 units
     (gen,) = gl.generators(map(gl.index, reversed(units)))
     times_gen, x, powers = gl.right_table(gen), gl.identity, set()
@@ -859,9 +866,17 @@ def test_cyclic_unit_group_has_one_generator(monkeypatch):
 
 
 def _count_scan_work(monkeypatch):
-    """Counters of left-multiplier solvers built, solves and whole-GL
-    tables built, kept while the monkeypatch lasts."""
-    counts = {"solvers": 0, "solves": 0, "tables": 0}
+    """Counters of left-multiplier solvers built, solves, whole-GL tables
+    built, double cosets walked, kernels (`linalg.solution_space`) and
+    q-polynomial evaluations, kept while the monkeypatch lasts."""
+    counts = {"solvers": 0, "solves": 0, "tables": 0, "walks": 0, "kernels": 0, "evaluations": 0}
+    walk = semifield._walk_cosets
+
+    def walking(cls, queue, perms):
+        counts["walks"] += bool(queue)
+        return walk(cls, queue, perms)
+
+    monkeypatch.setattr(semifield, "_walk_cosets", walking)
 
     def counting(key, original):
         def counted(*args, **kwargs):
@@ -876,19 +891,105 @@ def _count_scan_work(monkeypatch):
     monkeypatch.setattr(
         semifield._GLProducts, "_table", counting("tables", semifield._GLProducts._table)
     )
+    monkeypatch.setattr(linalg, "solution_space", counting("kernels", linalg.solution_space))
+    monkeypatch.setattr(
+        LinearizedPoly, "evaluate", counting("evaluations", LinearizedPoly.evaluate)
+    )
     return counts
 
 
 @pytest.mark.parametrize("index", range(8))
 def test_census_work_at_every_gf27_modulus(monkeypatch, index):
     # 25 equivalence tests that hit at the identity, and two automorphism
-    # scans of 10 solves each, whose 4 tables are those of the two seeds
+    # scans of 10 solves each, whose 4 tables are those of the two seeds.
+    # The seeds generate K, of order 78, and GL_3(3) falls into 8 double
+    # cosets K . g . K: the first automorphism scan walks them, and the
+    # second, with the same generators, reads its partition.  A repeated
+    # census makes its codes from cached monomial matrices, evaluating
+    # nothing, and each code derives its check rows and right idealizer
+    # once: 49 kernels, 26 of them for the 25 tests
     F3 = make_field(3)
     field = FiniteField(F3, 3, modulus=nth_irreducible(F3, 3, index))
+    twisted_class_census(field, budget=BIG)
     counts = _count_scan_work(monkeypatch)
     census = twisted_class_census(field, budget=BIG)
     assert sorted(e["aut_size"] for e in census) == [156, 2028]
-    assert (counts["solves"], counts["tables"]) == (45, 4)
+    assert (counts["solves"], counts["tables"], counts["walks"]) == (45, 4, 8)
+    assert (counts["kernels"], counts["evaluations"]) == (49, 0)
+
+
+def _class_representatives(E):
+    """The field code and the twisted code of the first valid (1, 2) spec."""
+    spec = next(s for s in valid_twisted_specs(E) if (s.i, s.j) == (1, 2))
+    return c0_code(E), spec.code()
+
+
+def _partitions(tables):
+    return [key for key in tables if "cosets" in key]
+
+
+def test_second_automorphism_scan_reads_the_partition_of_the_first(monkeypatch):
+    # the field code and the (1, 2) code over GF(27) take the seeds as the
+    # generators of K, so the second scan walks no coset; its count and its
+    # solves are those of a scan with a dict of its own
+    field_code, twisted = _class_representatives(E27)
+    counts = _count_scan_work(monkeypatch)
+    tables = {}
+    assert aut_group_size_bruteforce(field_code, budget=BIG, tables=tables) == 2028
+    assert (counts["solves"], counts["walks"], len(_partitions(tables))) == (10, 8, 1)
+    counts.update(solves=0, walks=0)
+    assert aut_group_size_bruteforce(twisted, budget=BIG, tables=tables) == 156
+    assert (counts["solves"], counts["walks"], len(_partitions(tables))) == (10, 0, 1)
+    counts.update(solves=0, walks=0)
+    assert aut_group_size_bruteforce(twisted, budget=BIG) == 156
+    assert (counts["solves"], counts["walks"]) == (10, 8)
+
+
+@pytest.mark.parametrize("E", [E16, E27], ids=repr)
+def test_chunked_scans_sharing_tables_sum_to_the_full_count(E):
+    # a chunked pass stores no partition, and a stored one serves only
+    # passes over all of GL: chunks in either order, before or after a
+    # complete scan that shares their dict, sum to its count; over GF(16)
+    # with base GF(4) the scans also make rho = 1 passes
+    size = gl_order(E.n, E.base)
+    bounds = [0, size // 3, size // 3 + 1, size]
+    chunks = list(zip(bounds, bounds[1:]))
+    specs = _specs(E)
+    for code in (c0_code(E), specs[len(specs) // 2].code()):
+        full = aut_group_size_bruteforce(code, budget=BIG)
+        for order in (chunks, chunks[::-1]):
+            tables = {}
+            parts = [aut_group_size_bruteforce(code, BIG, c, tables=tables) for c in order]
+            assert sum(parts) == full and not _partitions(tables)
+            assert aut_group_size_bruteforce(code, budget=BIG, tables=tables) == full
+            assert len(_partitions(tables)) == 1
+            again = [aut_group_size_bruteforce(code, BIG, c, tables=tables) for c in order]
+            assert again == parts
+
+
+def test_scan_with_other_generators_builds_its_own_partition(monkeypatch):
+    # the full triple count of the field code against the (1, 2) code keeps
+    # L = R*(C2), the scalars, and H = R*(C1), GF(27)*: other generators
+    # than the K of the field code's automorphism scan, so it walks GL and
+    # stores a partition of its own, which a second such scan reads
+    field_code, twisted = _class_representatives(E27)
+    tables = {}
+    assert aut_group_size_bruteforce(field_code, budget=BIG, tables=tables) == 2028
+    counts = _count_scan_work(monkeypatch)
+    assert semifield._equivalence_scan(field_code, twisted, BIG, True, tables=tables) == 0
+    solves, walks = counts["solves"], counts["walks"]
+    assert walks > 8 and len(_partitions(tables)) == 2
+    counts.update(solves=0, walks=0)
+    assert semifield._equivalence_scan(field_code, twisted, BIG, True, tables=tables) == 0
+    assert (counts["solves"], counts["walks"]) == (solves, 0)
+    # a twisted code composed with g has the conjugated right idealizer and
+    # neither seed in its G0: its K starts from other generators and grows,
+    # and a pass in which K grew stores nothing
+    _, gl = reference_gl(E27.base, 3)
+    moved = twisted.compose_right(gl[5000])
+    counts.update(walks=0)
+    assert aut_group_size_bruteforce(moved, budget=BIG, tables=tables) == 156
+    assert counts["walks"] > 0 and len(_partitions(tables)) == 2
 
 
 @pytest.mark.parametrize("E, aut", [(E16, 900), (make_ext_field(make_field(2, 2), 3), 23814)])
@@ -925,6 +1026,62 @@ def test_contains_matches_rref_membership(E, rnd):
             f = LinearizedPoly(E, [rnd.randrange(E.order) for _ in range(n)])
         vec = _flat(f.to_matrix())
         assert C.contains(f) == linalg.in_rowspan(reduced, pivots, vec, fld)
+
+
+@pytest.mark.parametrize("E", [E8, E9, E16, E25, E27], ids=repr)
+def test_shared_partitions_change_no_count_and_no_solve(monkeypatch, E):
+    # the field code, the code {c x : c in GF(q)} and up to 12 distinct
+    # twisted codes, all sharing one dict: each count and each number of
+    # solves is that of a scan alone.  The scalar code is fixed by every g
+    # (f = g^-1), so G0 is all of GL; both seeds hit and its R* lies in
+    # the field code's K, so its rho = 0 pass reads the field code's
+    # partition, and K grows at the first hit outside K: the cosets still
+    # undecided are then walked afresh under the larger K, which keeps the
+    # solves of a scan alone (4 over GF(27); 10 if the stored cosets were
+    # decided one by one)
+    counts = _count_scan_work(monkeypatch)
+    tables = {}
+    scalars = LinPolyCode(E, [LinearizedPoly.x(E)])
+    twisted = list(dict.fromkeys(s.code() for s in _specs(E)))[:12]
+    for code in dict.fromkeys([c0_code(E), scalars, *twisted]):
+        counts.update(solves=0, walks=0)
+        alone = aut_group_size_bruteforce(code, budget=BIG)
+        solves, walks = counts["solves"], counts["walks"]
+        counts.update(solves=0, walks=0)
+        assert aut_group_size_bruteforce(code, budget=BIG, tables=tables) == alone
+        assert counts["solves"] == solves and counts["walks"] <= walks
+        if code == scalars:
+            assert alone == E.base.h * gl_order(E.n, E.base) * (E.q - 1)
+            assert counts["walks"] < walks
+            if E == E27:
+                assert (solves, counts["solves"]) == (4, 4)
+
+
+@given(
+    st.sampled_from((E4, E8, E9, E16, E25, E27)),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+def test_cached_linear_algebra_matches_a_fresh_derivation(E, rnd):
+    # a twisted code, its twists and its compositions with g each keep their
+    # own check rows, right-idealizer rows and right idealizer, equal to
+    # ones derived here; the idealizer from the basis polynomials' matrices
+    fld, n = E.base, E.n
+    _, gl = reference_gl(fld, n)
+    C = rnd.choice(_specs(E)).code()
+    codes = [C, *(C.twist(rho) for rho in range(1, fld.h)), C.compose_right(rnd.choice(gl))]
+    for code in codes:
+        checks = linalg.solution_space(code.matrix_code.basis, n * n, fld)
+        weights = semifield._right_idealizer_rows(
+            checks, code.matrix_code.basis_matrices(), n, fld
+        )
+        rows = semifield._right_idealizer_rows(checks, code.basis_matrices(), n, fld)
+        space = linalg.solution_space(rows, n * n, fld)
+        for _ in range(2):  # derived on the first call, kept for the second
+            assert code.check_rows() == checks
+            assert code.right_idealizer_rows() == weights
+            assert code.right_idealizer_space() == space
+        assert idealizers(code).right.size == fld.order ** len(space)
 
 
 def test_aut_scan_charges_before_building_gl(monkeypatch):
