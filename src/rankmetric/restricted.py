@@ -296,9 +296,12 @@ def restricted_density_bruteforce(
 # ----------------------------------------------------------------------
 
 def ball_asymptotic_exponent(kind: str, n: int, r: int, m: int | None = None) -> int:
-    """Leading q-exponent of the radius-r ball in the ambient."""
-    if not 0 <= r <= n:
-        raise ValueError("need 0 <= r <= n")
+    """Leading q-exponent of the radius-r ball in the ambient; n x m
+    matrices (m = n by default) for `full`, whose ranks are at most
+    min(n, m)."""
+    m = n if m is None else m
+    if not 0 <= r <= (min(n, m) if kind == "full" else n):
+        raise ValueError("need 0 <= r <= n, and r <= m for full matrices")
     if kind == "symmetric":
         return n * r - r * (r - 1) // 2
     if kind == "alternating":
@@ -308,7 +311,6 @@ def ball_asymptotic_exponent(kind: str, n: int, r: int, m: int | None = None) ->
     if kind == "hermitian":
         return r * (2 * n - r)
     if kind == "full":
-        m = n if m is None else m
         return r * (m + n - r)
     raise ValueError(f"unknown kind {kind!r}")
 
@@ -328,31 +330,22 @@ def sparseness_exponent(
                  r(2n-r) at r = d-1 and with the resulting MRD rate
                  -(d-1)(n-d+1)+1, and is kept only for comparison.
     """
-    if not 2 <= d <= n:
-        raise ValueError("need 2 <= d <= n")
+    bound = dim_bound(kind, n, d)  # raises on d, an unknown kind, odd alternating d
+    if not 1 <= k <= bound:
+        raise ValueError(f"need 1 <= k <= {bound}, the {kind} dimension bound")
     if kind == "symmetric":
-        if not 1 <= k <= dim_bound(kind, n, d):
-            raise ValueError("k exceeds the symmetric dimension bound")
         E = n * (n + 1) // 2 - k + 1 - n * (d - 1) + (d - 1) * (d - 2) // 2
     elif kind == "alternating":
-        if d % 2 != 0:
-            raise ValueError("alternating d must be even")
-        if not 1 <= k <= dim_bound(kind, n, d):
-            raise ValueError("k exceeds the alternating dimension bound")
         E = n * (n - 1) // 2 - k + 1 - (d - 2) * n + (d - 1) * (d - 2) // 2
     elif kind == "hermitian":
-        if not 1 <= k <= dim_bound(kind, n, d):
-            raise ValueError("k exceeds the hermitian dimension bound")
         if variant == "validated":
             E = n * n - k + 1 - (d - 1) * (2 * n - d + 1)
         elif variant == "printed":
             E = n * n - k + 1 - (d - 1) * (2 * n + d - 1)
         else:
             raise ValueError(f"variant must be 'validated' or 'printed', got {variant!r}")
-    elif kind == "full":
+    else:  # full
         E = n * n - k + 1 - (d - 1) * (2 * n - d + 1)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
     threshold = E + k  # limit is 1 for k < threshold, 0 for k > threshold
     if k < threshold:
         limit = 1

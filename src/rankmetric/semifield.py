@@ -55,20 +55,20 @@ X . (M0 . g)^-1 for some X in C1, so hits(g) counts the invertible X of
 a kernel with k columns (`_LeftSolver`).  A C2^rho with no invertible
 element is solved on the n^2 entries (`_left_multiplier_space`).
 
-A verdict spreads over its double coset through permutation tables, one
-list over all of GL_n(q) per generator of L or H, mapping each element x
-to u . x or x . s.  The identity, and then an automorphism scan's seeds,
-are solved before any unit group or table is built, so an equivalence
-that holds at g = 1 costs one kernel solve past C1's check rows.  A pass
-over all of GL keeps its partition into double cosets, keyed by the
-generators of L and H; a later pass with the same generators solves one
-representative per coset and walks none.  The scans given one `tables`
-dict share the tables and the partitions in it, so each is built once;
-the class census gives one to all of its scans, whose automorphism scans
-take the same generators, and drops it when it returns.  A rho whose
-twisted code C2^rho equals an earlier pass's has that pass's hits, so
-it adds that pass's count and runs no solve: the field code over a
-non-prime base is its own twist.
+A verdict spreads over its double coset through the partition of GL_n(q)
+into the double cosets L . g . H (`_double_cosets`), walked through
+permutation tables, one list over all of GL per generator of L or H
+mapping each element x to u . x or x . s.  A pass decides its known
+verdicts, then solves one representative of each undecided class; when K
+grows it reads the partition of the larger K.  The identity, and then an
+automorphism scan's seeds, are solved before any unit group or table is
+built, so an equivalence that holds at g = 1 costs one kernel solve past
+C1's check rows.  The scans given one `tables` dict share the tables and
+the partitions in it, so each is built once; the class census gives one
+to all of its scans, whose automorphism scans take the same generators,
+and drops it when it returns.  A rho whose twisted code C2^rho equals an
+earlier pass's has that pass's hits, so it adds that pass's count and
+runs no solve: the field code over a non-prime base is its own twist.
 
 The class census takes the class of the field-multiplication code from
 the closed form equiv_to_c0_predicate and decides every other pair of
@@ -671,8 +671,8 @@ class _GLProducts:
         self.where, self.rows, self.cols = _gl_codes(fld, n)
         self.fld, self.n = fld, n
         # the permutation tables made so far, by (fld, n, side, element),
-        # and the double-coset partitions of complete passes (see
-        # `_equivalence_scan`): the scans given one dict build each once
+        # and the double-coset partitions (`_double_cosets`): the scans
+        # given one dict build each once
         self.tables = {} if tables is None else tables
         self.q = q = fld.order
         self.Q = Q = q**n
@@ -826,28 +826,18 @@ def _equivalence_scan(
     passes reuse K as H.  An equivalence scan keeps H = R*(C1), since the
     hits of C2 say nothing about C1's automorphisms.
 
-    Every pass decides the identity first (and at rho = 0 of an
-    automorphism scan the seeds), then the other indices in GL order.
-    Each index met undecided opens a class, its double coset: one solve
-    decides it, and the class is walked through the permutation tables
-    of the generators of L and H (`_GLProducts`, `_walk_cosets`); when K
-    gains a generator every index already met is spread along its left
-    and its right table too.  Since verdicts are exact per double coset
-    of any subgroup of G0, the order changes no verdict and no count.  At
-    rho = 0 of an automorphism scan the identity's double coset is K, so
-    every later hit lies outside it and is a new generator.  A rho whose
-    C2^rho equals an earlier pass's has that pass's hits: it adds that
-    pass's count and runs no solve.
-
-    A pass over all of GL in which K did not grow stores its partition
-    (the class of each index, the class representatives in walk order,
-    the class sizes) in `tables`, keyed by the generators of L and H.  A
-    later pass over all of GL with the same generators, in this scan or
-    another sharing `tables`, walks the stored representatives instead
-    of GL: one solve per class, or its `known` verdict, and the sizes of
-    the classes that hit.  If K grows there, the classes still undecided
-    are walked afresh under the larger K, as in a pass with nothing
-    stored.  Chunked passes and early exits store nothing.
+    A pass first takes its known verdicts: the identity's, solved first
+    in every pass, and the seeds' at rho = 0 of an automorphism scan.  It
+    then reads the partition of GL into the double cosets of the
+    generators of L and H (`_double_cosets`, kept in `tables`) and solves
+    the least index of each undecided class that meets the slice, in
+    order of least index in the slice.  At rho = 0 of an automorphism
+    scan the identity's class is K, so a hit is a new generator of K: it
+    is appended, the partition of the larger K is read, and the verdicts
+    carry over through one index of each decided class.  Since verdicts
+    are exact per double coset of any subgroup of G0, the order changes
+    no verdict and no count.  A rho whose C2^rho equals an earlier pass's
+    has that pass's hits: it adds that pass's count and runs no solve.
 
     The identity's rho = 0 solve comes before any unit group or table is
     built: an equivalence that holds at g = 1 costs one kernel solve, and
@@ -856,7 +846,8 @@ def _equivalence_scan(
     Most other g give the kernel {0}, and `linalg.solution_space` stops
     pulling constraint rows at full rank k, usually after about k rows.
     `tables`, a dict shared by scans over one field, keeps the
-    permutation tables and the partitions built so far.
+    permutation tables and the partitions built so far, whole passes,
+    chunked ones and early exits alike.
 
     chunk=(lo, hi) restricts the count to a slice of the GL enumeration;
     counting over a partition of [0, |GL|) sums to the full count, and hit
@@ -894,8 +885,7 @@ def _equivalence_scan(
     known = {gl.index(g): count for g, count in known.items()}
     seeds = [i for i, count in known.items() if count and i != gl.identity]
     h_gens = _unit_generators(gl, C1, budget, seeds)
-    rights = [gl.right_table(s) for s in h_gens]
-    hits = total = 0
+    total = 0
     passes: dict[LinPolyCode, int] = {}  # the count of each pass, by C2^rho
     for rho in range(fld.h):
         Crho = C2.twist(rho) if rho else C2
@@ -904,63 +894,68 @@ def _equivalence_scan(
             continue
         if rho:
             solver = _LeftSolver(C1, Crho.basis_matrices(), budget)
-        l_gens = h_gens if Crho == C1 else _unit_generators(gl, Crho, budget)
-        perms = [gl.left_table(u) for u in l_gens] + rights
-        # the double cosets L . g . H: the class of each index (0 until it
-        # is met), the representative of class c (reps[c - 1], in walk
-        # order) and the class sizes; a complete pass stores them for any
-        # pass with the same generators, which then walks no coset
-        key = (fld, n, "cosets", tuple(l_gens), tuple(h_gens))
-        stored = gl.tables.get(key) if whole else None
-        cls, reps, sizes = stored or ([0] * size, [], None)
-        verdicts = bytearray(1 + len(reps))  # by class: 0 undecided, 1 no hit, 2 hit
-        grow, keep = rho == 0 and aut, whole and stored is None
-        for i in chain(known if rho == 0 else (gl.identity,), reps if stored else range(lo, hi)):
-            c = cls[i]
-            if verdicts[c]:
-                continue
-            count = known[i] if rho == 0 and i in known else solver.hits(gl.matrix(i))
-            if count and not count_all:
+            known = {gl.identity: solver.hits(one)}
+            if known[gl.identity] and not count_all:
                 return 1
-            hits = hits or count
-            queue = []
-            if not c:  # a coset not met before: walked below
-                c = cls[i] = len(verdicts)
-                reps.append(i)
-                verdicts.append(0)
-                queue.append(i)
-            verdicts[c] = 2 if count else 1
-            if count and grow and i != gl.identity:  # i joins K on both sides
-                if sizes is not None:  # stored cosets of the smaller K: walk afresh
-                    cls, reps, sizes = [d if verdicts[d] else 0 for d in cls], [], None
-                keep = False
-                h_gens.append(i)
-                new = (gl.left_table(i), gl.right_table(i))
-                perms.extend(new)
-                rights.append(new[1])
-                for table in new:
-                    for x, d in enumerate(cls):
-                        if d and not cls[y := table[x]]:
-                            cls[y] = d
-                            queue.append(y)
-            _walk_cosets(cls, queue, perms)
-        if sizes is None:
-            sizes = Counter(islice(cls, lo, hi))
-            if keep:
-                gl.tables[key] = (cls, reps, sizes)
-        passes[Crho] = hits * sum(k for c, k in sizes.items() if verdicts[c] == 2)
+        l_gens = h_gens if Crho == C1 else _unit_generators(gl, Crho, budget)
+        decided = known.items()  # (index, hits) pairs
+        while True:
+            cls, reps, sizes = _double_cosets(gl, l_gens, h_gens)
+            if not whole:
+                sizes = Counter(islice(cls, lo, hi))
+            verdicts = [None] * len(reps)  # the hits of each class
+            for i, count in decided:
+                verdicts[cls[i]] = count
+            for c in sizes:
+                if verdicts[c] is None:
+                    verdicts[c] = count = solver.hits(gl.matrix(reps[c]))
+                    if count and not count_all:
+                        return 1
+                    if count and rho == 0 and aut:  # reps[c] joins K on both sides
+                        h_gens.append(reps[c])
+                        break
+            else:
+                break
+            # the verdicts carry over to the classes of the larger K
+            decided = [(reps[c], count) for c, count in enumerate(verdicts) if count is not None]
+        passes[Crho] = sum(verdicts[c] * k for c, k in sizes.items())
         total += passes[Crho]
     return total
 
 
-def _walk_cosets(cls: list[int], queue: list[int], perms: Sequence[Sequence[int]]) -> None:
+def _double_cosets(
+    gl: _GLProducts, l_gens: Sequence[int], h_gens: Sequence[int]
+) -> tuple[list[int], list[int], Counter]:
+    """The partition of GL_n(q) into the double cosets L . g . H, L and H
+    generated by the elements (indices) l_gens and h_gens: (cls, reps,
+    sizes), cls[x] the class of x, reps[c] the least index of class c and
+    sizes[c] its number of elements.  The classes are numbered in order of
+    least index, which is the order of `sizes`.  Each class is walked from
+    its least index through the permutation tables of the generators.  The
+    partition is kept in `gl.tables`, keyed by the generators, so the
+    scans sharing that dict build it once."""
+    key = (gl.fld, gl.n, "cosets", tuple(l_gens), tuple(h_gens))
+    if key not in gl.tables:
+        perms = [gl.left_table(u) for u in l_gens] + [gl.right_table(s) for s in h_gens]
+        cls: list = [None] * len(gl.rows[0])
+        reps: list[int] = []
+        for i in range(len(cls)):
+            if cls[i] is None:
+                cls[i] = len(reps)
+                reps.append(i)
+                _walk_cosets(cls, [i], perms)
+        gl.tables[key] = cls, reps, Counter(cls)
+    return gl.tables[key]
+
+
+def _walk_cosets(cls: list, queue: list[int], perms: Sequence[Sequence[int]]) -> None:
     """Close the classes under the permutation tables: each index reached
-    from one in the queue that has no class yet (0) joins its class."""
+    from one in the queue that has no class yet (None) joins its class."""
     while queue:
         x = queue.pop()
         c = cls[x]
         for table in perms:
-            if not cls[y := table[x]]:
+            if cls[y := table[x]] is None:
                 cls[y] = c
                 queue.append(y)
 

@@ -105,6 +105,11 @@ def test_formula_invalid_parameter_exits_2(capsys):
         ("formula", "pi-q", "--q", "2", "--n", "100000000"),
         ("formula", "pi-q", "--q", "2", "--n", "-1"),
         ("formula", "mrd-asymptotics", "--n", "3", "--d", "9"),
+        ("formula", "sparseness-exponent", "--kind", "full", "--n", "3", "--k", "100",
+         "--d", "2"),
+        ("formula", "sparseness-exponent", "--kind", "full", "--n", "3", "--k", "0",
+         "--d", "2"),
+        ("formula", "ball-exponent", "--kind", "full", "--n", "4", "--r", "3", "--m", "2"),
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 2, (argv, err)

@@ -258,6 +258,41 @@ def test_sparseness_exponents():
         sparseness_exponent("alternating", 4, 3, 3)
 
 
+@pytest.mark.parametrize("kind", ["symmetric", "alternating", "hermitian", "full"])
+def test_sparseness_exponent_needs_k_within_the_dimension_bound(kind):
+    n, d = 4, 2
+    bound = dim_bound(kind, n, d)
+    sparseness_exponent(kind, n, bound, d)  # the bound itself is allowed
+    for k in (0, bound + 1):
+        with pytest.raises(ValueError, match="dimension bound"):
+            sparseness_exponent(kind, n, k, d)
+    # d and the kind are checked by dim_bound
+    for args, message in (
+        (("full", 3, 1, 1), "2 <= d <= n"),
+        (("alternating", 4, 1, 3), "d must be even"),
+        (("skew", 3, 1, 2), "unknown kind"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            sparseness_exponent(*args)
+
+
+@pytest.mark.parametrize("n, m", [(4, 2), (2, 4), (3, 2), (2, 3), (3, 3)])
+def test_full_ball_exponent_is_log_of_the_exact_ball(n, m):
+    # the radius-r ball of n x m matrices holds sum_{i <= r} of the exact
+    # rank counts, whose q-logarithm tends to r(n + m - r); a radius past
+    # min(n, m) is refused, since no matrix has a larger rank
+    from rankmetric.qcomb import matrix_rank_count
+
+    for r in range(min(n, m) + 1):
+        exponent = ball_asymptotic_exponent("full", n, r, m=m)
+        for q in (2, 3, 5):
+            ball = sum(matrix_rank_count(n, m, i, q) for i in range(r + 1))
+            assert q ** exponent <= ball < 4 * q ** exponent
+    for r in (min(n, m) + 1, -1):
+        with pytest.raises(ValueError):
+            ball_asymptotic_exponent("full", n, r, m=m)
+
+
 def test_alternating_sparseness_trend_report():
     # the alternating exponent carries no exact finite-q guarantee, so this
     # only records that small-case densities stay in range

@@ -1,6 +1,7 @@
 """Semifields, twisted fields, the code correspondence and the exhaustive
 equivalence machinery."""
 
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -946,25 +947,33 @@ def test_second_automorphism_scan_reads_the_partition_of_the_first(monkeypatch):
 
 
 @pytest.mark.parametrize("E", [E16, E27], ids=repr)
-def test_chunked_scans_sharing_tables_sum_to_the_full_count(E):
-    # a chunked pass stores no partition, and a stored one serves only
-    # passes over all of GL: chunks in either order, before or after a
-    # complete scan that shares their dict, sum to its count; over GF(16)
-    # with base GF(4) the scans also make rho = 1 passes
+def test_chunked_scans_sharing_tables_sum_to_the_full_count(monkeypatch, E):
+    # every pass builds the whole partition, a chunked one too: chunks in
+    # either order, then a complete scan, all sharing one dict, have the
+    # counts and the solves of scans alone, and the chunks sum to the full
+    # count; the first chunk stores the partition, and the later chunks and
+    # the complete scan walk no coset.  Over GF(16) with base GF(4) the
+    # scans also make rho = 1 passes
     size = gl_order(E.n, E.base)
     bounds = [0, size // 3, size // 3 + 1, size]
     chunks = list(zip(bounds, bounds[1:]))
     specs = _specs(E)
+    counts = _count_scan_work(monkeypatch)
     for code in (c0_code(E), specs[len(specs) // 2].code()):
-        full = aut_group_size_bruteforce(code, budget=BIG)
+        alone = {}
+        for chunk in [*chunks, None]:
+            counts.update(solves=0)
+            alone[chunk] = (aut_group_size_bruteforce(code, BIG, chunk), counts["solves"])
+        assert sum(alone[chunk][0] for chunk in chunks) == alone[None][0]
         for order in (chunks, chunks[::-1]):
             tables = {}
-            parts = [aut_group_size_bruteforce(code, BIG, c, tables=tables) for c in order]
-            assert sum(parts) == full and not _partitions(tables)
-            assert aut_group_size_bruteforce(code, budget=BIG, tables=tables) == full
-            assert len(_partitions(tables)) == 1
-            again = [aut_group_size_bruteforce(code, BIG, c, tables=tables) for c in order]
-            assert again == parts
+            for step, chunk in enumerate([*order, None]):
+                counts.update(solves=0, walks=0)
+                count = aut_group_size_bruteforce(code, BIG, chunk, tables=tables)
+                assert (count, counts["solves"]) == alone[chunk]
+                if step == 0:
+                    stored = len(_partitions(tables))
+                assert (counts["walks"] > 0, len(_partitions(tables))) == (step == 0, stored)
 
 
 def test_scan_with_other_generators_builds_its_own_partition(monkeypatch):
@@ -984,12 +993,39 @@ def test_scan_with_other_generators_builds_its_own_partition(monkeypatch):
     assert (counts["solves"], counts["walks"]) == (solves, 0)
     # a twisted code composed with g has the conjugated right idealizer and
     # neither seed in its G0: its K starts from other generators and grows,
-    # and a pass in which K grew stores nothing
+    # each hit adding one generator, and the scan stores one partition per
+    # K it passes through
     _, gl = reference_gl(E27.base, 3)
     moved = twisted.compose_right(gl[5000])
+    before = set(_partitions(tables))
     counts.update(walks=0)
     assert aut_group_size_bruteforce(moved, budget=BIG, tables=tables) == 156
-    assert counts["walks"] > 0 and len(_partitions(tables)) == 2
+    new = [key for key in _partitions(tables) if key not in before]
+    grown = sorted(key[4] for key in new)
+    assert counts["walks"] > 0 and len(grown) > 1 and all(key[3] == key[4] for key in new)
+    assert all(big[:-1] == small for small, big in zip(grown, grown[1:]))
+
+
+@pytest.mark.parametrize(
+    "E, kind, g, aut, solves",
+    [
+        (E27, "field", ((2, 0, 1), (2, 2, 1), (0, 2, 1)), 2028, 35),
+        (E27, "twisted", ((2, 0, 1), (2, 2, 1), (0, 2, 1)), 156, 292),
+        (E16, "field", ((0, 2), (2, 0)), 900, 7),
+    ],
+    ids=["gf27-field", "gf27-twisted", "gf16-field"],
+)
+def test_scans_in_which_k_grows_keep_their_solve_counts(monkeypatch, E, kind, g, aut, solves):
+    # the field code and the (1, 2) code composed on the right with g have
+    # G0 and R* conjugated by g, so K grows in the rho = 0 pass: each hit
+    # adds a generator, and the scan reads the partition of the larger K,
+    # the verdicts carrying over
+    code = _class_representatives(E)[1] if kind == "twisted" else c0_code(E)
+    code = code.compose_right(g)
+    counts = _count_scan_work(monkeypatch)
+    tables = {}
+    assert aut_group_size_bruteforce(code, budget=BIG, tables=tables) == aut
+    assert counts["solves"] == solves and len(_partitions(tables)) > 1
 
 
 @pytest.mark.parametrize("E, aut", [(E16, 900), (make_ext_field(make_field(2, 2), 3), 23814)])
@@ -1035,10 +1071,10 @@ def test_shared_partitions_change_no_count_and_no_solve(monkeypatch, E):
     # solves is that of a scan alone.  The scalar code is fixed by every g
     # (f = g^-1), so G0 is all of GL; both seeds hit and its R* lies in
     # the field code's K, so its rho = 0 pass reads the field code's
-    # partition, and K grows at the first hit outside K: the cosets still
-    # undecided are then walked afresh under the larger K, which keeps the
-    # solves of a scan alone (4 over GF(27); 10 if the stored cosets were
-    # decided one by one)
+    # partition, and K grows at the first hit outside K: the scan then
+    # reads the partition of the larger K, which keeps the solves of a
+    # scan alone (4 over GF(27); 10 if the smaller K's cosets were decided
+    # one by one)
     counts = _count_scan_work(monkeypatch)
     tables = {}
     scalars = LinPolyCode(E, [LinearizedPoly.x(E)])
@@ -1114,6 +1150,56 @@ def _gl_index(fld, n):
 
 
 # ------------------------------------------------- GL_n(q) as sorted codes
+
+@lru_cache(maxsize=None)
+def _gl_multiplication(q, n):
+    """GL_n(q) from scratch and its multiplication table, from explicit
+    matrix products: (matrices, times), times[a][b] the index of a . b."""
+    from rankmetric.codes import field_for_order
+
+    fld = field_for_order(q)
+    _, mats = reference_gl(fld, n)
+    where = {g: i for i, g in enumerate(mats)}
+    return mats, [[where[linalg.mat_mul(a, b, fld)] for b in mats] for a in mats]
+
+
+@given(
+    st.sampled_from([(2, 2), (3, 2), (4, 2), (5, 2), (2, 3)]),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+def test_double_cosets_match_products_of_the_generated_groups(q_n, rnd):
+    # L and H generated by random elements, none to three each: the
+    # partition of GL into the products L . g . H, numbered by least index
+    from rankmetric.codes import field_for_order
+
+    q, n = q_n
+    mats, times = _gl_multiplication(q, n)
+    gl = semifield._GLProducts(field_for_order(q), n)
+    l_gens, h_gens = ([rnd.randrange(len(mats)) for _ in range(rnd.randint(0, 3))] for _ in "LH")
+
+    def group(gens):
+        elements, frontier = {gl.identity}, [gl.identity]
+        while frontier:
+            x = frontier.pop()
+            for s in gens:
+                if (y := times[x][s]) not in elements:
+                    elements.add(y)
+                    frontier.append(y)
+        return elements
+
+    L, H = group(l_gens), group(h_gens)
+    cls, reps = [None] * len(mats), []
+    for g in range(len(mats)):
+        if cls[g] is None:
+            for x in {times[times[u][g]][s] for u in L for s in H}:
+                cls[x] = len(reps)
+            reps.append(g)
+    got = semifield._double_cosets(gl, l_gens, h_gens)
+    assert got == (cls, reps, Counter(cls))
+    assert semifield._double_cosets(gl, l_gens, h_gens) is got  # kept in gl.tables
+
+
 
 @pytest.mark.parametrize(
     "q, n", [(2, 2), (3, 2), (4, 2), (5, 2), (8, 2), (9, 2), (2, 3), (3, 3), (2, 4)]
