@@ -60,13 +60,11 @@ into the double cosets L . g . H (`_double_cosets`), walked through
 permutation tables, one list over all of GL per generator of L or H
 mapping each element x to u . x or x . s.  A pass decides its known
 verdicts, then solves one representative of each undecided class; when K
-grows it reads the partition of the larger K.  The identity, and then an
-automorphism scan's seeds, are solved before any unit group or table is
-built, so an equivalence that holds at g = 1 costs one kernel solve past
-C1's check rows.  The scans given one `tables` dict share the tables and
-the partitions in it, so each is built once; the class census gives one
-to all of its scans, whose automorphism scans take the same generators,
-and drops it when it returns.  A rho whose twisted code C2^rho equals an
+grows it reads the partition of the larger K, joined from the smaller
+K's.  The scans given one `tables` dict share the tables and the
+partitions in it, so each is built once; the class census gives one to
+all of its scans, whose automorphism scans take the same generators, and
+drops it when it returns.  A rho whose twisted code C2^rho equals an
 earlier pass's has that pass's hits, so it adds that pass's count and
 runs no solve: the field code over a non-prime base is its own twist.
 
@@ -809,45 +807,32 @@ def _equivalence_scan(
 
     For each rho, one solve (`_LeftSolver.hits`, in the k coordinates of
     C1) gives hits(g), the number of f with f o C2^rho o g = C1, for the
-    whole double coset L . g . H, where
-    L = R*(C2^rho) acts on the left and H, starting as R*(C1), on the
-    right.  It is exact by the facts of the module docstring:
-      (i) hits(g) is 0 or |L*(C1)| (f works iff f . f0^-1 fixes C1), the
-          same for every rho, so the count is hits x (the number of g
-          with a hit);
-      (ii) hits(g . s) = hits(g) whenever C1 . s = f0 . C1;
-      (iii) in an automorphism scan the rho = 0 hit set is a group G0
-          containing R*(C1), each rho > 0 hit set a left coset of G0;
-      (iv) at rho = 0 of an automorphism scan, hits(u . g) = hits(g) for
-          u in G0.
-    So at rho = 0 of an automorphism scan L = H = K, the group of R*(C1)
-    and the seeds that hit (multiplication by a primitive element, and
-    x -> x^q), and every later hit joins K on both sides; the rho > 0
-    passes reuse K as H.  An equivalence scan keeps H = R*(C1), since the
-    hits of C2 say nothing about C1's automorphisms.
+    whole double coset L . g . H, where L = R*(C2^rho) acts on the left
+    and H, starting as R*(C1), on the right; facts (i)-(iv) of the module
+    docstring make this exact, and the count is hits x (the number of g
+    with a hit).  So at rho = 0 of an automorphism scan L = H = K, the
+    group of R*(C1) and the seeds that hit, and every later hit joins K on
+    both sides; the rho > 0 passes reuse K as H.  An equivalence scan
+    keeps H = R*(C1), since the hits of C2 say nothing about C1's
+    automorphisms.
 
     A pass first takes its known verdicts: the identity's, solved first
-    in every pass, and the seeds' at rho = 0 of an automorphism scan.  It
-    then reads the partition of GL into the double cosets of the
-    generators of L and H (`_double_cosets`, kept in `tables`) and solves
-    the least index of each undecided class that meets the slice, in
-    order of least index in the slice.  At rho = 0 of an automorphism
-    scan the identity's class is K, so a hit is a new generator of K: it
-    is appended, the partition of the larger K is read, and the verdicts
+    in every pass (at rho = 0 before any unit group or table is built,
+    so an equivalence that holds at g = 1 costs one kernel solve), and
+    the seeds' at rho = 0 of an automorphism scan.  It then reads the
+    partition of GL into the double cosets of the generators of L and H
+    (`_double_cosets`, kept with the permutation tables in `tables`, a
+    dict the scans over one field may share) and solves the least index
+    of each undecided class that meets the slice, in order of least
+    index in the slice.  At rho = 0 of an automorphism scan the
+    identity's class is K, so a hit is a new generator of K: it is
+    appended, the partition of the larger K is read, and the verdicts
     carry over through one index of each decided class.  Since verdicts
     are exact per double coset of any subgroup of G0, the order changes
-    no verdict and no count.  A rho whose C2^rho equals an earlier pass's
-    has that pass's hits: it adds that pass's count and runs no solve.
-
-    The identity's rho = 0 solve comes before any unit group or table is
-    built: an equivalence that holds at g = 1 costs one kernel solve, and
-    C1's check rows, which C1 derives once for all its scans; an
-    automorphism scan solves its two seeds next, still before any table.
-    Most other g give the kernel {0}, and `linalg.solution_space` stops
-    pulling constraint rows at full rank k, usually after about k rows.
-    `tables`, a dict shared by scans over one field, keeps the
-    permutation tables and the partitions built so far, whole passes,
-    chunked ones and early exits alike.
+    no verdict and no count.  A rho whose C2^rho equals an earlier
+    pass's has that pass's hits and runs no solve.  Most g give the
+    kernel {0}, and `linalg.solution_space` stops pulling constraint
+    rows at full rank k, usually after about k rows.
 
     chunk=(lo, hi) restricts the count to a slice of the GL enumeration;
     counting over a partition of [0, |GL|) sums to the full count, and hit
@@ -898,13 +883,12 @@ def _equivalence_scan(
             if known[gl.identity] and not count_all:
                 return 1
         l_gens = h_gens if Crho == C1 else _unit_generators(gl, Crho, budget)
-        decided = known.items()  # (index, hits) pairs
         while True:
             cls, reps, sizes = _double_cosets(gl, l_gens, h_gens)
             if not whole:
                 sizes = Counter(islice(cls, lo, hi))
             verdicts = [None] * len(reps)  # the hits of each class
-            for i, count in decided:
+            for i, count in known.items():
                 verdicts[cls[i]] = count
             for c in sizes:
                 if verdicts[c] is None:
@@ -917,7 +901,7 @@ def _equivalence_scan(
             else:
                 break
             # the verdicts carry over to the classes of the larger K
-            decided = [(reps[c], count) for c, count in enumerate(verdicts) if count is not None]
+            known = {reps[c]: count for c, count in enumerate(verdicts) if count is not None}
         passes[Crho] = sum(verdicts[c] * k for c, k in sizes.items())
         total += passes[Crho]
     return total
@@ -926,25 +910,45 @@ def _equivalence_scan(
 def _double_cosets(
     gl: _GLProducts, l_gens: Sequence[int], h_gens: Sequence[int]
 ) -> tuple[list[int], list[int], Counter]:
-    """The partition of GL_n(q) into the double cosets L . g . H, L and H
-    generated by the elements (indices) l_gens and h_gens: (cls, reps,
-    sizes), cls[x] the class of x, reps[c] the least index of class c and
-    sizes[c] its number of elements.  The classes are numbered in order of
-    least index, which is the order of `sizes`.  Each class is walked from
-    its least index through the permutation tables of the generators.  The
-    partition is kept in `gl.tables`, keyed by the generators, so the
-    scans sharing that dict build it once."""
+    """The partition of GL_n(q) into the double cosets L . g . H of the
+    groups generated by the indices l_gens and h_gens, kept in `gl.tables`
+    by generators: (cls, reps, sizes), cls[x] the class of x, reps[c] the
+    least index of class c and sizes[c] its size, classes numbered by least
+    index.  Each class is walked from its least index through the
+    generators' permutation tables.  If `gl.tables` holds the partition of
+    one generator fewer on each side, as when a scan's K has grown, its
+    classes are joined instead along the last generators' two tables:
+    x joins u . x and x . s."""
     key = (gl.fld, gl.n, "cosets", tuple(l_gens), tuple(h_gens))
-    if key not in gl.tables:
+    if key in gl.tables:
+        return gl.tables[key]
+    finer = l_gens and h_gens and gl.tables.get(key[:3] + (key[3][:-1], key[4][:-1]))
+    if finer:
+        cls, reps = finer[:2]
+        root = list(range(len(reps)))  # union-find over the finer classes
+        for table in (gl.left_table(l_gens[-1]), gl.right_table(h_gens[-1])):
+            for a, b in set(zip(cls, map(cls.__getitem__, table))):
+                while root[a] != a:
+                    root[a] = a = root[root[a]]
+                while root[b] != b:
+                    root[b] = b = root[root[b]]
+                root[max(a, b)] = min(a, b)  # a root is the least class of its set
+        label, merged = [], []  # the new class of each finer class, the new reps
+        for c, r in enumerate(root):  # r <= c: label[r] is known
+            label.append(len(merged) if r == c else label[r])
+            if r == c:
+                merged.append(reps[c])
+        cls, reps = list(map(label.__getitem__, cls)), merged
+    else:
         perms = [gl.left_table(u) for u in l_gens] + [gl.right_table(s) for s in h_gens]
-        cls: list = [None] * len(gl.rows[0])
-        reps: list[int] = []
+        cls = [None] * len(gl.rows[0])
+        reps = []
         for i in range(len(cls)):
             if cls[i] is None:
                 cls[i] = len(reps)
                 reps.append(i)
                 _walk_cosets(cls, [i], perms)
-        gl.tables[key] = cls, reps, Counter(cls)
+    gl.tables[key] = cls, reps, Counter(cls)
     return gl.tables[key]
 
 
