@@ -88,7 +88,7 @@ def field_for_order(q: int) -> FiniteField:
     """GF(q) for a prime power q given as a plain integer."""
     ph = prime_power(q)
     if ph is None:
-        raise ValueError(f"q = {q} is not a prime power")
+        raise ValueError(f"q = {q!r} is not a prime power")
     return make_field(*ph)
 
 
@@ -686,6 +686,21 @@ def spectrum_free_count(m: int, q, budget: int | None = None) -> int:
     """Number of m x m matrices over GF(q) with no eigenvalue in GF(q),
     i.e. det(M - lambda*I) != 0 for every lambda.
 
+    The maps M -> aM + bI, (a, b) in GF(q)* x GF(q), act freely on the
+    spectrum-free matrices, and the traversal counts one orbit slice:
+    row 0 has M[0][0] = 0 and the first nonzero entry of the rest of
+    row 0 equal to 1; the count is q(q-1) times the slice's.  This is
+    exact:
+    - aM + bI has the eigenvalues a*lambda + b of M, so it is
+      spectrum-free iff M is;
+    - aM + bI = M with (a, b) != (1, 0) forces M to be scalar, and a
+      scalar matrix has an eigenvalue, so every orbit has q(q-1) members;
+    - row 0 of a spectrum-free M is not a multiple of e_0 (else
+      M - M[0][0]*I has a zero row), so exactly one (a, b) maps it into
+      the slice: b = -a*M[0][0] and a the inverse of the first nonzero
+      entry of the rest of row 0.
+    For m = 1 the slice is empty and the count is 0.
+
     One depth-first traversal over the rows of M.  For every lambda it
     keeps the span of the rows fixed so far of M - lambda*I, whose row i
     is r_i - lambda*e_i, as the set of the row codes of its vectors
@@ -695,13 +710,13 @@ def spectrum_free_count(m: int, q, budget: int | None = None) -> int:
     sets, one per lambda, hold exactly the rows x that some lambda makes
     dependent.  Such a prefix is dropped with its q^(m(m-1-i))
     completions, and at the last row the leaves are counted as the rows
-    outside every translate.  The count is exact: M is spectrum-free iff
-    M - lambda*I has independent rows for every lambda.  It stays
-    independent of the density sweep on the other side of the 2 x m
-    identity: no span kernel, no Grassmannian, no seeding, no
-    elimination.  The budget is charged the larger of q^(m^2), the whole
-    matrix space, and the size of the row-code tables, before anything
-    is built."""
+    outside every translate.  The traversal is exact: M is spectrum-free
+    iff M - lambda*I has independent rows for every lambda.  The count
+    shares nothing with the density sweep on the other side of the
+    2 x m identity: no span kernel, no Grassmannian, no elimination; the
+    slice comes from the eigenvalues alone.  The budget is charged the
+    larger of q^(m^2), the whole matrix space, and the size of the
+    row-code tables, before anything is built."""
     q = getattr(q, "order", q)
     if m < 1:
         raise ValueError(f"need m >= 1, got m = {m}")
@@ -718,6 +733,10 @@ def spectrum_free_count(m: int, q, budget: int | None = None) -> int:
         for i in range(m - 1)
     ]
 
+    # the codes of the slice's row 0: digit 0 is 0 and the lowest
+    # nonzero digit above it, digit j, is 1
+    first_rows = [q**j + q ** (j + 1) * y for j in range(1, m) for y in range(q ** (m - 1 - j))]
+
     def count(i: int, spans: list) -> int:
         # spans[lam]: the codes of the span of the rows < i of M - lam*I
         dependent = set()
@@ -726,13 +745,13 @@ def spectrum_free_count(m: int, q, budget: int | None = None) -> int:
         if i == m - 1:
             return Q - len(dependent)
         total = 0
-        for x, vs in enumerate(shifted[i]):
+        for x in first_rows if i == 0 else range(Q):
             if x not in dependent:
-                grown = [linalg.grow_span(span, v, add, scale) for v, span in zip(vs, spans)]
+                grown = [linalg.grow_span(span, v, add, scale) for v, span in zip(shifted[i][x], spans)]
                 total += count(i + 1, grown)
         return total
 
-    return count(0, [{0}] * q)
+    return q * (q - 1) * count(0, [{0}] * q)
 
 
 def spectrum_free_identity_check(m: int, q, budget: int | None = None) -> bool:

@@ -101,11 +101,12 @@ def _iroot(n: int, k: int) -> int:
 
 
 def prime_power(q: int) -> tuple[int, int] | None:
-    """(p, h) with q = p^h and p prime, or None if q is not a prime power.
+    """(p, h) with q = p^h and p prime, or None if q is not a prime power
+    or not an int (4.0 and "4" give None).
 
     The largest h with an exact h-th root r is the one to test: if q is a
     prime power, r is that prime; otherwise no smaller h gives a prime."""
-    if q < 2:
+    if not isinstance(q, int) or q < 2:
         return None
     for h in range(q.bit_length() - 1, 0, -1):
         r = _iroot(q, h)

@@ -410,11 +410,11 @@ def test_spectrum_free_identity(m, q):
     assert spectrum_free_identity_check(m, q)
 
 
-def flat_spectrum_free_count(m, q):
-    """Reference: test every matrix of GF(q)^(m x m) and every lambda by
-    the rank of M - lambda*I."""
+def flat_spectrum_free(m, q):
+    """Reference: test every matrix of GF(q)^(m x m), flattened row by
+    row, and every lambda by the rank of M - lambda*I; yield the
+    spectrum-free ones."""
     fld = field_for_order(q)
-    count = 0
     for flat in itertools.product(range(q), repeat=m * m):
         ok = True
         for lam in range(q):
@@ -429,8 +429,11 @@ def flat_spectrum_free_count(m, q):
                 ok = False
                 break
         if ok:
-            count += 1
-    return count
+            yield flat
+
+
+def flat_spectrum_free_count(m, q):
+    return sum(1 for _ in flat_spectrum_free(m, q))
 
 
 # every (m, q) with q^(m^2) <= 20,000 for m >= 2; m = 1 has count 0 for
@@ -455,6 +458,88 @@ def test_spectrum_free_closed_form(m, q):
     # (q^m - q)/m monic irreducibles of degree m, one class each.
     irreducibles = (q**m - q) // m
     assert spectrum_free_count(m, q, budget=10**6) == irreducibles * gl_order(m, q) // (q**m - 1)
+
+
+def cycle_index_spectrum_free(M, q):
+    """s_q(m) for m <= M from the cycle index of GL_m(q):
+    sum_m s_q(m) u^m/|GL_m(q)| = A(u) / B(u)^q with A = sum q^(m^2) u^m/|GL_m(q)|
+    (all matrices) and B = sum q^(m^2-m) u^m/|GL_m(q)| (nilpotent ones,
+    Fine-Herstein), as power series truncated above u^M."""
+
+    def mul(f, g):
+        return [sum(f[i] * g[k - i] for i in range(k + 1)) for k in range(M + 1)]
+
+    gl = [1] + [gl_order(m, q) for m in range(1, M + 1)]  # |GL_0(q)| = 1
+    A = [Fraction(q ** (m * m), gl[m]) for m in range(M + 1)]
+    B = [Fraction(q ** (m * m - m), gl[m]) for m in range(M + 1)]
+    Bq = [Fraction(1)] + [Fraction(0)] * M
+    for _ in range(q):
+        Bq = mul(Bq, B)
+    # A / Bq, Bq[0] = 1
+    ratio = []
+    for k in range(M + 1):
+        ratio.append(A[k] - sum(ratio[i] * Bq[k - i] for i in range(k)))
+    return [r * gl[m] for m, r in enumerate(ratio)]
+
+
+def test_spectrum_free_matches_the_cycle_index():
+    for q in (2, 3, 4, 5, 7):
+        series = cycle_index_spectrum_free(4, q)
+        assert all(s.denominator == 1 for s in series)
+        assert series[0] == 1
+        for m in (1, 2, 3):
+            assert spectrum_free_count(m, q, budget=10**8) == series[m], (m, q)
+    assert spectrum_free_count(4, 2) == cycle_index_spectrum_free(4, 2)[4] == 5824
+    # the larger counts are pinned in CI; the series gives
+    assert cycle_index_spectrum_free(4, 3)[4] == 7619508
+    assert cycle_index_spectrum_free(3, 7)[3] == 11063808
+    assert cycle_index_spectrum_free(3, 8)[3] == 37933056
+    assert cycle_index_spectrum_free(3, 9)[3] == 111974400
+
+
+def in_documented_slice(row):
+    """Row 0 of the traversal's slice: M[0][0] = 0 and the first nonzero
+    entry of the rest of the row is 1."""
+    rest = [x for x in row[1:] if x]
+    return row[0] == 0 and bool(rest) and rest[0] == 1
+
+
+# (3, 3) is the smallest size whose slice tells the lowest nonzero entry
+# of a row from the highest
+@pytest.mark.parametrize("m,q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)])
+def test_spectrum_free_slice_is_a_transversal(monkeypatch, m, q):
+    # the rows 0 the traversal walks, read off its first grow_span calls:
+    # at row 0 every span is {0}, and the lambda = 0 candidate is r_x itself
+    walked = set()
+    real = linalg.grow_span
+
+    def record(span, v, add, scale):
+        if span == {0} and v % q == 0:
+            walked.add(v)
+        return real(span, v, add, scale)
+
+    monkeypatch.setattr(linalg, "grow_span", record)
+    count = spectrum_free_count(m, q)
+    slice_codes = {
+        sum(x * q**j for j, x in enumerate(row))
+        for row in itertools.product(range(q), repeat=m)
+        if in_documented_slice(row)
+    }
+    assert walked == slice_codes
+    # every spectrum-free M has exactly one (a, b) with aM + bI in the slice
+    fld = field_for_order(q)
+    in_slice = 0
+    for flat in flat_spectrum_free(m, q):
+        row = flat[:m]
+        hits = [
+            (a, b)
+            for a in range(1, q)
+            for b in range(q)
+            if in_documented_slice([fld.add(fld.mul(a, x), b if j == 0 else 0) for j, x in enumerate(row)])
+        ]
+        assert len(hits) == 1, (flat, hits)
+        in_slice += in_documented_slice(row)
+    assert count == q * (q - 1) * in_slice
 
 
 def test_spectrum_free_charges_before_traversal(monkeypatch):
@@ -492,6 +577,12 @@ def test_spectrum_free_rejects_bad_sizes():
     for m in (0, -2):
         with pytest.raises(ValueError, match="m >= 1"):
             spectrum_free_count(m, 5)
+
+
+def test_spectrum_free_refuses_a_q_that_is_not_an_int():
+    for q in (4.0, "3"):
+        with pytest.raises(ValueError, match="not a prime power"):
+            spectrum_free_count(2, q)
 
 
 # ------------------------------------------------- closed formulas

@@ -284,6 +284,12 @@ def test_lambda_exhaustive_rejects_bad_sizes():
     assert lambda_exhaustive(2, 0, 1, 1, 2) == 3
 
 
+def test_lambda_exhaustive_refuses_a_q_that_is_not_an_int():
+    for q in (2.0, "3"):
+        with pytest.raises(ValueError, match="not a prime power"):
+            lambda_exhaustive(3, 0, 3, 2, q)
+
+
 def test_lambda_exhaustive_charges_the_row_tables(monkeypatch):
     def tripwire(*args):
         raise AssertionError("row-code tables built before the budget charge")

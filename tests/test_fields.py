@@ -268,6 +268,11 @@ def test_prime_power_matches_factorization():
         prime_power((2**61 - 1) * (2**31 - 1))  # no small factor, above 3.3e24
 
 
+def test_prime_power_of_a_non_int_is_none():
+    for q in (4.0, 2.0, "4", None):
+        assert prime_power(q) is None
+
+
 @given(st.integers(1, 10**40), st.integers(1, 12))
 def test_integer_root(n, k):
     r = fields._iroot(n, k)

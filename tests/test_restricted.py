@@ -83,6 +83,12 @@ def test_rank_distribution_charges_the_ambient_once_before_the_walk(monkeypatch)
         rank_distribution_exhaustive("symmetric", 3, 3, budget=728)
 
 
+def test_rank_distribution_exhaustive_refuses_a_q_that_is_not_an_int():
+    for kind in ("symmetric", "alternating", "hermitian", "full"):
+        with pytest.raises(ValueError, match="not a prime power"):
+            rank_distribution_exhaustive(kind, 2, 3.0)
+
+
 def test_rank_count_examples():
     assert rank_count("symmetric", 2, 1, 2) == 3
     assert rank_count("alternating", 2, 2, 2) == 1
