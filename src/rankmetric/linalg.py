@@ -7,8 +7,9 @@ so far by `reduce` and appended if it stays nonzero; `rank`, `rref`,
 `solution_space` and `mat_inv` all run on it.  Every step is one row
 operation, `row_sub` (x - f*y) or `row_scale` (f*x).  Over a prime field
 (h == 1) the row operations do the arithmetic inline modulo p; an
-extension field goes through its add/mul.  `span_elements` is the
-package's one walk of a GF(q)-space, one `row_sub` per changed digit.
+extension field goes through its add/mul.  `span_elements` walks a
+GF(q)-space of vectors, one `row_sub` per changed digit; a space of
+matrices whose ranks are counted is walked by `span_ranks` (below).
 `mat_mul` and `mat_vec` also sum each entry inline modulo p over a prime
 field.
 
@@ -16,8 +17,11 @@ A vector of GF(q)^n also has a row code, the int sum of v[c] * q^c.
 `row_arithmetic` tabulates addition and scaling on these codes, cached
 per (field, n), and `grow_span` grows the set of codes of a span by one
 row with them; membership in a span is then one set lookup, with no
-elimination.  GL_n(q) (`semifield`), the spectrum-free count (`codes`)
-and the point-set histograms (`critical`) test independence that way.
+elimination.  GL_n(q) (`semifield`), the spectrum-free count (`codes`),
+the point-set histograms (`critical`) and `span_ranks`, which ranks
+every matrix of a matrix space row by row (the rank distributions of
+`restricted` and the rank-ball point set of `critical`), test
+independence that way.
 `gf2_rank_table`, the rank of every n x m GF(2) matrix with nm <= 16
 indexed by its row-major bits (the GF(2) word of the codeword-sweep
 kernel `codes._SpanMinRank`), runs its own elimination on int rows.  The
@@ -208,15 +212,29 @@ def row_arithmetic(fld, n: int) -> tuple[list[int], list[list[int]]]:
     being sum of v[c] * q^c: add[v * q^n + w] is the code of v + w and
     scale[a][v] that of a * v.  Cached per (field, n).  The two tables
     hold `row_arithmetic_size(q, n)` entries, which a caller charges to
-    its budget before the first call."""
+    its budget before the first call.
+
+    The tables of GF(q)^(k+1) are composed from those of GF(q)^k and the
+    one-entry tables, q^2 field calls in all: v = v0 + q*v' splits a code
+    into entry 0 and the code of the other k entries, so the code of
+    v + w is add1[v0][w0] + q * (the code of v' + w'), and that of a * v
+    is mul1[a][v0] + q * (the code of a * v')."""
     q = fld.order
-    vecs = [[(v // q**c) % q for c in range(n)] for v in range(q**n)]
-
-    def code(vec) -> int:
-        return sum(x * q**c for c, x in enumerate(vec))
-
-    add = [code(map(fld.add, v, w)) for v in vecs for w in vecs]
-    scale = [[code(fld.mul(a, x) for x in v) for v in vecs] for a in range(q)]
+    add1 = [[fld.add(x, y) for y in range(q)] for x in range(q)]
+    mul1 = [[fld.mul(a, x) for x in range(q)] for a in range(q)]
+    add, scale, Qk = [0], [[0]] * q, 1
+    for _ in range(n):
+        shifted = [q * t for t in add]
+        grown: list[int] = []
+        # v = v0 + q*v' in increasing order: v' outer, v0 inner, and the
+        # same split of w inside each row
+        for vp in range(0, Qk * Qk, Qk):
+            row = shifted[vp : vp + Qk]
+            for a in add1:
+                grown += [t + s for t in row for s in a]
+        add = grown
+        scale = [[q * t + s for t in row for s in m] for row, m in zip(scale, mul1)]
+        Qk *= q
     return add, scale
 
 
@@ -237,6 +255,91 @@ def grow_span(
     Q = len(scale[0])
     multiples = [row[v] for row in scale]
     return {add[s * Q + w] for s in span for w in multiples}
+
+
+def span_ranks(
+    mats: Sequence[Sequence[Sequence[int]]], fld, q: int | None = None
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(rank, row codes) of every matrix of the GF(q)-span of independent
+    n x m matrices: the q^k matrices of `span_elements` on their flattened
+    entries, in another order, each ranked without elimination.
+
+    Ranks are over fld, the field of the entries, whose row codes (over
+    GF(fld.order)^m) are added and scaled by `row_arithmetic(fld, m)`; q,
+    by default fld.order, is the order of the coefficient field, as in
+    `span_elements` (GF(q) inside GF(q^2) for Hermitian matrices).
+
+    The matrices are grouped by their first nonzero row.  A matrix of the
+    span is a sum of one word of each group's span, and rows 0..r of the
+    sum are fixed once the words of groups 0..r are chosen, so the span is
+    walked row by row: level r adds each word of group r's span to the
+    row codes carried down from the groups above it.  Each level keeps the
+    set of row codes of the span of the rows fixed so far (`grow_span`,
+    one multiple per element of fld), so a row raises the rank iff its
+    code is outside that set, one lookup.  The last row needs no grown
+    span: v lies in span(S, x) iff v + c*x lies in S for some c in fld.
+    The span of the rows above it is grown when the last row has at least
+    |S| words, and each word is tested by those lookups otherwise.  An
+    empty basis spans only the zero matrix, yielded as (0, ())."""
+    if not mats:
+        yield 0, ()
+        return
+    q = fld.order if q is None else q
+    n, m, Qe = len(mats[0]), len(mats[0][0]), fld.order
+    Q = Qe**m
+    add, scale = row_arithmetic(fld, m)
+    weights = [Qe**c for c in range(m)]
+    coefficients = scale[:q]
+    # cols[r][i]: the codes of row r + i of every word of group r's span
+    # (the zero word alone for an empty group); a zero row of a matrix
+    # repeats the column once per coefficient
+    cols = [[[0]] * (n - r) for r in range(n)]
+    for mat in mats:
+        codes = [sum(map(int.__mul__, row, weights)) for row in mat]
+        r = codes.index(next(filter(None, codes)))
+        cols[r] = [
+            [add[s * Q + sc[x]] for sc in coefficients for s in col] if x else col * q
+            for x, col in zip(codes[r:], cols[r])
+        ]
+    last = cols[-1][0]
+    if n == 1:
+        yield from [(int(v != 0), (v,)) for v in last]
+        return
+
+    def fixed(r: int, carried, prefix: tuple, span: set, rank: int):
+        """The states with rows 0..n-3 fixed: (the codes of rows n-2 and
+        n-1 so far, those of rows 0..n-3, their span, their rank)."""
+        if r == n - 2:
+            yield carried, prefix, span, rank
+            return
+        for w in zip(*cols[r]):
+            rows = [add[s * Q + t] for s, t in zip(carried, w)]
+            x = rows[0]
+            if x in span:
+                yield from fixed(r + 1, rows[1:], prefix + (x,), span, rank)
+            else:
+                grown = grow_span(span, x, add, scale)
+                yield from fixed(r + 1, rows[1:], prefix + (x,), grown, rank + 1)
+
+    nlast = len(last)
+    for (cx, cy), prefix, span, rank in fixed(0, (0,) * n, (), {0}, 0):
+        bx, by = cx * Q, cy * Q
+        for wx, wy in zip(*cols[-2]):
+            x = add[bx + wx]
+            base = add[by + wy] * Q
+            pre = prefix + (x,)
+            ys = [add[base + w] for w in last]
+            if x in span:
+                yield from [(rank + (y not in span), pre + (y,)) for y in ys]
+            elif nlast >= len(span):
+                grown = grow_span(span, x, add, scale)
+                yield from [(rank + 1 + (y not in grown), pre + (y,)) for y in ys]
+            else:
+                xs = [sc[x] for sc in scale]
+                yield from [
+                    (rank + 1 + all(add[y * Q + t] not in span for t in xs), pre + (y,))
+                    for y in ys
+                ]
 
 
 def span_elements(basis: Sequence[Sequence[int]], fld, q: int | None = None) -> Iterator[Vector]:

@@ -10,7 +10,8 @@ arbiter in this package) confirms the validated variant -- already at
 1 -- so the validated variant is the default everywhere, and the printed
 one stays callable for comparison tables.  Both have the same leading
 q-power, so every asymptotic statement is unaffected.  The enumeration
-counts every rank in one walk of the ambient (`linalg.span_elements`).
+counts every rank in one walk of the ambient (`linalg.span_ranks`), row
+by row on row-code spans, with no elimination.
 
 The density sweeps of alternating and Hermitian ambients are seeded by
 rank, as in `codes._sweep`: X -> AXA^T (alternating) and X -> AXA*
@@ -196,19 +197,23 @@ def rank_count(kind: str, n: int, i: int, q, variant: str = "validated") -> int:
 def rank_distribution_exhaustive(
     kind: str, n: int, q, budget: int | None = None
 ) -> tuple[int, ...]:
-    """Oracle: the number of ambient matrices of each rank 0..n, by one
-    walk of the ambient charged q^dim.  An empty basis (alternating n = 1)
-    walks one word, (), whose rows of length 0 rank 0: the zero matrix."""
+    """Oracle: the number of ambient matrices of each rank 0..n, the
+    histogram of one `linalg.span_ranks` walk of the ambient.  q is
+    checked first and the budget charged once, before any table or field
+    is built: the larger of q^dim, the ambient, and the row-code tables
+    over the entry field (GF(q^2) for Hermitian matrices).  An empty
+    basis (alternating n = 1) spans the zero matrix alone, of rank 0."""
     q = getattr(q, "order", q)
     if n < 0:
         raise ValueError(f"need n >= 0, got n = {n}")
+    field_for_order(q)
+    entry_order = q * q if kind == "hermitian" else q
+    cost = max(q ** ambient_dim(kind, n), linalg.row_arithmetic_size(entry_order, n))
+    charge(cost, resolve_budget(budget), f"enumerating {kind} ambient")
     basis = ambient_basis(kind, n, q)
-    charge(q ** len(basis), resolve_budget(budget), f"enumerating {kind} ambient")
-    fld = _entry_field(kind, q)
     counts = [0] * (n + 1)
-    flat = [[x for row in bm for x in row] for bm in basis]
-    for vec in linalg.span_elements(flat, fld, q):
-        counts[linalg.rank([vec[i * n : (i + 1) * n] for i in range(n)], fld)] += 1
+    for rank, _ in linalg.span_ranks(basis, _entry_field(kind, q), q):
+        counts[rank] += 1
     return tuple(counts)
 
 

@@ -112,6 +112,52 @@ def test_rank_ball_instance_matches_matrix_density(q):
         assert density_bruteforce(n, m, 3, r + 1, q).density == expected
 
 
+def flat_rank_ball_points(n, m, r, q):
+    """The flat walk: every matrix of GF(q)^(n x m) by `span_elements`,
+    ranked by elimination, the nonzero ones of rank <= r kept."""
+    fld = field_for_order(q)
+    return [
+        flat
+        for flat in linalg.span_elements(linalg.identity(n * m), fld)
+        if any(flat) and linalg.rank([flat[i * m : (i + 1) * m] for i in range(n)], fld) <= r
+    ]
+
+
+@pytest.mark.parametrize(
+    "n,m,r,q",
+    [(1, 1, 1, 2), (1, 3, 1, 3), (3, 1, 1, 4), (2, 2, 1, 2), (2, 2, 2, 3), (2, 2, 1, 4),
+     (2, 3, 1, 3), (3, 2, 2, 3), (3, 3, 1, 2), (3, 3, 2, 2), (2, 2, 1, 5)],
+)
+def test_rank_ball_pointset_matches_the_flat_walk(n, m, r, q):
+    P = rank_ball_pointset(n, m, r, q)
+    assert P.points == PointSet(n * m, q, flat_rank_ball_points(n, m, r, q)).points
+
+
+def test_rank_ball_pointset_charges_once_before_the_walk(monkeypatch):
+    # GF(3)^(2 x 3) has 3^6 matrices and GF(3)^3 tables of 3^6 + 3^4
+    # entries: one charge of 810, and no walk under a smaller budget
+    from rankmetric import critical
+
+    charges = []
+    real_charge = critical.charge
+
+    def recording_charge(cost, budget, what):
+        charges.append(cost)
+        real_charge(cost, budget, what)
+
+    monkeypatch.setattr(critical, "charge", recording_charge)
+    assert rank_ball_pointset(2, 3, 1, 3).size == 52
+    assert charges == [810]
+
+    def tripwire(*args):
+        raise AssertionError("walk started before the budget charge")
+
+    monkeypatch.setattr(linalg, "span_ranks", tripwire)
+    monkeypatch.setattr(linalg, "row_arithmetic", tripwire)
+    with pytest.raises(BudgetExceededError, match="810 steps"):
+        rank_ball_pointset(2, 3, 1, 3, budget=809)
+
+
 def reference_distinguishing_counts(P, k, bounds):
     """For each chunk [bounds[i], bounds[i+1]) of the canonical order, the
     number of its k-dim subspaces that distinguish P, one membership test

@@ -365,3 +365,94 @@ def test_row_arithmetic_matches_field_add_and_mul(case):
     for b in basis:
         span = linalg.grow_span(span, row_code(b, q), add, scale)
     assert span == {row_code(u, q) for u in reference_span(basis, fld, q)}
+
+
+def per_entry_row_arithmetic(fld, n):
+    """The row-code tables one field call per entry of each sum and
+    multiple: add[v * q^n + w] the code of v + w, scale[a][v] that of a*v."""
+    q = fld.order
+    vecs = [[v // q**c % q for c in range(n)] for v in range(q**n)]
+    add = [row_code(map(fld.add, v, w), q) for v in vecs for w in vecs]
+    scale = [[row_code([fld.mul(a, x) for x in v], q) for v in vecs] for a in range(q)]
+    return add, scale
+
+
+def test_row_arithmetic_equals_the_per_entry_tables():
+    # every field of order <= 9, GF(4) and GF(9) also as extensions of
+    # GF(2) and GF(3), and n <= 3; built uncached
+    fields = [field_for_order(q) for q in (2, 3, 4, 5, 7, 8, 9)]
+    fields += [make_ext_field(field_for_order(p), 2) for p in (2, 3)]
+    for fld in fields:
+        for n in range(4):
+            assert linalg.row_arithmetic.__wrapped__(fld, n) == per_entry_row_arithmetic(fld, n)
+
+
+# ------------------------------------- differential test of the ranked walk
+
+def reference_span_ranks(mats, fld, q):
+    """The flat walk: each matrix of the span by `span_elements` on the
+    flattened entries, ranked by elimination."""
+    if not mats:
+        return [(0, ())]
+    n, m = len(mats[0]), len(mats[0][0])
+    flat = [[x for row in mat for x in row] for mat in mats]
+    out = []
+    for vec in linalg.span_elements(flat, fld, q):
+        rows = [vec[i * m : (i + 1) * m] for i in range(n)]
+        out.append((linalg.rank(rows, fld), tuple(row_code(r, fld.order) for r in rows)))
+    return out
+
+
+# GF(2), GF(3), GF(4), GF(5) spanning over themselves, and GF(q)-spans
+# inside GF(q^2) for q = 2, 3
+SPAN_RANK_CASES = [(field_for_order(q), q) for q in (2, 3, 4, 5)]
+SPAN_RANK_CASES += [(make_ext_field(field_for_order(q), 2), q) for q in (2, 3)]
+
+
+@st.composite
+def span_rank_case(draw):
+    fld, q = draw(st.sampled_from(SPAN_RANK_CASES))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    entry = st.integers(0, fld.order - 1)
+    # sparse entries, so that groups by first nonzero row vary
+    cell = st.one_of(st.just(0), st.just(0), entry)
+    mats = []
+    for _ in range(draw(st.integers(0, 4))):  # 0 draws the empty basis
+        mat = tuple(tuple(draw(cell) for _ in range(m)) for _ in range(n))
+        flat = [[x for row in b for x in row] for b in mats + [mat]]
+        if linalg.rank(flat, fld) == len(flat):
+            mats.append(mat)  # independent over fld, hence over GF(q)
+    return fld, q, mats
+
+
+@given(span_rank_case())
+@example((field_for_order(3), 3, []))
+@example((field_for_order(2), 2, [((0, 1), (0, 0), (1, 0)), ((0, 0), (1, 1), (0, 0))]))
+@settings(max_examples=200, deadline=None)
+def test_span_ranks_matches_the_flat_walk(case):
+    fld, q, mats = case
+    got = list(linalg.span_ranks(mats, fld, q))
+    want = reference_span_ranks(mats, fld, q)
+    assert sorted(got) == sorted(want)
+    assert len(got) == q ** len(mats)
+
+
+def test_span_ranks_takes_each_branch_of_the_last_rows():
+    # alternating 3 x 3 over GF(3): row 2 belongs to no group, so the last
+    # level has 1 word, and at row 1 each case occurs: x in S, S = {0}
+    # grown by x, and x outside |S| = 3 words tested by lookups; the
+    # 3 x 2 matrices over GF(3) grow the span at every level
+    fld = field_for_order(3)
+    alternating = [
+        ((0, 1, 0), (2, 0, 0), (0, 0, 0)),
+        ((0, 0, 1), (0, 0, 0), (2, 0, 0)),
+        ((0, 0, 0), (0, 0, 1), (0, 2, 0)),
+    ]
+    full = [
+        tuple(tuple(int((i, j) == (r, c)) for j in range(2)) for i in range(3))
+        for r in range(3)
+        for c in range(2)
+    ]
+    for mats in (alternating, full):
+        assert sorted(linalg.span_ranks(mats, fld)) == sorted(reference_span_ranks(mats, fld, 3))

@@ -59,9 +59,27 @@ def test_rank_count_matches_enumeration_and_sums(kind, n, q):
     assert sum(strata) == q ** ambient_dim(kind, n)
 
 
+def flat_rank_distribution(kind, n, q):
+    """The flat walk: every ambient matrix by `span_elements` on the
+    flattened basis, ranked by elimination."""
+    fld = hermitian_field(q) if kind == "hermitian" else field_for_order(q)
+    counts = [0] * (n + 1)
+    flat = [[x for row in bm for x in row] for bm in ambient_basis(kind, n, q)]
+    for vec in linalg.span_elements(flat, fld, q):
+        counts[linalg.rank([vec[i * n : (i + 1) * n] for i in range(n)], fld)] += 1
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("kind,n,q", STRATA_GRID + [("alternating", 4, 2), ("full", 2, 4)])
+def test_rank_distribution_matches_the_flat_walk(kind, n, q):
+    assert rank_distribution_exhaustive(kind, n, q) == flat_rank_distribution(kind, n, q)
+
+
 def test_rank_distribution_charges_the_ambient_once_before_the_walk(monkeypatch):
-    # the symmetric 3 x 3 ambient over GF(3) has dimension 6: one charge of
-    # 3^6 covers every rank, and a budget below it stops the walk unstarted
+    # the symmetric 3 x 3 ambient over GF(3) has dimension 6 and its
+    # row-code tables over GF(3)^3 3^6 + 3^4 entries: one charge of the
+    # larger, 810, covers every rank, and a budget below it stops the walk
+    # unstarted
     from rankmetric import restricted
 
     charges = []
@@ -73,20 +91,27 @@ def test_rank_distribution_charges_the_ambient_once_before_the_walk(monkeypatch)
 
     monkeypatch.setattr(restricted, "charge", recording_charge)
     assert sum(rank_distribution_exhaustive("symmetric", 3, 3)) == 3**6
-    assert charges == [3**6]
+    assert charges == [810]
 
     def tripwire(*args):
         raise AssertionError("walk started before the budget charge")
 
-    monkeypatch.setattr(linalg, "span_elements", tripwire)
-    with pytest.raises(BudgetExceededError, match="729 steps"):
-        rank_distribution_exhaustive("symmetric", 3, 3, budget=728)
+    monkeypatch.setattr(linalg, "span_ranks", tripwire)
+    monkeypatch.setattr(linalg, "row_arithmetic", tripwire)
+    with pytest.raises(BudgetExceededError, match="810 steps"):
+        rank_distribution_exhaustive("symmetric", 3, 3, budget=809)
+    # the Hermitian 3 x 3 ambient over GF(4) has 4^9 matrices over tables
+    # of 16^6 + 16^4 entries; GF(16) is not built before the charge
+    monkeypatch.setattr(restricted, "hermitian_field", tripwire)
+    with pytest.raises(BudgetExceededError, match=f"{16**6 + 16**4} steps"):
+        rank_distribution_exhaustive("hermitian", 3, 4, budget=10**7)
 
 
 def test_rank_distribution_exhaustive_refuses_a_q_that_is_not_an_int():
     for kind in ("symmetric", "alternating", "hermitian", "full"):
-        with pytest.raises(ValueError, match="not a prime power"):
-            rank_distribution_exhaustive(kind, 2, 3.0)
+        for q in (3.0, "3"):
+            with pytest.raises(ValueError, match="not a prime power"):
+                rank_distribution_exhaustive(kind, 2, q)
 
 
 def test_rank_count_examples():
