@@ -208,11 +208,6 @@ class MatrixCode:
         m = self.m
         return tuple(tuple(vec[r * m : (r + 1) * m]) for r in range(self.n))
 
-    def codewords(self) -> Iterator[linalg.Matrix]:
-        """All q^k codewords as matrices, zero included."""
-        for vec in linalg.span_elements(self.basis, self.field):
-            yield self._reshape(vec)
-
     def min_distance(self, budget: int | None = None) -> int:
         """Minimum rank over all nonzero codewords, by full enumeration
         of one representative per projective point of the code."""

@@ -174,8 +174,10 @@ def avg_density_exhaustive(
 ) -> Fraction:
     """Oracle for avg_density_formula: the exact mean of delta over every
     point set of size ell, by full enumeration."""
-    q = getattr(q, "order", q)
+    q = field_for_order(getattr(q, "order", q)).order
     npoints = (q**N - 1) // (q - 1)
+    if not 1 <= ell <= npoints:
+        raise ValueError(f"need 1 <= ell <= {npoints}, got ell = {ell}")
     nsets = binom(npoints, ell)
     total = qbinom(N, k, q)
     # one membership test per (subspace, point), one mask test per
@@ -388,7 +390,7 @@ def hyperplane_density_independent(N: int, i: int, q) -> Fraction:
 
 def collinear_pointset(N: int, i: int, q) -> PointSet:
     """i points inside the plane <e_0, e_1>: e_0, e_1, e_0 + c e_1, ..."""
-    q = getattr(q, "order", q)
+    q = field_for_order(getattr(q, "order", q)).order
     pts = [
         (1,) + (0,) * (N - 1),
         (0, 1) + (0,) * (N - 2),
@@ -480,10 +482,10 @@ def moment_curve_arc(N: int, ell: int, q) -> PointSet:
     """An arc of size ell <= q+1: points (1, t, t^2, ..., t^(N-1)) for the
     first field elements t, plus (0, ..., 0, 1) when ell = q+1.  Any N of
     these columns form a Vandermonde block, hence span."""
-    q = getattr(q, "order", q)
+    fld = field_for_order(getattr(q, "order", q))
+    q = fld.order
     if not N <= ell <= q + 1:
         raise ValueError(f"moment-curve arc needs N <= ell <= q+1 = {q + 1}")
-    fld = field_for_order(q)
     pts = []
     for t in range(min(ell, q)):
         pts.append(tuple(fld.pow(t, e) for e in range(N)))

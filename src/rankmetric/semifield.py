@@ -61,12 +61,13 @@ permutation tables, one list over all of GL per generator of L or H
 mapping each element x to u . x or x . s.  A pass decides its known
 verdicts, then solves one representative of each undecided class; when K
 grows it reads the partition of the larger K, joined from the smaller
-K's.  The scans given one `tables` dict share the tables and the
-partitions in it, so each is built once; the class census gives one to
-all of its scans, whose automorphism scans take the same generators, and
-drops it when it returns.  A rho whose twisted code C2^rho equals an
-earlier pass's has that pass's hits, so it adds that pass's count and
-runs no solve: the field code over a non-prime base is its own twist.
+K's.  The GL_n(q) of a field is one object (`_gl`), which keeps every
+table and partition its scans build for the life of the process, so each
+is built once per field: the class census's automorphism scans take the
+same generators, and a repeated census walks no coset.  A rho whose
+twisted code C2^rho equals an earlier pass's has that pass's hits, so it
+adds that pass's count and runs no solve: the field code over a
+non-prime base is its own twist.
 
 The class census takes the class of the field-multiplication code from
 the closed form equiv_to_c0_predicate and decides every other pair of
@@ -472,11 +473,10 @@ def code_to_semifield(C: LinPolyCode, budget: int | None = None) -> Semifield:
 # equivalence and automorphisms (exhaustive, one solve per double coset)
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _gl_codes(fld, n: int) -> tuple[list[int], tuple[list[int], ...], tuple[list[int], ...]]:
     """(where, rows, cols): GL_n(q) enumerated in increasing order of the
     codes of its matrices, the code of a matrix being sum of
-    mat[r][c] * q^(r*n + c).  Cached per (field, n).
+    mat[r][c] * q^(r*n + c).
       - where[code] is the index of the element of that code, for each of
         the q^(n^2) codes (0 off GL);
       - rows[r][i] is digit r of the code of element i in base Q = q^n,
@@ -653,7 +653,10 @@ class _LeftSolver:
 
 
 class _GLProducts:
-    """Products in GL_n(q) on the indices of its enumeration `_gl_codes`.
+    """GL_n(q) and its products on the indices of its enumeration
+    `_gl_codes`, with the permutation tables and the double-coset
+    partitions (`_double_cosets`) made so far, kept in `tables` by
+    (side, element) and by ("cosets", generators).
 
     Only the digit lists of rows and columns are kept; a matrix is decoded
     where one is needed.  A product by a fixed element is a permutation
@@ -665,13 +668,10 @@ class _GLProducts:
     A table sums the images to codes by C-level `map` over the digit lists
     of all of GL, and reads their indices off `where`."""
 
-    def __init__(self, fld, n: int, tables: dict | None = None):
+    def __init__(self, fld, n: int):
         self.where, self.rows, self.cols = _gl_codes(fld, n)
         self.fld, self.n = fld, n
-        # the permutation tables made so far, by (fld, n, side, element),
-        # and the double-coset partitions (`_double_cosets`): the scans
-        # given one dict build each once
-        self.tables = {} if tables is None else tables
+        self.tables: dict = {}
         self.q = q = fld.order
         self.Q = Q = q**n
         self.add, self.scale = linalg.row_arithmetic(fld, n)
@@ -723,7 +723,7 @@ class _GLProducts:
 
     def right_table(self, s: int) -> list[int]:
         """The permutation x -> the index of x . s."""
-        key = (self.fld, self.n, "right", s)
+        key = ("right", s)
         if key not in self.tables:
             self.tables[key] = self._table(self._right_parts(s), self.rows)
         return self.tables[key]
@@ -731,7 +731,7 @@ class _GLProducts:
     def left_table(self, u: int) -> list[int]:
         """The permutation x -> the index of u . x: column c = w of x
         becomes u . w = sum_k w[k] * (column k of u)."""
-        key = (self.fld, self.n, "left", u)
+        key = ("left", u)
         if key not in self.tables:
             image = self._image([col[u] for col in self.cols])
             parts = [[self.spread[t] * self.q**c for t in image] for c in range(self.n)]
@@ -774,6 +774,14 @@ class _GLProducts:
         return gens
 
 
+@lru_cache(maxsize=None)
+def _gl(E: FiniteField) -> _GLProducts:
+    """The GL_n(q) of E = GF(q^n) over GF(q): one object per field, its
+    modulus included, so every scan over E shares its tables and
+    partitions, and those of another field are never read."""
+    return _GLProducts(E.base, E.n)
+
+
 def _unit_generators(
     gl: _GLProducts, C: LinPolyCode, budget: int, first: Sequence[int] = ()
 ) -> list[int]:
@@ -799,7 +807,6 @@ def _equivalence_scan(
     budget: int | None,
     count_all: bool,
     chunk: tuple[int, int] | None = None,
-    tables: dict | None = None,
 ) -> int:
     """Shared kernel: the number of triples (f, rho, g) of invertible f, g
     and rho in Aut(GF(q)) with f o C2^rho o g = C1; with count_all=False,
@@ -821,8 +828,8 @@ def _equivalence_scan(
     so an equivalence that holds at g = 1 costs one kernel solve), and
     the seeds' at rho = 0 of an automorphism scan.  It then reads the
     partition of GL into the double cosets of the generators of L and H
-    (`_double_cosets`, kept with the permutation tables in `tables`, a
-    dict the scans over one field may share) and solves the least index
+    (`_double_cosets`, kept with the permutation tables by the field's
+    GL, `_gl`, for every scan over the field) and solves the least index
     of each undecided class that meets the slice, in order of least
     index in the slice.  At rho = 0 of an automorphism scan the
     identity's class is K, so a hit is a new generator of K: it is
@@ -866,7 +873,7 @@ def _equivalence_scan(
     for seed in _seeds(E) if aut else ():
         if seed not in known:
             known[seed] = solver.hits(seed)
-    gl = _GLProducts(fld, n, tables)
+    gl = _gl(E)
     known = {gl.index(g): count for g, count in known.items()}
     seeds = [i for i, count in known.items() if count and i != gl.identity]
     h_gens = _unit_generators(gl, C1, budget, seeds)
@@ -919,10 +926,10 @@ def _double_cosets(
     one generator fewer on each side, as when a scan's K has grown, its
     classes are joined instead along the last generators' two tables:
     x joins u . x and x . s."""
-    key = (gl.fld, gl.n, "cosets", tuple(l_gens), tuple(h_gens))
+    key = ("cosets", tuple(l_gens), tuple(h_gens))
     if key in gl.tables:
         return gl.tables[key]
-    finer = l_gens and h_gens and gl.tables.get(key[:3] + (key[3][:-1], key[4][:-1]))
+    finer = l_gens and h_gens and gl.tables.get(("cosets", key[1][:-1], key[2][:-1]))
     if finer:
         cls, reps = finer[:2]
         root = list(range(len(reps)))  # union-find over the finer classes
@@ -964,33 +971,23 @@ def _walk_cosets(cls: list, queue: list[int], perms: Sequence[Sequence[int]]) ->
                 queue.append(y)
 
 
-def is_equivalent_bruteforce(
-    C1: LinPolyCode,
-    C2: LinPolyCode,
-    budget: int | None = None,
-    *,
-    tables: dict | None = None,
-) -> bool:
+def is_equivalent_bruteforce(C1: LinPolyCode, C2: LinPolyCode, budget: int | None = None) -> bool:
     """Exhaustive equivalence test: exists (f, rho, g) with invertible f, g
-    and C1 = f o C2^rho o g.  Deterministic regardless of early exit.
-    `tables`, a dict that scans over one field may share, keeps the
-    permutation tables of GL_n(q) and the double-coset partitions they
-    build, so each is built once."""
-    return _equivalence_scan(C1, C2, budget, count_all=False, tables=tables) > 0
+    and C1 = f o C2^rho o g.  Deterministic regardless of early exit.  The
+    permutation tables of GL_n(q) and the double-coset partitions a scan
+    builds stay with the field's GL_n(q), so every scan over the field
+    builds each once."""
+    return _equivalence_scan(C1, C2, budget, count_all=False) > 0
 
 
 def aut_group_size_bruteforce(
-    C: LinPolyCode,
-    budget: int | None = None,
-    chunk: tuple[int, int] | None = None,
-    *,
-    tables: dict | None = None,
+    C: LinPolyCode, budget: int | None = None, chunk: tuple[int, int] | None = None
 ) -> int:
     """|Aut(C)|: the exact number of triples (f, rho, g) fixing C.  An
     optional chunk=(lo, hi) slice of the GL sweep supports deterministic
-    parallel splitting (chunk counts sum to the total); `tables` is as in
-    `is_equivalent_bruteforce`."""
-    return _equivalence_scan(C, C, budget, count_all=True, chunk=chunk, tables=tables)
+    parallel splitting (chunk counts sum to the total); the tables and
+    partitions are shared as in `is_equivalent_bruteforce`."""
+    return _equivalence_scan(C, C, budget, count_all=True, chunk=chunk)
 
 
 # ----------------------------------------------------------------------
@@ -1083,7 +1080,6 @@ def twisted_class_census(
     classes: list[dict] = []
     reps: list[tuple[LinPolyCode, bool]] = []
     seen: dict[LinPolyCode, int] = {}
-    tables: dict = {}  # GL_n(q)'s tables and partitions, shared by every scan
     for spec in valid_twisted_specs(field):
         code = spec.code()
         if code in seen:
@@ -1092,7 +1088,7 @@ def twisted_class_census(
         for idx, (rep_code, rep_is_c0) in enumerate(reps):
             if rep_is_c0 == is_c0_class and (
                 rep_is_c0
-                or is_equivalent_bruteforce(rep_code, code, budget=budget, tables=tables)
+                or is_equivalent_bruteforce(rep_code, code, budget=budget)
             ):
                 seen[code] = idx
                 classes[idx]["members"] += 1
@@ -1109,5 +1105,5 @@ def twisted_class_census(
             )
     if aut_sizes:
         for entry, (rep_code, _) in zip(classes, reps):
-            entry["aut_size"] = aut_group_size_bruteforce(rep_code, budget=budget, tables=tables)
+            entry["aut_size"] = aut_group_size_bruteforce(rep_code, budget=budget)
     return classes

@@ -547,3 +547,28 @@ def test_avg_density_exhaustive_charges_the_subspace_sweep(monkeypatch):
     monkeypatch.setattr(critical, "_subspace_point_masks", tripwire)
     with pytest.raises(BudgetExceededError, match="102401370 steps"):
         avg_density_exhaustive(8, 4, 1, 2, budget=300)
+
+
+def test_avg_density_exhaustive_refuses_an_ell_outside_the_points():
+    # GF(2)^2 has 3 points: no point set of 0 or 10 points to average over
+    for ell in (0, 10):
+        with pytest.raises(ValueError, match="1 <= ell <= 3"):
+            avg_density_exhaustive(2, 1, ell, 2)
+
+
+def test_avg_density_exhaustive_refuses_a_q_that_is_not_an_int():
+    for q in (4.0, "3"):
+        with pytest.raises(ValueError, match="not a prime power"):
+            avg_density_exhaustive(2, 1, 2, q)
+
+
+def test_collinear_pointset_refuses_a_q_that_is_not_an_int():
+    for q in (3.0, "3"):
+        with pytest.raises(ValueError, match="not a prime power"):
+            collinear_pointset(3, 2, q)
+
+
+def test_moment_curve_arc_refuses_a_q_that_is_not_an_int():
+    for q in (3.0, "3"):
+        with pytest.raises(ValueError, match="not a prime power"):
+            moment_curve_arc(3, 3, q)

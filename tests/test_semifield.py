@@ -736,7 +736,15 @@ def test_seeds_lie_in_g0_of_the_gf27_class_representatives():
         assert [solver.hits(seed) for seed in seeds] == [left_units] * 2
 
 
-def test_equivalence_at_the_identity_builds_no_unit_group_or_table(monkeypatch):
+@pytest.fixture
+def fresh_gl():
+    """Each field's GL_n(q) is built anew, with no table or partition, so
+    the counts of the tables built and the cosets walked start from an
+    empty GL."""
+    semifield._gl.cache_clear()
+
+
+def test_equivalence_at_the_identity_builds_no_unit_group_or_table(monkeypatch, fresh_gl):
     # the census's 25 twisted-vs-twisted tests over GF(27) each hit at the
     # identity, whose solve comes first: one kernel solve per test, the
     # identity's, plus the check rows of the class representative, which
@@ -830,12 +838,13 @@ def test_left_solver_matches_the_full_solve(E, kind, rnd):
             assert solver.hits(g) == want
 
 
-def test_cyclic_unit_group_has_one_generator(monkeypatch):
+def test_cyclic_unit_group_has_one_generator(monkeypatch, fresh_gl):
     # R* of the GF(27) field code is the cyclic group GF(27)*, 26 units:
     # trying elements of larger order first gives it one generator.  The
-    # census's scans share their tables, and both of its automorphism
-    # scans take the two seeds as the generators of K, so it builds one
-    # left and one right whole-GL table for each seed, 4 tables in all
+    # census's scans share the tables of GL_3(3), and both of its
+    # automorphism scans take the two seeds as the generators of K, so it
+    # builds one left and one right whole-GL table for each seed, 4 tables
+    # in all
     code = c0_code(E27)
     fld, n = E27.base, E27.n
     gl = semifield._GLProducts(fld, n)
@@ -899,24 +908,44 @@ def _count_scan_work(monkeypatch):
     return counts
 
 
+def _gf27(index):
+    F3 = make_field(3)
+    return FiniteField(F3, 3, modulus=nth_irreducible(F3, 3, index))
+
+
 @pytest.mark.parametrize("index", range(8))
-def test_census_work_at_every_gf27_modulus(monkeypatch, index):
+def test_census_work_at_every_gf27_modulus(monkeypatch, fresh_gl, index):
     # 25 equivalence tests that hit at the identity, and two automorphism
     # scans of 10 solves each, whose 4 tables are those of the two seeds.
     # The seeds generate K, of order 78, and GL_3(3) falls into 8 double
     # cosets K . g . K: the first automorphism scan walks them, and the
     # second, with the same generators, reads its partition.  A repeated
-    # census makes its codes from cached monomial matrices, evaluating
-    # nothing, and each code derives its check rows and right idealizer
-    # once: 49 kernels, 26 of them for the 25 tests
-    F3 = make_field(3)
-    field = FiniteField(F3, 3, modulus=nth_irreducible(F3, 3, index))
-    twisted_class_census(field, budget=BIG)
+    # census reads the tables and the partition kept by the field's GL,
+    # makes its codes from cached monomial matrices, evaluating nothing,
+    # and each code derives its check rows and right idealizer once: 49
+    # kernels, 26 of them for the 25 tests
+    field = _gf27(index)
     counts = _count_scan_work(monkeypatch)
+    twisted_class_census(field, budget=BIG)
+    assert (counts["solves"], counts["tables"], counts["walks"]) == (45, 4, 8)
+    counts.update(dict.fromkeys(counts, 0))
     census = twisted_class_census(field, budget=BIG)
     assert sorted(e["aut_size"] for e in census) == [156, 2028]
-    assert (counts["solves"], counts["tables"], counts["walks"]) == (45, 4, 8)
+    assert (counts["solves"], counts["tables"], counts["walks"]) == (45, 0, 0)
     assert (counts["kernels"], counts["evaluations"]) == (49, 0)
+
+
+def test_two_gf27_moduli_never_share_a_gl(monkeypatch, fresh_gl):
+    # both fields act through the one group GL_3(3), but each keeps its
+    # own: the census at a second modulus builds its own tables and
+    # partition, and an equal field, made again, reads the first one's
+    first, second = _gf27(0), _gf27(1)
+    twisted_class_census(first, budget=BIG)
+    counts = _count_scan_work(monkeypatch)
+    twisted_class_census(second, budget=BIG)
+    assert (counts["solves"], counts["tables"], counts["walks"]) == (45, 4, 8)
+    assert semifield._gl(first) is not semifield._gl(second)
+    assert semifield._gl(_gf27(0)) is semifield._gl(first)
 
 
 def _class_representatives(E):
@@ -929,31 +958,32 @@ def _partitions(tables):
     return [key for key in tables if "cosets" in key]
 
 
-def test_second_automorphism_scan_reads_the_partition_of_the_first(monkeypatch):
+def test_second_automorphism_scan_reads_the_partition_of_the_first(monkeypatch, fresh_gl):
     # the field code and the (1, 2) code over GF(27) take the seeds as the
     # generators of K, so the second scan walks no coset; its count and its
-    # solves are those of a scan with a dict of its own
+    # solves are those of a scan on a GL of its own
     field_code, twisted = _class_representatives(E27)
     counts = _count_scan_work(monkeypatch)
-    tables = {}
-    assert aut_group_size_bruteforce(field_code, budget=BIG, tables=tables) == 2028
+    tables = semifield._gl(E27).tables
+    assert aut_group_size_bruteforce(field_code, budget=BIG) == 2028
     assert (counts["solves"], counts["walks"], len(_partitions(tables))) == (10, 8, 1)
     counts.update(solves=0, walks=0)
-    assert aut_group_size_bruteforce(twisted, budget=BIG, tables=tables) == 156
+    assert aut_group_size_bruteforce(twisted, budget=BIG) == 156
     assert (counts["solves"], counts["walks"], len(_partitions(tables))) == (10, 0, 1)
     counts.update(solves=0, walks=0)
+    semifield._gl.cache_clear()
     assert aut_group_size_bruteforce(twisted, budget=BIG) == 156
     assert (counts["solves"], counts["walks"]) == (10, 8)
 
 
 @pytest.mark.parametrize("E", [E16, E27], ids=repr)
-def test_chunked_scans_sharing_tables_sum_to_the_full_count(monkeypatch, E):
+def test_chunked_scans_sharing_tables_sum_to_the_full_count(monkeypatch, fresh_gl, E):
     # every pass builds the whole partition, a chunked one too: chunks in
-    # either order, before and after a complete scan, all sharing one dict,
-    # have the counts and the solves of scans alone, and the chunks sum to
-    # the full count; the first chunk stores the one partition, and the
-    # later chunks and the complete scan walk no coset.  Over GF(16) with
-    # base GF(4) the scans also make rho = 1 passes
+    # either order, before and after a complete scan, all on one GL, have
+    # the counts and the solves of scans on a GL of their own, and the
+    # chunks sum to the full count; the first chunk stores the one
+    # partition, and the later chunks and the complete scan walk no coset.
+    # Over GF(16) with base GF(4) the scans also make rho = 1 passes
     size = gl_order(E.n, E.base)
     bounds = [0, size // 3, size // 3 + 1, size]
     chunks = list(zip(bounds, bounds[1:]))
@@ -962,32 +992,34 @@ def test_chunked_scans_sharing_tables_sum_to_the_full_count(monkeypatch, E):
     for code in (c0_code(E), specs[len(specs) // 2].code()):
         alone = {}
         for chunk in [*chunks, None]:
+            semifield._gl.cache_clear()
             counts.update(solves=0)
             alone[chunk] = (aut_group_size_bruteforce(code, BIG, chunk), counts["solves"])
         assert sum(alone[chunk][0] for chunk in chunks) == alone[None][0]
         for order in (chunks, chunks[::-1]):
-            tables = {}
+            semifield._gl.cache_clear()
+            tables = semifield._gl(E).tables
             for step, chunk in enumerate([*order, None, *order]):
                 counts.update(solves=0, walks=0)
-                count = aut_group_size_bruteforce(code, BIG, chunk, tables=tables)
+                count = aut_group_size_bruteforce(code, BIG, chunk)
                 assert (count, counts["solves"]) == alone[chunk]
                 assert (counts["walks"] > 0, len(_partitions(tables))) == (step == 0, 1)
 
 
-def test_scan_with_other_generators_builds_its_own_partition(monkeypatch):
+def test_scan_with_other_generators_builds_its_own_partition(monkeypatch, fresh_gl):
     # the full triple count of the field code against the (1, 2) code keeps
     # L = R*(C2), the scalars, and H = R*(C1), GF(27)*: other generators
     # than the K of the field code's automorphism scan, so it walks GL and
     # stores a partition of its own, which a second such scan reads
     field_code, twisted = _class_representatives(E27)
-    tables = {}
-    assert aut_group_size_bruteforce(field_code, budget=BIG, tables=tables) == 2028
+    tables = semifield._gl(E27).tables
+    assert aut_group_size_bruteforce(field_code, budget=BIG) == 2028
     counts = _count_scan_work(monkeypatch)
-    assert semifield._equivalence_scan(field_code, twisted, BIG, True, tables=tables) == 0
+    assert semifield._equivalence_scan(field_code, twisted, BIG, True) == 0
     solves, walks = counts["solves"], counts["walks"]
     assert walks > 8 and len(_partitions(tables)) == 2
     counts.update(solves=0, walks=0)
-    assert semifield._equivalence_scan(field_code, twisted, BIG, True, tables=tables) == 0
+    assert semifield._equivalence_scan(field_code, twisted, BIG, True) == 0
     assert (counts["solves"], counts["walks"]) == (solves, 0)
     # a twisted code composed with g has the conjugated right idealizer and
     # neither seed in its G0: its K starts from other generators and grows,
@@ -997,10 +1029,10 @@ def test_scan_with_other_generators_builds_its_own_partition(monkeypatch):
     moved = twisted.compose_right(gl[5000])
     before = set(_partitions(tables))
     counts.update(walks=0)
-    assert aut_group_size_bruteforce(moved, budget=BIG, tables=tables) == 156
+    assert aut_group_size_bruteforce(moved, budget=BIG) == 156
     new = [key for key in _partitions(tables) if key not in before]
-    grown = sorted(key[4] for key in new)
-    assert counts["walks"] > 0 and len(grown) > 1 and all(key[3] == key[4] for key in new)
+    grown = sorted(key[2] for key in new)
+    assert counts["walks"] > 0 and len(grown) > 1 and all(key[1] == key[2] for key in new)
     assert all(big[:-1] == small for small, big in zip(grown, grown[1:]))
 
 
@@ -1013,7 +1045,9 @@ def test_scan_with_other_generators_builds_its_own_partition(monkeypatch):
     ],
     ids=["gf27-field", "gf27-twisted", "gf16-field"],
 )
-def test_scans_in_which_k_grows_keep_their_solve_counts(monkeypatch, E, kind, g, aut, solves):
+def test_scans_in_which_k_grows_keep_their_solve_counts(
+    monkeypatch, fresh_gl, E, kind, g, aut, solves
+):
     # the field code and the (1, 2) code composed on the right with g have
     # G0 and R* conjugated by g, so K grows in the rho = 0 pass: each hit
     # adds a generator, and the scan reads the partition of the larger K,
@@ -1021,13 +1055,12 @@ def test_scans_in_which_k_grows_keep_their_solve_counts(monkeypatch, E, kind, g,
     code = _class_representatives(E)[1] if kind == "twisted" else c0_code(E)
     code = code.compose_right(g)
     counts = _count_scan_work(monkeypatch)
-    tables = {}
-    assert aut_group_size_bruteforce(code, budget=BIG, tables=tables) == aut
-    assert counts["solves"] == solves and len(_partitions(tables)) > 1
+    assert aut_group_size_bruteforce(code, budget=BIG) == aut
+    assert counts["solves"] == solves and len(_partitions(semifield._gl(E).tables)) > 1
 
 
 @pytest.mark.parametrize("E, aut", [(E16, 900), (make_ext_field(make_field(2, 2), 3), 23814)])
-def test_equal_twist_pass_reuses_the_earlier_count(monkeypatch, E, aut):
+def test_equal_twist_pass_reuses_the_earlier_count(monkeypatch, fresh_gl, E, aut):
     # the field code over a non-prime base equals its twist, so the rho = 1
     # pass adds the rho = 0 count: one solver, whose solves are all of
     # rho = 0, and the 4 tables of the seeds, which generate G0
@@ -1065,8 +1098,8 @@ def test_contains_matches_rref_membership(E, rnd):
 @pytest.mark.parametrize("E", [E8, E9, E16, E25, E27], ids=repr)
 def test_shared_partitions_change_no_count_and_no_solve(monkeypatch, E):
     # the field code, the code {c x : c in GF(q)} and up to 12 distinct
-    # twisted codes, all sharing one dict: each count and each number of
-    # solves is that of a scan alone.  The scalar code is fixed by every g
+    # twisted codes, all on one GL: each count and each number of solves
+    # is that of a scan on a GL of its own.  The scalar code is fixed by every g
     # (f = g^-1), so G0 is all of GL; both seeds hit and its R* lies in
     # the field code's K, so its rho = 0 pass reads the field code's
     # partition, and K grows at the first hit outside K: the scan then
@@ -1074,18 +1107,22 @@ def test_shared_partitions_change_no_count_and_no_solve(monkeypatch, E):
     # scan alone (4 over GF(27); 10 if the smaller K's cosets were decided
     # one by one)
     counts = _count_scan_work(monkeypatch)
-    tables = {}
     scalars = LinPolyCode(E, [LinearizedPoly.x(E)])
     twisted = list(dict.fromkeys(s.code() for s in _specs(E)))[:12]
-    for code in dict.fromkeys([c0_code(E), scalars, *twisted]):
+    codes = list(dict.fromkeys([c0_code(E), scalars, *twisted]))
+    alone = {}
+    for code in codes:
+        semifield._gl.cache_clear()
         counts.update(solves=0, walks=0)
-        alone = aut_group_size_bruteforce(code, budget=BIG)
-        solves, walks = counts["solves"], counts["walks"]
+        alone[code] = aut_group_size_bruteforce(code, budget=BIG), counts["solves"], counts["walks"]
+    semifield._gl.cache_clear()
+    for code in codes:
+        count, solves, walks = alone[code]
         counts.update(solves=0, walks=0)
-        assert aut_group_size_bruteforce(code, budget=BIG, tables=tables) == alone
+        assert aut_group_size_bruteforce(code, budget=BIG) == count
         assert counts["solves"] == solves and counts["walks"] <= walks
         if code == scalars:
-            assert alone == E.base.h * gl_order(E.n, E.base) * (E.q - 1)
+            assert count == E.base.h * gl_order(E.n, E.base) * (E.q - 1)
             assert counts["walks"] < walks
             if E == E27:
                 assert (solves, counts["solves"]) == (4, 4)
@@ -1118,7 +1155,7 @@ def test_cached_linear_algebra_matches_a_fresh_derivation(E, rnd):
         assert idealizers(code).right.size == fld.order ** len(space)
 
 
-def test_aut_scan_charges_before_building_gl(monkeypatch):
+def test_aut_scan_charges_before_building_gl(monkeypatch, fresh_gl):
     # building GL_3(3) makes its 11232 codes, then the scan makes at most
     # one solve per g in GL_3(3): 11232 + 11232 steps, charged before either
     def tripwire(*args):
@@ -1129,7 +1166,7 @@ def test_aut_scan_charges_before_building_gl(monkeypatch):
         aut_group_size_bruteforce(c0_code(E27), budget=22463)
 
 
-def test_aut_scan_charges_the_row_tables(monkeypatch):
+def test_aut_scan_charges_the_row_tables(monkeypatch, fresh_gl):
     # GL_1(4093) has 4092 elements, but its row-code tables 2 * 4093^2
     # entries
     def tripwire(*args):
