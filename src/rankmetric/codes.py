@@ -15,9 +15,11 @@ lies on a point of the given point set.  One kernel, `_SpanMinRank`,
 answers it, growing the span one row at a time and testing only the
 words each new row adds.  Every word is one int with a slot per base-p
 digit of each entry.  Over GF(2) with nm <= 16 it is ranked by one table
-probe, otherwise by `linalg.rank`, once per distinct word of each plan
-entry run in-process and each chunk sent to a worker, through a memo.
-The packing never appears in any public signature.
+probe.  Every other sweep lists its bad words once, before it counts: the
+words of every matrix of rank < d in the ambient, by one pruned
+`linalg.span_ranks` walk that the sweep charges to the budget, and a
+word is then decided by one set lookup, with no elimination.  The
+packing never appears in any public signature.
 
 The Grassmannian sweeps are pruned.  Inside a pivot pattern the last
 RREF row holds the most significant base-q digits of the index, so a
@@ -34,12 +36,14 @@ The three Grassmannian sweeps -- `density_bruteforce`,
 `critical.delta_bruteforce` -- hand their field, matrix shape and
 coordinate vectors to one driver, `_sweep`.  It checks d, charges the
 budget before it builds the kernel and the Grassmannian, and splits the
-index range into deterministic pieces.  With one worker (one job, one
-CPU, or a single subspace to count) it runs in-process.  With more, it
-still counts in-process, in index ranges of doubling length, until it
-has run `_POOL_AFTER_S` seconds, since a Pool costs more than a short
-sweep takes; only what is left is split into chunks and mapped on a
-multiprocessing Pool that the sweep starts, and closes and joins, itself.
+index range into deterministic pieces; each piece, in-process or sent to
+a Pool worker, counts on the one kernel and its set of bad words.  With
+one worker (one job, one CPU, or a single subspace to count) it runs
+in-process.  With more, it still counts in-process, in index ranges of
+doubling length, until it has run `_POOL_AFTER_S` seconds, since a Pool
+costs more than a short sweep takes; only what is left is split into
+chunks and mapped on a multiprocessing Pool that the sweep starts, and
+closes and joins, itself.
 The sweeps of `verify all` all finish before the deadline, so it starts
 no Pool at any `--jobs`.
 
@@ -240,6 +244,12 @@ class MatrixCode:
         return f"MatrixCode(GF({self.q}), {self.n}x{self.m}, dim={self.dim})"
 
 
+def _by_table(fld, n: int, m: int) -> bool:
+    """Whether the rank kernel over fld^(n x m) ranks its words by
+    linalg.gf2_rank_table: entries in GF(2) and nm <= 16."""
+    return fld.order == 2 and n * m <= 16
+
+
 class _SpanMinRank:
     """The codeword-sweep kernel: spans grown one row at a time.
 
@@ -257,51 +267,50 @@ class _SpanMinRank:
     A span is held as the list W of all its words, zero included.  Adding
     a row x outside the span adds the words c*x + w (c != 0, w in W), and
     c*x + w is c times x + w/c, which has the same rank.  So
-    first_below(x, W, d, ranks) ranks only the |W| words x + w and
-    already sees every rank in span(W, x) that span(W) lacks; extend(W, x)
-    lists the words of span(W, x), and count() also builds the values of
-    each RREF row with it.  A row that completes a span to dimension k is
-    ranked against W but never extended.
+    clean(x, W, d) tests only the |W| words x + w and already sees every
+    rank in span(W, x) that span(W) lacks; extend(W, x) lists the words of
+    span(W, x), and count() also builds the values of each RREF row with
+    it.  A row that completes a span to dimension k is tested against W
+    but never extended.  The span coefficients range over GF(q), a
+    subfield of fld.
 
-    Over GF(2) with nm <= 16 a word is ranked by one table probe, else
-    exactly, by linalg.rank of its entries, on its first test only: the
-    branches of a search test the same words again and again, so
-    first_below reads a memo `ranks`, word -> rank, before it ranks.  Each
-    min_rank call keeps its own memo, and so does each count call unless
-    handed one: `_sweep` hands the in-process ranges of one plan entry one
-    memo.  A memo stores at most `limit` words and past that ranks what it
-    lacks.  `_sweep` sets `limit` to min(q^N, the steps it charged); the
-    default, the number of n x m matrices over fld, binds nothing, and
-    min_rank tests each word of its span once, the words `min_distance`
-    charged.  The memo lives in a frame of the process that fills it,
-    never on the kernel, so it never travels to a Pool worker.  The span
-    coefficients range over GF(q), a subfield of fld.
+    A word is bad when it lies in `bad`, a frozenset of words, and clean
+    is then one `bad.isdisjoint(sums(x, W))`, which stops at the first bad
+    word.  Given the coordinate vectors `ambient` of a sweep and its d,
+    bad holds the words of every matrix of rank < d in their GF(q)-span,
+    listed once by `bad_words`, which the sweep charges first; with d = 1
+    that is {0}.  Over GF(2) with nm <= 16 (`_by_table`) a rank kernel
+    keeps no set and probes linalg.gf2_rank_table instead.  min_rank, the
+    minimum distance of one code, ranks each word of its span once, by
+    the table or by linalg.rank.
 
     Given a point set `points` of GF(q)^(nm) (canonical vectors, first
-    nonzero entry 1, fld = GF(q)), a word is bad when it lies in `bad`, the
-    frozenset of the words of the points: its "rank" reads 0 there and 1
-    elsewhere, so with n = 1 and d = 1 count() counts the subspaces that
-    distinguish the set.  Every word count() tests is x + w with x the RREF
-    row of least pivot so far and w zero up to that pivot, so its first
-    nonzero entry is 1: it is the canonical vector of its point.  A partial
+    nonzero entry 1, fld = GF(q)), bad holds the words of the points, so
+    with n = 1 and d = 1 count() counts the subspaces that distinguish
+    the set.  Every word count() tests is x + w with x the RREF row of
+    least pivot so far and w zero up to that pivot, so its first nonzero
+    entry is 1: it is the canonical vector of its point.  A partial
     subspace holding a point keeps it in every completion, so the pruning
     stays exact.
     """
 
-    __slots__ = ("fld", "q", "n", "m", "b", "ones", "carry", "table", "bad", "limit")
+    __slots__ = ("fld", "q", "n", "m", "b", "ones", "carry", "table", "bad")
 
     def __init__(
         self, fld, q: int, n: int, m: int, points: Collection[Sequence[int]] = (),
-        limit: int | None = None,
+        ambient: Sequence[Sequence[int]] | None = None, d: int = 1,
     ):
         self.fld, self.q, self.n, self.m, p = fld, q, n, m, fld.p
         self.b = b = 1 if p == 2 else p.bit_length() + 1
         self.ones = sum(1 << i for i in range(0, b * fld.h * n * m, b))
         self.carry = ((1 << b - 1) - p) * self.ones
-        self.limit = fld.order ** (n * m) if limit is None else limit
-        self.bad = frozenset(map(self.vec, points)) if points else None
-        gf2 = fld.order == 2 and n * m <= 16 and not points
+        gf2 = not points and _by_table(fld, n, m)
         self.table = linalg.gf2_rank_table(n, m) if gf2 else None
+        self.bad = None
+        if points:
+            self.bad = frozenset(map(self.vec, points))
+        elif ambient is not None and not gf2:
+            self.bad = self.bad_words(ambient, d)
 
     def vec(self, flat: Sequence[int]) -> int:
         """The word of a flattened n x m matrix over fld."""
@@ -326,45 +335,56 @@ class _SpanMinRank:
             out = [e * p + d for e, d in zip(out, digits[t::h])]
         return out
 
+    def bad_words(self, ambient: Sequence[Sequence[int]], d: int) -> frozenset:
+        """The words of every matrix of rank < d in the GF(q)-span of the
+        flattened n x m matrices `ambient`, which must be independent.
+
+        One `linalg.span_ranks(..., below=d)` walk lists their row codes
+        (over GF(|fld|)^m), and row[i][code] is the word of the matrix
+        whose row i has that code and whose other rows are 0, so a
+        matrix's word is the sum of its rows' entries.  With d = 1 the
+        set is {0} and nothing is walked."""
+        if d == 1:
+            return frozenset([0])
+        n, m, fld, step = self.n, self.m, self.fld, self.b * self.fld.h
+        digit = [self.vec([e]) for e in range(fld.order)]
+        row0 = [0]  # row0[v]: the word of row code v as row 0
+        for c in range(m):  # entry c is base-|fld| digit c of v
+            row0 = [w | digit[e] << step * c for e in range(fld.order) for w in row0]
+        row = [[w << step * m * i for w in row0] for i in range(n)]
+        mats = [[v[i * m : (i + 1) * m] for i in range(n)] for v in ambient]
+        return frozenset(
+            sum(map(list.__getitem__, row, row_codes))
+            for _, row_codes in linalg.span_ranks(mats, fld, self.q, d)
+        )
+
     def sums(self, x: int, W: Iterable[int]) -> Iterator[int]:
         """The words x + w for w in W, in order, made as they are read."""
         if self.b == 1:
-            return (x ^ w for w in W)
+            return map(x.__xor__, W)
         p, top, ones, xc = self.fld.p, self.b - 1, self.ones, x + self.carry
         return (x + w - ((xc + w) >> top & ones) * p for w in W)  # xc + w = x + w + carry
 
     def scale(self, c: int, x: int) -> int:
         return self.vec(linalg.row_scale(c, self.entries(x), self.fld))
 
-    def first_below(self, x: int, W: Sequence[int], d: int, ranks: dict) -> int:
-        """The minimum rank over the words x + w (w in W), stopping at the
-        first word of rank < d; ranks is the call's memo."""
-        if self.bad is not None:  # isdisjoint stops at the first bad word
-            return int(self.bad.isdisjoint(self.sums(x, W)))
-        best = min(self.n, self.m)
+    def rank(self, word: int) -> int:
+        """The rank of a word, by one table probe or by linalg.rank."""
         if self.table is not None:
-            table = self.table
-            for w in W:
-                r = table[x ^ w]
-                if r < best:
-                    best = r
-                    if r < d:
-                        break
-            return best
-        fld, n, m, limit = self.fld, self.n, self.m, self.limit
-        rank, known, entries = linalg.rank, ranks.get, self.entries
-        for word in self.sums(x, W):
-            r = known(word)
-            if r is None:
-                e = entries(word)
-                r = rank([e[i * m : (i + 1) * m] for i in range(n)], fld)
-                if len(ranks) < limit:
-                    ranks[word] = r
-            if r < best:
-                best = r
-                if r < d:
-                    break
-        return best
+            return self.table[word]
+        e, m = self.entries(word), self.m
+        return linalg.rank([e[i * m : (i + 1) * m] for i in range(self.n)], self.fld)
+
+    def clean(self, x: int, W: Iterable[int], d: int) -> bool:
+        """Whether no word x + w (w in W) is bad, stopping at the first
+        one that is: in `bad`, or of rank < d by the table."""
+        if self.bad is not None:
+            return self.bad.isdisjoint(self.sums(x, W))
+        table = self.table
+        for w in W:
+            if table[x ^ w] < d:
+                return False
+        return True
 
     def extend(self, W: Sequence[int], x: int) -> list[int]:
         """The words c*x + w (c in GF(q), w in W): the block of c = 0, W
@@ -377,21 +397,21 @@ class _SpanMinRank:
 
     def min_rank(self, rows: Sequence, d: int) -> int:
         """Minimum rank over the nonzero words of span(rows), for linearly
-        independent rows, stopping at the first word of rank < d."""
+        independent rows, stopping at the first word of rank < d.  Each
+        word is ranked once, by the table or by linalg.rank."""
         best = min(self.n, self.m)
         W = [0]
-        ranks: dict = {}
         for i, x in enumerate(rows):
-            best = min(best, self.first_below(x, W, d, ranks))
-            if best < d:
-                break
+            for word in self.sums(x, W):
+                best = min(best, self.rank(word))
+                if best < d:
+                    return best
             if i + 1 < len(rows):
                 W = self.extend(W, x)
         return best
 
     def count(
-        self, g: Grassmannian, units: Sequence, d: int, lo: int, hi: int, seed=None,
-        ranks: dict | None = None,
+        self, g: Grassmannian, units: Sequence, d: int, lo: int, hi: int, seed=None
     ) -> int:
         """Number of subspaces lo..hi-1 of g with no bad word: every
         nonzero word has rank >= d, or, for a point-set kernel at d = 1,
@@ -399,6 +419,10 @@ class _SpanMinRank:
         coordinate vector e_j of GF(q)^g.N (the coordinates are
         GF(q)-linear, so a subspace's words are the images of its
         vectors).  At k = 0 the one subspace, {0}, has no nonzero word.
+        A word is decided by the GF(2) table at this d, or by the set of
+        bad words listed for the point set or for the d the kernel was
+        built with; a rank kernel built without an ambient has no set and
+        counts only on the table.
 
         A seed, a word of rank >= d outside the span of the units, is
         added to every subspace: the count is then of the subspaces U
@@ -417,8 +441,7 @@ class _SpanMinRank:
         counts of any chunking add up to the full count.
         """
         k = g.k
-        first_below, extend = self.first_below, self.extend
-        ranks = {} if ranks is None else ranks  # the memo, word -> rank
+        clean, extend = self.clean, self.extend
         total = 0
         for pivots, free, a, b in g._pattern_slices(lo, hi):
             # levels[r] = (the word of every value of row r, indexed by the
@@ -440,7 +463,7 @@ class _SpanMinRank:
                 found = 0
                 for v in range(vlo, vhi):
                     x = words[v]
-                    if first_below(x, W, d, ranks) < d:
+                    if not clean(x, W, d):
                         continue
                     if r == 0:
                         found += 1
@@ -566,15 +589,20 @@ def _sweep(
 
     The charge covers the subspaces of the plan that runs and the
     q^(k-1) words of the largest span the sweep holds, labelled `what`,
-    and comes before the kernel and the Grassmannian are built.  It also
-    bounds every rank memo, which holds at most min(q^N, the charge)
-    words.
+    and comes before the kernel and the Grassmannian are built.  A rank
+    sweep off the GF(2) table with d > 1 then charges its bad-word walk,
+    before any row-code table or kernel is built: the larger of
+    min(q^N, the number of n x m matrices of rank < d over fld) and the
+    size of the row-code tables of fld^m.  The kernel lists the ambient's
+    rank < d words once, from the whole of `vectors` (a seeded count
+    tests words outside its hyperplane), and every range and Pool task
+    counts against that one set.
 
     The sweep has min(jobs, CPUs) workers, and at most one per subspace
     of the plan.  It counts each entry in-process, in index ranges
-    [lo, lo + step) that share one memo.  With one worker the first range
-    is the whole entry and there is no deadline, so jobs = 1 makes one
-    call per entry and never starts a Pool.  With more, step doubles from
+    [lo, lo + step).  With one worker the first range is the whole entry
+    and there is no deadline, so jobs = 1 makes one call per entry and
+    never starts a Pool.  With more, step doubles from
     1 and the sweep stops once it has run `_POOL_AFTER_S` seconds.  What
     is left, the rest of the current entry and every later entry, is
     split into 4 deterministic chunks per worker and entry, so that
@@ -598,9 +626,13 @@ def _sweep(
     else:
         plan, divisor, shape = [(1, None, None)], 1, (N, k)
     size = qbinom(*shape, q)
-    cost = len(plan) * size + q ** max(k - 1, 0)
-    charge(cost, resolve_budget(budget), what)
-    kernel = _SpanMinRank(fld, q, n, m, points, min(q**N, cost))
+    budget = resolve_budget(budget)
+    charge(len(plan) * size + q ** max(k - 1, 0), budget, what)
+    if not points and d > 1 and not _by_table(fld, n, m):
+        low = sum(matrix_rank_count(n, m, r, fld.order) for r in range(d))
+        walk = max(min(q**N, low), linalg.row_arithmetic_size(fld.order, m))
+        charge(walk, budget, f"{what}: the ambient's rank < {d} words")
+    kernel = _SpanMinRank(fld, q, n, m, points, vectors, d)
     units = [kernel.vec(v) for v in vectors]
     g = Grassmannian(*shape, q)
     workers = max(min(jobs, os.cpu_count() or 1, len(plan) * size), 1)
@@ -612,11 +644,11 @@ def _sweep(
         entry_units = units if p is None else units[:p] + units[p + 1 :]
         seed = None if seed is None else kernel.vec(seed)
         # in-process ranges [lo, lo + step), step doubling from `first`,
-        # sharing one memo, until the sweep has run `deadline` seconds
-        lo, step, ranks = 0, first, {}
+        # until the sweep has run `deadline` seconds
+        lo, step = 0, first
         while lo < size and time.perf_counter() - start < deadline:
             hi = min(lo + step, size)
-            weighted += weight * kernel.count(g, entry_units, d, lo, hi, seed, ranks)
+            weighted += weight * kernel.count(g, entry_units, d, lo, hi, seed)
             lo, step = hi, 2 * step
         bounds = [lo + (size - lo) * i // (4 * workers) for i in range(4 * workers + 1)]
         for a, b in zip(bounds, bounds[1:]):

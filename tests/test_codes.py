@@ -340,6 +340,56 @@ def test_density_charges_the_seeded_plan(monkeypatch):
         density_bruteforce(3, 3, 3, 3, 3, budget=896268)
 
 
+def test_sweep_charges_its_bad_word_walk_before_walking(monkeypatch):
+    # (2, 2, 1, 2, 3) is seeded at rank 2, one subspace: 1 + 3^0 = 2 steps.
+    # Its rank < 2 words are walked next, charged the larger of min(3^4,
+    # the 33 matrices of rank < 2) and the 3^4 + 3^3 entries of the
+    # row-code tables of GF(3)^2, before those tables, the walk or the
+    # kernel exist
+    from rankmetric import codes
+
+    def tripwire(*args, **kwargs):
+        raise AssertionError("walked before the budget charge")
+
+    for where, name in ((linalg, "row_arithmetic"), (linalg, "span_ranks"), (codes, "_SpanMinRank")):
+        monkeypatch.setattr(where, name, tripwire)
+    with pytest.raises(BudgetExceededError, match=r"sweep: the ambient's rank < 2 words needs 108 steps"):
+        density_bruteforce(2, 2, 1, 2, 3, budget=107)
+    monkeypatch.undo()
+    assert density_bruteforce(2, 2, 1, 2, 3, budget=108).count == 24
+
+
+def test_sweep_charges_a_walk_only_off_the_table(monkeypatch):
+    # d = 1 (no word has rank < 1 but 0), GF(2) with nm <= 16 (the rank
+    # table) and point sets charge the sweep alone; GF(3) at d = 2 and
+    # GF(2) 3 x 6 (nm = 18) charge the walk second
+    from rankmetric import codes, critical
+
+    charged = []
+    monkeypatch.setattr(codes, "charge", lambda cost, budget, what: charged.append(what))
+    for run, walks in (
+        (lambda: density_bruteforce(2, 2, 2, 1, 3), False),
+        (lambda: density_bruteforce(2, 3, 3, 2, 2), False),
+        (lambda: density_bruteforce(4, 4, 1, 2, 2), False),
+        (lambda: critical.delta_bruteforce(critical.rank_ball_pointset(2, 2, 1, 3), 2), False),
+        (lambda: density_bruteforce(2, 2, 2, 2, 3), True),
+        (lambda: density_bruteforce(3, 6, 1, 3, 2), True),
+    ):
+        charged.clear()
+        run()
+        assert len(charged) == 1 + walks
+        assert ("rank <" in charged[-1]) == walks
+
+
+def test_sweep_counts_the_2dim_full_rank_3x3_codes():
+    # the sweep against the spectrum-free closed form, at the shapes the
+    # bad-word set speeds up most (q = 5 runs in CI)
+    from rankmetric import restricted
+
+    for q in (3, 4):
+        assert density_bruteforce(3, 3, 2, 3, q).density == restricted.density_2dim_formula(3, q)
+
+
 def _sweep_2x2(strata, points=()):
     fld = field_for_order(3)
     return _sweep(fld, 3, 2, 2, linalg.identity(4), 2, 2, None, "test sweep", points, 1, strata)

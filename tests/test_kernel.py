@@ -26,22 +26,22 @@ sum_r A_r * f_r by q^k - 1.  Each f_r is checked here against the
 reference codes that contain E_r, and the driver's count against the
 reference count.
 
-Off the rank table the kernel ranks each distinct word once per
-`count` or `min_rank` call: first_below reads a memo, word -> rank,
-before it ranks, and the memo stores at most min(q^N, the steps the
-sweep charged) words.  The tests below record every memo a sweep
-fills and check each entry against `linalg.rank` of its word, check
-that bound, and check that past it the kernel still answers exactly.
-They also check that the tasks a Pool receives carry no memo words,
-and that a sweep gives the same count at jobs 1 and 2.  The shapes
-reach GF(2) to GF(5) and Hermitian matrices over GF(q^2).
+Off the rank table a rank sweep decides every word by one lookup in a
+frozenset: the words of every matrix of rank < d in the ambient, listed
+once per sweep by a `linalg.span_ranks` walk pruned at rank d.  The
+tests below check that set against every matrix of the ambient ranked
+by `linalg.rank`, over full, symmetric, alternating and Hermitian
+ambients, GF(2) to GF(5) and GF(q^2); that the tasks a Pool receives
+carry the kernel with that set and no state of their own; that a
+generic sweep runs no elimination but the check of its seed; and that a
+sweep gives the same count at jobs 1 and 2.
 
 With more than one worker the driver counts in-process, in doubling
-index ranges that share one memo, until a deadline, and maps only the
-rest on a Pool.  A fake clock that expires after any number of those
-ranges checks that the count is the one-worker count and that the Pool
-receives exactly the untouched tail, in 4 chunks per worker; the tests
-that pin the Pool path itself set the deadline to 0.
+index ranges, until a deadline, and maps only the rest on a Pool.  A
+fake clock that expires after any number of those ranges checks that
+the count is the one-worker count and that the Pool receives exactly
+the untouched tail, in 4 chunks per worker; the tests that pin the Pool
+path itself set the deadline to 0.
 """
 
 import multiprocessing
@@ -57,6 +57,7 @@ from rankmetric.codes import (
     Grassmannian,
     MatrixCode,
     _seed_word,
+    _by_table,
     _SpanMinRank,
     _sweep,
     density_bruteforce,
@@ -85,7 +86,7 @@ def reference_min_rank(words, n, m, fld):
 @st.composite
 def small_codes(draw):
     # GF(2) shapes up to 4 x 5 reach both the rank table (nm <= 16) and
-    # the memo.
+    # linalg.rank.
     q = draw(st.sampled_from((2, 3, 4, 5)))
     n = draw(st.integers(1, 4 if q == 2 else 3))
     m = draw(st.integers(1, 5 if q == 2 else 3))
@@ -241,7 +242,7 @@ def test_pruned_sweep_matches_flat_reference(case):
     ok = [good for _, good in reference_verdicts(fld, q, n, m, vectors, k, d)]
     expected = [sum(ok[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     g = Grassmannian(len(vectors), k, q)
-    kernel = _SpanMinRank(fld, q, n, m)
+    kernel = _SpanMinRank(fld, q, n, m, ambient=vectors, d=d)
     units = [kernel.vec(v) for v in vectors]
     chunks = [kernel.count(g, units, d, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     assert chunks == expected
@@ -303,7 +304,7 @@ def test_seeded_strata_match_flat_reference(case, cuts):
     coord = field_for_order(q)
     good = reference_good_codes(fld, q, n, m, vectors, k, d)
     g = Grassmannian(N - 1, k - 1, q)
-    kernel = _SpanMinRank(fld, q, n, m)
+    kernel = _SpanMinRank(fld, q, n, m, ambient=vectors, d=d)
     units = [kernel.vec(v) for v in vectors]
     bounds = [0] + sorted(c * g.total // 1000 for c in cuts) + [g.total]
     pairs = 0
@@ -361,72 +362,6 @@ def test_seeded_restricted_pins():
     assert restricted_density_bruteforce("hermitian", 3, 2, 3, 2).count == 6720
 
 
-def recording_kernel():
-    """A kernel class that records every memo first_below is handed, and
-    the dict it records them in, by id."""
-    memos = {}
-
-    class Recording(_SpanMinRank):
-        def first_below(self, x, W, d, ranks):
-            memos[id(ranks)] = ranks
-            return super().first_below(x, W, d, ranks)
-
-    return Recording, memos
-
-
-def assert_memo_is_ranks(kernel, memo):
-    n, m = kernel.n, kernel.m
-    for word, r in memo.items():
-        e = kernel.entries(word)
-        assert r == linalg.rank([e[i * m : (i + 1) * m] for i in range(n)], kernel.fld), word
-
-
-@given(seeded_cases())
-@settings(max_examples=60, deadline=None)
-def test_memo_holds_true_ranks_within_the_charged_bound(case):
-    # every memo of a driver sweep, flat or seeded, maps each word to its
-    # rank and holds at most min(q^N, the steps the sweep charged) words
-    kind, n, m, k, d, q = case
-    fld, vectors, strata = ambient(kind, n, m, d, q)
-    Recording, memos = recording_kernel()
-    charged = []
-    with mock.patch.object(codes, "_SpanMinRank", Recording), mock.patch.object(
-        codes, "charge", lambda cost, budget, what: charged.append(cost)
-    ):
-        count, _ = _sweep(fld, q, n, m, vectors, k, d, None, "test sweep", strata=strata)
-    assert count == len(reference_good_codes(fld, q, n, m, vectors, k, d))
-    (cost,) = charged
-    for memo in memos.values():
-        assert len(memo) <= min(q ** len(vectors), cost)
-        assert_memo_is_ranks(_SpanMinRank(fld, q, n, m), memo)
-
-
-@given(sweep_cases(), st.integers(0, 40))
-@settings(max_examples=60, deadline=None)
-def test_memo_past_its_limit_answers_without_storing(case, limit):
-    kind, n, m, k, d, q, bounds = case
-    fld, vectors, _ = ambient(kind, n, m, d, q)
-    ok = [good for _, good in reference_verdicts(fld, q, n, m, vectors, k, d)]
-    Recording, memos = recording_kernel()
-    kernel = Recording(fld, q, n, m, limit=limit)
-    units = [kernel.vec(v) for v in vectors]
-    g = Grassmannian(len(vectors), k, q)
-    for lo, hi in zip(bounds, bounds[1:]):
-        assert kernel.count(g, units, d, lo, hi) == sum(ok[lo:hi])
-    for memo in memos.values():
-        assert len(memo) <= limit
-        assert_memo_is_ranks(kernel, memo)
-
-
-def test_generic_sweep_ranks_each_distinct_word_once():
-    # (2, 3, 3, 2, 3) is one seeded count at jobs 1: every word it tests
-    # lies in GF(3)^6, so at most 3^6 = 729 ranks, plus one for the seed;
-    # ranking every tested word took 3,047
-    with mock.patch.object(linalg, "rank", wraps=linalg.rank) as spy:
-        assert density_bruteforce(2, 3, 3, 2, 3).count == 3456
-    assert spy.call_count <= 3**6 + 1
-
-
 class PicklingPool(InProcessPool):
     """An in-process stand-in for multiprocessing.Pool that pickles each
     task before and after running it."""
@@ -442,23 +377,109 @@ class PicklingPool(InProcessPool):
         return out
 
 
-def test_pool_tasks_carry_no_memo_words():
-    # a task pickles to the same bytes before and after a chunk has run
-    # on its kernel, and no slot of the kernel holds a dict
+def test_generic_sweep_eliminates_only_its_seed():
+    # (2, 3, 3, 2, 3) is one seeded count at jobs 1: its words are decided
+    # by the set of rank < 2 words, so the one rank call is the check of
+    # the seed
+    with mock.patch.object(linalg, "rank", wraps=linalg.rank) as spy:
+        assert density_bruteforce(2, 3, 3, 2, 3).count == 3456
+    assert spy.call_count == 1
+
+
+# (kind, n, m, q) of every ambient of at most 4,096 matrices; GF(2)
+# alternating 5 x 5 (nm = 25) lies past the rank table, Hermitian
+# matrices have entries in GF(q^2)
+LOW_RANK_AMBIENTS = [
+    (kind, n, m, q)
+    for kind, n, m, q in (
+        [("full", n, m, q) for q in (2, 3, 4, 5) for n in (1, 2, 3) for m in (1, 2, 3)]
+        + [("symmetric", n, n, q) for n in (2, 3) for q in (2, 3, 4, 5)]
+        + [("alternating", n, n, q) for n in (2, 3, 4, 5) for q in (2, 3, 4, 5)]
+        + [("hermitian", n, n, q) for n in (2, 3) for q in (2, 3, 4, 5)]
+    )
+    if q ** dim_of(kind, n, m, q) <= 4096
+]
+
+
+@st.composite
+def low_rank_cases(draw):
+    kind, n, m, q = draw(st.sampled_from(LOW_RANK_AMBIENTS))
+    k = draw(st.integers(1, min(2, dim_of(kind, n, m, q))))
+    d = draw(st.integers(1, min(n, m)))
+    return kind, n, m, k, d, q
+
+
+def reference_bad_words(kernel, vectors, d):
+    """The words of the matrices of rank < d in the GF(q)-span of the
+    flattened vectors, each ranked by elimination."""
+    fld, n, m = kernel.fld, kernel.n, kernel.m
+    return {
+        kernel.vec(w)
+        for w in linalg.span_elements(vectors, fld, kernel.q)
+        if linalg.rank([w[i * m : (i + 1) * m] for i in range(n)], fld) < d
+    }
+
+
+class RecordingKernel(_SpanMinRank):
+    """The kernel, keeping every instance made in this process."""
+
+    __slots__ = ()
+    made = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        RecordingKernel.made.append(self)
+
+
+def assert_holds_the_bad_words(kernel, vectors, d):
+    """A rank kernel of a sweep at d keeps the table over GF(2) with
+    nm <= 16 and otherwise the set of the ambient's rank < d words."""
+    fld, n, m = kernel.fld, kernel.n, kernel.m
+    if _by_table(fld, n, m):
+        assert kernel.bad is None and kernel.table == linalg.gf2_rank_table(n, m)
+    else:
+        assert kernel.table is None and kernel.bad == reference_bad_words(kernel, vectors, d)
+
+
+@given(low_rank_cases())
+@settings(max_examples=80, deadline=None)
+def test_sweep_lists_the_ambient_words_of_rank_below_d(case):
+    # the set comes from the whole ambient, also for a seeded plan, whose
+    # counts run on a hyperplane
+    kind, n, m, k, d, q = case
+    fld, vectors, strata = ambient(kind, n, m, d, q)
+    RecordingKernel.made = []
+    with mock.patch.object(codes, "_SpanMinRank", RecordingKernel):
+        _sweep(fld, q, n, m, vectors, k, d, None, "test sweep", strata=strata)
+    (kernel,) = RecordingKernel.made
+    assert_holds_the_bad_words(kernel, vectors, d)
+    # the walk itself, also on the shapes the table serves
+    assert kernel.bad_words(vectors, d) == reference_bad_words(kernel, vectors, d)
+
+
+@given(low_rank_cases())
+@settings(max_examples=40, deadline=None)
+def test_pool_tasks_carry_the_kernel_and_its_bad_words(case):
+    # every task is (kernel, Grassmannian, units, seed, d, lo, hi), the
+    # kernel holds the sweep's table or set and nothing else that a count
+    # could fill, and it pickles to the same bytes after a chunk has run
+    kind, n, m, k, d, q = case
+    fld, vectors, strata = ambient(kind, n, m, d, q)
+    expected = _sweep(fld, q, n, m, vectors, k, d, None, "test sweep", strata=strata)
     PicklingPool.sent = []
-    for kind, n, m, k, d, q in (("full", 2, 2, 2, 2, 3), ("hermitian", 2, 2, 2, 2, 3)):
-        fld, vectors, strata = ambient(kind, n, m, d, q)
-        expected = len(reference_good_codes(fld, q, n, m, vectors, k, d))
-        with mock.patch.object(os, "cpu_count", return_value=2), mock.patch.object(
-            multiprocessing, "Pool", PicklingPool
-        ), mock.patch.object(codes, "_POOL_AFTER_S", 0):
-            count, _ = _sweep(fld, q, n, m, vectors, k, d, None, "test sweep", jobs=2, strata=strata)
-        assert count == expected
-    assert PicklingPool.sent
+    with mock.patch.object(os, "cpu_count", return_value=2), mock.patch.object(
+        multiprocessing, "Pool", PicklingPool
+    ), mock.patch.object(codes, "_POOL_AFTER_S", 0):
+        got = _sweep(fld, q, n, m, vectors, k, d, None, "test sweep", jobs=2, strata=strata)
+    assert got == expected
+    assume(PicklingPool.sent)  # a plan of one subspace runs in-process
+    (kernel,) = {id(task[0]): task[0] for _, _, task in PicklingPool.sent}.values()
+    assert_holds_the_bad_words(kernel, vectors, d)
     for before, after, task in PicklingPool.sent:
         assert before == after == pickle.dumps(task)
-        kernel = task[0]
-        assert not any(isinstance(getattr(kernel, s, None), dict) for s in kernel.__slots__)
+        assert len(task) == 7 and task[4] == d
+        assert not any(isinstance(item, (dict, set)) for item in task)
+        assert not any(isinstance(getattr(kernel, s, None), (dict, set)) for s in kernel.__slots__)
 
 
 def test_generic_sweeps_agree_at_jobs_1_and_2():
@@ -479,15 +500,15 @@ def test_generic_sweeps_agree_at_jobs_1_and_2():
 
 
 class CountingKernel(_SpanMinRank):
-    """The kernel, recording (seed, lo, hi, whether a memo was handed in)
-    for every count call made on it in this process."""
+    """The kernel, recording (seed, lo, hi) for every count call made on
+    it in this process."""
 
     __slots__ = ()
     calls = []
 
-    def count(self, g, units, d, lo, hi, seed=None, ranks=None):
-        CountingKernel.calls.append((seed, lo, hi, ranks is not None))
-        return super().count(g, units, d, lo, hi, seed, ranks)
+    def count(self, g, units, d, lo, hi, seed=None):
+        CountingKernel.calls.append((seed, lo, hi))
+        return super().count(g, units, d, lo, hi, seed)
 
 
 class FakeClock:
@@ -519,7 +540,7 @@ def doubling_split(entries, j, chunks):
 @st.composite
 def split_cases(draw):
     """(_sweep arguments, keyword arguments) of a small sweep on the
-    GF(3) memo path, the GF(2) rank-table path or a point set."""
+    GF(3) bad-word set, the GF(2) rank-table path or a point set."""
     path = draw(st.sampled_from(("gf3", "gf2", "points")))
     if path == "points":
         q, N = draw(st.sampled_from([(2, 3), (2, 4), (3, 3)]))
@@ -541,10 +562,9 @@ def test_deadline_splits_sweep_into_ranges_and_pool_tail(case, jobs, data):
     CountingKernel.calls = []
     with mock.patch.object(codes, "_SpanMinRank", CountingKernel):
         expected, total = _sweep(*args, None, "test sweep", **kw)
-    # one worker: one in-process count per plan entry, over all of it,
-    # each handed a memo
-    entries = [(seed, hi) for seed, lo, hi, _ in CountingKernel.calls]
-    assert all(lo == 0 and memo for _, lo, _, memo in CountingKernel.calls)
+    # one worker: one in-process count per plan entry, over all of it
+    entries = [(seed, hi) for seed, lo, hi in CountingKernel.calls]
+    assert all(lo == 0 for _, lo, _ in CountingKernel.calls)
     workers = min(jobs, sum(size for _, size in entries))
     assume(workers > 1)
     everything = len(doubling_split(entries, float("inf"), 1)[0])
@@ -565,9 +585,11 @@ def test_deadline_splits_sweep_into_ranges_and_pool_tail(case, jobs, data):
         multiprocessing, "Pool", pool
     ):
         assert _sweep(*args, None, "test sweep", jobs=jobs, **kw) == (expected, total)
-    assert [c[:3] for c in CountingKernel.calls if c[3]] == ranges
+    # the Pool maps after every in-process range, so its calls come last
+    in_process = len(CountingKernel.calls) - len(PicklingPool.sent)
+    assert CountingKernel.calls[:in_process] == ranges
     sent = [(task[3], task[5], task[6]) for _, _, task in PicklingPool.sent]
-    assert sent == tail
+    assert sent == tail == CountingKernel.calls[in_process:]
     assert started == ([workers] if tail else [])
     for before, after, task in PicklingPool.sent:
         assert before == after == pickle.dumps(task)

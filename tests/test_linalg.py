@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from rankmetric import linalg
 from rankmetric.codes import field_for_order
 from rankmetric.fields import make_ext_field, make_field
+from rankmetric.restricted import ambient_basis, hermitian_field
 
 
 @st.composite
@@ -433,9 +434,11 @@ def span_rank_case(draw):
 def test_span_ranks_matches_the_flat_walk(case):
     fld, q, mats = case
     got = list(linalg.span_ranks(mats, fld, q))
-    want = reference_span_ranks(mats, fld, q)
-    assert sorted(got) == sorted(want)
+    want = sorted(reference_span_ranks(mats, fld, q))
+    assert sorted(got) == want
     assert len(got) == q ** len(mats)
+    for below in range(1, 6):  # the walk pruned at each rank
+        assert sorted(linalg.span_ranks(mats, fld, q, below)) == [t for t in want if t[0] < below]
 
 
 def test_span_ranks_takes_each_branch_of_the_last_rows():
@@ -456,3 +459,39 @@ def test_span_ranks_takes_each_branch_of_the_last_rows():
     ]
     for mats in (alternating, full):
         assert sorted(linalg.span_ranks(mats, fld)) == sorted(reference_span_ranks(mats, fld, 3))
+
+
+# ------------------------------------------------ the walk pruned at a rank
+
+def ambient_mats(kind, n, m, q):
+    """(entry field, basis matrices) of the full n x m ambient or of the
+    symmetric, alternating or Hermitian n x n one over GF(q)."""
+    if kind == "full":
+        unit = linalg.identity(n * m)
+        return field_for_order(q), [[e[i * m : (i + 1) * m] for i in range(n)] for e in unit]
+    fld = hermitian_field(q) if kind == "hermitian" else field_for_order(q)
+    return fld, ambient_basis(kind, n, q)
+
+
+# every ambient of at most 20,000 matrices, GF(2) to GF(5) and, for
+# Hermitian matrices, entries in GF(q^2)
+WALK_AMBIENTS = [
+    (kind, n, m, q)
+    for kind, n, m, q in (
+        [("full", n, m, q) for q in (2, 3, 4, 5) for n in (1, 2, 3, 4) for m in (1, 2, 3, 4)]
+        + [(kind, n, n, q) for kind in ("symmetric", "alternating", "hermitian")
+           for n in (1, 2, 3, 4, 5) for q in (2, 3, 4, 5)]
+    )
+    if 0 < len(ambient_mats(kind, n, m, q)[1]) and q ** len(ambient_mats(kind, n, m, q)[1]) <= 20000
+]
+
+
+@given(st.sampled_from(WALK_AMBIENTS), st.data())
+@settings(max_examples=100, deadline=None)
+def test_span_ranks_below_keeps_the_low_ranks_of_the_walk(ambient, data):
+    kind, n, m, q = ambient
+    fld, mats = ambient_mats(kind, n, m, q)
+    below = data.draw(st.integers(1, min(n, m) + 1), label="below")
+    walk = sorted(linalg.span_ranks(mats, fld, q))
+    assert sorted(linalg.span_ranks(mats, fld, q, below)) == [t for t in walk if t[0] < below]
+

@@ -208,7 +208,8 @@ def test_even_alternating_bound_is_not_attained():
 
 def test_optimal_restricted_pins_over_gf2():
     # alternating 5 x 5 words lie past the GF(2) rank table (nm = 25) and
-    # are ranked through the memo, symmetric 4 x 4 words (nm = 16) by the
+    # are looked up in the set of the ambient's rank < 4 words, listed by
+    # one pruned walk, symmetric 4 x 4 words (nm = 16) are ranked by the
     # table, and Hermitian 3 x 3 words over GF(4) are summed by XOR with
     # two bits per entry (the Hermitian count over GF(9) runs in CI)
     for args, want in (
