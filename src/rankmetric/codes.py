@@ -84,7 +84,7 @@ from typing import Collection, Iterable, Iterator, Sequence
 from . import linalg
 from .errors import charge, resolve_budget
 from .fields import FiniteField, factorize, make_field, prime_power
-from .qcomb import AsymptoticEstimate, gl_order, matrix_rank_count, pi_q_limit, qbinom
+from .qcomb import AsymptoticEstimate, _as_int_q, gl_order, matrix_rank_count, pi_q_limit, qbinom
 
 
 @lru_cache(maxsize=None)
@@ -796,7 +796,7 @@ def spectrum_free_identity_check(m: int, q, budget: int | None = None) -> bool:
 
 def density_3x3_formula(q) -> Fraction:
     """Exact density of 3-dim codes in GF(q)^(3x3) with min distance 3."""
-    q = getattr(q, "order", q)
+    q = _as_int_q(q)
     num = (
         (q - 1)
         * (q**3 - 1)

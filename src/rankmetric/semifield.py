@@ -72,6 +72,15 @@ non-prime base is its own twist.
 The class census takes the class of the field-multiplication code from
 the closed form equiv_to_c0_predicate and decides every other pair of
 twisted codes by this exact scan; there is no second equivalence test.
+It tells the codes of two specs apart without building them: the code
+{xy - c x^(q^i) y^(q^j) | y} of a valid spec is the field code when
+i = 0 (mod n), since then it is {(y - c y^(q^j)) x}, and a nonzero y
+with y = c y^(q^j) would make c = y^(1 - q^j) of norm 1 over
+GF(q^gcd(j,n)); otherwise it is the graph of y -> -c y^(q^j) placed at
+x^(q^i), which fixes i, c (at y = 1) and j, all mod n.  So the key None
+for i = 0 and (i, j, c) mod n otherwise is equal exactly when the codes
+are, and the census builds a code only for a class representative and
+for each spec it scans: 27 codes for the 129 valid specs over GF(27).
 Its classes are semilinear (rho ranges over Aut(GF(q))), so over a
 non-prime base field it can find fewer than `class_count_formula`, which
 counts GF(q)-linear classes.
@@ -83,7 +92,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
@@ -91,7 +100,7 @@ from . import linalg
 from .errors import charge, resolve_budget
 from .fields import FiniteField
 from .linpoly import LinearizedPoly, from_matrix, interpolate
-from .qcomb import gl_order
+from .qcomb import _as_int_q, gl_order
 
 
 # ----------------------------------------------------------------------
@@ -271,9 +280,9 @@ def class_count_formula(n: int, q) -> int:
     and N(c) = w^2 are equivalent through rho (the twist of the code of
     c is the code of c^2), so the census finds 2 classes.  Over a prime
     base field the two notions agree."""
-    q = getattr(q, "order", q)
-    if n < 2:
-        raise ValueError("need n >= 2")
+    q = _as_int_q(q)
+    if not isinstance(n, int) or n < 2:
+        raise ValueError(f"need an integer n >= 2, got {n!r}")
     return 1 + (q - 2) * math.comb(n - 1, 2)
 
 
@@ -744,33 +753,47 @@ class _GLProducts:
         the others by decreasing order, and each one outside the group
         generated by those kept so far is kept, so a cyclic group gets one
         generator.  The group, small, is closed through each kept
-        generator's row table, one product at a time."""
+        generator's row table, one product at a time.  The group of
+        `first` is closed before the others are ordered, and the ones it
+        holds are dropped unordered, so a row table (`_right_parts`) is
+        built only for an element that is multiplied by."""
         where, rows, identity = self.where, self.rows, self.identity
-        parts = {x: self._right_parts(x) for x in chain(first, elements)}
+        parts: dict[int, list[list[int]]] = {}
 
-        def times(y: int, x: int) -> int:
-            return where[sum(part[row[y]] for part, row in zip(parts[x], rows))]
+        def part(x: int) -> list[list[int]]:
+            if x not in parts:
+                parts[x] = self._right_parts(x)
+            return parts[x]
+
+        def times(y: int, px: Sequence[Sequence[int]]) -> int:
+            return where[sum(p[row[y]] for p, row in zip(px, rows))]
 
         def order(x: int) -> int:
-            k, y = 1, x
+            px, k, y = part(x), 1, x
             while y != identity:
-                k, y = k + 1, times(y, x)
+                k, y = k + 1, times(y, px)
             return k
 
-        rest = sorted((x for x in parts if x not in first), key=order, reverse=True)
-        group, gens = {identity}, []
-        for x in chain(first, rest):
-            if x in group:
-                continue
-            gens.append(x)
-            frontier = list(group)
-            while frontier:
-                y = frontier.pop()
-                for s in gens:
-                    z = times(y, s)
-                    if z not in group:
-                        group.add(z)
-                        frontier.append(z)
+        group, gens, gen_parts = {identity}, [], []
+
+        def keep(xs: Iterable[int]) -> None:
+            for x in xs:
+                if x in group:
+                    continue
+                gens.append(x)
+                gen_parts.append(part(x))
+                frontier = list(group)
+                while frontier:
+                    y = frontier.pop()
+                    for px in gen_parts:
+                        z = times(y, px)
+                        if z not in group:
+                            group.add(z)
+                            frontier.append(z)
+
+        keep(first)
+        rest = dict.fromkeys(x for x in elements if x not in group)
+        keep(sorted(rest, key=order, reverse=True))
         return gens
 
 
@@ -1060,6 +1083,15 @@ def idealizers(C: LinPolyCode) -> IdealizerResult:
 # class census
 # ----------------------------------------------------------------------
 
+def _code_key(spec: TwistedFieldSpec) -> tuple[int, int, int] | None:
+    """A key of the code of a valid spec, equal for two specs exactly when
+    their codes are: None for i = 0 (mod n), the field code, and
+    (i mod n, j mod n, c) otherwise (proof in `twisted_class_census`)."""
+    n = spec.field.n
+    i = spec.i % n
+    return None if i == 0 else (i, spec.j % n, spec.c)
+
+
 def twisted_class_census(
     field: FiniteField, budget: int | None = None, aut_sizes: bool = True
 ) -> list[dict]:
@@ -1067,6 +1099,17 @@ def twisted_class_census(
     as JSON-able dicts: representative spec, number of distinct codes in
     the class, and (optionally) the brute-forced automorphism group size
     of the representative.
+
+    Specs are told apart by `_code_key`, which is equal for two valid
+    specs exactly when their codes are, without building either: None
+    for i = 0 (mod n), since every such code is the field code
+    {(y - c y^(q^j)) x}, y -> y - c y^(q^j) being injective (a nonzero y
+    in its kernel gives c = y^(1 - q^j), of norm 1 over GF(q^gcd(j,n)),
+    which a valid spec excludes); and (i mod n, j mod n, c) otherwise,
+    since the code is then the graph of y -> -c y^(q^j) placed at
+    x^(q^i), which fixes i, c (at y = 1) and j mod n.  A code is built
+    only for a class representative and for a spec that is scanned, once
+    per spec: over GF(27), 27 codes for the 129 valid specs.
 
     The class of the field code is given by equiv_to_c0_predicate; the
     test suite checks it against the exact scan.  Every other code is
@@ -1079,23 +1122,25 @@ def twisted_class_census(
     """
     classes: list[dict] = []
     reps: list[tuple[LinPolyCode, bool]] = []
-    seen: dict[LinPolyCode, int] = {}
+    seen: set[tuple[int, int, int] | None] = set()
     for spec in valid_twisted_specs(field):
-        code = spec.code()
-        if code in seen:
+        key = _code_key(spec)
+        if key in seen:
             continue  # members counts distinct codes, not spec tuples
+        seen.add(key)
         is_c0_class = equiv_to_c0_predicate(spec)
+        code = None  # built on first use, at most once per spec
         for idx, (rep_code, rep_is_c0) in enumerate(reps):
-            if rep_is_c0 == is_c0_class and (
-                rep_is_c0
-                or is_equivalent_bruteforce(rep_code, code, budget=budget)
-            ):
-                seen[code] = idx
-                classes[idx]["members"] += 1
-                break
+            if rep_is_c0 != is_c0_class:
+                continue
+            if not rep_is_c0:
+                code = code or spec.code()
+                if not is_equivalent_bruteforce(rep_code, code, budget=budget):
+                    continue
+            classes[idx]["members"] += 1
+            break
         else:
-            seen[code] = len(reps)
-            reps.append((code, is_c0_class))
+            reps.append((code or spec.code(), is_c0_class))
             classes.append(
                 {
                     "spec": spec.to_json(),

@@ -646,6 +646,12 @@ def test_density_3x3_formula_values():
         assert density_3x3_formula(q) * qbinom(9, 3, q) == count
 
 
+def test_density_3x3_formula_refuses_a_q_that_is_not_an_int_of_at_least_2():
+    for q in (1, 0, "2", 2.0):
+        with pytest.raises(ValueError, match="integer >= 2"):
+            density_3x3_formula(q)
+
+
 def test_density_3x3_asymptotic_constant():
     v = float(density_3x3_formula(101)) * 101**3
     assert abs(v - 1 / 3) <= 0.05 * (1 / 3)

@@ -3,6 +3,7 @@ equivalence machinery."""
 
 from collections import Counter
 from functools import lru_cache
+from itertools import chain
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -413,6 +414,15 @@ def test_class_count_formula_values():
     assert class_count_formula(3, 3) == 2
     assert class_count_formula(2, 7) == 1
     assert class_count_formula(4, 3) == 4
+
+
+def test_class_count_formula_refuses_a_q_or_n_that_is_not_an_int():
+    for q in (3.0, 0, 1, "3"):
+        with pytest.raises(ValueError, match="q must be an integer >= 2"):
+            class_count_formula(3, q)
+    for n in (3.0, "3", 1):
+        with pytest.raises(ValueError, match="integer n >= 2"):
+            class_count_formula(n, 3)
 
 
 def test_class_census_f27():
@@ -875,11 +885,81 @@ def test_cyclic_unit_group_has_one_generator(monkeypatch, fresh_gl):
     assert len(tables) == 4
 
 
+def eager_generators(gl, elements, first=()):
+    """The generators `_GLProducts.generators` chose when it built every
+    element's row table and walked every order up front: `first` in its
+    order, then the others by decreasing order, each kept when outside the
+    group of those kept so far."""
+    where, rows, identity = gl.where, gl.rows, gl.identity
+    parts = {x: gl._right_parts(x) for x in chain(first, elements)}
+
+    def times(y, x):
+        return where[sum(part[row[y]] for part, row in zip(parts[x], rows))]
+
+    def order(x):
+        k, y = 1, x
+        while y != identity:
+            k, y = k + 1, times(y, x)
+        return k
+
+    rest = sorted((x for x in parts if x not in first), key=order, reverse=True)
+    group, gens = {identity}, []
+    for x in chain(first, rest):
+        if x in group:
+            continue
+        gens.append(x)
+        frontier = list(group)
+        while frontier:
+            y = frontier.pop()
+            for s in gens:
+                z = times(y, s)
+                if z not in group:
+                    group.add(z)
+                    frontier.append(z)
+    return gens
+
+
+GL_2_3 = semifield._GLProducts(make_field(3), 2)
+GL_3_2 = semifield._GLProducts(make_field(2), 3)
+
+
+@given(st.sampled_from((GL_2_3, GL_3_2)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_generators_match_the_eager_reference(gl, data):
+    # closing the group of `first` before ordering the others, and dropping
+    # the ones it holds, keeps the same generators in the same order
+    index = st.integers(0, len(gl.rows[0]) - 1)
+    elements = data.draw(st.lists(index, max_size=12), label="elements")
+    first = data.draw(st.lists(index, max_size=3), label="first")
+    assert gl.generators(iter(elements), first) == eager_generators(gl, elements, first)
+
+
+def test_field_code_scan_builds_row_tables_only_for_the_seeds(monkeypatch, fresh_gl):
+    # the two seeds generate a group that holds R* of the GF(27) field code,
+    # GF(27)*, so none of its 26 units is ordered or multiplied by: the
+    # scan builds row-part tables for the seeds alone, not for 28 elements
+    built = []
+    original = semifield._GLProducts._right_parts
+
+    def recording(self, s):
+        built.append(s)
+        return original(self, s)
+
+    monkeypatch.setattr(semifield._GLProducts, "_right_parts", recording)
+    assert aut_group_size_bruteforce(c0_code(E27), budget=BIG) == 2028
+    gl = semifield._gl(E27)
+    assert set(built) == {gl.index(seed) for seed in semifield._seeds(E27)}
+
+
 def _count_scan_work(monkeypatch):
     """Counters of left-multiplier solvers built, solves, whole-GL tables
-    built, double cosets walked, kernels (`linalg.solution_space`) and
-    q-polynomial evaluations, kept while the monkeypatch lasts."""
-    counts = {"solvers": 0, "solves": 0, "tables": 0, "walks": 0, "kernels": 0, "evaluations": 0}
+    built, double cosets walked, kernels (`linalg.solution_space`),
+    q-polynomial evaluations and twisted codes built (`twisted_code`),
+    kept while the monkeypatch lasts."""
+    counts = {
+        "solvers": 0, "solves": 0, "tables": 0, "walks": 0, "kernels": 0, "evaluations": 0,
+        "codes": 0,
+    }
     walk = semifield._walk_cosets
 
     def walking(cls, queue, perms):
@@ -905,6 +985,7 @@ def _count_scan_work(monkeypatch):
     monkeypatch.setattr(
         LinearizedPoly, "evaluate", counting("evaluations", LinearizedPoly.evaluate)
     )
+    monkeypatch.setattr(semifield, "twisted_code", counting("codes", semifield.twisted_code))
     return counts
 
 
@@ -923,16 +1004,19 @@ def test_census_work_at_every_gf27_modulus(monkeypatch, fresh_gl, index):
     # census reads the tables and the partition kept by the field's GL,
     # makes its codes from cached monomial matrices, evaluating nothing,
     # and each code derives its check rows and right idealizer once: 49
-    # kernels, 26 of them for the 25 tests
+    # kernels, 26 of them for the 25 tests.  Each census builds 27 of the
+    # 129 specs' codes: the field code's representative, and the 26
+    # twisted codes outside its class, one representative and 25 tested
     field = _gf27(index)
     counts = _count_scan_work(monkeypatch)
     twisted_class_census(field, budget=BIG)
     assert (counts["solves"], counts["tables"], counts["walks"]) == (45, 4, 8)
+    assert counts["codes"] == 27
     counts.update(dict.fromkeys(counts, 0))
     census = twisted_class_census(field, budget=BIG)
     assert sorted(e["aut_size"] for e in census) == [156, 2028]
     assert (counts["solves"], counts["tables"], counts["walks"]) == (45, 0, 0)
-    assert (counts["kernels"], counts["evaluations"]) == (49, 0)
+    assert (counts["kernels"], counts["evaluations"], counts["codes"]) == (49, 0, 27)
 
 
 def test_two_gf27_moduli_never_share_a_gl(monkeypatch, fresh_gl):
@@ -946,6 +1030,58 @@ def test_two_gf27_moduli_never_share_a_gl(monkeypatch, fresh_gl):
     assert (counts["solves"], counts["tables"], counts["walks"]) == (45, 4, 8)
     assert semifield._gl(first) is not semifield._gl(second)
     assert semifield._gl(_gf27(0)) is semifield._gl(first)
+
+
+def test_census_builds_each_scanned_code_once(monkeypatch):
+    # with every equivalence test failing, each of the 26 distinct codes
+    # outside the field code's class is a representative, tested against
+    # every earlier one, and still built once; of the field code's class
+    # only the first spec's code is built
+    built = []
+    code_of = semifield.twisted_code
+
+    def recording(spec):
+        built.append(spec)
+        return code_of(spec)
+
+    monkeypatch.setattr(semifield, "twisted_code", recording)
+    monkeypatch.setattr(semifield, "is_equivalent_bruteforce", lambda *args, **kwargs: False)
+    census = twisted_class_census(E27, aut_sizes=False)
+    outside = [s for s in _specs(E27) if not equiv_to_c0_predicate(s)]
+    assert len(census) == 1 + len(outside) == 27
+    assert len(built) == len(set(built)) == 27
+    assert built == [_specs(E27)[0], *outside]
+
+
+def _code_partition(specs, key):
+    """The partition of the indices of `specs` by the value of `key`."""
+    blocks = {}
+    for idx, spec in enumerate(specs):
+        blocks.setdefault(key(spec), set()).add(idx)
+    return {frozenset(block) for block in blocks.values()}
+
+
+@pytest.mark.parametrize(
+    "E, distinct",
+    [
+        (E8, 1),
+        (E9, 9),
+        (make_ext_field(make_field(2), 4), 21),
+        (E16, 21),
+        *((_gf27(index), 79) for index in range(8)),
+        (make_ext_field(make_field(2, 2), 3), 253),
+        (make_ext_field(make_field(3), 4), 541),
+        (make_ext_field(make_field(3, 2), 2), 141),
+        (make_ext_field(make_field(5), 3), 559),
+    ],
+    ids=repr,
+)
+def test_census_key_partitions_specs_as_their_codes(E, distinct):
+    # the census's key, computed from (i, j, c) alone, groups the valid
+    # specs exactly as equality of their canonical codes does
+    by_code = _code_partition(_specs(E), twisted_code)
+    assert len(by_code) == distinct
+    assert _code_partition(_specs(E), semifield._code_key) == by_code
 
 
 def _class_representatives(E):
