@@ -16,9 +16,9 @@ answers it, growing the span one row at a time and testing only the
 words each new row adds.  Every word is one int with a slot per base-p
 digit of each entry.  Over GF(2) with nm <= 16 it is ranked by one table
 probe.  Every other sweep lists its bad words once, before it counts: the
-words of every matrix of rank < d in the ambient, by one pruned
-`linalg.span_ranks` walk that the sweep charges to the budget, and a
-word is then decided by one set lookup, with no elimination.  The
+words of every matrix of rank < d in the ambient, one span of a
+`linalg.solution_space` per (d-1)-dim row space, charged to the budget,
+and a word is then decided by one set lookup, with no elimination.  The
 packing never appears in any public signature.
 
 The Grassmannian sweeps are pruned.  Inside a pivot pattern the last
@@ -250,6 +250,16 @@ def _by_table(fld, n: int, m: int) -> bool:
     return fld.order == 2 and n * m <= 16
 
 
+def _bad_word_cost(fld, q: int, n: int, m: int, N: int, d: int) -> int:
+    """The steps of `_SpanMinRank.bad_words` at d on N independent n x m
+    matrices over fld: one span per (d-1)-dim subspace of fld^l,
+    l = min(n, m), each of at most min(q^N, |fld|^(max(n, m) * (d-1)))
+    words, since every line of a word is fixed by its d - 1 pivot
+    entries."""
+    l, lines = min(n, m), max(n, m)
+    return qbinom(l, d - 1, fld.order) * min(q**N, fld.order ** (lines * (d - 1)))
+
+
 class _SpanMinRank:
     """The codeword-sweep kernel: spans grown one row at a time.
 
@@ -278,11 +288,12 @@ class _SpanMinRank:
     is then one `bad.isdisjoint(sums(x, W))`, which stops at the first bad
     word.  Given the coordinate vectors `ambient` of a sweep and its d,
     bad holds the words of every matrix of rank < d in their GF(q)-span,
-    listed once by `bad_words`, which the sweep charges first; with d = 1
-    that is {0}.  Over GF(2) with nm <= 16 (`_by_table`) a rank kernel
-    keeps no set and probes linalg.gf2_rank_table instead.  min_rank, the
-    minimum distance of one code, ranks each word of its span once, by
-    the table or by linalg.rank.
+    listed once by `bad_words`, one span per row space of dimension
+    d - 1, which the sweep charges first; with d = 1 that is {0}.  Over
+    GF(2) with nm <= 16 (`_by_table`) a rank kernel keeps no set and
+    probes linalg.gf2_rank_table instead.  min_rank, the minimum distance
+    of one code, ranks each word of its span once, by the table or by
+    linalg.rank.
 
     Given a point set `points` of GF(q)^(nm) (canonical vectors, first
     nonzero entry 1, fld = GF(q)), bad holds the words of the points, so
@@ -339,24 +350,48 @@ class _SpanMinRank:
         """The words of every matrix of rank < d in the GF(q)-span of the
         flattened n x m matrices `ambient`, which must be independent.
 
-        One `linalg.span_ranks(..., below=d)` walk lists their row codes
-        (over GF(|fld|)^m), and row[i][code] is the word of the matrix
-        whose row i has that code and whose other rows are 0, so a
-        matrix's word is the sum of its rows' entries.  With d = 1 the
-        set is {0} and nothing is walked."""
+        A matrix has rank < d iff its lines, its rows when m <= n and its
+        columns otherwise, all lie in one (d-1)-dim subspace R of fld^l,
+        l = min(n, m).  With B the rref basis of R and p_j its pivots, a
+        line v lies in R iff v = sum_j v[p_j] * B[j], one equation per
+        column outside the pivots.  Written on the N coordinates of the
+        ambient, the equations of every line make one
+        `linalg.solution_space`, whose GF(q)-span, grown by `extend`, is
+        the words with all lines in R.  Over GF(q^2) (Hermitian, q < |fld|)
+        each equation is split into its coordinates over fld.base = GF(q).
+        The set is the union of those spans over every R, and
+        `_bad_word_cost` bounds it.  With d = 1 it is {0}."""
         if d == 1:
             return frozenset([0])
-        n, m, fld, step = self.n, self.m, self.fld, self.b * self.fld.h
-        digit = [self.vec([e]) for e in range(fld.order)]
-        row0 = [0]  # row0[v]: the word of row code v as row 0
-        for c in range(m):  # entry c is base-|fld| digit c of v
-            row0 = [w | digit[e] << step * c for e in range(fld.order) for w in row0]
-        row = [[w << step * m * i for w in row0] for i in range(n)]
-        mats = [[v[i * m : (i + 1) * m] for i in range(n)] for v in ambient]
-        return frozenset(
-            sum(map(list.__getitem__, row, row_codes))
-            for _, row_codes in linalg.span_ranks(mats, fld, self.q, d)
-        )
+        n, m, fld = self.n, self.m, self.fld
+        l = min(n, m)
+        # lines[i][c]: entry c of line i (row i, or column i when n < m)
+        # of every ambient matrix, at flat index i * step + c * pos
+        step, pos = (m, 1) if m <= n else (1, m)
+        lines = [
+            [[v[i * step + c * pos] for v in ambient] for c in range(l)] for i in range(max(n, m))
+        ]
+        over = fld if fld.order == self.q else fld.base
+        columns = list(zip(*ambient))
+        bad = set()
+        for B in Grassmannian(l, d - 1, fld.order).iter_range():
+            pivots = [row.index(1) for row in B]  # an rref row's first nonzero entry
+            equations = []
+            for line in lines:
+                for c in range(l):
+                    if c not in pivots:
+                        e = line[c]
+                        for row, p in zip(B, pivots):
+                            if row[c]:
+                                e = linalg.row_sub(e, row[c], line[p], fld)
+                        equations.append(e)
+            if over is not fld:
+                equations = [[fld.coords(x)[t] for x in e] for e in equations for t in range(fld.n)]
+            W = [0]
+            for x in linalg.solution_space(equations, len(ambient), over):
+                W = self.extend(W, self.vec(linalg.mat_vec(columns, x, fld)))
+            bad.update(W)
+        return frozenset(bad)
 
     def sums(self, x: int, W: Iterable[int]) -> Iterator[int]:
         """The words x + w for w in W, in order, made as they are read."""
@@ -590,13 +625,11 @@ def _sweep(
     The charge covers the subspaces of the plan that runs and the
     q^(k-1) words of the largest span the sweep holds, labelled `what`,
     and comes before the kernel and the Grassmannian are built.  A rank
-    sweep off the GF(2) table with d > 1 then charges its bad-word walk,
-    before any row-code table or kernel is built: the larger of
-    min(q^N, the number of n x m matrices of rank < d over fld) and the
-    size of the row-code tables of fld^m.  The kernel lists the ambient's
-    rank < d words once, from the whole of `vectors` (a seeded count
-    tests words outside its hyperplane), and every range and Pool task
-    counts against that one set.
+    sweep off the GF(2) table with d > 1 then charges its bad-word
+    listing, `_bad_word_cost`, before any solve or kernel.  The kernel
+    lists the ambient's rank < d words once, from the whole of `vectors`
+    (a seeded count tests words outside its hyperplane), and every range
+    and Pool task counts against that one set.
 
     The sweep has min(jobs, CPUs) workers, and at most one per subspace
     of the plan.  It counts each entry in-process, in index ranges
@@ -629,9 +662,7 @@ def _sweep(
     budget = resolve_budget(budget)
     charge(len(plan) * size + q ** max(k - 1, 0), budget, what)
     if not points and d > 1 and not _by_table(fld, n, m):
-        low = sum(matrix_rank_count(n, m, r, fld.order) for r in range(d))
-        walk = max(min(q**N, low), linalg.row_arithmetic_size(fld.order, m))
-        charge(walk, budget, f"{what}: the ambient's rank < {d} words")
+        charge(_bad_word_cost(fld, q, n, m, N, d), budget, f"{what}: the ambient's rank < {d} words")
     kernel = _SpanMinRank(fld, q, n, m, points, vectors, d)
     units = [kernel.vec(v) for v in vectors]
     g = Grassmannian(*shape, q)

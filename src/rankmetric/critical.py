@@ -23,7 +23,7 @@ from math import exp
 from typing import Iterable, Sequence
 
 from . import linalg
-from .codes import Grassmannian, _sweep, field_for_order
+from .codes import Grassmannian, _SpanMinRank, _bad_word_cost, _sweep, field_for_order
 from .errors import charge, resolve_budget
 from .qcomb import binom, qbinom
 
@@ -127,29 +127,17 @@ def delta_bruteforce(P: PointSet, k: int, budget: int | None = None) -> Fraction
 
 def rank_ball_pointset(n: int, m: int, r: int, q, budget: int | None = None) -> PointSet:
     """The point set spanned by the nonzero matrices of rank <= r in
-    GF(q)^(n x m), flattened row-major into GF(q)^(nm).  The matrices are
-    ranked by one `linalg.span_ranks` walk of GF(q)^(n x m), charged once
-    before it starts: the larger of q^(nm) and the row-code tables of
-    GF(q)^m.  Of each point only the matrix whose first nonzero entry is
-    1, its canonical vector, is decoded."""
+    GF(q)^(n x m), flattened row-major into GF(q)^(nm): the nonzero words
+    of `_SpanMinRank.bad_words` on the whole space at d = r + 1, decoded
+    by `entries`.  The listing is charged first, by `_bad_word_cost`."""
     q = getattr(q, "order", q)
     if not 1 <= r <= min(n, m):
         raise ValueError("need 1 <= r <= min(n, m)")
     fld = field_for_order(q)
-    cost = max(q ** (n * m), linalg.row_arithmetic_size(q, m))
-    charge(cost, resolve_budget(budget), "rank-ball point scan")
-    # E_ij in row-major order, and the entries of each row code
-    basis = [[e[i * m : (i + 1) * m] for i in range(n)] for e in linalg.identity(n * m)]
-    row = [tuple(v // q**c % q for c in range(m)) for v in range(q**m)]
-    # one matrix per point, the one whose first nonzero entry is 1: the
-    # lowest nonzero digit of its first nonzero row code
-    monic = {v for v, entries in enumerate(row) if next(filter(None, entries), 0) == 1}
-    pts = [
-        tuple(itertools.chain.from_iterable(map(row.__getitem__, codes)))
-        for rank, codes in linalg.span_ranks(basis, fld)
-        if 0 < rank <= r and next(filter(None, codes)) in monic
-    ]
-    return PointSet(n * m, q, pts)
+    charge(_bad_word_cost(fld, q, n, m, n * m, r + 1), resolve_budget(budget), "rank-ball point scan")
+    kernel = _SpanMinRank(fld, q, n, m)
+    words = kernel.bad_words(linalg.identity(n * m), r + 1)
+    return PointSet(n * m, q, [kernel.entries(w) for w in words if w])
 
 
 # ----------------------------------------------------------------------

@@ -20,13 +20,13 @@ row with them; membership in a span is then one set lookup, with no
 elimination.  GL_n(q) (`semifield`), the spectrum-free count (`codes`),
 the point-set histograms (`critical`) and `span_ranks`, which ranks
 every matrix of a matrix space row by row (the rank distributions of
-`restricted` and the rank-ball point set of `critical`), test
-independence that way.
+`restricted`), test independence that way.
 `gf2_rank_table`, the rank of every n x m GF(2) matrix with nm <= 16
 indexed by its row-major bits (the GF(2) word of the codeword-sweep
 kernel `codes._SpanMinRank`), runs its own elimination on int rows.
-Every other sweep of that kernel takes its words of rank < d from one
-`span_ranks` walk pruned at rank d; nothing here caches a rank.
+Every other sweep of that kernel lists its words of rank < d by
+`solution_space`, one per row space of rank d - 1; nothing here caches
+a rank.
 """
 
 from __future__ import annotations
@@ -258,7 +258,7 @@ def grow_span(
 
 
 def span_ranks(
-    mats: Sequence[Sequence[Sequence[int]]], fld, q: int | None = None, below: int | None = None
+    mats: Sequence[Sequence[Sequence[int]]], fld, q: int | None = None
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(rank, row codes) of every matrix of the GF(q)-span of independent
     n x m matrices: the q^k matrices of `span_elements` on their flattened
@@ -280,16 +280,7 @@ def span_ranks(
     span: v lies in span(S, x) iff v + c*x lies in S for some c in fld.
     The span of the rows above it is grown when the last row has at least
     |S| words, and each word is tested by those lookups otherwise.  An
-    empty basis spans only the zero matrix, yielded as (0, ()).
-
-    Given below >= 1, only the matrices of rank < below are yielded.  A
-    row that raises the rank to below is dropped with every completion
-    of its prefix.  Once rows 0..n-2 have rank below - 1, the last row
-    must lie in their span S: it is c + w, c the code carried down to row
-    n-1 and w a word of the last group's span L, so the walk lists the c
-    + w in S from whichever of L and S is smaller, not from every word of
-    L.  The walk then costs about the number of rank < below matrices
-    rather than q^k."""
+    empty basis spans only the zero matrix, yielded as (0, ())."""
     if not mats:
         yield 0, ()
         return
@@ -311,9 +302,8 @@ def span_ranks(
             for x, col in zip(codes[r:], cols[r])
         ]
     last = cols[-1][0]
-    below = n + 1 if below is None else below
     if n == 1:
-        yield from [(int(v != 0), (v,)) for v in last if int(v != 0) < below]
+        yield from [(int(v != 0), (v,)) for v in last]
         return
 
     def fixed(r: int, carried, prefix: tuple, span: set, rank: int):
@@ -327,29 +317,17 @@ def span_ranks(
             x = rows[0]
             if x in span:
                 yield from fixed(r + 1, rows[1:], prefix + (x,), span, rank)
-            elif rank + 1 < below:
+            else:
                 grown = grow_span(span, x, add, scale)
                 yield from fixed(r + 1, rows[1:], prefix + (x,), grown, rank + 1)
 
-    nlast, ends, minus = len(last), set(last), scale[fld.neg(1)]
+    nlast = len(last)
     for (cx, cy), prefix, span, rank in fixed(0, (0,) * n, (), {0}, 0):
         bx, by = cx * Q, cy * Q
         for wx, wy in zip(*cols[-2]):
             x = add[bx + wx]
-            c = add[by + wy]
+            base = add[by + wy] * Q
             pre = prefix + (x,)
-            top = rank + (x not in span)  # the rank of rows 0..n-2
-            if top >= below:
-                continue
-            if top == below - 1:  # only a last row inside their span S
-                S = span if top == rank else grow_span(span, x, add, scale)
-                if nlast <= len(S):
-                    ys = [y for y in (add[c * Q + w] for w in last) if y in S]
-                else:
-                    ys = [y for y in S if add[y * Q + minus[c]] in ends]
-                yield from [(top, pre + (y,)) for y in ys]
-                continue
-            base = c * Q
             ys = [add[base + w] for w in last]
             if x in span:
                 yield from [(rank + (y not in span), pre + (y,)) for y in ys]

@@ -342,21 +342,33 @@ def test_density_charges_the_seeded_plan(monkeypatch):
 
 def test_sweep_charges_its_bad_word_walk_before_walking(monkeypatch):
     # (2, 2, 1, 2, 3) is seeded at rank 2, one subspace: 1 + 3^0 = 2 steps.
-    # Its rank < 2 words are walked next, charged the larger of min(3^4,
-    # the 33 matrices of rank < 2) and the 3^4 + 3^3 entries of the
-    # row-code tables of GF(3)^2, before those tables, the walk or the
-    # kernel exist
+    # Its rank < 2 words are listed next, one span per line of GF(3)^2,
+    # each of at most min(3^4, 3^(2 * 1)) words: 4 * 9 = 36 steps, charged
+    # before any solve or the kernel
     from rankmetric import codes
 
     def tripwire(*args, **kwargs):
-        raise AssertionError("walked before the budget charge")
+        raise AssertionError("listed before the budget charge")
 
-    for where, name in ((linalg, "row_arithmetic"), (linalg, "span_ranks"), (codes, "_SpanMinRank")):
+    for where, name in ((linalg, "solution_space"), (codes, "_SpanMinRank")):
         monkeypatch.setattr(where, name, tripwire)
-    with pytest.raises(BudgetExceededError, match=r"sweep: the ambient's rank < 2 words needs 108 steps"):
-        density_bruteforce(2, 2, 1, 2, 3, budget=107)
+    with pytest.raises(BudgetExceededError, match=r"sweep: the ambient's rank < 2 words needs 36 steps"):
+        density_bruteforce(2, 2, 1, 2, 3, budget=35)
     monkeypatch.undo()
-    assert density_bruteforce(2, 2, 1, 2, 3, budget=108).count == 24
+    assert density_bruteforce(2, 2, 1, 2, 3, budget=36).count == 24
+
+
+@pytest.mark.parametrize("q", [25, 27, 32, 49])
+def test_large_q_2x2_sweeps_run_at_the_default_budget(monkeypatch, q):
+    # the 2-dim MRD codes of 2 x 2 matrices number s_q(2) = (q^2 - q)^2 / 2;
+    # the rank < 2 words are listed by one solve per line of GF(q)^2, so
+    # no row-code table of GF(q)^2 is built
+    def tripwire(*args, **kwargs):
+        raise AssertionError("a rank sweep built a row-code table")
+
+    for name in ("row_arithmetic", "span_ranks"):
+        monkeypatch.setattr(linalg, name, tripwire)
+    assert density_bruteforce(2, 2, 2, 2, q).count == (q * q - q) ** 2 // 2
 
 
 def test_sweep_charges_a_walk_only_off_the_table(monkeypatch):

@@ -134,8 +134,9 @@ def test_rank_ball_pointset_matches_the_flat_walk(n, m, r, q):
 
 
 def test_rank_ball_pointset_charges_once_before_the_walk(monkeypatch):
-    # GF(3)^(2 x 3) has 3^6 matrices and GF(3)^3 tables of 3^6 + 3^4
-    # entries: one charge of 810, and no walk under a smaller budget
+    # the rank <= 1 matrices of GF(3)^(2 x 3) are listed by one span per
+    # line of GF(3)^2, each of at most min(3^6, 3^(3 * 1)) words: one
+    # charge of 4 * 27 = 108, and no solve under a smaller budget
     from rankmetric import critical
 
     charges = []
@@ -147,15 +148,15 @@ def test_rank_ball_pointset_charges_once_before_the_walk(monkeypatch):
 
     monkeypatch.setattr(critical, "charge", recording_charge)
     assert rank_ball_pointset(2, 3, 1, 3).size == 52
-    assert charges == [810]
+    assert charges == [108]
 
     def tripwire(*args):
-        raise AssertionError("walk started before the budget charge")
+        raise AssertionError("listing started before the budget charge")
 
-    monkeypatch.setattr(linalg, "span_ranks", tripwire)
-    monkeypatch.setattr(linalg, "row_arithmetic", tripwire)
-    with pytest.raises(BudgetExceededError, match="810 steps"):
-        rank_ball_pointset(2, 3, 1, 3, budget=809)
+    monkeypatch.setattr(linalg, "solution_space", tripwire)
+    monkeypatch.setattr(critical, "_SpanMinRank", tripwire)
+    with pytest.raises(BudgetExceededError, match="108 steps"):
+        rank_ball_pointset(2, 3, 1, 3, budget=107)
 
 
 def reference_distinguishing_counts(P, k, bounds):

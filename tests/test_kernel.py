@@ -28,13 +28,14 @@ reference count.
 
 Off the rank table a rank sweep decides every word by one lookup in a
 frozenset: the words of every matrix of rank < d in the ambient, listed
-once per sweep by a `linalg.span_ranks` walk pruned at rank d.  The
-tests below check that set against every matrix of the ambient ranked
-by `linalg.rank`, over full, symmetric, alternating and Hermitian
-ambients, GF(2) to GF(5) and GF(q^2); that the tasks a Pool receives
-carry the kernel with that set and no state of their own; that a
-generic sweep runs no elimination but the check of its seed; and that a
-sweep gives the same count at jobs 1 and 2.
+once per sweep as one span per (d-1)-dim row space, or column space
+when n < m.  The tests below check that set against every matrix of the
+ambient ranked by `linalg.rank`, over full, symmetric, alternating and
+Hermitian ambients of up to 20,000 matrices, GF(2) to GF(5) and
+GF(q^2); that the tasks a Pool receives carry the kernel with that set
+and no state of their own; that a generic sweep runs no elimination but
+the check of its seed; and that a sweep gives the same count at jobs 1
+and 2.
 
 With more than one worker the driver counts in-process, in doubling
 index ranges, until a deadline, and maps only the rest on a Pool.  A
@@ -386,24 +387,31 @@ def test_generic_sweep_eliminates_only_its_seed():
     assert spy.call_count == 1
 
 
-# (kind, n, m, q) of every ambient of at most 4,096 matrices; GF(2)
+# (kind, n, m, q) of every ambient with n, m <= 5 and at most 20,000
+# matrices: full n x m shapes with n < m are listed by columns, GF(2)
 # alternating 5 x 5 (nm = 25) lies past the rank table, Hermitian
 # matrices have entries in GF(q^2)
 LOW_RANK_AMBIENTS = [
     (kind, n, m, q)
     for kind, n, m, q in (
-        [("full", n, m, q) for q in (2, 3, 4, 5) for n in (1, 2, 3) for m in (1, 2, 3)]
-        + [("symmetric", n, n, q) for n in (2, 3) for q in (2, 3, 4, 5)]
-        + [("alternating", n, n, q) for n in (2, 3, 4, 5) for q in (2, 3, 4, 5)]
-        + [("hermitian", n, n, q) for n in (2, 3) for q in (2, 3, 4, 5)]
+        [("full", n, m, q) for q in (2, 3, 4, 5) for n in (1, 2, 3, 4) for m in (1, 2, 3, 4)]
+        + [(kind, n, n, q) for kind in ("symmetric", "alternating", "hermitian")
+           for n in (1, 2, 3, 4, 5) for q in (2, 3, 4, 5)]
     )
+    if 0 < dim_of(kind, n, m, q) and q ** dim_of(kind, n, m, q) <= 20000
+]
+
+# the ambients of at most 4,096 matrices that the sweeps below run on
+SWEPT_AMBIENTS = [
+    (kind, n, m, q)
+    for kind, n, m, q in LOW_RANK_AMBIENTS
     if q ** dim_of(kind, n, m, q) <= 4096
 ]
 
 
 @st.composite
 def low_rank_cases(draw):
-    kind, n, m, q = draw(st.sampled_from(LOW_RANK_AMBIENTS))
+    kind, n, m, q = draw(st.sampled_from(SWEPT_AMBIENTS))
     k = draw(st.integers(1, min(2, dim_of(kind, n, m, q))))
     d = draw(st.integers(1, min(n, m)))
     return kind, n, m, k, d, q
@@ -453,7 +461,16 @@ def test_sweep_lists_the_ambient_words_of_rank_below_d(case):
         _sweep(fld, q, n, m, vectors, k, d, None, "test sweep", strata=strata)
     (kernel,) = RecordingKernel.made
     assert_holds_the_bad_words(kernel, vectors, d)
-    # the walk itself, also on the shapes the table serves
+
+
+@given(st.sampled_from(LOW_RANK_AMBIENTS), st.data())
+@settings(max_examples=100, deadline=None)
+def test_bad_words_are_the_ambient_words_of_rank_below_d(case, data):
+    # the listing itself, also on the shapes the table serves
+    kind, n, m, q = case
+    d = data.draw(st.integers(1, min(n, m)), label="d")
+    fld, vectors, _ = ambient(kind, n, m, d, q)
+    kernel = _SpanMinRank(fld, q, n, m)
     assert kernel.bad_words(vectors, d) == reference_bad_words(kernel, vectors, d)
 
 
