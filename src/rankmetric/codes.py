@@ -162,7 +162,7 @@ def enumerate_subspaces(
     Yields each subspace exactly once; the count equals qbinom(N, k, q).
     [start, stop) selects a chunk of the stream for parallel traversal.
     """
-    q = getattr(q, "order", q)
+    q = _as_int_q(q)
     stop = qbinom(N, k, q) if stop is None else stop
     charge(stop - start, resolve_budget(budget), f"enumerating G_{q}({N},{k})")
     return Grassmannian(N, k, q).iter_range(start, stop)
@@ -290,10 +290,11 @@ class _SpanMinRank:
     bad holds the words of every matrix of rank < d in their GF(q)-span,
     listed once by `bad_words`, one span per row space of dimension
     d - 1, which the sweep charges first; with d = 1 that is {0}.  Over
-    GF(2) with nm <= 16 (`_by_table`) a rank kernel keeps no set and
-    probes linalg.gf2_rank_table instead.  min_rank, the minimum distance
+    GF(2) with nm <= 16 (`_by_table`) a sweep's kernel keeps no set and
+    probes linalg.gf2_rank_table instead.  A kernel built with neither
+    points nor an ambient keeps neither: min_rank, the minimum distance
     of one code, ranks each word of its span once, by the table or by
-    linalg.rank.
+    linalg.rank, and `bad_words` lists a set.
 
     Given a point set `points` of GF(q)^(nm) (canonical vectors, first
     nonzero entry 1, fld = GF(q)), bad holds the words of the points, so
@@ -315,12 +316,12 @@ class _SpanMinRank:
         self.b = b = 1 if p == 2 else p.bit_length() + 1
         self.ones = sum(1 << i for i in range(0, b * fld.h * n * m, b))
         self.carry = ((1 << b - 1) - p) * self.ones
-        gf2 = not points and _by_table(fld, n, m)
-        self.table = linalg.gf2_rank_table(n, m) if gf2 else None
-        self.bad = None
+        self.table = self.bad = None
         if points:
             self.bad = frozenset(map(self.vec, points))
-        elif ambient is not None and not gf2:
+        elif ambient is not None and _by_table(fld, n, m):
+            self.table = linalg.gf2_rank_table(n, m)
+        elif ambient is not None:
             self.bad = self.bad_words(ambient, d)
 
     def vec(self, flat: Sequence[int]) -> int:
@@ -403,13 +404,6 @@ class _SpanMinRank:
     def scale(self, c: int, x: int) -> int:
         return self.vec(linalg.row_scale(c, self.entries(x), self.fld))
 
-    def rank(self, word: int) -> int:
-        """The rank of a word, by one table probe or by linalg.rank."""
-        if self.table is not None:
-            return self.table[word]
-        e, m = self.entries(word), self.m
-        return linalg.rank([e[i * m : (i + 1) * m] for i in range(self.n)], self.fld)
-
     def clean(self, x: int, W: Iterable[int], d: int) -> bool:
         """Whether no word x + w (w in W) is bad, stopping at the first
         one that is: in `bad`, or of rank < d by the table."""
@@ -433,12 +427,20 @@ class _SpanMinRank:
     def min_rank(self, rows: Sequence, d: int) -> int:
         """Minimum rank over the nonzero words of span(rows), for linearly
         independent rows, stopping at the first word of rank < d.  Each
-        word is ranked once, by the table or by linalg.rank."""
-        best = min(self.n, self.m)
+        word is ranked once, by linalg.gf2_rank_table where `_by_table`
+        holds, or by linalg.rank."""
+        n, m, fld = self.n, self.m, self.fld
+        if _by_table(fld, n, m):
+            rank = linalg.gf2_rank_table(n, m).__getitem__
+        else:
+            def rank(word: int) -> int:
+                e = self.entries(word)
+                return linalg.rank([e[i * m : (i + 1) * m] for i in range(n)], fld)
+        best = min(n, m)
         W = [0]
         for i, x in enumerate(rows):
             for word in self.sums(x, W):
-                best = min(best, self.rank(word))
+                best = min(best, rank(word))
                 if best < d:
                     return best
             if i + 1 < len(rows):
@@ -456,8 +458,7 @@ class _SpanMinRank:
         vectors).  At k = 0 the one subspace, {0}, has no nonzero word.
         A word is decided by the GF(2) table at this d, or by the set of
         bad words listed for the point set or for the d the kernel was
-        built with; a rank kernel built without an ambient has no set and
-        counts only on the table.
+        built with; a kernel built with neither cannot count.
 
         A seed, a word of rank >= d outside the span of the units, is
         added to every subspace: the count is then of the subspaces U
@@ -718,7 +719,7 @@ def density_bruteforce(
     over the full Grassmannian.  jobs > 1 splits the sweep into
     deterministic chunks; the reduction is an integer sum, so the result
     is identical for any chunking."""
-    q = getattr(q, "order", q)
+    q = _as_int_q(q)
     if not 1 <= k <= n * m:
         raise ValueError(f"bad parameters n={n}, m={m}, k={k}, d={d}")
     # X -> AXB (A, B invertible) is transitive on the matrices of each
@@ -775,7 +776,7 @@ def spectrum_free_count(m: int, q, budget: int | None = None) -> int:
     slice comes from the eigenvalues alone.  The budget is charged the
     larger of q^(m^2), the whole matrix space, and the size of the
     row-code tables, before anything is built."""
-    q = getattr(q, "order", q)
+    q = _as_int_q(q)
     if m < 1:
         raise ValueError(f"need m >= 1, got m = {m}")
     fld = field_for_order(q)
@@ -846,7 +847,7 @@ def mrd_lowerbound_formula(n: int, q) -> tuple[int, Fraction]:
         |GL_n(q)|^2/(n (q^n-1)^2) * (1 + C(n-1,2) (q^n-1)(q-2)/(q-1))
 
     Returns (count, count / qbinom(n^2, n, q))."""
-    q = getattr(q, "order", q)
+    q = _as_int_q(q)
     if n < 2:
         raise ValueError("need n >= 2")
     glsq = Fraction(gl_order(n, q) ** 2)

@@ -8,8 +8,8 @@ so far by `reduce` and appended if it stays nonzero; `rank`, `rref`,
 operation, `row_sub` (x - f*y) or `row_scale` (f*x).  Over a prime field
 (h == 1) the row operations do the arithmetic inline modulo p; an
 extension field goes through its add/mul.  `span_elements` walks a
-GF(q)-space of vectors, one `row_sub` per changed digit; a space of
-matrices whose ranks are counted is walked by `span_ranks` (below).
+GF(q)-space of vectors, one `row_sub` per changed digit; the rank
+histogram of a space of matrices is counted by `rank_counts` (below).
 `mat_mul` and `mat_vec` also sum each entry inline modulo p over a prime
 field.
 
@@ -18,9 +18,9 @@ A vector of GF(q)^n also has a row code, the int sum of v[c] * q^c.
 per (field, n), and `grow_span` grows the set of codes of a span by one
 row with them; membership in a span is then one set lookup, with no
 elimination.  GL_n(q) (`semifield`), the spectrum-free count (`codes`),
-the point-set histograms (`critical`) and `span_ranks`, which ranks
-every matrix of a matrix space row by row (the rank distributions of
-`restricted`), test independence that way.
+the point-set histograms (`critical`) and `rank_counts`, which counts
+the matrices of each rank in a matrix space row by row (the rank
+distributions of `restricted`), test independence that way.
 `gf2_rank_table`, the rank of every n x m GF(2) matrix with nm <= 16
 indexed by its row-major bits (the GF(2) word of the codeword-sweep
 kernel `codes._SpanMinRank`), runs its own elimination on int rows.
@@ -257,12 +257,12 @@ def grow_span(
     return {add[s * Q + w] for s in span for w in multiples}
 
 
-def span_ranks(
-    mats: Sequence[Sequence[Sequence[int]]], fld, q: int | None = None
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(rank, row codes) of every matrix of the GF(q)-span of independent
-    n x m matrices: the q^k matrices of `span_elements` on their flattened
-    entries, in another order, each ranked without elimination.
+def rank_counts(mats: Sequence[Sequence[Sequence[int]]], fld, q: int | None = None) -> list[int]:
+    """counts[r], the number of rank-r matrices in the GF(q)-span of
+    independent n x m matrices: the ranks of the q^k matrices of
+    `span_elements` on their flattened entries, each found without
+    elimination.  The list has n + 1 entries; an empty basis spans only
+    the zero matrix, and gives [1].
 
     Ranks are over fld, the field of the entries, whose row codes (over
     GF(fld.order)^m) are added and scaled by `row_arithmetic(fld, m)`; q,
@@ -276,14 +276,14 @@ def span_ranks(
     row codes carried down from the groups above it.  Each level keeps the
     set of row codes of the span of the rows fixed so far (`grow_span`,
     one multiple per element of fld), so a row raises the rank iff its
-    code is outside that set, one lookup.  The last row needs no grown
-    span: v lies in span(S, x) iff v + c*x lies in S for some c in fld.
-    The span of the rows above it is grown when the last row has at least
-    |S| words, and each word is tested by those lookups otherwise.  An
-    empty basis spans only the zero matrix, yielded as (0, ())."""
+    code is outside that set, one lookup.  The last row is not walked:
+    for each row n - 2, x, the words of row n - 1 are counted by lookups
+    in the span of the rows above them, S, the span of rows 0..n-3, when
+    x lies in S, and span(S, x) otherwise.  span(S, x) is grown when the
+    last group has at least |S| words; otherwise a word v lies in it iff
+    v + c*x lies in S for some c in fld, |fld| lookups."""
     if not mats:
-        yield 0, ()
-        return
+        return [1]
     q = fld.order if q is None else q
     n, m, Qe = len(mats[0]), len(mats[0][0]), fld.order
     Q = Qe**m
@@ -302,44 +302,42 @@ def span_ranks(
             for x, col in zip(codes[r:], cols[r])
         ]
     last = cols[-1][0]
+    nlast = len(last)
     if n == 1:
-        yield from [(int(v != 0), (v,)) for v in last]
-        return
+        zeros = last.count(0)
+        return [zeros, nlast - zeros]
 
-    def fixed(r: int, carried, prefix: tuple, span: set, rank: int):
+    def fixed(r: int, carried, span: set, rank: int):
         """The states with rows 0..n-3 fixed: (the codes of rows n-2 and
-        n-1 so far, those of rows 0..n-3, their span, their rank)."""
+        n-1 so far, the span of rows 0..n-3, its dimension)."""
         if r == n - 2:
-            yield carried, prefix, span, rank
+            yield carried, span, rank
             return
         for w in zip(*cols[r]):
             rows = [add[s * Q + t] for s, t in zip(carried, w)]
             x = rows[0]
             if x in span:
-                yield from fixed(r + 1, rows[1:], prefix + (x,), span, rank)
+                yield from fixed(r + 1, rows[1:], span, rank)
             else:
-                grown = grow_span(span, x, add, scale)
-                yield from fixed(r + 1, rows[1:], prefix + (x,), grown, rank + 1)
+                yield from fixed(r + 1, rows[1:], grow_span(span, x, add, scale), rank + 1)
 
-    nlast = len(last)
-    for (cx, cy), prefix, span, rank in fixed(0, (0,) * n, (), {0}, 0):
+    counts = [0] * (n + 1)
+    for (cx, cy), span, rank in fixed(0, (0,) * n, {0}, 0):
         bx, by = cx * Q, cy * Q
         for wx, wy in zip(*cols[-2]):
             x = add[bx + wx]
             base = add[by + wy] * Q
-            pre = prefix + (x,)
             ys = [add[base + w] for w in last]
             if x in span:
-                yield from [(rank + (y not in span), pre + (y,)) for y in ys]
+                r, inside = rank, sum(map(span.__contains__, ys))
             elif nlast >= len(span):
-                grown = grow_span(span, x, add, scale)
-                yield from [(rank + 1 + (y not in grown), pre + (y,)) for y in ys]
+                r, inside = rank + 1, sum(map(grow_span(span, x, add, scale).__contains__, ys))
             else:
                 xs = [sc[x] for sc in scale]
-                yield from [
-                    (rank + 1 + all(add[y * Q + t] not in span for t in xs), pre + (y,))
-                    for y in ys
-                ]
+                r, inside = rank + 1, sum(any(add[y * Q + t] in span for t in xs) for y in ys)
+            counts[r] += inside
+            counts[r + 1] += nlast - inside
+    return counts
 
 
 def span_elements(basis: Sequence[Sequence[int]], fld, q: int | None = None) -> Iterator[Vector]:

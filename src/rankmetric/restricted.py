@@ -10,7 +10,7 @@ arbiter in this package) confirms the validated variant -- already at
 1 -- so the validated variant is the default everywhere, and the printed
 one stays callable for comparison tables.  Both have the same leading
 q-power, so every asymptotic statement is unaffected.  The enumeration
-counts every rank in one walk of the ambient (`linalg.span_ranks`), row
+counts every rank in one walk of the ambient (`linalg.rank_counts`), row
 by row on row-code spans, with no elimination.
 
 The density sweeps of alternating and Hermitian ambients are seeded by
@@ -39,7 +39,7 @@ from .codes import (
 )
 from .errors import charge, resolve_budget
 from .fields import FiniteField, make_ext_field
-from .qcomb import AsymptoticEstimate, binom, gl_order, matrix_rank_count, qbinom
+from .qcomb import AsymptoticEstimate, _as_int_q, binom, gl_order, matrix_rank_count, qbinom
 
 KINDS = ("symmetric", "alternating", "hermitian", "full")
 
@@ -161,7 +161,7 @@ def rank_count(kind: str, n: int, i: int, q, variant: str = "validated") -> int:
                  '-' for the printed classical form;
     full:        qcomb.matrix_rank_count(n, n, i, q).
     """
-    q = getattr(q, "order", q)
+    q = _as_int_q(q)
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}")
     if kind == "symmetric":
@@ -197,24 +197,21 @@ def rank_count(kind: str, n: int, i: int, q, variant: str = "validated") -> int:
 def rank_distribution_exhaustive(
     kind: str, n: int, q, budget: int | None = None
 ) -> tuple[int, ...]:
-    """Oracle: the number of ambient matrices of each rank 0..n, the
-    histogram of one `linalg.span_ranks` walk of the ambient.  q is
-    checked first and the budget charged once, before any table or field
-    is built: the larger of q^dim, the ambient, and the row-code tables
-    over the entry field (GF(q^2) for Hermitian matrices).  An empty
-    basis (alternating n = 1) spans the zero matrix alone, of rank 0."""
-    q = getattr(q, "order", q)
+    """Oracle: the number of ambient matrices of each rank 0..n, counted
+    by `linalg.rank_counts` on the ambient basis.  q is checked first and
+    the budget charged once, before any table or field is built: the
+    larger of q^dim, the ambient, and the row-code tables over the entry
+    field (GF(q^2) for Hermitian matrices).  An empty basis (alternating
+    n = 1) spans the zero matrix alone, of rank 0."""
+    q = _as_int_q(q)
     if n < 0:
         raise ValueError(f"need n >= 0, got n = {n}")
     field_for_order(q)
     entry_order = q * q if kind == "hermitian" else q
     cost = max(q ** ambient_dim(kind, n), linalg.row_arithmetic_size(entry_order, n))
     charge(cost, resolve_budget(budget), f"enumerating {kind} ambient")
-    basis = ambient_basis(kind, n, q)
-    counts = [0] * (n + 1)
-    for rank, _ in linalg.span_ranks(basis, _entry_field(kind, q), q):
-        counts[rank] += 1
-    return tuple(counts)
+    counts = linalg.rank_counts(ambient_basis(kind, n, q), _entry_field(kind, q), q)
+    return tuple(counts + [0] * (n + 1 - len(counts)))
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +278,7 @@ def restricted_density_bruteforce(
     fixed ambient basis.  Alternating and Hermitian sweeps are seeded by
     rank (see `codes._sweep`), symmetric and full ones flat; the seeded
     sweep of full matrices is `codes.density_bruteforce`."""
-    q = getattr(q, "order", q)
+    q = _as_int_q(q)
     basis = ambient_basis(kind, n, q)
     if not 1 <= k <= len(basis):
         raise ValueError(f"need 1 <= k <= {len(basis)}")
@@ -373,7 +370,7 @@ def density_2dim_formula(
 
     s_value may supply a precomputed spectrum-free count; otherwise it is
     obtained by enumeration (budgeted)."""
-    q = getattr(q, "order", q)
+    q = _as_int_q(q)
     if n < 1:
         raise ValueError(f"need n >= 1, got n = {n}")
     if s_value is None:
@@ -387,7 +384,7 @@ def density_2dim_formula(
 def tensor_ratio(r: int, n: int, q) -> Fraction:
     """|GL_r(q)|/|GL_n(q)| * C(n^2, r)_q / C(rn, n)_q: the exact ratio
     delta(r x n, n, r) / delta(n x n, r, n)."""
-    q = getattr(q, "order", q)
+    q = _as_int_q(q)
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
     return Fraction(gl_order(r, q), gl_order(n, q)) * Fraction(

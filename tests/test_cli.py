@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from rankmetric.cli import main
+from rankmetric.cli import FORMULAS, main
 
 
 def run(capsys, *argv):
@@ -124,7 +124,6 @@ def test_every_formula_exits_0_or_2(capsys):
     # prints a value or one usage line, and no exception escapes main
     import random
 
-    from rankmetric.cli import FORMULAS
     from rankmetric.restricted import KINDS
 
     rng = random.Random(0)
@@ -141,6 +140,29 @@ def test_every_formula_exits_0_or_2(capsys):
                 argv += ["--regime", rng.choice(("q_large", "m_large"))]
             assert main(argv) in (0, 2), argv
     capsys.readouterr()
+
+
+# one value of every option but q, valid for each formula that needs q
+# at q = 4 (mds-arc needs l >= N, arc-plus-point l <= q - 1)
+FORMULA_ARGS = {
+    "i": 2, "j": 1, "n": 2, "m": 2, "r": 1, "N": 3, "k": 2, "l": 3, "rho": 2, "s": 1,
+    "kind": "symmetric",
+}
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name, (_, needs, _) in FORMULAS.items() if "q" in needs)
+)
+def test_every_formula_needing_q_refuses_a_q_that_is_not_an_int_of_at_least_2(name):
+    func, needs, _ = FORMULAS[name]
+
+    def call(q):
+        return func(*(q if opt == "q" else FORMULA_ARGS[opt] for opt in needs))
+
+    call(4)
+    for q in (2.0, 1, "3"):
+        with pytest.raises(ValueError, match="q must be an integer >= 2"):
+            call(q)
 
 
 def test_large_q_is_checked_quickly(capsys):

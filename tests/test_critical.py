@@ -133,6 +133,22 @@ def test_rank_ball_pointset_matches_the_flat_walk(n, m, r, q):
     assert P.points == PointSet(n * m, q, flat_rank_ball_points(n, m, r, q)).points
 
 
+@pytest.mark.parametrize("n,m", [(2, 2), (4, 4)])
+def test_rank_ball_pointset_builds_no_gf2_rank_table(monkeypatch, n, m):
+    # the listing solves for its words; the GF(2) rank table is a sweep's
+    # alone.  Over GF(2) the rank-1 matrices are the products u v^T of
+    # nonzero u and v, each its own point
+    def tripwire(*args):
+        raise AssertionError("rank_ball_pointset built a GF(2) rank table")
+
+    def nonzero(length):
+        return [v for v in itertools.product((0, 1), repeat=length) if any(v)]
+
+    monkeypatch.setattr(linalg, "gf2_rank_table", tripwire)
+    products = [[x * y for x in u for y in v] for u in nonzero(n) for v in nonzero(m)]
+    assert rank_ball_pointset(n, m, 1, 2).points == PointSet(n * m, 2, products).points
+
+
 def test_rank_ball_pointset_charges_once_before_the_walk(monkeypatch):
     # the rank <= 1 matrices of GF(3)^(2 x 3) are listed by one span per
     # line of GF(3)^2, each of at most min(3^6, 3^(3 * 1)) words: one
@@ -333,7 +349,7 @@ def test_lambda_exhaustive_rejects_bad_sizes():
 
 def test_lambda_exhaustive_refuses_a_q_that_is_not_an_int():
     for q in (2.0, "3"):
-        with pytest.raises(ValueError, match="not a prime power"):
+        with pytest.raises(ValueError, match="q must be an integer >= 2"):
             lambda_exhaustive(3, 0, 3, 2, q)
 
 
@@ -559,17 +575,17 @@ def test_avg_density_exhaustive_refuses_an_ell_outside_the_points():
 
 def test_avg_density_exhaustive_refuses_a_q_that_is_not_an_int():
     for q in (4.0, "3"):
-        with pytest.raises(ValueError, match="not a prime power"):
+        with pytest.raises(ValueError, match="q must be an integer >= 2"):
             avg_density_exhaustive(2, 1, 2, q)
 
 
 def test_collinear_pointset_refuses_a_q_that_is_not_an_int():
     for q in (3.0, "3"):
-        with pytest.raises(ValueError, match="not a prime power"):
+        with pytest.raises(ValueError, match="q must be an integer >= 2"):
             collinear_pointset(3, 2, q)
 
 
 def test_moment_curve_arc_refuses_a_q_that_is_not_an_int():
     for q in (3.0, "3"):
-        with pytest.raises(ValueError, match="not a prime power"):
+        with pytest.raises(ValueError, match="q must be an integer >= 2"):
             moment_curve_arc(3, 3, q)

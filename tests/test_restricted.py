@@ -96,7 +96,7 @@ def test_rank_distribution_charges_the_ambient_once_before_the_walk(monkeypatch)
     def tripwire(*args):
         raise AssertionError("walk started before the budget charge")
 
-    monkeypatch.setattr(linalg, "span_ranks", tripwire)
+    monkeypatch.setattr(linalg, "rank_counts", tripwire)
     monkeypatch.setattr(linalg, "row_arithmetic", tripwire)
     with pytest.raises(BudgetExceededError, match="810 steps"):
         rank_distribution_exhaustive("symmetric", 3, 3, budget=809)
@@ -110,7 +110,7 @@ def test_rank_distribution_charges_the_ambient_once_before_the_walk(monkeypatch)
 def test_rank_distribution_exhaustive_refuses_a_q_that_is_not_an_int():
     for kind in ("symmetric", "alternating", "hermitian", "full"):
         for q in (3.0, "3"):
-            with pytest.raises(ValueError, match="not a prime power"):
+            with pytest.raises(ValueError, match="q must be an integer >= 2"):
                 rank_distribution_exhaustive(kind, 2, q)
 
 

@@ -27,3 +27,14 @@ def test_no_global_statements():
     # module state rebound from inside a function outlives the call that
     # set it; the package keeps no such state.
     assert statements(ast.Global) == []
+
+
+def test_q_is_read_by_one_function():
+    # a q given as an int or as a field handle is read, and refused when
+    # it is not an int >= 2, by qcomb._as_int_q alone
+    readers = [
+        path.name
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if 'getattr(q, "order", q)' in path.read_text()
+    ]
+    assert readers == ["qcomb.py"]
