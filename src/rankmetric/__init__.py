@@ -31,7 +31,6 @@ from .codes import (
     asymptotic_constants,
     density_3x3_formula,
     density_bruteforce,
-    enumerate_subspaces,
     spectrum_free_identity_check,
     kantor_lowerbound,
     mrd_lowerbound_formula,
@@ -58,7 +57,6 @@ from .semifield import (
 from .critical import (
     BlockCode,
     PointSet,
-    avg_asymptotics,
     avg_density_exhaustive,
     avg_density_formula,
     avg_density_rank_formula,

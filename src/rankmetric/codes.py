@@ -5,7 +5,9 @@ Canonical form: a code is the row space of the RREF of its flattened
 enumeration is indexed and deterministically ordered (pivot patterns in
 lexicographic order, free entries counting in base q), which gives exact
 chunked splitting for parallel sweeps: chunk [lo, hi) always yields the
-same subspaces in the same order.
+same subspaces in the same order.  `Grassmannian(N, k, q).iter_range(lo,
+hi)` is the one walk of the subspaces; it charges no budget, since each
+caller charges its own work before it walks.
 
 Every codeword sweep -- the minimum distance of one code, the density
 sweeps here and in `restricted`, the distinguishing sweep
@@ -84,7 +86,9 @@ from typing import Collection, Iterable, Iterator, Sequence
 from . import linalg
 from .errors import charge, resolve_budget
 from .fields import FiniteField, factorize, make_field, prime_power
-from .qcomb import AsymptoticEstimate, _as_int_q, gl_order, matrix_rank_count, pi_q_limit, qbinom
+from .qcomb import (
+    AsymptoticEstimate, _as_int_q, _as_prime_power, gl_order, matrix_rank_count, pi_q_limit, qbinom,
+)
 
 
 @lru_cache(maxsize=None)
@@ -147,25 +151,6 @@ class Grassmannian:
                         for j in range(p + 1, N) if j not in pivots]
                 yield pivots, free, a, b
             offset += count
-
-
-def enumerate_subspaces(
-    N: int,
-    k: int,
-    q,
-    budget: int | None = None,
-    start: int = 0,
-    stop: int | None = None,
-) -> Iterator[linalg.Matrix]:
-    """Deterministic stream of the k-dim subspaces of GF(q)^N (RREF bases).
-
-    Yields each subspace exactly once; the count equals qbinom(N, k, q).
-    [start, stop) selects a chunk of the stream for parallel traversal.
-    """
-    q = _as_int_q(q)
-    stop = qbinom(N, k, q) if stop is None else stop
-    charge(stop - start, resolve_budget(budget), f"enumerating G_{q}({N},{k})")
-    return Grassmannian(N, k, q).iter_range(start, stop)
 
 
 # ----------------------------------------------------------------------
@@ -539,7 +524,8 @@ class DensityResult:
     def density(self) -> Fraction:
         return Fraction(self.count, self.total)
 
-    def to_json(self, include_timing: bool = False) -> dict:
+    def to_json(self) -> dict:
+        """Every field but the timing `elapsed_ms`."""
         d = self.density
         out = {
             "q": self.q,
@@ -556,8 +542,6 @@ class DensityResult:
         }
         if self.kind is not None:
             out["kind"] = self.kind
-        if include_timing:
-            out["elapsed_ms"] = self.elapsed_ms
         return out
 
 
@@ -823,12 +807,13 @@ def spectrum_free_identity_check(m: int, q, budget: int | None = None) -> bool:
 
 
 # ----------------------------------------------------------------------
-# closed formulas and asymptotic evaluators
+# closed formulas and asymptotic evaluators: each refuses a q that is not
+# a prime power
 # ----------------------------------------------------------------------
 
 def density_3x3_formula(q) -> Fraction:
     """Exact density of 3-dim codes in GF(q)^(3x3) with min distance 3."""
-    q = _as_int_q(q)
+    q = _as_prime_power(q)
     num = (
         (q - 1)
         * (q**3 - 1)
@@ -847,7 +832,7 @@ def mrd_lowerbound_formula(n: int, q) -> tuple[int, Fraction]:
         |GL_n(q)|^2/(n (q^n-1)^2) * (1 + C(n-1,2) (q^n-1)(q-2)/(q-1))
 
     Returns (count, count / qbinom(n^2, n, q))."""
-    q = _as_int_q(q)
+    q = _as_prime_power(q)
     if n < 2:
         raise ValueError("need n >= 2")
     glsq = Fraction(gl_order(n, q) ** 2)
@@ -897,6 +882,8 @@ def asymptotic_constants(
     - 'upper_q': the q -> inf upper bound exponent O(q^(-(d-1)(n-d+1)+1)).
     - 'upper_m_*': both branch values of the m -> inf limsup bound, with
       pi(q) evaluated to certified precision eps; 'upper_m' is their min.
+      Each is the float its exact value (from the float pi(q)) rounds
+      to, 0.0 where that lies below the least subnormal.
     """
     if not 2 <= d <= n:
         raise ValueError("need 2 <= d <= n")
@@ -907,9 +894,14 @@ def asymptotic_constants(
         "upper_q": AsymptoticEstimate(Fraction(1), "q", -(d - 1) * (n - d + 1) + 1),
     }
     if q is not None:
+        q = _as_prime_power(q)
         piq, bound = pi_q_limit(q, eps)
-        b1 = 1.0 / piq ** (q * (d - 1) * (n - d + 1) + 1)
-        b2 = 1.0 / (qbinom(n, d - 1, q) * (piq - 1.0) + 1.0)
+        b1 = piq ** -(q * (d - 1) * (n - d + 1) + 1)  # underflows to 0.0
+        # 1 / (Q (piq - 1) + 1) as one correctly rounded int quotient; Q =
+        # qbinom(n, d - 1, q) >= q^((d-1)(n-d+1)), not formed once that is past
+        num, den = (piq - 1.0).as_integer_ratio()
+        past = num and (d - 1) * (n - d + 1) * math.log2(q) + math.log2(num / den) > 1076
+        b2 = 0.0 if past else den / (qbinom(n, d - 1, q) * num + den)
         out["pi_q"] = piq
         out["pi_q_bound"] = bound
         out["upper_m_branch1"] = b1

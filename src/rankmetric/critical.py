@@ -4,7 +4,9 @@ bridge to block-code weight distributions.
 
 A point set stores one canonical vector per 1-dimensional subspace (first
 nonzero coordinate normalized to 1).  All averages are exact Fractions;
-asymptotic limit expressions are evaluated as floats.
+asymptotic limit expressions are the floats their exact values round to,
+0.0 with no overflow past the float range (`formula avg-limit` is their
+one dispatcher).  Every function here refuses a q that is no prime power.
 
 `delta_bruteforce` is the density sweep of `codes` with another notion
 of a bad word: a word whose projective point lies in P, where the sweep
@@ -19,13 +21,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import exp
+from math import exp, log
 from typing import Iterable, Sequence
 
 from . import linalg
 from .codes import Grassmannian, _SpanMinRank, _bad_word_cost, _sweep, field_for_order
 from .errors import charge, resolve_budget
-from .qcomb import _as_int_q, binom, qbinom
+from .qcomb import _as_int_q, _as_prime_power, binom, qbinom
 
 
 def canonical_point(vec: Sequence[int], fld) -> tuple[int, ...]:
@@ -147,7 +149,7 @@ def rank_ball_pointset(n: int, m: int, r: int, q, budget: int | None = None) -> 
 def avg_density_formula(N: int, k: int, ell: int, q) -> Fraction:
     """Average of delta over all point sets of size ell:
     C((q^N-q^k)/(q-1), ell) / C((q^N-1)/(q-1), ell)."""
-    q = _as_int_q(q)
+    q = _as_prime_power(q)
     if N < 1 or not 0 <= k <= N:
         raise ValueError(f"need N >= 1 and 0 <= k <= N, got N={N}, k={k}")
     npoints = (q**N - 1) // (q - 1)
@@ -187,58 +189,53 @@ def avg_density_exhaustive(
     return acc / nsets
 
 
+def _exp_neg_power(c, q: int, e: int) -> float:
+    """exp(-c q^e) for c > 0, as the float it rounds to: 0.0 once c q^e >
+    746 (exp(-745.2) is half the least subnormal), with q^e not formed."""
+    if log(c) + e * log(q) > log(746):
+        return 0.0
+    return exp(-c * float(q) ** e)
+
+
 def avg_density_limit_qlarge(N: int, k: int, s: int, q) -> float:
     """Limit expression exp(-q^(k+s-N)) for point sets of size ~ q^s."""
-    q = _as_int_q(q)
+    q = _as_prime_power(q)
+    if not 0 <= k <= N:
+        raise ValueError(f"need 0 <= k <= N, got N={N}, k={k}")
     if not 1 <= s < N - 1:
         raise ValueError("need 1 <= s < N-1")
-    return exp(-float(q) ** (k + s - N))
+    return _exp_neg_power(1, q, k + s - N)
+
 
 def avg_density_limit_mlarge(
     n: int, k_prime: int, r: int, ell_prime: float, m: int, q
 ) -> float:
     """Limit expression exp(-ell' q^(m(k'+r-n))) for the column-scaling
     regime."""
-    q = _as_int_q(q)
+    q = _as_prime_power(q)
     if not (1 <= k_prime < n and 1 <= r < n):
         raise ValueError("need 1 <= k', r < n")
-    return exp(-ell_prime * float(q) ** (m * (k_prime + r - n)))
+    if not ell_prime > 0:
+        raise ValueError(f"need l' > 0, got {ell_prime}")
+    return _exp_neg_power(ell_prime, q, m * (k_prime + r - n))
 
 
 def ball_avg_limit(n: int, d: int, q, regime: str) -> float:
     """The two limit values of the average density at the rank-ball's
     cardinality: exp(-q^(d(n-d+2)-n-2)) as q grows, and
     exp(-qbinom(n,d-1,q)/(q-1)) as the column length grows."""
-    q = _as_int_q(q)
+    q = _as_prime_power(q)
+    if not 2 <= d <= n:
+        raise ValueError(f"need 2 <= d <= n, got n={n}, d={d}")
     if regime == "q_large":
-        return exp(-float(q) ** (d * (n - d + 2) - n - 2))
+        return _exp_neg_power(1, q, d * (n - d + 2) - n - 2)
     if regime == "m_large":
+        # qbinom(n, d-1, q) >= q^((d-1)(n-d+1)): where that bound gives
+        # 0.0, so does the limit, and the q-binomial is not formed
+        if _exp_neg_power(1 / (q - 1), q, (d - 1) * (n - d + 1)) == 0.0:
+            return 0.0
         return exp(-qbinom(n, d - 1, q) / (q - 1))
     raise ValueError(f"unknown regime {regime!r}")
-
-
-def avg_asymptotics(regime: str, **params) -> float:
-    """Dispatcher over the limit expressions above.
-
-    regime='q_large': (N, k, s, q) or the ball instance (n, d, q);
-    regime='m_large': (n, k_prime, r, ell_prime, m, q) or (n, d, q).
-    """
-    if regime not in ("q_large", "m_large"):
-        raise ValueError(f"unknown regime {regime!r}")
-    if "d" in params:
-        return ball_avg_limit(params["n"], params["d"], params["q"], regime)
-    if regime == "q_large":
-        return avg_density_limit_qlarge(
-            params["N"], params["k"], params["s"], params["q"]
-        )
-    return avg_density_limit_mlarge(
-        params["n"],
-        params["k_prime"],
-        params["r"],
-        params["ell_prime"],
-        params["m"],
-        params["q"],
-    )
 
 
 # ----------------------------------------------------------------------
@@ -254,7 +251,7 @@ def lambda_count(N: int, s: int, ell: int, rho: int, q) -> int:
     vanishing q-binomial C(N-s, i-t) before the ordinary binomial of a
     negative integer could contribute.
     """
-    q = _as_int_q(q)
+    q = _as_prime_power(q)
     if not 2 <= rho <= N:
         raise ValueError("need 2 <= rho <= N")
     if not rho <= ell <= (q**rho - 1) // (q - 1):
@@ -345,7 +342,7 @@ def lambda_exhaustive(
 def avg_density_rank_formula(N: int, k: int, ell: int, rho: int, q) -> Fraction:
     """Average density of k-dim distinguishing subspaces over all point
     sets of size ell and rank rho: lambda(N,k,ell,rho)/lambda(N,0,ell,rho)."""
-    q = _as_int_q(q)
+    q = _as_prime_power(q)
     den = lambda_count(N, 0, ell, rho, q)
     if den == 0:
         raise ValueError(
@@ -361,7 +358,7 @@ def avg_density_rank_formula(N: int, k: int, ell: int, rho: int, q) -> Fraction:
 def hyperplane_density_collinear(N: int, i: int, q) -> Fraction:
     """Density of hyperplanes avoiding i points spanning a fixed plane
     (all on one projective line): (q+1-i)(q-1) q^(N-2) / (q^N - 1)."""
-    q = _as_int_q(q)
+    q = _as_prime_power(q)
     if N < 2 or not 2 <= i <= q + 1:
         raise ValueError("need N >= 2 and 2 <= i <= q+1 collinear points")
     return Fraction((q + 1 - i) * (q - 1) * q ** (N - 2), q**N - 1)
@@ -370,7 +367,7 @@ def hyperplane_density_collinear(N: int, i: int, q) -> Fraction:
 def hyperplane_density_independent(N: int, i: int, q) -> Fraction:
     """Density of hyperplanes avoiding i linearly independent points:
     (q-1)^i q^(N-i) / (q^N - 1)."""
-    q = _as_int_q(q)
+    q = _as_prime_power(q)
     if not 2 <= i <= N - 1:
         raise ValueError("need 2 <= i <= N-1 independent points")
     return Fraction((q - 1) ** i * q ** (N - i), q**N - 1)
@@ -457,7 +454,7 @@ def hyperplane_density_via_weights(P: PointSet, budget: int | None = None) -> Fr
 def mds_arc_density(N: int, ell: int, q) -> Fraction:
     """Density of hyperplanes avoiding an arc of ell points:
     (q-1)/(q^N-1) * sum_j (-1)^j C(ell-1, j) q^(N-1-j)."""
-    q = _as_int_q(q)
+    q = _as_prime_power(q)
     if N < 1 or ell < 2 or ell < N:
         raise ValueError("need N >= 1 and ell >= max(2, N) for an arc spanning the space")
     acc = 0
@@ -486,7 +483,7 @@ def arc_plus_point_density(N: int, ell: int, q) -> Fraction:
     """Closed form for the point set 'arc of ell-1 points in a coordinate
     hyperplane, plus the last basis vector':
     (q-1)^2/(q^N-1) * sum_j (-1)^j C(ell-2, j) q^(N-2-j)."""
-    q = _as_int_q(q)
+    q = _as_prime_power(q)
     if N < 2 or not 2 <= ell <= q - 1:
         raise ValueError("construction needs N >= 2 and 2 <= ell <= q-1")
     acc = 0
@@ -499,7 +496,7 @@ def arc_plus_point_gap(N: int, ell: int, q) -> Fraction:
     """arc_plus_point_density - mds_arc_density in closed form:
     (q-1)/(q^N-1) * (-1)^N * C(ell-2, N-1); positive iff N is even and
     ell >= N+1."""
-    q = _as_int_q(q)
+    q = _as_prime_power(q)
     if N < 2:
         raise ValueError(f"need N >= 2, got N = {N}")
     return Fraction((q - 1) * (-1) ** N * binom(ell - 2, N - 1), q**N - 1)
@@ -507,7 +504,7 @@ def arc_plus_point_gap(N: int, ell: int, q) -> Fraction:
 
 def arc_plus_point_pointset(N: int, ell: int, q) -> PointSet:
     """The concrete construction behind arc_plus_point_density."""
-    q = _as_int_q(q)
+    q = _as_prime_power(q)
     if not (N >= 2 and N <= ell <= q - 1):
         raise ValueError("need N <= ell <= q-1 for the concrete construction")
     inner = moment_curve_arc(N - 1, ell - 1, q)
@@ -520,8 +517,8 @@ def arc_plus_point_pointset(N: int, ell: int, q) -> PointSet:
 # the worked six-row table
 # ----------------------------------------------------------------------
 
-def rank_average_table(
-    N: int = 10, k: int = 6, ell: int = 31, q: int = 2, rhos: Sequence[int] = (10, 9, 8, 7, 6, 5)
-) -> list[tuple[int, Fraction]]:
-    """Exact rank-constrained averages for the worked example parameters."""
-    return [(rho, avg_density_rank_formula(N, k, ell, rho, q)) for rho in rhos]
+def rank_average_table() -> list[tuple[int, Fraction]]:
+    """The paper's worked example: the exact average density of 6-dim
+    subspaces of GF(2)^10 distinguishing a point set of size 31 and rank
+    rho, for rho = 10, 9, ..., 5."""
+    return [(rho, avg_density_rank_formula(10, 6, 31, rho, 2)) for rho in range(10, 4, -1)]

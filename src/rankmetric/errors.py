@@ -25,7 +25,7 @@ class BudgetExceededError(RuntimeError):
 
 
 class FieldSizeError(ValueError):
-    """Requested field exceeds the configured size cap."""
+    """Requested field exceeds the size cap FIELD_SIZE_CAP."""
 
 
 def default_budget() -> int:

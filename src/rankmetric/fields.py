@@ -8,6 +8,9 @@ One class, `FiniteField`, models every field of the package:
   of order q, e.g. GF(16) over GF(4), which the towers of the semifield
   and Hermitian code families need.
 
+No field has more than `errors.FIELD_SIZE_CAP` = 2^20 elements: a larger
+one raises FieldSizeError before anything is built.
+
 Element encoding
 ----------------
 Field elements are plain ints.  An element of a prime field is its
@@ -225,7 +228,6 @@ class FiniteField:
         base: "int | FiniteField",
         n: int = 1,
         modulus: Sequence[int] | None = None,
-        cap: int = FIELD_SIZE_CAP,
     ):
         if n < 1:
             raise ValueError(f"degree must be >= 1, got {n}")
@@ -234,8 +236,8 @@ class FiniteField:
         else:
             p, q, h = base, base, n
         order = q**n
-        if order > cap:
-            raise FieldSizeError(f"|GF({q}^{n})| = {order} exceeds cap {cap}")
+        if order > FIELD_SIZE_CAP:
+            raise FieldSizeError(f"|GF({q}^{n})| = {order} exceeds cap {FIELD_SIZE_CAP}")
         if not isinstance(base, FiniteField):
             if not is_prime(p):
                 raise ValueError(f"p = {p} is not prime")
@@ -438,7 +440,7 @@ class FiniteField:
         # which turns the attributes into a plain dict and slows every later
         # operation on this (cached, shared) field by about a fifth.
         base = self.p if self.base is None else self.base
-        return (FiniteField, (base, self.n, self.modulus, self.order))
+        return (FiniteField, (base, self.n, self.modulus))
 
 
 def _find_generator(fld: FiniteField) -> int:

@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import charge, resolve_budget
+from .fields import prime_power
 
 
 def _as_int_q(q) -> int:
@@ -21,6 +23,17 @@ def _as_int_q(q) -> int:
     if not isinstance(qq, int) or qq < 2:
         raise ValueError(f"q must be an integer >= 2, got {q!r}")
     return qq
+
+
+_prime_power = lru_cache(maxsize=None)(prime_power)
+
+
+def _as_prime_power(q) -> int:
+    """_as_int_q for the order of a field, by a cached prime-power test."""
+    q = _as_int_q(q)
+    if _prime_power(q) is None:
+        raise ValueError(f"q = {q} is not a prime power")
+    return q
 
 
 def binom(x: int, k: int) -> int:
@@ -223,9 +236,3 @@ def comparison_inequality_check(
         f"margin in [{float(margin_lower)}, {float(margin_upper)}]; raise terms"
     )
 
-
-def prime_powers_up_to(bound: int) -> list[int]:
-    """All prime powers q with 2 <= q <= bound, ascending."""
-    from .fields import prime_power
-
-    return [q for q in range(2, bound + 1) if prime_power(q) is not None]

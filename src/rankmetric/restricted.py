@@ -22,6 +22,9 @@ X -> AXA^T the symmetric matrices of one rank fall into two orbits (by
 the square class of the discriminant for odd q; alternating or not for
 even q), whose sizes the seeded identity would need separately and which
 are not derived here.
+
+Every ambient is n x n (rectangular matrices belong to `codes`), and
+every function here refuses a q that is not a prime power.
 """
 
 from __future__ import annotations
@@ -39,21 +42,19 @@ from .codes import (
 )
 from .errors import charge, resolve_budget
 from .fields import FiniteField, make_ext_field
-from .qcomb import AsymptoticEstimate, _as_int_q, binom, gl_order, matrix_rank_count, qbinom
+from .qcomb import AsymptoticEstimate, _as_prime_power, binom, gl_order, matrix_rank_count, qbinom
 
 KINDS = ("symmetric", "alternating", "hermitian", "full")
 
 
-def ambient_dim(kind: str, n: int, m: int | None = None) -> int:
-    """Dimension over GF(q) of the ambient matrix space."""
+def ambient_dim(kind: str, n: int) -> int:
+    """Dimension over GF(q) of the ambient n x n matrix space."""
     if kind == "symmetric":
         return n * (n + 1) // 2
     if kind == "alternating":
         return n * (n - 1) // 2
-    if kind == "hermitian":
+    if kind in ("hermitian", "full"):
         return n * n
-    if kind == "full":
-        return n * (m if m is not None else n)
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -75,6 +76,7 @@ def ambient_basis(kind: str, n: int, q: int) -> tuple[linalg.Matrix, ...]:
                 `codes.density_bruteforce`;
     entries of hermitian matrices live in GF(q^2), all others in GF(q).
     """
+    q = _as_prime_power(q)
     if kind == "symmetric":
         out = []
         for i in range(n):
@@ -128,6 +130,7 @@ def _entry_field(kind: str, q: int):
 def is_member(kind: str, mat: linalg.Matrix, q: int) -> bool:
     """Membership predicate of the ambient (symmetric / alternating with
     zero diagonal / Hermitian conjugate-transpose fixed)."""
+    q = _as_prime_power(q)
     n = len(mat)
     if kind == "symmetric":
         return all(mat[i][j] == mat[j][i] for i in range(n) for j in range(n))
@@ -161,7 +164,7 @@ def rank_count(kind: str, n: int, i: int, q, variant: str = "validated") -> int:
                  '-' for the printed classical form;
     full:        qcomb.matrix_rank_count(n, n, i, q).
     """
-    q = _as_int_q(q)
+    q = _as_prime_power(q)
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}")
     if kind == "symmetric":
@@ -203,10 +206,9 @@ def rank_distribution_exhaustive(
     larger of q^dim, the ambient, and the row-code tables over the entry
     field (GF(q^2) for Hermitian matrices).  An empty basis (alternating
     n = 1) spans the zero matrix alone, of rank 0."""
-    q = _as_int_q(q)
+    q = _as_prime_power(q)
     if n < 0:
         raise ValueError(f"need n >= 0, got n = {n}")
-    field_for_order(q)
     entry_order = q * q if kind == "hermitian" else q
     cost = max(q ** ambient_dim(kind, n), linalg.row_arithmetic_size(entry_order, n))
     charge(cost, resolve_budget(budget), f"enumerating {kind} ambient")
@@ -278,7 +280,7 @@ def restricted_density_bruteforce(
     fixed ambient basis.  Alternating and Hermitian sweeps are seeded by
     rank (see `codes._sweep`), symmetric and full ones flat; the seeded
     sweep of full matrices is `codes.density_bruteforce`."""
-    q = _as_int_q(q)
+    q = _as_prime_power(q)
     basis = ambient_basis(kind, n, q)
     if not 1 <= k <= len(basis):
         raise ValueError(f"need 1 <= k <= {len(basis)}")
@@ -362,20 +364,14 @@ def sparseness_exponent(
 # square two-dimensional codes and the tensor identity
 # ----------------------------------------------------------------------
 
-def density_2dim_formula(
-    n: int, q, s_value: int | None = None, budget: int | None = None
-) -> Fraction:
+def density_2dim_formula(n: int, q, budget: int | None = None) -> Fraction:
     """Exact density of 2-dimensional full-rank codes in GF(q)^(n x n):
-    s_q(n) * |GL_n(q)| / ((q^(n^2)-1)(q^(n^2)-q)).
-
-    s_value may supply a precomputed spectrum-free count; otherwise it is
-    obtained by enumeration (budgeted)."""
-    q = _as_int_q(q)
+    s_q(n) * |GL_n(q)| / ((q^(n^2)-1)(q^(n^2)-q)), the spectrum-free count
+    s_q(n) by its (budgeted) traversal."""
+    q = _as_prime_power(q)
     if n < 1:
         raise ValueError(f"need n >= 1, got n = {n}")
-    if s_value is None:
-        s_value = spectrum_free_count(n, q, budget=budget)
-    num = s_value
+    num = spectrum_free_count(n, q, budget=budget)
     for i in range(n):
         num *= q**n - q**i
     return Fraction(num, (q ** (n * n) - 1) * (q ** (n * n) - q))
@@ -384,7 +380,7 @@ def density_2dim_formula(
 def tensor_ratio(r: int, n: int, q) -> Fraction:
     """|GL_r(q)|/|GL_n(q)| * C(n^2, r)_q / C(rn, n)_q: the exact ratio
     delta(r x n, n, r) / delta(n x n, r, n)."""
-    q = _as_int_q(q)
+    q = _as_prime_power(q)
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
     return Fraction(gl_order(r, q), gl_order(n, q)) * Fraction(

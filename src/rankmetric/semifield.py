@@ -83,7 +83,8 @@ are, and the census builds a code only for a class representative and
 for each spec it scans: 27 codes for the 129 valid specs over GF(27).
 Its classes are semilinear (rho ranges over Aut(GF(q))), so over a
 non-prime base field it can find fewer than `class_count_formula`, which
-counts GF(q)-linear classes.
+counts GF(q)-linear classes.  Every census reports the automorphism
+group size of each class representative.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ from . import linalg
 from .errors import charge, resolve_budget
 from .fields import FiniteField
 from .linpoly import LinearizedPoly, from_matrix, interpolate
-from .qcomb import _as_int_q, gl_order
+from .qcomb import _as_prime_power, gl_order
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +281,7 @@ def class_count_formula(n: int, q) -> int:
     and N(c) = w^2 are equivalent through rho (the twist of the code of
     c is the code of c^2), so the census finds 2 classes.  Over a prime
     base field the two notions agree."""
-    q = _as_int_q(q)
+    q = _as_prime_power(q)
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"need an integer n >= 2, got {n!r}")
     return 1 + (q - 2) * math.comb(n - 1, 2)
@@ -1092,13 +1093,11 @@ def _code_key(spec: TwistedFieldSpec) -> tuple[int, int, int] | None:
     return None if i == 0 else (i, spec.j % n, spec.c)
 
 
-def twisted_class_census(
-    field: FiniteField, budget: int | None = None, aut_sizes: bool = True
-) -> list[dict]:
+def twisted_class_census(field: FiniteField, budget: int | None = None) -> list[dict]:
     """Equivalence classes among all twisted-type codes over the field,
     as JSON-able dicts: representative spec, number of distinct codes in
-    the class, and (optionally) the brute-forced automorphism group size
-    of the representative.
+    the class, and the brute-forced automorphism group size of the
+    representative.
 
     Specs are told apart by `_code_key`, which is equal for two valid
     specs exactly when their codes are, without building either: None
@@ -1148,7 +1147,6 @@ def twisted_class_census(
                     "members": 1,
                 }
             )
-    if aut_sizes:
-        for entry, (rep_code, _) in zip(classes, reps):
-            entry["aut_size"] = aut_group_size_bruteforce(rep_code, budget=budget)
+    for entry, (rep_code, _) in zip(classes, reps):
+        entry["aut_size"] = aut_group_size_bruteforce(rep_code, budget=budget)
     return classes

@@ -101,6 +101,8 @@ def test_formula_invalid_parameter_exits_2(capsys):
         ("formula", "arc-plus-point-gap", "--N", "-1", "--l", "2", "--q", "4"),
         ("formula", "avg-limit", "--regime", "m_large", "--N", "4", "--k", "2",
          "--s", "1", "--q", "3"),
+        ("formula", "avg-limit", "--N", "4", "--k", "9", "--s", "1", "--q", "2"),
+        ("formula", "avg-limit", "--regime", "m_large", "--n", "2", "--d", "3", "--q", "2"),
         ("formula", "kantor-lower", "--n", "4"),
         ("formula", "pi-q", "--q", "2", "--n", "100000000"),
         ("formula", "pi-q", "--q", "2", "--n", "-1"),
@@ -116,6 +118,27 @@ def test_formula_invalid_parameter_exits_2(capsys):
         assert "Traceback" not in err
         # main reports one line; argparse a usage block and one line
         assert err.startswith("usage:") or err.count("\n") == 1, (argv, err)
+
+
+# limits whose exponents are past the float range: each ended in an
+# OverflowError traceback and exit 1, and each value reads 0.0
+FLOAT_RANGE_LIMITS = [
+    (("avg-limit", "--regime", "m_large", "--n", "300", "--d", "150", "--q", "1024"), None),
+    (("avg-limit", "--regime", "q_large", "--n", "300", "--d", "3", "--q", "1048576"), None),
+    (("mrd-asymptotics", "--n", "300", "--d", "3", "--q", "1024"), "upper_m_branch2"),
+    (("mrd-asymptotics", "--n", "2000", "--d", "1000", "--q", "2"), "upper_m_branch1"),
+]
+
+
+@pytest.mark.parametrize("argv,key", FLOAT_RANGE_LIMITS)
+def test_limits_past_the_float_range_exit_0(capsys, argv, key):
+    code, out, err = run(capsys, "formula", *argv, "--format", "json")
+    assert code == 0, err
+    value = json.loads(out)["value"]
+    if key is None:
+        assert value == "0.0"
+    else:
+        assert value[key] == value["upper_m"] == 0.0
 
 
 def test_every_formula_exits_0_or_2(capsys):

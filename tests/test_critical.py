@@ -19,9 +19,9 @@ from rankmetric.critical import (
     arc_plus_point_density,
     arc_plus_point_gap,
     arc_plus_point_pointset,
-    avg_asymptotics,
     avg_density_exhaustive,
     avg_density_formula,
+    avg_density_limit_mlarge,
     avg_density_limit_qlarge,
     avg_density_rank_formula,
     ball_avg_limit,
@@ -247,15 +247,59 @@ def test_avg_density_examples():
 
 def test_avg_density_limit_instances():
     # hyperplanes vs point sets of size ~ q: limit 1/e, independent of q
-    assert avg_asymptotics("q_large", N=3, k=2, s=1, q=5) == pytest.approx(
-        math.exp(-1)
-    )
+    assert avg_density_limit_qlarge(3, 2, 1, 5) == pytest.approx(math.exp(-1))
     # the matrix-ball instance at n=d=2 for growing column count
     assert ball_avg_limit(2, 2, 3, "m_large") == pytest.approx(math.exp(-2))
-    assert avg_asymptotics("m_large", n=2, d=2, q=3) == pytest.approx(math.exp(-2))
     assert ball_avg_limit(2, 2, 2, "q_large") == pytest.approx(math.exp(-1))
     with pytest.raises(ValueError):
-        avg_asymptotics("sideways", n=2, d=2, q=2)
+        ball_avg_limit(2, 2, 2, "sideways")
+    for n, d in ((2, 1), (2, 3), (3, 0)):
+        with pytest.raises(ValueError, match="2 <= d <= n"):
+            ball_avg_limit(n, d, 2, "m_large")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 7), st.data(), st.sampled_from([2, 3, 4, 5, 7, 8, 9]), st.integers(1, 60)
+)
+def test_mlarge_limit_at_the_rank_ball_is_the_ball_limit(n, data, q, m):
+    # k' = n - d + 1, r = d - 1: the exponent m(k' + r - n) is 0 at every
+    # m, and l' = qbinom(n, d - 1, q)/(q - 1) is the rank ball's size
+    d = data.draw(st.integers(2, n))
+    ell = qbinom(n, d - 1, q) / (q - 1)
+    got = avg_density_limit_mlarge(n, n - d + 1, d - 1, ell, m, q)
+    assert got == ball_avg_limit(n, d, q, "m_large")
+
+
+def test_mlarge_limit_guards_and_tails():
+    for n, k_prime, r, ell in ((3, 0, 1, 1.0), (3, 3, 1, 1.0), (3, 1, 0, 1.0), (3, 1, 3, 1.0),
+                               (3, 1, 1, 0.0), (3, 1, 1, -1.0), (3, 1, 1, math.nan)):
+        with pytest.raises(ValueError):
+            avg_density_limit_mlarge(n, k_prime, r, ell, 4, 2)
+    # k' + r > n: the exponent grows with m, past the float range at
+    # m = 2000, and the limit is 0.0; k' + r < n: it is 1.0
+    assert avg_density_limit_mlarge(4, 3, 2, 1.0, 3, 2) == math.exp(-8.0)
+    assert avg_density_limit_mlarge(4, 3, 2, 1.0, 2000, 2) == 0.0
+    assert avg_density_limit_mlarge(4, 1, 2, 1.0, 2000, 2) == 1.0
+
+
+def test_limits_past_the_float_range_read_0():
+    # the exponent of each limit exp(-x) is past 1.8e308, or is a
+    # q-binomial of 224,991 bits: exp(-x) rounds to 0.0
+    assert ball_avg_limit(300, 150, 1024, "m_large") == 0.0
+    assert ball_avg_limit(300, 3, 2**20, "q_large") == 0.0
+    assert ball_avg_limit(2000, 1000, 2, "m_large") == 0.0
+    assert avg_density_limit_qlarge(300, 300, 298, 2**20) == 0.0
+    # 3^6 = 729 is below 746, and exp(-729) is a subnormal float, not 0
+    assert avg_density_limit_qlarge(10, 10, 6, 3) == math.exp(-729) > 0
+    assert avg_density_limit_qlarge(10, 10, 7, 3) == 0.0
+
+
+def test_qlarge_limit_refuses_k_outside_0_to_n():
+    for k in (-1, 5, 9):
+        with pytest.raises(ValueError, match="0 <= k <= N"):
+            avg_density_limit_qlarge(4, k, 1, 2)
+    assert avg_density_limit_qlarge(4, 0, 1, 2) == math.exp(-(2.0**-3))
 
 
 def test_avg_density_approaches_limit_monotonically():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rankmetric import linalg
-from rankmetric.codes import density_bruteforce, field_for_order, spectrum_free_count
+from rankmetric.codes import density_bruteforce, field_for_order
 from rankmetric.errors import BudgetExceededError
 from rankmetric.restricted import (
     ambient_basis,
@@ -38,7 +38,7 @@ def test_ambient_dims():
     assert ambient_dim("symmetric", 3) == 6
     assert ambient_dim("alternating", 3) == 3
     assert ambient_dim("hermitian", 3) == 9
-    assert ambient_dim("full", 2, 3) == 6
+    assert ambient_dim("full", 2) == 4
 
 
 @pytest.mark.parametrize("kind,n,q", STRATA_GRID)
@@ -342,9 +342,6 @@ def test_density_2dim_formula():
     # equals the brute-force Grassmannian sweep
     for q in (2, 3):
         assert density_2dim_formula(2, q) == density_bruteforce(2, 2, 2, 2, q).density
-    # supplying a precomputed spectrum-free count must agree
-    s = spectrum_free_count(2, 3)
-    assert density_2dim_formula(2, 3, s_value=s) == density_2dim_formula(2, 3)
 
 
 def test_density_2dim_limit_toward_alternating_sum():
@@ -354,8 +351,7 @@ def test_density_2dim_limit_toward_alternating_sum():
     target = float(alt_exp_sum(2))
     prev = None
     for q in (2, 3, 4, 5, 7):
-        s = spectrum_free_count(2, q)
-        val = float(density_2dim_formula(2, q, s_value=s))
+        val = float(density_2dim_formula(2, q))
         err = abs(val - target)
         if prev is not None:
             assert err < prev
